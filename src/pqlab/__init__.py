@@ -73,6 +73,7 @@ from .solver import (
     EnergyData,
     SolveConfig,
     SolveStats,
+    StepHistory,
     comparison_maps,
     energy_report,
     face_divergence,

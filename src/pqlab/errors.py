@@ -17,12 +17,15 @@ class PreconditionError(ValueError):
 
 class StepFailure(RuntimeError):
     """Nonlinear iteration for one implicit time step did not reach the
-    tolerance within the allowed number of iterations."""
+    tolerance within the allowed number of iterations, or its line search
+    found no decrease.  Carries the failing time, its last residual and the
+    step's convergence history (a solver.StepHistory)."""
 
-    def __init__(self, message, t=None, residual=None):
+    def __init__(self, message, t=None, residual=None, history=None):
         super().__init__(message)
         self.t = t
         self.residual = residual
+        self.history = history
 
 
 class DivergenceError(RuntimeError):

@@ -70,7 +70,7 @@ _SCHEMA = {
     "sweep": ("eps0", "levels"),
     "targets": None,  # cylinder<N> keys
     "calibration": ("c_cal",),
-    "solver": ("tolerance", "max_iter", "damping"),
+    "solver": ("tolerance", "max_iter"),
     "output": ("directory", "seed"),
 }
 
@@ -89,7 +89,6 @@ class ExperimentConfig:
     c_cal: float = 1.0
     tolerance: float = 1e-10
     max_iter: int = 60
-    damping: float = 0.5
     out_dir: str = "out"
     seed: int = 0
 
@@ -103,7 +102,6 @@ class ExperimentConfig:
             self.g,
             tolerance=self.tolerance,
             max_iter=self.max_iter,
-            damping=self.damping,
         )
 
     def eps_schedule(self) -> list:
@@ -273,7 +271,6 @@ def load_config(path) -> ExperimentConfig:
         c_cal=_take(entries, "calibration", "c_cal", _float, default=1.0),
         tolerance=_take(entries, "solver", "tolerance", _float, default=1e-10),
         max_iter=_take(entries, "solver", "max_iter", _int, default=60),
-        damping=_take(entries, "solver", "damping", _float, default=0.5),
         out_dir=_take(entries, "output", "directory", _str, default="out"),
         seed=_take(entries, "output", "seed", _int, default=0),
     )
@@ -350,7 +347,6 @@ def emit_config(cfg: ExperimentConfig, path) -> None:
         "[solver]",
         f"tolerance = {_fmt(cfg.tolerance)}",
         f"max_iter = {cfg.max_iter}",
-        f"damping = {_fmt(cfg.damping)}",
         "",
         "[output]",
         f"directory = {cfg.out_dir}",

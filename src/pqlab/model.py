@@ -32,6 +32,7 @@ __all__ = [
     "IntegrandSpec",
     "StructureReport",
     "flux",
+    "flux_coefficient",
     "integrand",
     "check_structure",
 ]
@@ -115,6 +116,37 @@ def _as_xi(xi) -> np.ndarray:
     return xi
 
 
+def flux_coefficient(s, a_val, b_val, spec: IntegrandSpec, eps: float | None = None,
+                     derivative: bool = False):
+    """Scalar G with D_xi f_i(xi) = G(|xi|^2) xi, at s = |xi|^2.
+
+    With derivative=True, returns (G, 2 G'(s)).  Each phase c r^((e-2)/2),
+    with r = mu^2 + s (or s for the eps-term), contributes (e-2) c r^((e-2)/2)/r
+    to 2 G'; that is 0/0 where r = 0 and is taken as 0, the limit of
+    2 G'(s) s there.  So the Newton weight G + 2 G'(s) s of each phase is
+    c r^((e-2)/2) (1 + (e-2) s/r).
+    """
+    if eps is None:
+        eps = spec.eps
+    mu2 = spec.params.mu**2
+    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
+    r = mu2 + s
+    g_a = np.asarray(a_val, float) * r ** ((p - 2.0) / 2.0)
+    g_b = np.asarray(b_val, float) * r ** ((q - 2.0) / 2.0)
+    g_e = eps * qb * s ** ((qb - 2.0) / 2.0)
+    g = g_a + g_b + g_e
+    if not derivative:
+        return g
+    dg = _quotient((p - 2.0) * g_a + (q - 2.0) * g_b, r)
+    dg += _quotient((qb - 2.0) * g_e, s)
+    return g, dg
+
+
+def _quotient(num, den):
+    """num / den, with 0 where den = 0 (the numerators above vanish there)."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
+
+
 def flux(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:
     """D_xi f_i at gradient xi (leading axis = components).
 
@@ -123,17 +155,7 @@ def flux(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.
     other term vanish there.
     """
     xi = _as_xi(xi)
-    if eps is None:
-        eps = spec.eps
-    s = np.sum(xi**2, axis=0)
-    mu2 = spec.params.mu**2
-    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    g = (
-        np.asarray(a_val, float) * (mu2 + s) ** ((p - 2.0) / 2.0)
-        + np.asarray(b_val, float) * (mu2 + s) ** ((q - 2.0) / 2.0)
-        + eps * qb * s ** ((qb - 2.0) / 2.0)
-    )
-    return g * xi
+    return flux_coefficient(np.sum(xi**2, axis=0), a_val, b_val, spec, eps) * xi
 
 
 def integrand(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:

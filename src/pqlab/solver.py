@@ -1,28 +1,39 @@
 """Implicit solver for the regularized Cauchy-Dirichlet problem and the
 weak-form, energy and variational diagnostics evaluated on its output.
 
-Each implicit Euler step solves
+Each implicit Euler step solves, at the interior nodes,
 
-    (u^{j+1} - u^j)/dt = div_h F(x, t_{j+1}, D_h u^{j+1}),
-    u^{j+1} = g(., t_{j+1}) on the lateral boundary,
+    R(w) = w - u^j - dt div_h F(x, t_{j+1}, D_h w) = 0,
+    w = g(., t_{j+1}) on the lateral boundary,
 
-by damped fixed-point iteration with lagged coefficients: the scalar flux
-coefficient is frozen at the previous iterate, leaving a linear elliptic
-solve per sweep.  The first sweep is undamped, so linear problems converge
-in one iteration.  D_h places gradients on cell faces and div_h is its
-negative adjoint, which makes discrete integration by parts exact for test
-functions vanishing on the boundary; one step is therefore the minimizing
-movement of the convex integrand, and the discrete variational inequality
-holds up to iteration tolerance.
+by Newton's method on the exact Jacobian of R.  A backtracking line search
+(Armijo factor 1e-4, halving) on max|R| globalizes it, with no relaxation
+factor to tune.
+In 1D the Jacobian is the symmetric positive definite tridiagonal
+I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved by LAPACK dptsv.  In 2D the face
+flux takes its transverse gradient from centred differences averaged onto
+the face, so the Jacobian is a nonsymmetric 9-point stencil, factored by
+SuperLU.  Iteration stops once max|R| < tolerance * max(1, |w|_inf,
+dt |div_h F|_inf), so the rule does not depend on the scale of the data; a
+linear problem converges in one iteration.  Every step keeps its residual
+and step-length history.
+
+D_h places gradients on cell faces and div_h is its negative adjoint, which
+makes discrete integration by parts exact for test functions vanishing on
+the boundary.  In 1D one step is therefore the minimizing movement of the
+convex integrand, and the discrete variational inequality holds up to
+iteration tolerance.  The averaged transverse gradient of the 2D flux makes
+the 2D step minimize no discrete energy exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -33,12 +44,13 @@ from .errors import (
     StepFailure,
 )
 from .grid import Domain, SpaceTimeField, _trapezoid_weights, gradient, lp_norm
-from .model import IntegrandSpec, integrand
+from .model import IntegrandSpec, flux_coefficient, integrand
 
 __all__ = [
     "BoundaryDatum",
     "SolveConfig",
     "SolveStats",
+    "StepHistory",
     "EnergyData",
     "ComparisonMap",
     "step",
@@ -51,6 +63,11 @@ __all__ = [
     "variational_gap_curve",
     "comparison_maps",
 ]
+
+# Line search: accept step length t once max|R| has fallen by the factor
+# 1 - ARMIJO * t; halve t down to MIN_STEP.
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-20
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +165,28 @@ class SolveConfig:
     g: BoundaryDatum
     tolerance: float = 1e-10
     max_iter: int = 60
-    damping: float = 0.5
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
-        if not (0 < self.damping <= 1):
-            raise ParameterError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
+
+
+@dataclass(frozen=True)
+class StepHistory:
+    """Newton convergence of one implicit step: max|R| after each iteration
+    and the step length the line search accepted in it."""
+
+    residuals: tuple
+    step_lengths: tuple
 
 
 @dataclass
 class SolveStats:
     iterations: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
+    histories: list = field(default_factory=list)
 
     @property
     def total_iterations(self) -> int:
@@ -200,24 +224,35 @@ def face_divergence(face_fluxes: list, domain: Domain) -> np.ndarray:
     return out
 
 
-def _flux_coefficient(s, a_val, b_val, spec: IntegrandSpec):
-    """Scalar coefficient G with F(xi) = G(|xi|^2) xi."""
-    mu2 = spec.params.mu**2
-    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    return (
-        a_val * (mu2 + s) ** ((p - 2.0) / 2.0)
-        + b_val * (mu2 + s) ** ((q - 2.0) / 2.0)
-        + spec.eps * qb * s ** ((qb - 2.0) / 2.0)
-    )
+class _Iterate(NamedTuple):
+    """The residual at w, with the face quantities its Jacobian needs.
+
+    Per axis k: grads[k] is the normal difference quotient on the k-faces,
+    trans[k] the transverse gradient averaged onto them (2D only) and
+    coeffs[k] the pair (G, 2G') at s = grads[k]^2 + trans[k]^2.
+    """
+
+    w: np.ndarray
+    residual: np.ndarray  # R at the interior nodes
+    norm: float  # max|R|
+    scale: float  # max(1, |w|_inf, dt |div_h F|_inf)
+    grads: list
+    trans: list
+    coeffs: list
 
 
 class _Stepper:
-    """Per-run cache: face coordinates, face coefficients, boundary mask."""
+    """Per-run cache (face coefficients, interior slice) and the Newton
+    iteration of one implicit step."""
 
     def __init__(self, cfg: SolveConfig):
         self.cfg = cfg
         dom = cfg.domain
         self.dom = dom
+        self.dt = dom.dt
+        self.dx = dom.dx
+        self.coords = dom.meshgrid()
+        self.interior = (slice(1, -1),) * dom.n
         axes = dom.axes
         if dom.n == 1:
             mid = 0.5 * (axes[0][:-1] + axes[0][1:])
@@ -232,121 +267,144 @@ class _Stepper:
             self.b_faces = [cfg.spec.coeffs.b.at(xg, yg), cfg.spec.coeffs.b.at(xg2, yg2)]
 
     def boundary_values(self, t: float) -> np.ndarray:
-        dom = self.dom
-        return self.cfg.g.at(dom.box, dom.meshgrid(), t)
+        return self.cfg.g.at(self.dom.box, self.coords, t)
 
-    def face_coefficients(self, w: np.ndarray) -> list:
-        """G on faces, with the transverse gradient averaged onto faces."""
+    def evaluate(self, w: np.ndarray, u_prev: np.ndarray) -> _Iterate:
+        """R(w) = w - u_prev - dt div_h F(D_h w), evaluating the face
+        coefficients once for both the residual and the Jacobian."""
         dom = self.dom
-        grads = face_gradients(w, dom)
         spec = self.cfg.spec
+        grads = face_gradients(w, dom)
         if dom.n == 1:
-            s = grads[0] ** 2
-            return [_flux_coefficient(s, self.a_faces[0], self.b_faces[0], spec)]
-        wy = np.gradient(w, dom.dx[1], axis=1, edge_order=2)
-        wx = np.gradient(w, dom.dx[0], axis=0, edge_order=2)
-        sy_on_x = 0.5 * (wy[:-1, :] + wy[1:, :])
-        sx_on_y = 0.5 * (wx[:, :-1] + wx[:, 1:])
-        s0 = grads[0] ** 2 + sy_on_x**2
-        s1 = grads[1] ** 2 + sx_on_y**2
-        return [
-            _flux_coefficient(s0, self.a_faces[0], self.b_faces[0], spec),
-            _flux_coefficient(s1, self.a_faces[1], self.b_faces[1], spec),
+            trans = []
+            s = [grads[0] ** 2]
+        else:
+            wx, wy = (np.gradient(w, h, axis=k, edge_order=2) for k, h in enumerate(self.dx))
+            trans = [0.5 * (wy[:-1, :] + wy[1:, :]), 0.5 * (wx[:, :-1] + wx[:, 1:])]
+            s = [g**2 + t**2 for g, t in zip(grads, trans)]
+        coeffs = [
+            flux_coefficient(sk, a, b, spec, derivative=True)
+            for sk, a, b in zip(s, self.a_faces, self.b_faces)
         ]
+        div = face_divergence([c[0] * g for c, g in zip(coeffs, grads)], dom)
+        residual = (w - u_prev - self.dt * div)[self.interior]
+        scale = max(1.0, float(np.abs(w).max()), self.dt * float(np.abs(div).max()))
+        return _Iterate(w, residual, float(np.abs(residual).max()), scale, grads, trans, coeffs)
 
-    def divergence_of_flux(self, w: np.ndarray) -> np.ndarray:
-        coeffs = self.face_coefficients(w)
-        grads = face_gradients(w, self.dom)
-        return face_divergence([c * g for c, g in zip(coeffs, grads)], self.dom)
+    def _tridiagonal(self, it: _Iterate):
+        """1D Jacobian: diagonal and off-diagonal of I + c D^T diag(H) D."""
+        (g,), ((big_g, dg),) = it.grads, it.coeffs
+        h = big_g + dg * g**2
+        c = self.dt / self.dx[0] ** 2
+        return 1.0 + c * (h[1:] + h[:-1]), -c * h[1:-1]
 
-    def _solve_linear(self, coeffs, u_prev, bc):
-        dom = self.dom
-        dt = dom.dt
-        if dom.n == 1:
-            g_face = coeffs[0]
-            c = dt / dom.dx[0] ** 2
-            m = dom.nx - 2
-            diag = 1.0 + c * (g_face[1:] + g_face[:-1])
-            upper = -c * g_face[1:-1]
-            rhs = u_prev[1:-1].copy()
-            rhs[0] += c * g_face[0] * bc[0]
-            rhs[-1] += c * g_face[-1] * bc[-1]
-            ab = np.zeros((3, m))
-            ab[0, 1:] = upper
-            ab[1] = diag
-            ab[2, :-1] = upper
-            sol = scipy.linalg.solve_banded((1, 1), ab, rhs)
-            out = bc.copy()
-            out[1:-1] = sol
-            return out
-        gx, gy = coeffs
-        cx = dt / dom.dx[0] ** 2
-        cy = dt / dom.dx[1] ** 2
-        m = dom.nx - 2
-        gxe = gx[1:, 1:-1]
-        gxw = gx[:-1, 1:-1]
-        gyn = gy[1:-1, 1:]
-        gys = gy[1:-1, :-1]
-        diag = 1.0 + cx * (gxe + gxw) + cy * (gyn + gys)
-        east = -cx * gxe
-        west = -cx * gxw
-        north = -cy * gyn.copy()
-        south = -cy * gys.copy()
-        rhs = u_prev[1:-1, 1:-1].copy()
-        rhs[0, :] -= west[0, :] * bc[0, 1:-1]
-        rhs[-1, :] -= east[-1, :] * bc[-1, 1:-1]
-        rhs[:, 0] -= south[:, 0] * bc[1:-1, 0]
-        rhs[:, -1] -= north[:, -1] * bc[1:-1, -1]
-        north[:, -1] = 0.0
-        south[:, 0] = 0.0
-        mat = scipy.sparse.diags(
-            [
-                diag.ravel(),
-                east.ravel()[:-m],
-                west.ravel()[m:],
-                north.ravel()[:-1],
-                south.ravel()[1:],
-            ],
-            [0, m, -m, 1, -1],
-            format="csc",
+    def _nine_point(self, it: _Iterate):
+        """2D Jacobian on the interior nodes, numbered row-major.
+
+        The flux G(s) g on a face has derivative H dg + C dt with
+        H = G + 2G' g^2 and C = 2G' g t, where t averages the centred
+        transverse difference over the face's two nodes.  H sits on the
+        5-point part; C reaches the four diagonal neighbours and the two
+        transverse ones.
+        """
+        dt, (dx, dy) = self.dt, self.dx
+        cx, cy = dt / dx**2, dt / dy**2
+        kappa = dt / (4.0 * dx * dy)
+        (hx, cross_x), (hy, cross_y) = (
+            (big_g + dg * g**2, kappa * dg * g * t)
+            for g, t, (big_g, dg) in zip(it.grads, it.trans, it.coeffs)
         )
-        sol = scipy.sparse.linalg.spsolve(mat, rhs.ravel())
-        out = bc.copy()
-        out[1:-1, 1:-1] = sol.reshape(m, m)
-        return out
+        he, hw = hx[1:, 1:-1], hx[:-1, 1:-1]
+        hn, hs = hy[1:-1, 1:], hy[1:-1, :-1]
+        ce, cw = cross_x[1:, 1:-1], cross_x[:-1, 1:-1]
+        cn, cs = cross_y[1:-1, 1:], cross_y[1:-1, :-1]
+        return _stencil_matrix({
+            (0, 0): 1.0 + cx * (he + hw) + cy * (hn + hs),
+            (1, 0): -cx * he - cn + cs,
+            (-1, 0): -cx * hw + cn - cs,
+            (0, 1): -cy * hn - ce + cw,
+            (0, -1): -cy * hs + ce - cw,
+            (1, 1): -(ce + cn),
+            (1, -1): ce + cs,
+            (-1, 1): cw + cn,
+            (-1, -1): -(cw + cs),
+        })
+
+    def jacobian(self, it: _Iterate):
+        """dR/dw at the interior nodes as a sparse matrix."""
+        if self.dom.n == 1:
+            diag, off = self._tridiagonal(it)
+            return scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csc")
+        return self._nine_point(it)
+
+    def newton_direction(self, it: _Iterate) -> np.ndarray:
+        """Solve J d = -R."""
+        if self.dom.n == 1:
+            diag, off = self._tridiagonal(it)
+            _, _, d, info = scipy.linalg.lapack.dptsv(diag, off, -it.residual)
+            if info != 0:
+                raise DivergenceError(f"Newton matrix is not positive definite (info {info})")
+            return d
+        lu = scipy.sparse.linalg.splu(self.jacobian(it), permc_spec="MMD_AT_PLUS_A")
+        return lu.solve(-it.residual.ravel()).reshape(it.residual.shape)
 
     def step(self, u_prev: np.ndarray, t_next: float):
+        """One implicit step from u_prev; returns (field slice, StepHistory)."""
         cfg = self.cfg
-        dom = self.dom
-        bc = self.boundary_values(t_next)
         w = u_prev.copy()
-        _set_boundary(w, bc, dom.n)
-        residual = math.inf
-        for k in range(cfg.max_iter):
-            coeffs = self.face_coefficients(w)
-            w_lin = self._solve_linear(coeffs, u_prev, bc)
-            weight = 1.0 if k == 0 else cfg.damping
-            w_new = w + weight * (w_lin - w)
-            if not np.all(np.isfinite(w_new)):
-                raise DivergenceError(f"iteration produced non-finite values at t = {t_next}")
-            residual = float(
-                np.abs(w_new - u_prev - dom.dt * self.divergence_of_flux(w_new))[
-                    _interior_slice(dom.n)
-                ].max()
+        _set_boundary(w, self.boundary_values(t_next), self.dom.n)
+        it = self.evaluate(w, u_prev)
+        residuals, lengths = [], []
+
+        def failure(why):
+            return StepFailure(
+                f"{why} at t = {t_next} (residual {it.norm:.3e})",
+                t=t_next,
+                residual=it.norm,
+                history=StepHistory(tuple(residuals), tuple(lengths)),
             )
-            w = w_new
-            if residual < cfg.tolerance:
-                return w, k + 1, residual
-        raise StepFailure(
-            f"no convergence within {cfg.max_iter} iterations at t = {t_next} "
-            f"(residual {residual:.3e})",
-            t=t_next,
-            residual=residual,
-        )
+
+        for _ in range(cfg.max_iter):
+            d = self.newton_direction(it)
+            if not np.all(np.isfinite(d)):
+                raise DivergenceError(f"Newton step produced non-finite values at t = {t_next}")
+            length = 1.0
+            while True:
+                w = it.w.copy()
+                w[self.interior] += length * d
+                trial = self.evaluate(w, u_prev)
+                if (trial.norm <= (1.0 - _ARMIJO * length) * it.norm
+                        or trial.norm < cfg.tolerance * trial.scale):
+                    break
+                if length <= _MIN_STEP:
+                    raise failure("line search found no decrease")
+                length *= 0.5
+            it = trial
+            residuals.append(it.norm)
+            lengths.append(length)
+            if it.norm < cfg.tolerance * it.scale:
+                return it.w, StepHistory(tuple(residuals), tuple(lengths))
+        raise failure(f"no convergence within {cfg.max_iter} iterations")
 
 
-def _interior_slice(n: int):
-    return (slice(1, -1),) * n
+def _stencil_matrix(stencil: dict):
+    """Sparse matrix on the m x m interior grid, numbered row-major, from
+    {(di, dj): coefficient array (m, m)}.  Entries whose neighbour leaves
+    the grid across a row end are zeroed; diags drops those past its ends."""
+    m = next(iter(stencil.values())).shape[0]
+    size = m * m
+    diagonals, offsets = [], []
+    for (di, dj), coef in stencil.items():
+        coef = np.array(coef, dtype=float)
+        if dj == 1:
+            coef[:, -1] = 0.0
+        elif dj == -1:
+            coef[:, 0] = 0.0
+        k = di * m + dj
+        flat = coef.ravel()
+        diagonals.append(flat[: size - k] if k >= 0 else flat[-k:])
+        offsets.append(k)
+    return scipy.sparse.diags(diagonals, offsets, format="csc")
 
 
 def _set_boundary(w: np.ndarray, bc: np.ndarray, n: int) -> None:
@@ -359,14 +417,15 @@ def _set_boundary(w: np.ndarray, bc: np.ndarray, n: int) -> None:
 
 def step(u_prev: np.ndarray, t_next: float, cfg: SolveConfig):
     """One implicit Euler step; returns (field slice, iterations, residual)."""
-    return _Stepper(cfg).step(np.asarray(u_prev, float), t_next)
+    u, history = _Stepper(cfg).step(np.asarray(u_prev, float), t_next)
+    return u, len(history.residuals), history.residuals[-1]
 
 
 def solve(cfg: SolveConfig):
     """March the implicit scheme from u(.,0) = g(.,0).
 
     Returns (SpaceTimeField, SolveStats); step failures propagate with the
-    failing time level attached.
+    failing time level and its convergence history attached.
     """
     dom = cfg.domain
     stepper = _Stepper(cfg)
@@ -375,10 +434,11 @@ def solve(cfg: SolveConfig):
     stats = SolveStats()
     u = values[0].copy()
     for j in range(1, dom.nt + 1):
-        u, iters, res = stepper.step(u, float(dom.times[j]))
+        u, history = stepper.step(u, float(dom.times[j]))
         values[j] = u
-        stats.iterations.append(iters)
-        stats.residuals.append(res)
+        stats.iterations.append(len(history.residuals))
+        stats.residuals.append(history.residuals[-1])
+        stats.histories.append(history)
     return SpaceTimeField(dom, values), stats
 
 
@@ -410,7 +470,7 @@ def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, spec: IntegrandSpec) -
     a = spec.coeffs.a.sample(dom).values
     b = spec.coeffs.b.sample(dom).values
     du = gradient(u)
-    coeff = _flux_coefficient(np.sum(du**2, axis=0), a, b, spec)
+    coeff = flux_coefficient(np.sum(du**2, axis=0), a, b, spec)
     dphi = gradient(phi)
     dtphi = np.gradient(phi.values, dom.dt, axis=0, edge_order=2)
     density = -u.values * dtphi + coeff * np.sum(du * dphi, axis=0)

@@ -242,12 +242,12 @@ class TestCLI:
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # an unreachable tolerance makes the first step fail
-        text = SWEEP_CFG + "\n[solver]\ntolerance = 1e-30\nmax_iter = 2\ndamping = 0.5\n"
+        text = SWEEP_CFG + "\n[solver]\ntolerance = 1e-30\nmax_iter = 2\n"
         path = write(tmp_path, text)
         assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
 
     def test_sweep_failure_persists_partial_reports(self, tmp_path, capsys):
-        text = SWEEP_CFG + "\n[solver]\ntolerance = 1e-30\nmax_iter = 2\ndamping = 0.5\n"
+        text = SWEEP_CFG + "\n[solver]\ntolerance = 1e-30\nmax_iter = 2\n"
         text = text.replace("directory = out", f"directory = {tmp_path / 'partial'}")
         path = write(tmp_path, text)
         assert cli_main(["sweep", "--config", str(path)]) == 2

@@ -24,12 +24,14 @@ from pqlab import (
     face_divergence,
     face_gradients,
     field_from_function,
+    flux,
     solve,
     step,
     variational_gap,
     variational_gap_curve,
     weak_residual,
 )
+from pqlab.solver import _Stepper
 
 
 def heat_config(nx=65, nt=400, T=0.1, n=1, g=None):
@@ -81,6 +83,78 @@ class TestStep:
             step(0.8 * np.sin(np.pi * cfg.domain.axes[0]), cfg.domain.dt, cfg)
         assert exc.value.t == cfg.domain.dt
         assert exc.value.residual is not None
+        hist = exc.value.history
+        assert 1 <= len(hist.residuals) <= 2
+        assert len(hist.step_lengths) == len(hist.residuals)
+        assert hist.residuals[-1] == exc.value.residual
+
+
+def degenerate_config(amplitude=0.8, p=2.0, q=2.1, alpha=20.0, beta=20.0):
+    """The 1D degenerate preset (65x256): a = |x - 0.505|^0.04, b = 1, sine datum."""
+    params = StructureParams(n=1, p=p, q=q, alpha=alpha, beta=beta, mu=0.0, eps=0.5)
+    coeffs = CoefficientSpec(
+        a=Coefficient("power", center=(0.505,), exponent=0.04),
+        b=Coefficient("constant", value=1.0),
+    )
+    spec = IntegrandSpec(params, coeffs, eps=0.5)
+    dom = Domain(n=1, box=((0.0, 1.0),), T=0.3, nx=65, nt=256)
+    return SolveConfig(dom, spec, BoundaryDatum(kind="profile", profile="sin", amplitude=amplitude))
+
+
+class TestNewton:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_jacobian_matches_finite_differences(self, n, rng):
+        # p = 3, q = 3.2, eps > 0 and a power-law a: every face weight is
+        # nonlinear, so a wrong stencil entry shows up here directly
+        params = StructureParams(n=n, p=3.0, q=3.2, alpha=1e4, beta=1e4, mu=0.0, eps=0.3)
+        coeffs = CoefficientSpec(
+            a=Coefficient("power", center=(0.43,) * n, exponent=0.5),
+            b=Coefficient("constant", value=0.7),
+        )
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=0.1, nx=17 if n == 1 else 9, nt=8)
+        cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.3),
+                          BoundaryDatum(kind="profile", profile="sin"))
+        stepper = _Stepper(cfg)
+        shape = (dom.nx,) * n
+        u_prev = rng.normal(size=shape)
+        w = u_prev + rng.normal(size=shape)
+        v = np.zeros(shape)
+        v[(slice(1, -1),) * n] = rng.normal(size=(dom.nx - 2,) * n)
+        it = stepper.evaluate(w, u_prev)
+        jac = stepper.jacobian(it)
+        jv = jac @ v[(slice(1, -1),) * n].ravel()
+        h = 1e-6
+        fd = (stepper.evaluate(w + h * v, u_prev).residual
+              - stepper.evaluate(w - h * v, u_prev).residual) / (2 * h)
+        assert np.abs(jv - fd.ravel()).max() <= 1e-6 * np.abs(jv).max()
+        # the Newton direction solves J d = -R
+        d = stepper.newton_direction(it)
+        assert np.allclose(jac @ d.ravel(), -it.residual.ravel(), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p,q", [(3.0, 3.2), (4.0, 4.3)])
+    def test_strongly_degenerate_phases_converge(self, p, q):
+        cfg = degenerate_config(amplitude=5.0, p=p, q=q, alpha=1e4, beta=1e4)
+        _, stats = solve(cfg)
+        assert len(stats.iterations) == cfg.domain.nt
+        assert max(stats.iterations) <= 10
+
+    def test_stopping_rule_scales_with_the_data(self):
+        # the residual floors near 1e-9 at this amplitude, above the
+        # absolute tolerance 1e-10; the scaled rule stops there
+        amplitude = 1e5
+        cfg = degenerate_config(amplitude=amplitude)
+        u, stats = solve(cfg)
+        assert u.values.min() >= -1e-10 * amplitude
+        assert u.values.max() <= amplitude * (1 + 1e-10)
+        # the recorded residuals are raw max|R|, not divided by the scale
+        dom, spec = cfg.domain, cfg.spec
+        mid = 0.5 * (dom.axes[0][:-1] + dom.axes[0][1:])
+        grads = np.diff(u.values[1:], axis=1) / dom.dx[0]
+        fl = flux(grads[None], spec.coeffs.a.at(mid), spec.coeffs.b.at(mid), spec)[0]
+        res = u.values[1:, 1:-1] - u.values[:-1, 1:-1] - dom.dt * np.diff(fl, axis=1) / dom.dx[0]
+        recomputed = np.abs(res).max(axis=1)
+        assert max(stats.residuals) > cfg.tolerance
+        assert np.allclose(recomputed, stats.residuals, rtol=1e-2, atol=1e-12 * amplitude)
 
 
 class TestSolve:
@@ -132,6 +206,11 @@ class TestSolve:
         assert len(stats.iterations) == 16
         assert all(k >= 1 for k in stats.iterations)
         assert max(stats.residuals) < cfg.tolerance
+        assert len(stats.histories) == 16
+        for iters, res, hist in zip(stats.iterations, stats.residuals, stats.histories):
+            assert len(hist.residuals) == len(hist.step_lengths) == iters
+            assert hist.residuals[-1] == res
+            assert all(0.0 < t <= 1.0 for t in hist.step_lengths)
 
 
 class TestDiscreteCalculus:
