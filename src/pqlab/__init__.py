@@ -79,6 +79,7 @@ from .solver import (
     face_divergence,
     face_gradients,
     solve,
+    solve_levels,
     step,
     variational_gap,
     variational_gap_curve,

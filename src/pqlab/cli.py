@@ -349,7 +349,7 @@ def cmd_check_varsol(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    report = harness.run_sweep(cfg, workers=args.workers)
+    report = harness.run_sweep(cfg)
     harness.emit_reports(report, cfg.out_dir)
     if report.failure is not None:
         print(
@@ -401,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         if needs_out:
             p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--calibration", type=float, default=None)
         p.set_defaults(func=fn)

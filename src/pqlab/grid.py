@@ -368,14 +368,24 @@ def _finite_or_raise(values: np.ndarray) -> np.ndarray:
 
 
 def save_field_csv(f: SpaceTimeField, path) -> None:
+    """One row t, x[, y], value per node, every number as %.17g.  The time
+    and coordinate columns are formatted once and the file is written one
+    time level at a time."""
     dom = f.domain
     cols = ["t", "x", "y"][: 1 + dom.n] + ["value"]
-    grids = np.meshgrid(dom.times, *dom.axes, indexing="ij")
-    flat = [g.ravel() for g in grids] + [f.values.ravel()]
+    spatial = np.meshgrid(*dom.axes, indexing="ij")
+    prefixes = [
+        "".join(f"{c:.17g}," for c in node)
+        for node in zip(*(g.ravel().tolist() for g in spatial))
+    ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*flat):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for t, level in zip(dom.times.tolist(), f.values):
+            head = f"{t:.17g},"
+            fh.write("".join(
+                f"{head}{prefix}{v:.17g}\n"
+                for prefix, v in zip(prefixes, level.ravel().tolist())
+            ))
 
 
 def load_field_csv(path) -> SpaceTimeField:
@@ -414,15 +424,21 @@ def load_field_dump(path) -> SpaceTimeField:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ParameterError("not a field dump (bad magic)")
+    if len(blob) < 16:
+        raise ParameterError(f"field dump header needs 16 bytes, got {len(blob)}")
     n, nx, nt = struct.unpack_from("<III", blob, 4)
-    off = 16
-    box = []
-    for _ in range(n):
-        lo, hi = struct.unpack_from("<dd", blob, off)
-        box.append((lo, hi))
-        off += 16
-    (T,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    dom = Domain(n=n, box=tuple(box), T=T, nx=nx, nt=nt)
+    off = 16 + 16 * n + 8
+    if len(blob) < off:
+        raise ParameterError(
+            f"field dump header needs {off} bytes for n = {n}, got {len(blob)}"
+        )
+    box = tuple(struct.unpack_from("<dd", blob, 16 + 16 * k) for k in range(n))
+    (T,) = struct.unpack_from("<d", blob, off - 8)
+    dom = Domain(n=n, box=box, T=T, nx=nx, nt=nt)
+    expected = 8 * int(np.prod(dom.shape))
+    if len(blob) - off != expected:
+        raise ParameterError(
+            f"field dump body: expected {expected} bytes of values, got {len(blob) - off}"
+        )
     values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(dom.shape)
     return SpaceTimeField(dom, values.copy())

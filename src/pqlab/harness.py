@@ -6,12 +6,13 @@ are rejected with the offending line number.  The same canonical form is
 emitted by emit_config, so load/emit round-trips are byte-identical.
 
 A sweep solves the problem for the schedule eps_i = eps0 * 2**-i,
-i = 0..levels-1, evaluates the energy report and the sup-bound targets for
-every iterate, tracks the successive max differences on the target set K
-(the Cauchy proxy for the vanishing-regularization limit), records the
-least index from which every target's regularization threshold is
-respected, and checks the variational inequality of the final iterate
-against the preset comparison maps.
+i = 0..levels-1, all levels in one batched march, evaluates the energy
+report and the sup-bound targets for every iterate, tracks the successive
+max differences on the target set K (the Cauchy proxy for the
+vanishing-regularization limit), records the least index from which every
+target's regularization threshold is respected, and checks the
+variational inequality of the final iterate against the preset comparison
+maps.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .degiorgi import BoundReport, verify_sup_bound
-from .errors import ConfigError, DivergenceError, StepFailure
+from .errors import ConfigError
 from .exponents import StructureParams, derive
 from .grid import (
     Cylinder,
@@ -40,9 +40,10 @@ from .solver import (
     BoundaryDatum,
     EnergyData,
     SolveConfig,
+    SolveStats,
     comparison_maps,
     energy_report,
-    solve,
+    solve_levels,
     variational_gap_curve,
 )
 
@@ -407,9 +408,9 @@ def _target_mask(cfg: ExperimentConfig):
     return masks
 
 
-def _solve_level(cfg: ExperimentConfig, i: int, eps: float) -> SweepLevel:
+def _level_report(cfg: ExperimentConfig, i: int, eps: float, u: SpaceTimeField,
+                  stats: SolveStats) -> SweepLevel:
     scfg = cfg.solve_config(eps)
-    u, stats = solve(scfg)
     energy = energy_report(u, scfg)
     bounds = [
         verify_sup_bound(u, center, rho, sigma, scfg.spec, cfg.c_cal)
@@ -426,33 +427,22 @@ def _solve_level(cfg: ExperimentConfig, i: int, eps: float) -> SweepLevel:
     )
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepReport:
+def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Solve the full regularization schedule and assemble every check.
 
-    A solve failure aborts the schedule; the report then carries the
-    completed prefix plus the failure message (partial reports persist).
+    The levels are solved together (solver.solve_levels).  A solve failure
+    aborts the schedule from the failing level on; the report then carries
+    the completed prefix plus the failure message (partial reports
+    persist).
     """
     schedule = cfg.eps_schedule()
-    levels = []
-    failure = None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_level, cfg, i, eps) for i, eps in enumerate(schedule)]
-            for fut in futures:
-                try:
-                    levels.append(fut.result())
-                except (StepFailure, DivergenceError) as exc:
-                    failure = str(exc)
-                    break
-    else:
-        for i, eps in enumerate(schedule):
-            try:
-                levels.append(_solve_level(cfg, i, eps))
-            except (StepFailure, DivergenceError) as exc:
-                failure = str(exc)
-                break
-
-    report = SweepReport(config=cfg, levels=levels, failure=failure)
+    results, failure = solve_levels(cfg.solve_config(), schedule)
+    levels = [
+        _level_report(cfg, i, eps, u, stats)
+        for i, (eps, (u, stats)) in enumerate(zip(schedule, results))
+    ]
+    report = SweepReport(config=cfg, levels=levels,
+                         failure=None if failure is None else str(failure))
     if not levels:
         return report
 

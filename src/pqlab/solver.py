@@ -18,6 +18,18 @@ dt |div_h F|_inf), so the rule does not depend on the scale of the data; a
 linear problem converges in one iteration.  Every step keeps its residual
 and step-length history.
 
+The march carries a leading member axis: solve_levels advances L problems
+that share the grid, coefficients, datum, tolerance and time steps and
+differ only in eps, through one Newton loop; solve is its one-member case.
+Each member keeps its own line-search length, convergence test and
+iteration count, and is frozen once converged, so its iterates are
+bitwise those of a lone solve.  In 1D one dptsv call solves the uncoupled
+block tridiagonal of all members; in 2D each member is factored in turn.
+A member that fails (StepFailure or DivergenceError) drops itself and
+every later member while the earlier ones run to completion, which is the
+outcome of solving the members one after another and stopping at the
+first failure.
+
 D_h places gradients on cell faces and div_h is its negative adjoint, which
 makes discrete integration by parts exact for test functions vanishing on
 the boundary.  In 1D one step is therefore the minimizing movement of the
@@ -55,6 +67,7 @@ __all__ = [
     "ComparisonMap",
     "step",
     "solve",
+    "solve_levels",
     "face_gradients",
     "face_divergence",
     "weak_residual",
@@ -198,108 +211,126 @@ class SolveStats:
 
 
 def face_gradients(w: np.ndarray, domain: Domain) -> list:
-    """Per-axis difference quotients on cell faces.
+    """Per-axis difference quotients on cell faces, over the last n axes of
+    w (leading axes are carried along).
 
     1D: shape (nx-1,).  2D: axis 0 faces (nx-1, nx), axis 1 faces (nx, nx-1).
     """
-    dx = domain.dx
-    if domain.n == 1:
-        return [np.diff(w) / dx[0]]
-    return [np.diff(w, axis=0) / dx[0], np.diff(w, axis=1) / dx[1]]
+    n = domain.n
+    return [_diff(w, k - n) / h for k, h in enumerate(domain.dx)]
 
 
 def face_divergence(face_fluxes: list, domain: Domain) -> np.ndarray:
     """Negative adjoint of face_gradients; values at interior nodes, zero on
     the boundary frame.  Satisfies sum(div F * phi) dV = -sum(F . D phi) dV
-    exactly for phi vanishing on the boundary."""
-    dx = domain.dx
-    out = np.zeros((domain.nx,) * domain.n)
-    if domain.n == 1:
-        out[1:-1] = np.diff(face_fluxes[0]) / dx[0]
-        return out
-    out[1:-1, :] += np.diff(face_fluxes[0], axis=0) / dx[0]
-    out[:, 1:-1] += np.diff(face_fluxes[1], axis=1) / dx[1]
-    out[0, :] = out[-1, :] = 0.0
-    out[:, 0] = out[:, -1] = 0.0
+    exactly for phi vanishing on the boundary.  Leading axes of the face
+    fluxes are carried along."""
+    n = domain.n
+    lead = face_fluxes[0].shape[: face_fluxes[0].ndim - n]
+    out = np.zeros(lead + (domain.nx,) * n)
+    inner = (Ellipsis,) + (slice(1, -1),) * n
+    for k, (f, h) in enumerate(zip(face_fluxes, domain.dx)):
+        across = (Ellipsis,) + tuple(slice(None) if j == k else slice(1, -1) for j in range(n))
+        out[inner] += _diff(f[across], k - n) / h
     return out
 
 
 class _Iterate(NamedTuple):
-    """The residual at w, with the face quantities its Jacobian needs.
+    """The residual at a stack of iterates w (one per member, leading
+    axis), with the face quantities its Jacobian needs.
 
     Per axis k: grads[k] is the normal difference quotient on the k-faces,
-    trans[k] the transverse gradient averaged onto them (2D only) and
-    coeffs[k] the pair (G, 2G') at s = grads[k]^2 + trans[k]^2.
+    trans[k] the list of transverse gradients averaged onto them (empty in
+    1D) and coeffs[k] the pair (G, 2G') at s = grads[k]^2 + sum trans[k]^2.
     """
 
     w: np.ndarray
     residual: np.ndarray  # R at the interior nodes
-    norm: float  # max|R|
-    scale: float  # max(1, |w|_inf, dt |div_h F|_inf)
+    norm: np.ndarray  # max|R| per member
+    scale: np.ndarray  # max(1, |w|_inf, dt |div_h F|_inf) per member
     grads: list
     trans: list
     coeffs: list
 
+    def take(self, rows):
+        """The same quantities for a subset of the members."""
+        return _Iterate(
+            self.w[rows], self.residual[rows], self.norm[rows], self.scale[rows],
+            [g[rows] for g in self.grads],
+            [[t[rows] for t in tk] for tk in self.trans],
+            [(big_g[rows], dg[rows]) for big_g, dg in self.coeffs],
+        )
+
 
 class _Stepper:
     """Per-run cache (face coefficients, interior slice) and the Newton
-    iteration of one implicit step."""
+    iteration of one implicit step, for a stack of members that share
+    everything but eps."""
 
-    def __init__(self, cfg: SolveConfig):
+    def __init__(self, cfg: SolveConfig, eps_values):
         self.cfg = cfg
         dom = cfg.domain
         self.dom = dom
         self.dt = dom.dt
         self.dx = dom.dx
         self.coords = dom.meshgrid()
-        self.interior = (slice(1, -1),) * dom.n
+        self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
+        self.spatial = tuple(range(-dom.n, 0))
+        self.interior = (slice(None),) + (slice(1, -1),) * dom.n
         axes = dom.axes
-        if dom.n == 1:
-            mid = 0.5 * (axes[0][:-1] + axes[0][1:])
-            self.a_faces = [cfg.spec.coeffs.a.at(mid)]
-            self.b_faces = [cfg.spec.coeffs.b.at(mid)]
-        else:
-            midx = 0.5 * (axes[0][:-1] + axes[0][1:])
-            midy = 0.5 * (axes[1][:-1] + axes[1][1:])
-            xg, yg = np.meshgrid(midx, axes[1], indexing="ij")
-            xg2, yg2 = np.meshgrid(axes[0], midy, indexing="ij")
-            self.a_faces = [cfg.spec.coeffs.a.at(xg, yg), cfg.spec.coeffs.a.at(xg2, yg2)]
-            self.b_faces = [cfg.spec.coeffs.b.at(xg, yg), cfg.spec.coeffs.b.at(xg2, yg2)]
+        # per axis k, the coordinates of the k-faces (midpoints along k)
+        faces = [
+            np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) if j == k else ax for j, ax in enumerate(axes)),
+                        indexing="ij")
+            for k in range(dom.n)
+        ]
+        self.a_faces = [cfg.spec.coeffs.a.at(*c) for c in faces]
+        self.b_faces = [cfg.spec.coeffs.b.at(*c) for c in faces]
 
     def boundary_values(self, t: float) -> np.ndarray:
         return self.cfg.g.at(self.dom.box, self.coords, t)
 
-    def evaluate(self, w: np.ndarray, u_prev: np.ndarray) -> _Iterate:
-        """R(w) = w - u_prev - dt div_h F(D_h w), evaluating the face
-        coefficients once for both the residual and the Jacobian."""
+    def evaluate(self, w: np.ndarray, u_prev: np.ndarray, members) -> _Iterate:
+        """R(w) = w - u_prev - dt div_h F(D_h w) for the given members,
+        evaluating the face coefficients once for both the residual and the
+        Jacobian."""
         dom = self.dom
-        spec = self.cfg.spec
+        n = dom.n
         grads = face_gradients(w, dom)
-        if dom.n == 1:
-            trans = []
-            s = [grads[0] ** 2]
-        else:
-            wx, wy = (np.gradient(w, h, axis=k, edge_order=2) for k, h in enumerate(self.dx))
-            trans = [0.5 * (wy[:-1, :] + wy[1:, :]), 0.5 * (wx[:, :-1] + wx[:, 1:])]
-            s = [g**2 + t**2 for g, t in zip(grads, trans)]
+        trans = [
+            [_face_average(np.gradient(w, self.dx[j], axis=j - n, edge_order=2), k - n)
+             for j in range(n) if j != k]
+            for k in range(n)
+        ]
+        s = [g**2 for g in grads]
+        for sk, tk in zip(s, trans):
+            for t in tk:
+                sk += t**2
+        eps = self.eps[members]
         coeffs = [
-            flux_coefficient(sk, a, b, spec, derivative=True)
+            flux_coefficient(sk, a, b, self.cfg.spec, eps=eps, derivative=True)
             for sk, a, b in zip(s, self.a_faces, self.b_faces)
         ]
         div = face_divergence([c[0] * g for c, g in zip(coeffs, grads)], dom)
         residual = (w - u_prev - self.dt * div)[self.interior]
-        scale = max(1.0, float(np.abs(w).max()), self.dt * float(np.abs(div).max()))
-        return _Iterate(w, residual, float(np.abs(residual).max()), scale, grads, trans, coeffs)
+        scale = np.maximum(
+            np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
+            self.dt * np.abs(div).max(axis=self.spatial),
+        )
+        return _Iterate(w, residual, np.abs(residual).max(axis=self.spatial), scale,
+                        grads, trans, coeffs)
 
     def _tridiagonal(self, it: _Iterate):
-        """1D Jacobian: diagonal and off-diagonal of I + c D^T diag(H) D."""
+        """1D Jacobian per member: diagonal and off-diagonal of
+        I + c D^T diag(H) D."""
         (g,), ((big_g, dg),) = it.grads, it.coeffs
         h = big_g + dg * g**2
         c = self.dt / self.dx[0] ** 2
-        return 1.0 + c * (h[1:] + h[:-1]), -c * h[1:-1]
+        return 1.0 + c * (h[:, 1:] + h[:, :-1]), -c * h[:, 1:-1]
 
-    def _nine_point(self, it: _Iterate):
-        """2D Jacobian on the interior nodes, numbered row-major.
+    def _nine_point(self, it: _Iterate, row: int):
+        """2D Jacobian of one member on the interior nodes, numbered
+        row-major.
 
         The flux G(s) g on a face has derivative H dg + C dt with
         H = G + 2G' g^2 and C = 2G' g t, where t averages the centred
@@ -311,8 +342,8 @@ class _Stepper:
         cx, cy = dt / dx**2, dt / dy**2
         kappa = dt / (4.0 * dx * dy)
         (hx, cross_x), (hy, cross_y) = (
-            (big_g + dg * g**2, kappa * dg * g * t)
-            for g, t, (big_g, dg) in zip(it.grads, it.trans, it.coeffs)
+            (big_g[row] + dg[row] * g[row] ** 2, kappa * dg[row] * g[row] * t[row])
+            for g, (t,), (big_g, dg) in zip(it.grads, it.trans, it.coeffs)
         )
         he, hw = hx[1:, 1:-1], hx[:-1, 1:-1]
         hn, hs = hy[1:-1, 1:], hy[1:-1, :-1]
@@ -330,61 +361,141 @@ class _Stepper:
             (-1, -1): -(cw + cs),
         })
 
-    def jacobian(self, it: _Iterate):
-        """dR/dw at the interior nodes as a sparse matrix."""
+    def jacobian(self, it: _Iterate, row: int):
+        """dR/dw of one member at the interior nodes as a sparse matrix."""
         if self.dom.n == 1:
             diag, off = self._tridiagonal(it)
-            return scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csc")
-        return self._nine_point(it)
+            return scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1], format="csc")
+        return self._nine_point(it, row)
 
-    def newton_direction(self, it: _Iterate) -> np.ndarray:
-        """Solve J d = -R."""
+    def newton_direction(self, it: _Iterate, t: float):
+        """Solve J d = -R for every member of it, at time level t.
+
+        Returns (d, failure): failure is None, or (pos, DivergenceError) for
+        the first member whose Newton matrix is not positive definite or
+        whose direction is not finite; d is valid for the members before
+        pos.  In 1D one dptsv call solves the block tridiagonal of all
+        members.  Its blocks are uncoupled, so each is eliminated exactly
+        as it would be alone; if any block fails, or a non-finite value may
+        have spread across blocks, each member is solved by itself.  In 2D
+        each member is factored in turn.
+        """
+        rhs = -it.residual
         if self.dom.n == 1:
             diag, off = self._tridiagonal(it)
-            _, _, d, info = scipy.linalg.lapack.dptsv(diag, off, -it.residual)
-            if info != 0:
-                raise DivergenceError(f"Newton matrix is not positive definite (info {info})")
-            return d
-        lu = scipy.sparse.linalg.splu(self.jacobian(it), permc_spec="MMD_AT_PLUS_A")
-        return lu.solve(-it.residual.ravel()).reshape(it.residual.shape)
+            coupling = np.zeros_like(diag)
+            coupling[:, :-1] = off
+            _, _, d, info = scipy.linalg.lapack.dptsv(
+                diag.ravel(), coupling.ravel()[:-1], rhs.ravel())
+            d = d.reshape(rhs.shape)
+            if info == 0 and np.all(np.isfinite(d)):
+                return d, None
+        else:
+            d = np.empty_like(rhs)
+        for row in range(len(rhs)):
+            if self.dom.n == 1:
+                _, _, d[row], info = scipy.linalg.lapack.dptsv(diag[row], off[row], rhs[row])
+                if info != 0:
+                    return d, (row, DivergenceError(
+                        f"Newton matrix is not positive definite (info {info})"))
+            else:
+                lu = scipy.sparse.linalg.splu(self.jacobian(it, row), permc_spec="MMD_AT_PLUS_A")
+                d[row] = lu.solve(rhs[row].ravel()).reshape(rhs[row].shape)
+            if not np.all(np.isfinite(d[row])):
+                return d, (row, DivergenceError(
+                    f"Newton step produced non-finite values at t = {t}"))
+        return d, None
 
     def step(self, u_prev: np.ndarray, t_next: float):
-        """One implicit step from u_prev; returns (field slice, StepHistory)."""
-        cfg = self.cfg
-        w = u_prev.copy()
-        _set_boundary(w, self.boundary_values(t_next), self.dom.n)
-        it = self.evaluate(w, u_prev)
-        residuals, lengths = [], []
+        """One implicit step of every member from u_prev (members first).
 
-        def failure(why):
+        Returns (w, histories, failure).  Each member iterates, line-searches
+        and stops on its own and is frozen once converged, so its iterates
+        are those of a lone solve.  A member that fails drops itself and
+        every later member; w and histories hold the members before the
+        first failure and failure is that member's exception (None if every
+        member converged).
+        """
+        cfg = self.cfg
+        out = u_prev.copy()
+        _set_boundary(out, self.boundary_values(t_next))
+        rows = np.arange(len(u_prev))  # the members still iterating, ascending
+        base = u_prev
+        it = self.evaluate(out, base, rows)
+        residuals = [[] for _ in rows]
+        lengths = [[] for _ in rows]
+        live, failure = len(rows), None
+
+        def fail(pos, exc):
+            """Drop the member at row pos and every later one."""
+            nonlocal live, failure, rows, base, it
+            live, failure = int(rows[pos]), exc
+            rows, base, it = rows[:pos], base[:pos], it.take(slice(pos))
+            return slice(pos)
+
+        def step_failure(pos, why):
+            m = rows[pos]
             return StepFailure(
-                f"{why} at t = {t_next} (residual {it.norm:.3e})",
+                f"{why} at t = {t_next} (residual {it.norm[pos]:.3e})",
                 t=t_next,
-                residual=it.norm,
-                history=StepHistory(tuple(residuals), tuple(lengths)),
+                residual=float(it.norm[pos]),
+                history=StepHistory(tuple(residuals[m]), tuple(lengths[m])),
             )
 
         for _ in range(cfg.max_iter):
-            d = self.newton_direction(it)
-            if not np.all(np.isfinite(d)):
-                raise DivergenceError(f"Newton step produced non-finite values at t = {t_next}")
-            length = 1.0
-            while True:
-                w = it.w.copy()
-                w[self.interior] += length * d
-                trial = self.evaluate(w, u_prev)
-                if (trial.norm <= (1.0 - _ARMIJO * length) * it.norm
-                        or trial.norm < cfg.tolerance * trial.scale):
+            d, bad = self.newton_direction(it, t_next)
+            if bad is not None:
+                d = d[fail(*bad)]
+                if not len(rows):
                     break
-                if length <= _MIN_STEP:
-                    raise failure("line search found no decrease")
-                length *= 0.5
+            length = np.ones(len(rows))
+            trial = self._try(it, d, length, base, rows)
+            pending = ~self._accepted(trial, it, length)
+            backtracked = pending.any()
+            while pending.any():
+                stuck = pending & (length <= _MIN_STEP)
+                if stuck.any():
+                    pos = int(np.argmax(stuck))
+                    keep = fail(pos, step_failure(pos, "line search found no decrease"))
+                    d, length, pending = d[keep], length[keep], pending[keep]
+                    continue
+                length[pending] *= 0.5
+                sel = np.flatnonzero(pending)
+                sub = it.take(sel)
+                again = self._try(sub, d[sel], length[sel], base[sel], rows[sel])
+                pending[sel] = ~self._accepted(again, sub, length[sel])
+            if not len(rows):
+                break
+            if backtracked:
+                # every member at its accepted length; the same bits as the
+                # trial that accepted it
+                trial = self._try(it, d, length, base, rows)
             it = trial
-            residuals.append(it.norm)
-            lengths.append(length)
-            if it.norm < cfg.tolerance * it.scale:
-                return it.w, StepHistory(tuple(residuals), tuple(lengths))
-        raise failure(f"no convergence within {cfg.max_iter} iterations")
+            for pos, m in enumerate(rows):
+                residuals[m].append(float(it.norm[pos]))
+                lengths[m].append(float(length[pos]))
+            done = it.norm < cfg.tolerance * it.scale
+            if done.all():
+                out[rows] = it.w
+                break
+            if done.any():
+                out[rows[done]] = it.w[done]
+                rows, base, it = rows[~done], base[~done], it.take(~done)
+        else:
+            fail(0, step_failure(0, f"no convergence within {cfg.max_iter} iterations"))
+        histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
+        return out[:live], histories, failure
+
+    def _try(self, it: _Iterate, d, length, base, rows) -> _Iterate:
+        """Evaluate the members of it moved by length * d."""
+        w = it.w.copy()
+        w[self.interior] += length.reshape((-1,) + (1,) * self.dom.n) * d
+        return self.evaluate(w, base, rows)
+
+    def _accepted(self, trial: _Iterate, it: _Iterate, length) -> np.ndarray:
+        """Per member: max|R| fell by the Armijo factor, or trial converged."""
+        return ((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
+                | (trial.norm < self.cfg.tolerance * trial.scale))
 
 
 def _stencil_matrix(stencil: dict):
@@ -407,39 +518,90 @@ def _stencil_matrix(stencil: dict):
     return scipy.sparse.diags(diagonals, offsets, format="csc")
 
 
-def _set_boundary(w: np.ndarray, bc: np.ndarray, n: int) -> None:
-    if n == 1:
-        w[0], w[-1] = bc[0], bc[-1]
-    else:
-        w[0, :], w[-1, :] = bc[0, :], bc[-1, :]
-        w[:, 0], w[:, -1] = bc[:, 0], bc[:, -1]
+def _neighbours(v: np.ndarray, axis: int):
+    """Views of v without its last and without its first entry along axis."""
+    lo = [slice(None)] * v.ndim
+    hi = list(lo)
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return v[tuple(lo)], v[tuple(hi)]
+
+
+def _diff(v: np.ndarray, axis: int) -> np.ndarray:
+    """np.diff's arithmetic without its per-call overhead, which shows in
+    the 1D step's thousands of small calls."""
+    lo, hi = _neighbours(v, axis)
+    return hi - lo
+
+
+def _face_average(v: np.ndarray, axis: int) -> np.ndarray:
+    """Mean of neighbouring node values along axis, on the faces between."""
+    lo, hi = _neighbours(v, axis)
+    return 0.5 * (lo + hi)
+
+
+def _set_boundary(w: np.ndarray, bc: np.ndarray) -> None:
+    """Copy the boundary frame of bc into the last bc.ndim axes of w."""
+    n = bc.ndim
+    for k in range(n):
+        for end in (0, -1):
+            side = tuple(end if j == k else slice(None) for j in range(n))
+            w[(Ellipsis,) + side] = bc[side]
 
 
 def step(u_prev: np.ndarray, t_next: float, cfg: SolveConfig):
     """One implicit Euler step; returns (field slice, iterations, residual)."""
-    u, history = _Stepper(cfg).step(np.asarray(u_prev, float), t_next)
-    return u, len(history.residuals), history.residuals[-1]
+    u, histories, failure = _Stepper(cfg, [cfg.spec.eps]).step(
+        np.asarray(u_prev, float)[None], t_next)
+    if failure is not None:
+        raise failure
+    return u[0], len(histories[0].residuals), histories[0].residuals[-1]
+
+
+def solve_levels(cfg: SolveConfig, eps_values):
+    """March the implicit scheme from u(.,0) = g(.,0) for every eps in
+    eps_values at once; cfg.spec.eps is not used.
+
+    Returns (results, failure): results holds (SpaceTimeField, SolveStats)
+    for each member before the first one that failed, and failure is that
+    member's StepFailure or DivergenceError (None if all completed), with
+    the same time, residual and history as when it is solved alone.
+    """
+    for eps in eps_values:
+        if not 0.0 <= eps <= 1.0:
+            raise ParameterError(f"eps must lie in [0, 1], got {eps}")
+    dom = cfg.domain
+    stepper = _Stepper(cfg, eps_values)
+    values = np.empty((len(eps_values),) + dom.shape)
+    values[:, 0] = cfg.g.at(dom.box, dom.meshgrid(), 0.0)
+    stats = [SolveStats() for _ in eps_values]
+    u = values[:, 0].copy()
+    failure = None
+    for j in range(1, dom.nt + 1):
+        if not len(u):
+            break
+        u, histories, failed = stepper.step(u, float(dom.times[j]))
+        if failed is not None:
+            failure = failed
+            values, stats = values[: len(u)], stats[: len(u)]
+        values[:, j] = u
+        for member, history in zip(stats, histories):
+            member.iterations.append(len(history.residuals))
+            member.residuals.append(history.residuals[-1])
+            member.histories.append(history)
+    return [(SpaceTimeField(dom, v), st) for v, st in zip(values, stats)], failure
 
 
 def solve(cfg: SolveConfig):
-    """March the implicit scheme from u(.,0) = g(.,0).
+    """March the implicit scheme from u(.,0) = g(.,0): the one-member case
+    of solve_levels at cfg.spec.eps.
 
     Returns (SpaceTimeField, SolveStats); step failures propagate with the
     failing time level and its convergence history attached.
     """
-    dom = cfg.domain
-    stepper = _Stepper(cfg)
-    values = np.empty(dom.shape)
-    values[0] = cfg.g.at(dom.box, dom.meshgrid(), 0.0)
-    stats = SolveStats()
-    u = values[0].copy()
-    for j in range(1, dom.nt + 1):
-        u, history = stepper.step(u, float(dom.times[j]))
-        values[j] = u
-        stats.iterations.append(len(history.residuals))
-        stats.residuals.append(history.residuals[-1])
-        stats.histories.append(history)
-    return SpaceTimeField(dom, values), stats
+    results, failure = solve_levels(cfg, [cfg.spec.eps])
+    if failure is not None:
+        raise failure
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,31 +821,24 @@ def comparison_maps(cfg: SolveConfig, amplitude: float | None = None) -> list:
     ]
 
 
-def _cell_integrand(w: np.ndarray, t: float, cfg: SolveConfig, eps: float,
-                    cache: dict) -> float:
-    """integral of f(x, t, Dw) by cell-centered staggered gradients (the
-    quadrature adapted to the scheme, so the discrete variational
-    inequality survives with the iteration tolerance)."""
+def _cell_integrals(values: np.ndarray, cfg: SolveConfig, eps: float) -> np.ndarray:
+    """integral of f(x, Dw) at every time level of values (time first), by
+    cell-centred staggered gradients (the quadrature adapted to the scheme,
+    so the discrete variational inequality survives with the iteration
+    tolerance).  The coefficients are time-independent."""
     dom = cfg.domain
-    if "coords" not in cache:
-        axes = dom.axes
-        if dom.n == 1:
-            mid = (0.5 * (axes[0][:-1] + axes[0][1:]),)
-        else:
-            mx = 0.5 * (axes[0][:-1] + axes[0][1:])
-            my = 0.5 * (axes[1][:-1] + axes[1][1:])
-            mid = tuple(np.meshgrid(mx, my, indexing="ij"))
-        cache["coords"] = mid
-        cache["a"] = cfg.spec.coeffs.a.at(*mid)
-        cache["b"] = cfg.spec.coeffs.b.at(*mid)
-    if dom.n == 1:
-        xi = (np.diff(w) / dom.dx[0])[None]
-    else:
-        wx = np.diff(w, axis=0) / dom.dx[0]
-        wy = np.diff(w, axis=1) / dom.dx[1]
-        xi = np.stack([0.5 * (wx[:, :-1] + wx[:, 1:]), 0.5 * (wy[:-1, :] + wy[1:, :])])
-    f_vals = integrand(xi, cache["a"], cache["b"], cfg.spec, eps=eps)
-    return float(f_vals.sum() * dom.cell_volume)
+    n = dom.n
+    centres = np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) for ax in dom.axes), indexing="ij")
+    xi = []
+    for k, h in enumerate(dom.dx):
+        component = _diff(values, k - n) / h
+        for j in range(n):
+            if j != k:
+                component = _face_average(component, j - n)
+        xi.append(component)
+    f_vals = integrand(np.stack(xi), cfg.spec.coeffs.a.at(*centres),
+                       cfg.spec.coeffs.b.at(*centres), cfg.spec, eps=eps)
+    return f_vals.reshape(len(values), -1).sum(axis=1) * dom.cell_volume
 
 
 def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
@@ -704,12 +859,8 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
     g0 = cfg.g.at(dom.box, dom.meshgrid(), 0.0)
     _check_lateral_match(v.field.values, cfg)
 
-    cache = {}
-    fv = np.empty(dom.nt + 1)
-    fu = np.empty(dom.nt + 1)
-    for j, t in enumerate(dom.times):
-        fv[j] = _cell_integrand(v.field.values[j], float(t), cfg, eps, cache)
-        fu[j] = _cell_integrand(u.values[j], float(t), cfg, eps, cache)
+    fv = _cell_integrals(v.field.values, cfg, eps)
+    fu = _cell_integrals(u.values, cfg, eps)
 
     cell = dom.cell_volume
     diff_vu = v.field.values - u.values

@@ -283,3 +283,52 @@ class TestFieldIO:
         path.write_bytes(b"nope" + b"\x00" * 64)
         with pytest.raises(ParameterError, match="magic"):
             load_field_dump(path)
+
+    @staticmethod
+    def _dump_bytes(tmp_path):
+        dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=5, nt=3)
+        path = tmp_path / "field.pqf"
+        save_field_dump(constant_field(dom, 2.0), path)
+        return path, path.read_bytes()
+
+    def test_dump_truncated_header_rejected(self, tmp_path):
+        path, blob = self._dump_bytes(tmp_path)
+        path.write_bytes(blob[:10])
+        with pytest.raises(ParameterError, match="header"):
+            load_field_dump(path)
+
+    def test_dump_short_body_rejected(self, tmp_path):
+        path, blob = self._dump_bytes(tmp_path)
+        path.write_bytes(blob[:-8])
+        with pytest.raises(ParameterError, match="expected 160 bytes of values, got 152"):
+            load_field_dump(path)
+
+    def test_dump_long_body_rejected(self, tmp_path):
+        path, blob = self._dump_bytes(tmp_path)
+        path.write_bytes(blob + b"\x00" * 8)
+        with pytest.raises(ParameterError, match="expected 160 bytes of values, got 168"):
+            load_field_dump(path)
+
+
+def _reference_csv(f: SpaceTimeField, path) -> None:
+    """Row-at-a-time writer that save_field_csv must reproduce byte for byte."""
+    dom = f.domain
+    cols = ["t", "x", "y"][: 1 + dom.n] + ["value"]
+    grids = np.meshgrid(dom.times, *dom.axes, indexing="ij")
+    flat = [g.ravel() for g in grids] + [f.values.ravel()]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in zip(*flat):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_csv_matches_row_writer(n, tmp_path, rng):
+    dom = Domain(n=n, box=((-0.3, 1.7), (0.1, 2.0))[:n], T=0.7, nx=6, nt=5)
+    signs = rng.choice([-1.0, 1.0], size=dom.shape)
+    values = signs * 10.0 ** rng.uniform(-300, 300, size=dom.shape)
+    values.flat[:3] = (0.0, -0.0, 1.0)
+    f = SpaceTimeField(dom, values)
+    save_field_csv(f, tmp_path / "fast.csv")
+    _reference_csv(f, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from pqlab import ConfigError, emit_config, load_config, run_sweep
+from pqlab import ConfigError, emit_config, load_config, run_sweep, solve
 from pqlab.cli import main as cli_main
 from pqlab.harness import emit_reports
 
@@ -153,12 +153,14 @@ class TestSweep:
         assert report.all_bounds_pass
         assert report.cauchy == [0.0, 0.0]
 
-    def test_workers_match_serial(self, tmp_path):
+    def test_levels_match_lone_solves(self, tmp_path):
         cfg = load_config(write(tmp_path, SWEEP_CFG))
-        r1 = run_sweep(cfg, workers=1)
-        r2 = run_sweep(cfg, workers=2)
-        for lv1, lv2 in zip(r1.levels, r2.levels):
-            assert np.array_equal(lv1.field.values, lv2.field.values)
+        report = run_sweep(cfg)
+        assert len(report.levels) == cfg.levels
+        for lv in report.levels:
+            u, stats = solve(cfg.solve_config(lv.eps))
+            assert np.array_equal(lv.field.values, u.values)
+            assert lv.iterations == stats.iterations
 
     def test_emitted_reports_deterministic(self, tmp_path):
         cfg = load_config(write(tmp_path, SWEEP_CFG))

@@ -1,5 +1,6 @@
 """Implicit stepping, weak residuals, energy data, variational gaps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from pqlab import (
     field_from_function,
     flux,
     solve,
+    solve_levels,
     step,
     variational_gap,
     variational_gap_curve,
@@ -114,21 +116,22 @@ class TestNewton:
         dom = Domain(n=n, box=((0.0, 1.0),) * n, T=0.1, nx=17 if n == 1 else 9, nt=8)
         cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.3),
                           BoundaryDatum(kind="profile", profile="sin"))
-        stepper = _Stepper(cfg)
-        shape = (dom.nx,) * n
+        stepper = _Stepper(cfg, [0.3])
+        shape = (1,) + (dom.nx,) * n
         u_prev = rng.normal(size=shape)
         w = u_prev + rng.normal(size=shape)
         v = np.zeros(shape)
-        v[(slice(1, -1),) * n] = rng.normal(size=(dom.nx - 2,) * n)
-        it = stepper.evaluate(w, u_prev)
-        jac = stepper.jacobian(it)
-        jv = jac @ v[(slice(1, -1),) * n].ravel()
+        v[stepper.interior] = rng.normal(size=(1,) + (dom.nx - 2,) * n)
+        it = stepper.evaluate(w, u_prev, [0])
+        jac = stepper.jacobian(it, 0)
+        jv = jac @ v[stepper.interior].ravel()
         h = 1e-6
-        fd = (stepper.evaluate(w + h * v, u_prev).residual
-              - stepper.evaluate(w - h * v, u_prev).residual) / (2 * h)
+        fd = (stepper.evaluate(w + h * v, u_prev, [0]).residual
+              - stepper.evaluate(w - h * v, u_prev, [0]).residual) / (2 * h)
         assert np.abs(jv - fd.ravel()).max() <= 1e-6 * np.abs(jv).max()
         # the Newton direction solves J d = -R
-        d = stepper.newton_direction(it)
+        d, bad = stepper.newton_direction(it, dom.dt)
+        assert bad is None
         assert np.allclose(jac @ d.ravel(), -it.residual.ravel(), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("p,q", [(3.0, 3.2), (4.0, 4.3)])
@@ -155,6 +158,94 @@ class TestNewton:
         recomputed = np.abs(res).max(axis=1)
         assert max(stats.residuals) > cfg.tolerance
         assert np.allclose(recomputed, stats.residuals, rtol=1e-2, atol=1e-12 * amplitude)
+
+
+def _at_eps(cfg, eps):
+    return dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, eps=eps))
+
+
+class TestSolveLevels:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_lone_solves(self, n):
+        # the first steps of the p = 4 degenerate preset at amplitude 5: the
+        # levels need different iteration counts (members freeze at
+        # different iterations) and in 1D they backtrack to different
+        # step lengths
+        params = StructureParams(n=n, p=4.0, q=4.3, alpha=1e4, beta=1e4, mu=0.0, eps=0.5)
+        coeffs = CoefficientSpec(
+            a=Coefficient("power", center=(0.505,) * n, exponent=0.04),
+            b=Coefficient("constant", value=1.0),
+        )
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=0.3 / 64, nx=65 if n == 1 else 17, nt=4)
+        cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.5),
+                          BoundaryDatum(kind="profile", profile="sin", amplitude=5.0))
+        schedule = [0.5, 0.25, 0.0]
+        results, failure = solve_levels(cfg, schedule)
+        assert failure is None and len(results) == len(schedule)
+        counts, lengths = set(), set()
+        for eps, (u, stats) in zip(schedule, results):
+            lone_u, lone_stats = solve(_at_eps(cfg, eps))
+            assert np.array_equal(u.values, lone_u.values)
+            assert stats.iterations == lone_stats.iterations
+            assert stats.residuals == lone_stats.residuals
+            assert stats.histories == lone_stats.histories
+            counts.add(tuple(stats.iterations))
+            lengths.add(stats.histories[0].step_lengths[0])
+        assert len(counts) > 1
+        if n == 1:
+            assert lengths == {0.5, 0.25}
+
+    def test_later_member_fails_alone(self):
+        # at max_iter = 2 the eps = 0.5 level fails on its one step that
+        # needs 3 iterations; the eps = 1/64 level needs 2 on every step
+        cfg = dataclasses.replace(degenerate_config(), max_iter=2)
+        results, failure = solve_levels(cfg, [0.015625, 0.5])
+        (u, stats), = results
+        lone_u, lone_stats = solve(_at_eps(cfg, 0.015625))
+        assert np.array_equal(u.values, lone_u.values)
+        assert stats.iterations == lone_stats.iterations
+        with pytest.raises(StepFailure) as lone:
+            solve(_at_eps(cfg, 0.5))
+        assert isinstance(failure, StepFailure)
+        assert str(failure) == str(lone.value)
+        assert failure.t == lone.value.t
+        assert failure.residual == lone.value.residual
+        assert failure.history == lone.value.history
+
+    def test_first_member_failure_drops_the_rest(self):
+        cfg = dataclasses.replace(degenerate_config(), max_iter=2)
+        results, failure = solve_levels(cfg, [0.5, 0.015625])
+        assert results == []
+        with pytest.raises(StepFailure) as lone:
+            solve(_at_eps(cfg, 0.5))
+        assert (failure.t, failure.residual, failure.history) == (
+            lone.value.t, lone.value.residual, lone.value.history)
+
+    def test_direction_failure_names_its_member(self):
+        # uncoupled blocks in one dptsv call: a failing block must not
+        # change the directions of the members before it
+        cfg = nonlinear_config(nx=17, nt=4)
+        stepper = _Stepper(cfg, [0.25, 0.125, 0.0])
+        rows = np.arange(3)
+        u_prev = np.tile(0.8 * np.sin(np.pi * cfg.domain.axes[0]), (3, 1))
+        it = stepper.evaluate(u_prev, 0.9 * u_prev, rows)
+        alone, bad = stepper.newton_direction(it, 0.1)
+        assert bad is None
+        (big_g, dg), = it.coeffs
+        big_g = big_g.copy()
+        big_g[1] = -1e6
+        d, bad = stepper.newton_direction(it._replace(coeffs=[(big_g, dg)]), 0.1)
+        assert bad[0] == 1 and "not positive definite" in str(bad[1])
+        assert np.array_equal(d[0], alone[0])
+        residual = it.residual.copy()
+        residual[2, 3] = np.nan
+        d, bad = stepper.newton_direction(it._replace(residual=residual), 0.1)
+        assert bad[0] == 2 and "non-finite values at t = 0.1" in str(bad[1])
+        assert np.array_equal(d[:2], alone[:2])
+
+    def test_eps_validated(self):
+        with pytest.raises(ParameterError, match="eps"):
+            solve_levels(nonlinear_config(nx=9, nt=2), [0.5, 1.5])
 
 
 class TestSolve:
