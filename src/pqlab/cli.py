@@ -27,7 +27,7 @@ from .grid import (
     save_field_csv,
     save_field_dump,
 )
-from .solver import comparison_maps, energy_report, solve, variational_gap_curve
+from .solver import ENERGY_COLUMNS, comparison_maps, energy_report, solve, variational_gap_curve
 
 _VAR_TOL = 1e-6
 _CACCIOPPOLI_CAP = 1e3
@@ -35,23 +35,6 @@ _CACCIOPPOLI_CAP = 1e3
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _energy_dict(e) -> dict:
-    return {
-        "sup_l2": e.sup_l2,
-        "grad_term": e.grad_term,
-        "eps_term": e.eps_term,
-        "dual_term": e.dual_term,
-        "wnorm_term": e.wnorm_term,
-        "dg_gamma_term": e.dg_gamma_term,
-        "dg_mu_term": e.dg_mu_term,
-        "g_sup_l2": e.g_sup_l2,
-        "eps_dg_term": e.eps_dg_term,
-        "lhs_total": e.lhs_total,
-        "m_g": e.m_g,
-        "c_emp": e.empirical_constant,
-    }
 
 
 def _load(args) -> harness.ExperimentConfig:
@@ -220,26 +203,18 @@ def cmd_solve(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(prefix + "_energy.json", "w", encoding="ascii") as fh:
-        json.dump(_energy_dict(energy_report(u, scfg)), fh, indent=2, sort_keys=True)
+        json.dump(dict(zip(ENERGY_COLUMNS, energy_report(u, scfg).row())), fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
     print(f"solved: {prefix}.pqf ({stats.total_iterations} nonlinear iterations)")
     return 0
 
 
-def _solve_with_targets(cfg):
-    scfg = cfg.solve_config()
-    u, _ = solve(scfg)
-    return u, scfg
-
-
 def cmd_verify_bound(args) -> int:
     cfg = _load(args)
-    u, scfg = _solve_with_targets(cfg)
-    reports = [
-        degiorgi.verify_sup_bound(u, center, rho, sigma, scfg.spec, cfg.c_cal)
-        for center, rho, sigma in cfg.target_cylinders()
-    ]
-    rows = [harness._bound_row(0, b, cfg.domain.n) for b in reports]
+    u, _ = solve(cfg.solve_config())
+    reports = harness.target_bounds(cfg, u)
+    rows = [harness._bound_row(0, b) for b in reports]
     out = args.out or os.path.join(cfg.out_dir, "bounds.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     harness._write_csv(out, harness.bound_csv_header(cfg.domain.n), rows)
@@ -249,14 +224,14 @@ def cmd_verify_bound(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _load(args)
-    u, scfg = _solve_with_targets(cfg)
+    scfg = cfg.solve_config()
+    u, _ = solve(scfg)
     rows = []
     summaries = []
     monotone = True
-    for ti, (center, rho, sigma) in enumerate(cfg.target_cylinders()):
-        rep = degiorgi.verify_sup_bound(u, center, rho, sigma, scfg.spec, cfg.c_cal)
+    for ti, rep in enumerate(harness.target_bounds(cfg, u)):
         k = max(rep.k_choice, 1e-12)
-        tr = degiorgi.trace(u, Cylinder(center, 2 * rho, 2 * sigma), k, scfg.spec.d)
+        tr = degiorgi.trace(u, Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma), k, scfg.spec.d)
         for i in range(len(tr.x_i)):
             rows.append([
                 ti, i, tr.rho_i[i], tr.sigma_i[i], tr.k_i[i], tr.x_i[i],
@@ -281,18 +256,18 @@ def cmd_trace(args) -> int:
 
 def cmd_check_caccioppoli(args) -> int:
     cfg = _load(args)
-    u, scfg = _solve_with_targets(cfg)
+    scfg = cfg.solve_config()
+    u, _ = solve(scfg)
     from .grid import coefficient_norms
 
     a = scfg.spec.coeffs.a.sample(cfg.domain)
     b = scfg.spec.coeffs.b.sample(cfg.domain)
     rows = []
     worst = 0.0
-    for ti, (center, rho, sigma) in enumerate(cfg.target_cylinders()):
-        inner = Cylinder(center, rho, sigma)
-        outer = Cylinder(center, 2 * rho, 2 * sigma)
+    for ti, rep in enumerate(harness.target_bounds(cfg, u)):
+        inner = Cylinder(rep.center, rep.rho, rep.sigma)
+        outer = Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma)
         norms = coefficient_norms(a, b, cfg.params.alpha, cfg.params.beta, outer)
-        rep = degiorgi.verify_sup_bound(u, center, rho, sigma, scfg.spec, cfg.c_cal)
         for k in (0.0, 0.5 * rep.k_choice):
             sides = degiorgi.caccioppoli_sides(
                 u, k, inner, outer, norms, scfg.spec.d,
@@ -316,7 +291,7 @@ def cmd_check_energy(args) -> int:
     scfg = cfg.solve_config()
     u, _ = solve(scfg)
     e = energy_report(u, scfg)
-    record = _energy_dict(e)
+    record = dict(zip(ENERGY_COLUMNS, e.row()))
     record["pass"] = bool(math.isfinite(e.empirical_constant))
     if not cfg.g.time_dependent:
         record["pass"] = record["pass"] and e.dual_term == 0.0

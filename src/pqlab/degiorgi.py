@@ -356,7 +356,6 @@ class BoundReport:
     mean_um: float
     mu: float
     passed: bool
-    passed_theorem: bool
 
 
 def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
@@ -405,5 +404,4 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
         mean_um=mean_um,
         mu=mu,
         passed=ess <= k_choice,
-        passed_theorem=ess <= k_thm,
     )

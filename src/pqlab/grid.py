@@ -20,6 +20,7 @@ t, x[, y], value.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ __all__ = [
     "ess_sup",
     "slice_sup_l2",
     "gradient",
+    "boundary_frame",
     "pq_distance",
     "pq_cylinder",
     "cylinder_in_domain",
@@ -161,10 +163,6 @@ class Cylinder:
     def t(self) -> float:
         return self.center[-1]
 
-    def scaled(self, factor: float) -> "Cylinder":
-        """Concentric cylinder with both extents multiplied by factor."""
-        return Cylinder(self.center, factor * self.rho, factor * self.sigma, intrinsic=False)
-
 
 def field_from_function(domain: Domain, fn) -> SpaceTimeField:
     """Sample fn(x[, y], t) on the grid (vectorized evaluation)."""
@@ -215,23 +213,17 @@ def region_measure(domain: Domain, region) -> float:
     return int(tm.sum()) * int(sm.sum()) * domain.cell_volume * domain.dt
 
 
-def _trapezoid_weights(domain: Domain) -> np.ndarray:
-    def axis_w(k):
-        w = np.ones(k)
-        w[0] = w[-1] = 0.5
-        return w
-
-    wt = axis_w(domain.nt + 1) * domain.dt
-    ws = axis_w(domain.nx)
-    if domain.n == 1:
-        w = wt[:, None] * (ws * domain.dx[0])[None, :]
-    else:
-        w = (
-            wt[:, None, None]
-            * (ws * domain.dx[0])[None, :, None]
-            * (ws * domain.dx[1])[None, None, :]
-        )
-    return w
+def _trapezoid_weights(domain: Domain, time: bool = True) -> np.ndarray:
+    """Composite trapezoid weights at the nodes: the outer product of the
+    per-axis weights, time first (space only if time is False)."""
+    axes = [(domain.nt + 1, domain.dt)] if time else []
+    axes += [(domain.nx, h) for h in domain.dx]
+    weights = []
+    for nodes, h in axes:
+        w = np.full(nodes, h)
+        w[0] = w[-1] = 0.5 * h
+        weights.append(w)
+    return functools.reduce(np.multiply.outer, weights)
 
 
 def _integrate_power(f: SpaceTimeField, r: float, region) -> float:
@@ -284,6 +276,13 @@ def gradient(f: SpaceTimeField) -> np.ndarray:
         for axis in range(dom.n)
     ]
     return np.stack(comps)
+
+
+def boundary_frame(domain: Domain) -> np.ndarray:
+    """Spatial mask of the nodes on the boundary of the box, shape (nx,)*n."""
+    inner = np.zeros((domain.nx,) * domain.n, bool)
+    inner[(slice(1, -1),) * domain.n] = True
+    return ~inner
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +388,39 @@ def save_field_csv(f: SpaceTimeField, path) -> None:
 
 
 def load_field_csv(path) -> SpaceTimeField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a field written by save_field_csv.  The rows must list every
+    node of a uniform grid once, time level first and row-major."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     ncols = data.shape[1]
     if ncols not in (3, 4):
         raise ParameterError(f"field CSV must have 3 or 4 columns, got {ncols}")
     n = ncols - 2
     times = np.unique(data[:, 0])
     axes = [np.unique(data[:, 1 + k]) for k in range(n)]
-    nt, nx = len(times) - 1, len(axes[0])
     dom = Domain(
         n=n,
         box=tuple((float(ax[0]), float(ax[-1])) for ax in axes),
         T=float(times[-1]),
-        nx=nx,
-        nt=nt,
+        nx=len(axes[0]),
+        nt=len(times) - 1,
     )
-    values = data[:, -1].reshape(dom.shape)
-    return SpaceTimeField(dom, values)
+    expected = int(np.prod(dom.shape))
+    if len(data) != expected:
+        raise ParameterError(
+            f"field CSV has {len(data)} rows, expected {expected} for its "
+            f"{dom.nt + 1} time levels and {dom.nx} nodes per axis"
+        )
+    grid = np.meshgrid(dom.times, *dom.axes, indexing="ij")
+    extents = [dom.T] + [hi - lo for lo, hi in dom.box]
+    for col, (name, g, extent) in enumerate(zip(("t", "x", "y"), grid, extents)):
+        off = np.abs(data[:, col] - g.ravel()) > 1e-12 * extent
+        if off.any():
+            row = int(np.argmax(off))
+            raise ParameterError(
+                f"field CSV line {row + 2}: expected {name} = {float(g.flat[row])!r}, "
+                f"found {float(data[row, col])!r}"
+            )
+    return SpaceTimeField(dom, data[:, -1].reshape(dom.shape))
 
 
 def save_field_dump(f: SpaceTimeField, path) -> None:

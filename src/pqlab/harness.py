@@ -37,6 +37,7 @@ from .grid import (
 )
 from .model import Coefficient, CoefficientSpec, IntegrandSpec
 from .solver import (
+    ENERGY_COLUMNS,
     BoundaryDatum,
     EnergyData,
     SolveConfig,
@@ -408,22 +409,26 @@ def _target_mask(cfg: ExperimentConfig):
     return masks
 
 
-def _level_report(cfg: ExperimentConfig, i: int, eps: float, u: SpaceTimeField,
-                  stats: SolveStats) -> SweepLevel:
-    scfg = cfg.solve_config(eps)
-    energy = energy_report(u, scfg)
-    bounds = [
-        verify_sup_bound(u, center, rho, sigma, scfg.spec, cfg.c_cal)
+def target_bounds(cfg: ExperimentConfig, u: SpaceTimeField, eps: float | None = None) -> list:
+    """The sup-bound check (verify_sup_bound) of u on every target, for the
+    integrand at eps (default: the config's own)."""
+    spec = cfg.integrand(eps)
+    return [
+        verify_sup_bound(u, center, rho, sigma, spec, cfg.c_cal)
         for center, rho, sigma in cfg.target_cylinders()
     ]
+
+
+def _level_report(cfg: ExperimentConfig, i: int, eps: float, u: SpaceTimeField,
+                  stats: SolveStats) -> SweepLevel:
     return SweepLevel(
         index=i,
         eps=eps,
         field=u,
         iterations=list(stats.iterations),
         max_residual=float(max(stats.residuals)) if stats.residuals else 0.0,
-        energy=energy,
-        bounds=bounds,
+        energy=energy_report(u, cfg.solve_config(eps)),
+        bounds=target_bounds(cfg, u, eps),
     )
 
 
@@ -495,27 +500,20 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
-def _bound_row(i: int, b: BoundReport, n: int):
-    center = list(b.center)
-    row = [i, center[0]]
-    if n == 2:
-        row.append(center[1])
-    row += [
-        center[-1], b.rho, b.sigma, b.ess_sup, b.k_choice, b.k_theorem,
+def _bound_row(i: int, b: BoundReport):
+    return [
+        i, *b.center, b.rho, b.sigma, b.ess_sup, b.k_choice, b.k_theorem,
         b.margin, b.eps, b.eps_threshold, b.passed,
     ]
-    return row
 
 
 def bound_csv_header(n: int):
-    head = ["i", "center_x"]
-    if n == 2:
-        head.append("center_y")
-    head += [
-        "center_t", "rho", "sigma", "ess_sup", "k_choice", "k_theorem",
-        "margin", "eps", "eps_threshold", "pass",
+    """Columns of _bound_row in n space dimensions.  The header needs n
+    because a sweep that fails at its first level writes it with no rows."""
+    return [
+        "i", *("center_x", "center_y")[:n], "center_t", "rho", "sigma", "ess_sup",
+        "k_choice", "k_theorem", "margin", "eps", "eps_threshold", "pass",
     ]
-    return head
 
 
 def emit_reports(report: SweepReport, out_dir) -> None:
@@ -523,7 +521,6 @@ def emit_reports(report: SweepReport, out_dir) -> None:
     final field dump.  Deterministic bytes for a fixed config and seed."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = report.config
-    n = cfg.domain.n
 
     emit_config(cfg, os.path.join(out_dir, "config.txt"))
 
@@ -545,25 +542,11 @@ def emit_reports(report: SweepReport, out_dir) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    rows = [_bound_row(lv.index, b, n) for lv in report.levels for b in lv.bounds]
-    _write_csv(os.path.join(out_dir, "bounds.csv"), bound_csv_header(n), rows)
+    rows = [_bound_row(lv.index, b) for lv in report.levels for b in lv.bounds]
+    _write_csv(os.path.join(out_dir, "bounds.csv"), bound_csv_header(cfg.domain.n), rows)
 
-    energy_header = [
-        "i", "eps", "sup_l2", "grad_term", "eps_term", "dual_term", "wnorm_term",
-        "dg_gamma_term", "dg_mu_term", "g_sup_l2", "eps_dg_term", "lhs_total",
-        "m_g", "c_emp",
-    ]
-    energy_rows = [
-        [
-            lv.index, lv.eps, lv.energy.sup_l2, lv.energy.grad_term,
-            lv.energy.eps_term, lv.energy.dual_term, lv.energy.wnorm_term,
-            lv.energy.dg_gamma_term, lv.energy.dg_mu_term, lv.energy.g_sup_l2,
-            lv.energy.eps_dg_term, lv.energy.lhs_total, lv.energy.m_g,
-            lv.energy.empirical_constant,
-        ]
-        for lv in report.levels
-    ]
-    _write_csv(os.path.join(out_dir, "energy.csv"), energy_header, energy_rows)
+    energy_rows = [[lv.index, lv.eps, *lv.energy.row()] for lv in report.levels]
+    _write_csv(os.path.join(out_dir, "energy.csv"), ["i", "eps", *ENERGY_COLUMNS], energy_rows)
 
     var_rows = []
     for name, taus, gaps, scales in report.varsol:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .grid import Cylinder, SpaceTimeField, _resolve, gradient, mean_integral
+from .grid import Cylinder, SpaceTimeField, _resolve, boundary_frame, gradient, mean_integral
 
 __all__ = [
     "GeometricIteration",
@@ -85,13 +85,7 @@ def interpolation_ratio(v: SpaceTimeField, cyl: Cylinder, p_alpha: float) -> flo
 
     # lateral support check: nodes at or outside the sphere, plus the box
     # frame (the lateral boundary when the ball covers the whole box)
-    outside = ~sm
-    frame = np.zeros_like(sm)
-    if n == 1:
-        frame[0] = frame[-1] = True
-    else:
-        frame[0, :] = frame[-1, :] = frame[:, 0] = frame[:, -1] = True
-    lateral = outside | frame
+    lateral = ~sm | boundary_frame(dom)
     vmax = float(np.abs(v.values[tm]).max())
     boundary_max = float(np.abs(v.values[tm][:, lateral]).max())
     if boundary_max > 1e-12 * max(vmax, 1e-300):

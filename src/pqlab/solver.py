@@ -9,10 +9,14 @@ Each implicit Euler step solves, at the interior nodes,
 by Newton's method on the exact Jacobian of R.  A backtracking line search
 (Armijo factor 1e-4, halving) on max|R| globalizes it, with no relaxation
 factor to tune.
-In 1D the Jacobian is the symmetric positive definite tridiagonal
-I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved by LAPACK dptsv.  In 2D the face
-flux takes its transverse gradient from centred differences averaged onto
-the face, so the Jacobian is a nonsymmetric 9-point stencil, factored by
+The Jacobian is one stencil written over the axes: per axis k the normal
+weight G + 2G'(s) g_k^2 of the k-faces on the neighbours +-e_k and the
+diagonal, and per transverse axis j the cross weight 2G'(s) g_k t_j, where
+the face flux takes its transverse gradient t_j from centred differences
+averaged onto the face, on +-e_j and +-e_k +- e_j.  newton_direction picks
+the linear solver by dimension: in 1D the stencil is the symmetric
+positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
+by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix, factored by
 SuperLU.  Iteration stops once max|R| < tolerance * max(1, |w|_inf,
 dt |div_h F|_inf), so the rule does not depend on the scale of the data; a
 linear problem converges in one iteration.  Every step keeps its residual
@@ -40,8 +44,9 @@ the 2D step minimize no discrete energy exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +60,14 @@ from .errors import (
     PreconditionError,
     StepFailure,
 )
-from .grid import Domain, SpaceTimeField, _trapezoid_weights, gradient, lp_norm
+from .grid import (
+    Domain,
+    SpaceTimeField,
+    _trapezoid_weights,
+    boundary_frame,
+    gradient,
+    lp_norm,
+)
 from .model import IntegrandSpec, flux_coefficient, integrand
 
 __all__ = [
@@ -81,6 +93,10 @@ __all__ = [
 # 1 - ARMIJO * t; halve t down to MIN_STEP.
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
+
+# Size of the sine-mode test family of the energy report's dual norm: 16
+# modes in 1D, 4 x 4 in 2D.
+_DUAL_MODES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +167,6 @@ class BoundaryDatum:
     def at(self, box, coords, t):
         """Value at spatial coordinate arrays and time(s) t."""
         return self._g0(box, coords) * self._psi(t)
-
-    def dt_at(self, box, coords, t):
-        """Classical time derivative at spatial coordinates and time(s) t."""
-        return self._g0(box, coords) * self._dpsi(t)
 
     def sample(self, domain: Domain) -> SpaceTimeField:
         g0 = self._g0(domain.box, domain.meshgrid())
@@ -273,10 +285,30 @@ class _Stepper:
         self.dom = dom
         self.dt = dom.dt
         self.dx = dom.dx
-        self.coords = dom.meshgrid()
+        self.frame = boundary_frame(dom)
+        self.frame_coords = [c[self.frame] for c in dom.meshgrid()]
         self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
         self.spatial = tuple(range(-dom.n, 0))
         self.interior = (slice(None),) + (slice(1, -1),) * dom.n
+        n = dom.n
+        # Newton stencil geometry: per axis k the unit offsets +-e_k, the
+        # k-faces east and west of the interior nodes and dt/h_k^2; per
+        # transverse pair (k, j), in the order of _Iterate.trans, the cross
+        # factor dt/(4 h_k h_j)
+        self.units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+        self.east, self.west = (
+            [(slice(None),) + tuple(near if j == k else slice(1, -1) for j in range(n))
+             for k in range(n)]
+            for near in (slice(1, None), slice(None, -1))
+        )
+        self.normal = [
+            (e, tuple(-a for a in e), self.dt / h**2, east, west)
+            for e, h, east, west in zip(self.units, self.dx, self.east, self.west)
+        ]
+        self.pairs = [
+            (k, j, self.dt / (4.0 * self.dx[min(j, k)] * self.dx[max(j, k)]))
+            for k in range(n) for j in range(n) if j != k
+        ]
         axes = dom.axes
         # per axis k, the coordinates of the k-faces (midpoints along k)
         faces = [
@@ -286,9 +318,6 @@ class _Stepper:
         ]
         self.a_faces = [cfg.spec.coeffs.a.at(*c) for c in faces]
         self.b_faces = [cfg.spec.coeffs.b.at(*c) for c in faces]
-
-    def boundary_values(self, t: float) -> np.ndarray:
-        return self.cfg.g.at(self.dom.box, self.coords, t)
 
     def evaluate(self, w: np.ndarray, u_prev: np.ndarray, members) -> _Iterate:
         """R(w) = w - u_prev - dt div_h F(D_h w) for the given members,
@@ -320,53 +349,43 @@ class _Stepper:
         return _Iterate(w, residual, np.abs(residual).max(axis=self.spatial), scale,
                         grads, trans, coeffs)
 
-    def _tridiagonal(self, it: _Iterate):
-        """1D Jacobian per member: diagonal and off-diagonal of
-        I + c D^T diag(H) D."""
-        (g,), ((big_g, dg),) = it.grads, it.coeffs
-        h = big_g + dg * g**2
-        c = self.dt / self.dx[0] ** 2
-        return 1.0 + c * (h[:, 1:] + h[:, :-1]), -c * h[:, 1:-1]
+    def stencil(self, it: _Iterate) -> dict:
+        """dR/dw of every member as a stencil on the interior nodes:
+        {offset: coefficient per member and node}, offset 0 the diagonal.
 
-    def _nine_point(self, it: _Iterate, row: int):
-        """2D Jacobian of one member on the interior nodes, numbered
-        row-major.
-
-        The flux G(s) g on a face has derivative H dg + C dt with
-        H = G + 2G' g^2 and C = 2G' g t, where t averages the centred
-        transverse difference over the face's two nodes.  H sits on the
-        5-point part; C reaches the four diagonal neighbours and the two
-        transverse ones.
+        The flux G(s) g on a k-face has derivative H dg + sum_j C_j dt_j with
+        H = G + 2G' g^2 and C_j = 2G' g t_j, where t_j averages the centred
+        j-difference over the face's two nodes.  H sits on the neighbours
+        +-e_k and the diagonal; C_j reaches +-e_j and +-e_k +- e_j.  The
+        order of accumulation fixes the rounding of every entry: the normal
+        weights of all axes first, then the cross weights in axis order,
+        east face before west.
         """
-        dt, (dx, dy) = self.dt, self.dx
-        cx, cy = dt / dx**2, dt / dy**2
-        kappa = dt / (4.0 * dx * dy)
-        (hx, cross_x), (hy, cross_y) = (
-            (big_g[row] + dg[row] * g[row] ** 2, kappa * dg[row] * g[row] * t[row])
-            for g, (t,), (big_g, dg) in zip(it.grads, it.trans, it.coeffs)
-        )
-        he, hw = hx[1:, 1:-1], hx[:-1, 1:-1]
-        hn, hs = hy[1:-1, 1:], hy[1:-1, :-1]
-        ce, cw = cross_x[1:, 1:-1], cross_x[:-1, 1:-1]
-        cn, cs = cross_y[1:-1, 1:], cross_y[1:-1, :-1]
-        return _stencil_matrix({
-            (0, 0): 1.0 + cx * (he + hw) + cy * (hn + hs),
-            (1, 0): -cx * he - cn + cs,
-            (-1, 0): -cx * hw + cn - cs,
-            (0, 1): -cy * hn - ce + cw,
-            (0, -1): -cy * hs + ce - cw,
-            (1, 1): -(ce + cn),
-            (1, -1): ce + cs,
-            (-1, 1): cw + cn,
-            (-1, -1): -(cw + cs),
-        })
+        diag = 1.0
+        entries = {}
+        for (e, neg, c, east, west), g, (big_g, dg) in zip(self.normal, it.grads, it.coeffs):
+            h = big_g + dg * g**2
+            hi, lo = h[east], h[west]
+            diag = diag + c * (hi + lo)
+            entries[e], entries[neg] = -c * hi, -c * lo
+        entries = {(0,) * self.dom.n: diag, **entries}
+        # a k-face on side s of a node enters R with sign -s, and the
+        # transverse difference pairs +e_j with +1 and -e_j with -1
+        for (k, j, kappa), t in zip(self.pairs, itertools.chain.from_iterable(it.trans)):
+            e_k, e_j = self.units[k], self.units[j]
+            cross = kappa * it.coeffs[k][1] * it.grads[k] * t
+            for side, face in ((1, self.east[k]), (-1, self.west[k])):
+                v = cross[face]
+                for sign in (1, -1):
+                    value = -v if side * sign > 0 else v
+                    for off in (tuple(sign * b for b in e_j),
+                                tuple(side * a + sign * b for a, b in zip(e_k, e_j))):
+                        entries[off] = entries[off] + value if off in entries else value
+        return entries
 
     def jacobian(self, it: _Iterate, row: int):
         """dR/dw of one member at the interior nodes as a sparse matrix."""
-        if self.dom.n == 1:
-            diag, off = self._tridiagonal(it)
-            return scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1], format="csc")
-        return self._nine_point(it, row)
+        return _stencil_matrix(self.stencil(it), row)
 
     def newton_direction(self, it: _Iterate, t: float):
         """Solve J d = -R for every member of it, at time level t.
@@ -374,33 +393,41 @@ class _Stepper:
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
         the first member whose Newton matrix is not positive definite or
         whose direction is not finite; d is valid for the members before
-        pos.  In 1D one dptsv call solves the block tridiagonal of all
-        members.  Its blocks are uncoupled, so each is eliminated exactly
-        as it would be alone; if any block fails, or a non-finite value may
-        have spread across blocks, each member is solved by itself.  In 2D
-        each member is factored in turn.
+        pos.  The linear solver depends on the dimension.  In 1D the matrix
+        is tridiagonal (stencil entries 0 and +e_0) and one dptsv call solves
+        the block tridiagonal of all members.  Its blocks are uncoupled, so
+        each is eliminated exactly as it would be alone; if any block fails,
+        or a non-finite value may have spread across blocks, each member is
+        solved by itself.  In 2D SuperLU factors each member in turn.
         """
         rhs = -it.residual
+        stencil = self.stencil(it)
         if self.dom.n == 1:
-            diag, off = self._tridiagonal(it)
-            coupling = np.zeros_like(diag)
-            coupling[:, :-1] = off
+            diag, east = stencil[(0,)], stencil[(1,)]
+            coupling = east.copy()
+            coupling[:, -1] = 0.0
             _, _, d, info = scipy.linalg.lapack.dptsv(
                 diag.ravel(), coupling.ravel()[:-1], rhs.ravel())
             d = d.reshape(rhs.shape)
             if info == 0 and np.all(np.isfinite(d)):
                 return d, None
-        else:
-            d = np.empty_like(rhs)
-        for row in range(len(rhs)):
-            if self.dom.n == 1:
-                _, _, d[row], info = scipy.linalg.lapack.dptsv(diag[row], off[row], rhs[row])
+
+            def solve_member(row):
+                _, _, d_row, info = scipy.linalg.lapack.dptsv(diag[row], east[row, :-1], rhs[row])
                 if info != 0:
-                    return d, (row, DivergenceError(
-                        f"Newton matrix is not positive definite (info {info})"))
-            else:
-                lu = scipy.sparse.linalg.splu(self.jacobian(it, row), permc_spec="MMD_AT_PLUS_A")
-                d[row] = lu.solve(rhs[row].ravel()).reshape(rhs[row].shape)
+                    raise DivergenceError(f"Newton matrix is not positive definite (info {info})")
+                return d_row
+        else:
+            def solve_member(row):
+                lu = scipy.sparse.linalg.splu(_stencil_matrix(stencil, row),
+                                              permc_spec="MMD_AT_PLUS_A")
+                return lu.solve(rhs[row].ravel()).reshape(rhs[row].shape)
+        d = np.empty_like(rhs)
+        for row in range(len(rhs)):
+            try:
+                d[row] = solve_member(row)
+            except DivergenceError as exc:
+                return d, (row, exc)
             if not np.all(np.isfinite(d[row])):
                 return d, (row, DivergenceError(
                     f"Newton step produced non-finite values at t = {t}"))
@@ -418,7 +445,7 @@ class _Stepper:
         """
         cfg = self.cfg
         out = u_prev.copy()
-        _set_boundary(out, self.boundary_values(t_next))
+        out[:, self.frame] = cfg.g.at(self.dom.box, self.frame_coords, t_next)
         rows = np.arange(len(u_prev))  # the members still iterating, ascending
         base = u_prev
         it = self.evaluate(out, base, rows)
@@ -498,20 +525,22 @@ class _Stepper:
                 | (trial.norm < self.cfg.tolerance * trial.scale))
 
 
-def _stencil_matrix(stencil: dict):
-    """Sparse matrix on the m x m interior grid, numbered row-major, from
-    {(di, dj): coefficient array (m, m)}.  Entries whose neighbour leaves
-    the grid across a row end are zeroed; diags drops those past its ends."""
-    m = next(iter(stencil.values())).shape[0]
-    size = m * m
+def _stencil_matrix(stencil: dict, row: int):
+    """Sparse matrix of member row on the interior grid, numbered row-major,
+    from a stencil {offset: coefficients per member and node}.  Entries
+    whose neighbour leaves the grid are zeroed; diags drops those past its
+    ends."""
+    first = next(iter(stencil.values()))
+    n, m = first.ndim - 1, first.shape[-1]
+    strides = [m ** (n - 1 - j) for j in range(n)]
+    size = m**n
     diagonals, offsets = [], []
-    for (di, dj), coef in stencil.items():
-        coef = np.array(coef, dtype=float)
-        if dj == 1:
-            coef[:, -1] = 0.0
-        elif dj == -1:
-            coef[:, 0] = 0.0
-        k = di * m + dj
+    for off, coef in stencil.items():
+        coef = np.array(coef[row], dtype=float)
+        for axis, o in enumerate(off):
+            if o:
+                coef[(slice(None),) * axis + (-1 if o > 0 else 0,)] = 0.0
+        k = sum(o * stride for o, stride in zip(off, strides))
         flat = coef.ravel()
         diagonals.append(flat[: size - k] if k >= 0 else flat[-k:])
         offsets.append(k)
@@ -537,15 +566,6 @@ def _face_average(v: np.ndarray, axis: int) -> np.ndarray:
     """Mean of neighbouring node values along axis, on the faces between."""
     lo, hi = _neighbours(v, axis)
     return 0.5 * (lo + hi)
-
-
-def _set_boundary(w: np.ndarray, bc: np.ndarray) -> None:
-    """Copy the boundary frame of bc into the last bc.ndim axes of w."""
-    n = bc.ndim
-    for k in range(n):
-        for end in (0, -1):
-            side = tuple(end if j == k else slice(None) for j in range(n))
-            w[(Ellipsis,) + side] = bc[side]
 
 
 def step(u_prev: np.ndarray, t_next: float, cfg: SolveConfig):
@@ -619,13 +639,8 @@ def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, spec: IntegrandSpec) -
     tol = 1e-12 * max(pmax, 1e-300)
     if float(phi.values.min()) < -tol:
         raise PreconditionError("test field must be nonnegative")
-    frame = np.zeros(dom.shape, dtype=bool)
+    frame = np.broadcast_to(boundary_frame(dom), dom.shape).copy()
     frame[0] = frame[-1] = True
-    if dom.n == 1:
-        frame[:, 0] = frame[:, -1] = True
-    else:
-        frame[:, 0, :] = frame[:, -1, :] = True
-        frame[:, :, 0] = frame[:, :, -1] = True
     if pmax > 0 and float(np.abs(phi.values[frame]).max()) > tol:
         raise PreconditionError("test field must vanish near the parabolic boundary")
 
@@ -649,7 +664,7 @@ class EnergyData:
 
     The dual-norm term is exactly zero for time-independent data; otherwise
     the negative-order norm is approximated from below by testing against
-    the first dual_modes sine modes (deterministic).
+    16 sine modes, 4 x 4 in 2D (deterministic).
     """
 
     sup_l2: float
@@ -683,41 +698,36 @@ class EnergyData:
             return 0.0 if self.lhs_total == 0.0 else math.inf
         return self.lhs_total / denom
 
+    def row(self) -> list:
+        """The values of ENERGY_COLUMNS."""
+        return [getattr(self, f.name) for f in fields(self)] + [
+            self.lhs_total, self.m_g, self.empirical_constant]
+
+
+# The energy report's columns: the EnergyData terms in field order, then its
+# aggregates (c_emp is the empirical constant).
+ENERGY_COLUMNS = tuple(f.name for f in fields(EnergyData)) + ("lhs_total", "m_g", "c_emp")
+
 
 def _slicewise_l2sq(values: np.ndarray, dom: Domain) -> np.ndarray:
-    w = _space_trapz(dom)
+    w = _trapezoid_weights(dom, time=False)
     return np.sum(values**2 * w, axis=tuple(range(1, values.ndim)))
 
 
-def _space_trapz(dom: Domain) -> np.ndarray:
-    def axis_w(k):
-        w = np.ones(k)
-        w[0] = w[-1] = 0.5
-        return w
-
-    ws = axis_w(dom.nx)
-    if dom.n == 1:
-        return ws * dom.dx[0]
-    return (ws * dom.dx[0])[:, None] * (ws * dom.dx[1])[None, :]
-
-
-def _dual_norm(cfg: SolveConfig, dual_modes: int) -> float:
+def _dual_norm(cfg: SolveConfig) -> float:
     """L^{p_alpha'}-in-time norm of the negative-order spatial norm of d_t g,
-    approximated over a finite sine-mode test family."""
+    approximated over the products of the first _DUAL_MODES**(1/n) sine
+    modes per axis."""
     if not cfg.g.time_dependent:
         return 0.0
     dom = cfg.domain
     d = cfg.spec.d
     dtg = cfg.g.sample_dt(dom).values
-    w = _space_trapz(dom)
-    if dom.n == 1:
-        modes = [(k,) for k in range(1, dual_modes + 1)]
-    else:
-        side = max(1, int(math.isqrt(dual_modes)))
-        modes = [(k1, k2) for k1 in range(1, side + 1) for k2 in range(1, side + 1)]
+    w = _trapezoid_weights(dom, time=False)
+    side = round(_DUAL_MODES ** (1.0 / dom.n))
     grids = dom.meshgrid()
     best = np.zeros(dom.nt + 1)
-    for mode in modes:
+    for mode in itertools.product(range(1, side + 1), repeat=dom.n):
         phi = np.ones((dom.nx,) * dom.n)
         for (lo, hi), c, k in zip(dom.box, grids, mode):
             phi = phi * np.sin(k * np.pi * (c - lo) / (hi - lo))
@@ -737,7 +747,7 @@ def _dual_norm(cfg: SolveConfig, dual_modes: int) -> float:
     return integral ** (1.0 / d.p_alpha_conj)
 
 
-def energy_report(u: SpaceTimeField, cfg: SolveConfig, dual_modes: int = 16) -> EnergyData:
+def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
     dom = cfg.domain
     d = cfg.spec.d
     p = cfg.spec.params.p
@@ -759,7 +769,7 @@ def energy_report(u: SpaceTimeField, cfg: SolveConfig, dual_modes: int = 16) -> 
         sup_l2=float(_slicewise_l2sq(u.values, dom).max()),
         grad_term=grad_int**alpha_exp,
         eps_term=eps * lp_norm(du_mag, d.q_beta) ** d.q_beta,
-        dual_term=_dual_norm(cfg, dual_modes) ** d.p_conj,
+        dual_term=_dual_norm(cfg) ** d.p_conj,
         wnorm_term=wnorm**p,
         dg_gamma_term=lp_norm(dg_mag, d.gamma) ** d.time_exponent,
         dg_mu_term=mu ** (d.q - 1.0) * lp_norm(dg_mag, d.beta_conj),
@@ -774,12 +784,10 @@ def energy_report(u: SpaceTimeField, cfg: SolveConfig, dual_modes: int = 16) -> 
 
 @dataclass(frozen=True)
 class ComparisonMap:
-    """Admissible competitor: matches the datum on the lateral boundary and
-    carries its exact classical time derivative."""
+    """Admissible competitor: matches the datum on the lateral boundary."""
 
     name: str
     field: SpaceTimeField
-    dt_field: SpaceTimeField
 
 
 def comparison_maps(cfg: SolveConfig, amplitude: float | None = None) -> list:
@@ -787,7 +795,6 @@ def comparison_maps(cfg: SolveConfig, amplitude: float | None = None) -> list:
     dom = cfg.domain
     T = dom.T
     g = cfg.g.sample(dom).values
-    g_dt = cfg.g.sample_dt(dom).values
     grids = dom.meshgrid()
     bump = np.ones((dom.nx,) * dom.n)
     sin2 = np.ones((dom.nx,) * dom.n)
@@ -799,25 +806,16 @@ def comparison_maps(cfg: SolveConfig, amplitude: float | None = None) -> list:
         amplitude = 0.3 * (1.0 + float(np.abs(g).max()))
     t = dom.times.reshape((-1,) + (1,) * dom.n)
 
-    def mk(name, extra, extra_dt):
-        return ComparisonMap(
-            name,
-            SpaceTimeField(dom, g + extra),
-            SpaceTimeField(dom, g_dt + extra_dt),
-        )
+    def mk(name, extra):
+        return ComparisonMap(name, SpaceTimeField(dom, g + extra))
 
-    zero = np.zeros(dom.shape)
     return [
-        mk("datum", zero, zero),
-        mk("bump", amplitude * bump[None] * np.ones_like(t), zero),
-        mk("bump-ramp", amplitude * bump[None] * (t / T), amplitude * bump[None] / T),
-        mk(
-            "bump-decay",
-            amplitude * bump[None] * (1.0 - t / T) ** 2,
-            -2.0 * amplitude * bump[None] * (1.0 - t / T) / T,
-        ),
-        mk("mode2-ramp", amplitude * sin2[None] * (t / T), amplitude * sin2[None] / T),
-        mk("bump-negative", -amplitude * bump[None] * np.ones_like(t), zero),
+        mk("datum", np.zeros(dom.shape)),
+        mk("bump", amplitude * bump[None] * np.ones_like(t)),
+        mk("bump-ramp", amplitude * bump[None] * (t / T)),
+        mk("bump-decay", amplitude * bump[None] * (1.0 - t / T) ** 2),
+        mk("mode2-ramp", amplitude * sin2[None] * (t / T)),
+        mk("bump-negative", -amplitude * bump[None] * np.ones_like(t)),
     ]
 
 
@@ -895,18 +893,8 @@ def _check_lateral_match(values: np.ndarray, cfg: SolveConfig) -> None:
     dom = cfg.domain
     g = cfg.g.sample(dom).values
     scale = max(float(np.abs(values).max()), float(np.abs(g).max()), 1e-300)
-    if dom.n == 1:
-        mismatch = max(
-            float(np.abs(values[:, 0] - g[:, 0]).max()),
-            float(np.abs(values[:, -1] - g[:, -1]).max()),
-        )
-    else:
-        mismatch = max(
-            float(np.abs(values[:, 0, :] - g[:, 0, :]).max()),
-            float(np.abs(values[:, -1, :] - g[:, -1, :]).max()),
-            float(np.abs(values[:, :, 0] - g[:, :, 0]).max()),
-            float(np.abs(values[:, :, -1] - g[:, :, -1]).max()),
-        )
+    lateral = boundary_frame(dom)
+    mismatch = float(np.abs(values[:, lateral] - g[:, lateral]).max())
     if mismatch > 1e-12 * scale:
         raise PreconditionError(
             f"comparison map does not match the datum on the lateral boundary "

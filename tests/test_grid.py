@@ -33,6 +33,7 @@ from pqlab import (
     slice_sup_l2,
     truncate_plus,
 )
+from pqlab.grid import _trapezoid_weights, boundary_frame
 
 D_REF = derive(StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 
@@ -309,6 +310,32 @@ class TestFieldIO:
         with pytest.raises(ParameterError, match="expected 160 bytes of values, got 168"):
             load_field_dump(path)
 
+    @staticmethod
+    def _csv_lines(tmp_path):
+        dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=5, nt=3)
+        path = tmp_path / "field.csv"
+        save_field_csv(field_from_function(dom, lambda x, t: x + t), path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_csv_missing_row_rejected(self, tmp_path):
+        path, lines = self._csv_lines(tmp_path)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ParameterError, match="19 rows, expected 20"):
+            load_field_csv(path)
+
+    def test_csv_single_row_rejected(self, tmp_path):
+        path, lines = self._csv_lines(tmp_path)
+        path.write_text("".join(lines[:2]))
+        with pytest.raises(ParameterError, match="empty axis extent"):
+            load_field_csv(path)
+
+    def test_csv_reordered_rows_rejected(self, tmp_path):
+        path, lines = self._csv_lines(tmp_path)
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("".join(lines))
+        with pytest.raises(ParameterError, match="line 3: expected x = 0.25, found 0.5"):
+            load_field_csv(path)
+
 
 def _reference_csv(f: SpaceTimeField, path) -> None:
     """Row-at-a-time writer that save_field_csv must reproduce byte for byte."""
@@ -332,3 +359,40 @@ def test_field_csv_matches_row_writer(n, tmp_path, rng):
     save_field_csv(f, tmp_path / "fast.csv")
     _reference_csv(f, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_weights(dom: Domain):
+    """Space-time and space trapezoid weights as per-dimension broadcasts,
+    the formulas _trapezoid_weights must reproduce bit for bit."""
+    def axis_w(k):
+        w = np.ones(k)
+        w[0] = w[-1] = 0.5
+        return w
+
+    wt = axis_w(dom.nt + 1) * dom.dt
+    ws = axis_w(dom.nx)
+    if dom.n == 1:
+        return wt[:, None] * (ws * dom.dx[0])[None, :], ws * dom.dx[0]
+    return (
+        wt[:, None, None] * (ws * dom.dx[0])[None, :, None] * (ws * dom.dx[1])[None, None, :],
+        (ws * dom.dx[0])[:, None] * (ws * dom.dx[1])[None, :],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trapezoid_weights_match_broadcast_formulas(n):
+    # on this 2D grid the product time x (space weights) rounds differently
+    dom = Domain(n=n, box=((0.1, 0.73), (-0.2, 0.9))[:n], T=0.37, nx=6, nt=5)
+    space_time, space = _reference_weights(dom)
+    assert np.array_equal(_trapezoid_weights(dom), space_time)
+    assert np.array_equal(_trapezoid_weights(dom, time=False), space)
+
+
+def test_boundary_frame_is_the_box_boundary():
+    one = np.zeros(6, bool)
+    one[0] = one[-1] = True
+    two = np.zeros((6, 6), bool)
+    two[0, :] = two[-1, :] = two[:, 0] = two[:, -1] = True
+    for n, expect in ((1, one), (2, two)):
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=1.0, nx=6, nt=2)
+        assert np.array_equal(boundary_frame(dom), expect)

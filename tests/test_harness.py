@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestCLI:
         assert os.path.exists(prefix + "_energy.json")
         out_csv = str(tmp_path / "bounds.csv")
         assert cli_main(["verify-bound", "--config", str(path), "--out", out_csv]) == 0
-        header = open(out_csv).readline().strip().split(",")
+        header = Path(out_csv).read_text().splitlines()[0].split(",")
         assert header == ["i", "center_x", "center_t", "rho", "sigma", "ess_sup",
                           "k_choice", "k_theorem", "margin", "eps", "eps_threshold", "pass"]
 
@@ -226,7 +227,7 @@ class TestCLI:
         path = write(tmp_path, SWEEP_CFG)
         out = str(tmp_path / "sweepout")
         assert cli_main(["sweep", "--config", str(path), "--out", out, "--seed", "5"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["all_bounds_pass"]
         for name in ("bounds.csv", "energy.csv", "varsol.csv", "cauchy.csv",
@@ -253,6 +254,6 @@ class TestCLI:
         text = text.replace("directory = out", f"directory = {tmp_path / 'partial'}")
         path = write(tmp_path, text)
         assert cli_main(["sweep", "--config", str(path)]) == 2
-        manifest = json.load(open(tmp_path / "partial" / "manifest.json"))
+        manifest = json.loads((tmp_path / "partial" / "manifest.json").read_text())
         assert manifest["failure"]
         assert os.path.exists(tmp_path / "partial" / "bounds.csv")

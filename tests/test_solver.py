@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pqlab import (
     BoundaryDatum,
@@ -158,6 +159,85 @@ class TestNewton:
         recomputed = np.abs(res).max(axis=1)
         assert max(stats.residuals) > cfg.tolerance
         assert np.allclose(recomputed, stats.residuals, rtol=1e-2, atol=1e-12 * amplitude)
+
+
+def _reference_tridiagonal(stepper, it):
+    """Per-dimension 1D Newton matrix: diagonal and off-diagonal of
+    I + c D^T diag(H) D per member."""
+    (g,), ((big_g, dg),) = it.grads, it.coeffs
+    h = big_g + dg * g**2
+    c = stepper.dt / stepper.dx[0] ** 2
+    return 1.0 + c * (h[:, 1:] + h[:, :-1]), -c * h[:, 1:-1]
+
+
+def _reference_nine_point(stepper, it, row):
+    """Per-dimension 2D Newton matrix of one member, row-major."""
+    dt, (dx, dy) = stepper.dt, stepper.dx
+    cx, cy = dt / dx**2, dt / dy**2
+    kappa = dt / (4.0 * dx * dy)
+    (hx, cross_x), (hy, cross_y) = (
+        (big_g[row] + dg[row] * g[row] ** 2, kappa * dg[row] * g[row] * t[row])
+        for g, (t,), (big_g, dg) in zip(it.grads, it.trans, it.coeffs)
+    )
+    he, hw = hx[1:, 1:-1], hx[:-1, 1:-1]
+    hn, hs = hy[1:-1, 1:], hy[1:-1, :-1]
+    ce, cw = cross_x[1:, 1:-1], cross_x[:-1, 1:-1]
+    cn, cs = cross_y[1:-1, 1:], cross_y[1:-1, :-1]
+    stencil = {
+        (0, 0): 1.0 + cx * (he + hw) + cy * (hn + hs),
+        (1, 0): -cx * he - cn + cs,
+        (-1, 0): -cx * hw + cn - cs,
+        (0, 1): -cy * hn - ce + cw,
+        (0, -1): -cy * hs + ce - cw,
+        (1, 1): -(ce + cn),
+        (1, -1): ce + cs,
+        (-1, 1): cw + cn,
+        (-1, -1): -(cw + cs),
+    }
+    m = he.shape[0]
+    diagonals, offsets = [], []
+    for (di, dj), coef in stencil.items():
+        coef = np.array(coef, dtype=float)
+        if dj == 1:
+            coef[:, -1] = 0.0
+        elif dj == -1:
+            coef[:, 0] = 0.0
+        k = di * m + dj
+        flat = coef.ravel()
+        diagonals.append(flat[: m * m - k] if k >= 0 else flat[-k:])
+        offsets.append(k)
+    return scipy.sparse.diags(diagonals, offsets, format="csc")
+
+
+@pytest.mark.parametrize("box", [((0.0, 1.0),), ((0.0, 1.0),) * 2, ((0.0, 1.0), (0.0, 0.7))])
+def test_stencil_matches_per_dimension_matrices(box, rng):
+    # the finite-difference problem of TestNewton with two members; the
+    # axis-generic stencil must give exactly the per-dimension matrices
+    n = len(box)
+    params = StructureParams(n=n, p=3.0, q=3.2, alpha=1e4, beta=1e4, mu=0.0, eps=0.3)
+    coeffs = CoefficientSpec(
+        a=Coefficient("power", center=(0.43,) * n, exponent=0.5),
+        b=Coefficient("constant", value=0.7),
+    )
+    dom = Domain(n=n, box=box, T=0.1, nx=17 if n == 1 else 9, nt=8)
+    cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.3),
+                      BoundaryDatum(kind="profile", profile="sin"))
+    stepper = _Stepper(cfg, [0.3, 0.1])
+    shape = (2,) + (dom.nx,) * n
+    u_prev = rng.normal(size=shape)
+    it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, [0, 1])
+    if n == 1:
+        stencil = stepper.stencil(it)
+        diag, off = _reference_tridiagonal(stepper, it)
+        assert np.array_equal(stencil[(0,)], diag)
+        assert np.array_equal(stencil[(1,)][:, :-1], off)
+        assert np.array_equal(stencil[(-1,)][:, 1:], off)
+        for row in (0, 1):
+            ref = scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1])
+            assert (stepper.jacobian(it, row) != ref).nnz == 0
+    else:
+        for row in (0, 1):
+            assert (stepper.jacobian(it, row) != _reference_nine_point(stepper, it, row)).nnz == 0
 
 
 def _at_eps(cfg, eps):
@@ -413,7 +493,7 @@ class TestVariationalGap:
     def test_gap_zero_for_v_equal_u(self):
         cfg = nonlinear_config(nx=33, nt=32)
         u, _ = solve(cfg)
-        v = ComparisonMap("solution", u, constant_field(cfg.domain, 0.0))
+        v = ComparisonMap("solution", u)
         gaps, _ = variational_gap_curve(u, v, cfg, eps=cfg.spec.eps)
         assert np.abs(gaps).max() == 0.0
 
@@ -428,9 +508,7 @@ class TestVariationalGap:
     def test_heat_gap_against_zero_competitor_closed_form(self):
         cfg = heat_config(nx=129, nt=400)
         u, _ = solve(cfg)
-        zero = ComparisonMap(
-            "zero", constant_field(cfg.domain, 0.0), constant_field(cfg.domain, 0.0)
-        )
+        zero = ComparisonMap("zero", constant_field(cfg.domain, 0.0))
         tau = cfg.domain.T
         got = variational_gap(u, zero, tau, cfg)
         expect = (1.0 - math.exp(-2.0 * math.pi**2 * tau)) / 8.0
@@ -446,9 +524,7 @@ class TestVariationalGap:
     def test_lateral_mismatch_rejected(self):
         cfg = nonlinear_config(nx=17, nt=8)
         u, _ = solve(cfg)
-        bad = ComparisonMap(
-            "bad", constant_field(cfg.domain, 1.0), constant_field(cfg.domain, 0.0)
-        )
+        bad = ComparisonMap("bad", constant_field(cfg.domain, 1.0))
         with pytest.raises(PreconditionError, match="lateral"):
             variational_gap_curve(u, bad, cfg)
 
