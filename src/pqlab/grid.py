@@ -390,6 +390,10 @@ def save_field_csv(f: SpaceTimeField, path) -> None:
 def load_field_csv(path) -> SpaceTimeField:
     """Read a field written by save_field_csv.  The rows must list every
     node of a uniform grid once, time level first and row-major."""
+    with open(path) as fh:
+        fh.readline()  # the header
+        if not any(line.strip() for line in fh):
+            raise ParameterError("field CSV has a header and no rows")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     ncols = data.shape[1]
     if ncols not in (3, 4):

@@ -16,11 +16,16 @@ the face flux takes its transverse gradient t_j from centred differences
 averaged onto the face, on +-e_j and +-e_k +- e_j.  newton_direction picks
 the linear solver by dimension: in 1D the stencil is the symmetric
 positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
-by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix, factored by
-SuperLU.  Iteration stops once max|R| < tolerance * max(1, |w|_inf,
-dt |div_h F|_inf), so the rule does not depend on the scale of the data; a
-linear problem converges in one iteration.  Every step keeps its residual
-and step-length history.
+by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix.  A 2D time
+step factors it with SuperLU once, at its first Newton iteration, and its
+later iterations solve their exact Jacobian system by GMRES preconditioned
+by that factor; if GMRES does not converge or gives a non-finite direction,
+the matrix is refactored and solved directly, and the new factor serves the
+rest of the step.  The directions agree with direct solves to GMRES's
+relative residual 1e-12.  Iteration stops once max|R| < tolerance *
+max(1, |w|_inf, dt |div_h F|_inf), so the rule does not depend on the scale
+of the data; a linear problem converges in one iteration.  Every step
+keeps its residual and step-length history.
 
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
@@ -28,7 +33,8 @@ differ only in eps, through one Newton loop; solve is its one-member case.
 Each member keeps its own line-search length, convergence test and
 iteration count, and is frozen once converged, so its iterates are
 bitwise those of a lone solve.  In 1D one dptsv call solves the uncoupled
-block tridiagonal of all members; in 2D each member is factored in turn.
+block tridiagonal of all members; in 2D each member is solved in turn,
+with its own factor.
 A member that fails (StepFailure or DivergenceError) drops itself and
 every later member while the earlier ones run to completion, which is the
 outcome of solving the members one after another and stopping at the
@@ -93,6 +99,15 @@ __all__ = [
 # 1 - ARMIJO * t; halve t down to MIN_STEP.
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
+
+# 2D linear solves after a member's first Newton iteration in a time step:
+# GMRES on the exact Newton matrix, preconditioned by the step's factor,
+# to relative residual _GMRES_RTOL within _GMRES_CYCLES restart cycles of
+# _GMRES_RESTART iterations.  One cycle often stops on its own residual
+# estimate short of the true one, hence more than one.
+_GMRES_RTOL = 1e-12
+_GMRES_RESTART = 10
+_GMRES_CYCLES = 3
 
 # Size of the sine-mode test family of the energy report's dual norm: 16
 # modes in 1D, 4 x 4 in 2D.
@@ -365,9 +380,11 @@ class _Stepper:
         entries = {}
         for (e, neg, c, east, west), g, (big_g, dg) in zip(self.normal, it.grads, it.coeffs):
             h = big_g + dg * g**2
-            hi, lo = h[east], h[west]
-            diag = diag + c * (hi + lo)
-            entries[e], entries[neg] = -c * hi, -c * lo
+            diag = diag + c * (h[east] + h[west])
+            # one weight per face: the east and west entries are views of it,
+            # so nothing below may add into them in place
+            weight = -c * h
+            entries[e], entries[neg] = weight[east], weight[west]
         entries = {(0,) * self.dom.n: diag, **entries}
         # a k-face on side s of a node enters R with sign -s, and the
         # transverse difference pairs +e_j with +1 and -e_j with -1
@@ -387,7 +404,7 @@ class _Stepper:
         """dR/dw of one member at the interior nodes as a sparse matrix."""
         return _stencil_matrix(self.stencil(it), row)
 
-    def newton_direction(self, it: _Iterate, t: float):
+    def newton_direction(self, it: _Iterate, t: float, members=None, factors=None):
         """Solve J d = -R for every member of it, at time level t.
 
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
@@ -398,7 +415,17 @@ class _Stepper:
         the block tridiagonal of all members.  Its blocks are uncoupled, so
         each is eliminated exactly as it would be alone; if any block fails,
         or a non-finite value may have spread across blocks, each member is
-        solved by itself.  In 2D SuperLU factors each member in turn.
+        solved by itself.
+
+        In 2D each member is solved in turn.  factors maps a member's
+        absolute index (members[pos], default pos) to the SuperLU factor
+        of one of its earlier Newton matrices in this time step.  A member
+        without one is factored and solved directly, and its factor is
+        stored; a member with one solves its exact system J(w) d = -R by
+        GMRES preconditioned by that factor.  If GMRES does not converge or
+        gives a non-finite d, the member is refactored at J(w) and solved
+        directly, and the new factor replaces the old.  factors=None
+        factors every member afresh.
         """
         rhs = -it.residual
         stencil = self.stencil(it)
@@ -418,10 +445,18 @@ class _Stepper:
                     raise DivergenceError(f"Newton matrix is not positive definite (info {info})")
                 return d_row
         else:
+            factors = {} if factors is None else factors
+            members = range(len(rhs)) if members is None else members
+
             def solve_member(row):
-                lu = scipy.sparse.linalg.splu(_stencil_matrix(stencil, row),
-                                              permc_spec="MMD_AT_PLUS_A")
-                return lu.solve(rhs[row].ravel()).reshape(rhs[row].shape)
+                matrix, b, m = _stencil_matrix(stencil, row), rhs[row].ravel(), int(members[row])
+                if m in factors:
+                    d_row = _preconditioned_gmres(matrix, b, factors[m])
+                    if d_row is not None:
+                        return d_row.reshape(rhs[row].shape)
+                    del factors[m]  # release the stale factor before refactoring
+                factors[m] = lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+                return lu.solve(b).reshape(rhs[row].shape)
         d = np.empty_like(rhs)
         for row in range(len(rhs)):
             try:
@@ -444,6 +479,7 @@ class _Stepper:
         member converged).
         """
         cfg = self.cfg
+        factors = {}  # 2D: per member, this step's Newton matrix factor
         out = u_prev.copy()
         out[:, self.frame] = cfg.g.at(self.dom.box, self.frame_coords, t_next)
         rows = np.arange(len(u_prev))  # the members still iterating, ascending
@@ -470,7 +506,7 @@ class _Stepper:
             )
 
         for _ in range(cfg.max_iter):
-            d, bad = self.newton_direction(it, t_next)
+            d, bad = self.newton_direction(it, t_next, rows, factors)
             if bad is not None:
                 d = d[fail(*bad)]
                 if not len(rows):
@@ -523,6 +559,15 @@ class _Stepper:
         """Per member: max|R| fell by the Armijo factor, or trial converged."""
         return ((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
                 | (trial.norm < self.cfg.tolerance * trial.scale))
+
+
+def _preconditioned_gmres(matrix, b, lu):
+    """Solve matrix x = b by GMRES, preconditioned by the SuperLU factor lu
+    of a nearby matrix; None unless it converged to a finite x."""
+    precondition = scipy.sparse.linalg.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float)
+    x, info = scipy.sparse.linalg.gmres(matrix, b, M=precondition, rtol=_GMRES_RTOL, atol=0.0,
+                                        restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
+    return x if info == 0 and np.all(np.isfinite(x)) else None
 
 
 def _stencil_matrix(stencil: dict, row: int):

@@ -1,6 +1,7 @@
 """Fields, quadrature, cylinders, norms and I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,14 @@ class TestFieldIO:
         path.write_text("".join(lines[:2]))
         with pytest.raises(ParameterError, match="empty axis extent"):
             load_field_csv(path)
+
+    def test_csv_header_only_rejected(self, tmp_path):
+        path, lines = self._csv_lines(tmp_path)
+        path.write_text(lines[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="header and no rows"):
+                load_field_csv(path)
 
     def test_csv_reordered_rows_rejected(self, tmp_path):
         path, lines = self._csv_lines(tmp_path)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from pqlab import (
     BoundaryDatum,
@@ -326,6 +327,95 @@ class TestSolveLevels:
     def test_eps_validated(self):
         with pytest.raises(ParameterError, match="eps"):
             solve_levels(nonlinear_config(nx=9, nt=2), [0.5, 1.5])
+
+
+def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
+    """The 2D degenerate preset: a = |x - (0.505, 0.505)|^0.04, b = 1, sine datum."""
+    params = StructureParams(n=2, p=p, q=q, alpha=alpha, beta=alpha, mu=0.0, eps=0.5)
+    coeffs = CoefficientSpec(
+        a=Coefficient("power", center=(0.505, 0.505), exponent=0.04),
+        b=Coefficient("constant", value=1.0),
+    )
+    dom = Domain(n=2, box=((0.0, 1.0),) * 2, T=0.3, nx=nx, nt=nt)
+    return SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.5),
+                       BoundaryDatum(kind="profile", profile="sin", amplitude=amplitude))
+
+
+def _factor_every_iteration(stepper, it, t, members=None, factors=None):
+    """Reference 2D Newton directions: every member factored afresh and
+    solved directly, whatever factors it is offered."""
+    d = np.empty_like(it.residual)
+    for row in range(len(d)):
+        lu = scipy.sparse.linalg.splu(stepper.jacobian(it, row), permc_spec="MMD_AT_PLUS_A")
+        d[row] = lu.solve(-it.residual[row].ravel()).reshape(d[row].shape)
+    return d, None
+
+
+class TestFactorReuse:
+    """In 2D a member's first Newton matrix of a time step is factored and
+    preconditions GMRES on its later iterations in that step."""
+
+    @pytest.mark.parametrize("p,q,amplitude", [(3.0, 3.2, 5.0), (4.0, 4.3, 5.0), (2.0, 2.1, 1e5)])
+    def test_matches_factoring_every_iteration(self, p, q, amplitude, monkeypatch):
+        cfg = _probe_config_2d(p, q, amplitude)
+        u, stats = solve(cfg)
+        monkeypatch.setattr(_Stepper, "newton_direction", _factor_every_iteration)
+        ref_u, ref_stats = solve(cfg)
+        assert stats.iterations == ref_stats.iterations
+        scale = np.abs(ref_u.values).max()
+        assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("stub_result", ["no convergence", "non-finite"])
+    def test_gmres_failure_falls_back_to_direct_solve(self, stub_result, rng, monkeypatch):
+        cfg = _probe_config_2d(3.0, 3.2, 5.0, nx=9, nt=4)
+        stepper = _Stepper(cfg, [0.5, 0.25])
+        shape = (1,) + (cfg.domain.nx,) * 2
+        u_prev = rng.normal(size=shape)
+        # the factors are keyed by absolute member index: member 1 at row 0
+        members = np.array([1])
+        factors = {}
+        first = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, members)
+        _, bad = stepper.newton_direction(first, 0.1, members, factors)
+        assert bad is None and list(factors) == [1]
+        stale = factors[1]
+        it = stepper.evaluate(first.w + 0.1 * rng.normal(size=shape), u_prev, members)
+        calls = []
+
+        def gmres(matrix, b, **kwargs):
+            calls.append(b)
+            if stub_result == "no convergence":
+                return np.zeros_like(b), 1
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", gmres)
+        d, bad = stepper.newton_direction(it, 0.1, members, factors)
+        assert bad is None and len(calls) == 1
+        direct, _ = _factor_every_iteration(stepper, it, 0.1)
+        assert np.array_equal(d, direct)
+        assert factors[1] is not stale
+
+    def test_one_factorization_per_step_and_member(self, monkeypatch):
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
+        factorizations, infos = [], []
+        splu, gmres = scipy.sparse.linalg.splu, scipy.sparse.linalg.gmres
+
+        def counted_splu(*args, **kwargs):
+            factorizations.append(1)
+            return splu(*args, **kwargs)
+
+        def counted_gmres(*args, **kwargs):
+            x, info = gmres(*args, **kwargs)
+            infos.append(info)
+            return x, info
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", counted_gmres)
+        results, failure = solve_levels(cfg, [0.5, 0.125])
+        assert failure is None
+        iterations = sum(stats.total_iterations for _, stats in results)
+        assert len(factorizations) == cfg.domain.nt * 2
+        assert len(infos) == iterations - len(factorizations) > 0
+        assert set(infos) == {0}
 
 
 class TestSolve:
