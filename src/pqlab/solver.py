@@ -21,8 +21,9 @@ step factors it with SuperLU once, at its first Newton iteration, and its
 later iterations solve their exact Jacobian system by GMRES preconditioned
 by that factor; if GMRES does not converge or gives a non-finite direction,
 the matrix is refactored and solved directly, and the new factor serves the
-rest of the step.  The directions agree with direct solves to GMRES's
-relative residual 1e-12.  Iteration stops once max|R| < tolerance *
+rest of the step.  A member's factor is freed once it converges or drops,
+so at most one factor per iterating member is alive.  The directions agree
+with direct solves to GMRES's relative residual 1e-12.  Iteration stops once max|R| < tolerance *
 max(1, |w|_inf, dt |div_h F|_inf), so the rule does not depend on the scale
 of the data; a linear problem converges in one iteration.  Every step
 keeps its residual and step-length history.
@@ -104,7 +105,8 @@ _MIN_STEP = 2.0**-20
 # GMRES on the exact Newton matrix, preconditioned by the step's factor,
 # to relative residual _GMRES_RTOL within _GMRES_CYCLES restart cycles of
 # _GMRES_RESTART iterations.  One cycle often stops on its own residual
-# estimate short of the true one, hence more than one.
+# estimate short of the true one, hence more than one.  gmres takes rtol
+# from SciPy 1.12 on, the floor declared in pyproject.toml.
 _GMRES_RTOL = 1e-12
 _GMRES_RESTART = 10
 _GMRES_CYCLES = 3
@@ -479,7 +481,7 @@ class _Stepper:
         member converged).
         """
         cfg = self.cfg
-        factors = {}  # 2D: per member, this step's Newton matrix factor
+        factors = {}  # 2D: per iterating member, this step's Newton matrix factor
         out = u_prev.copy()
         out[:, self.frame] = cfg.g.at(self.dom.box, self.frame_coords, t_next)
         rows = np.arange(len(u_prev))  # the members still iterating, ascending
@@ -489,10 +491,16 @@ class _Stepper:
         lengths = [[] for _ in rows]
         live, failure = len(rows), None
 
+        def release(members):
+            """Free the factors of members that stop iterating."""
+            for m in members:
+                factors.pop(int(m), None)
+
         def fail(pos, exc):
             """Drop the member at row pos and every later one."""
             nonlocal live, failure, rows, base, it
             live, failure = int(rows[pos]), exc
+            release(rows[pos:])
             rows, base, it = rows[:pos], base[:pos], it.take(slice(pos))
             return slice(pos)
 
@@ -538,6 +546,7 @@ class _Stepper:
                 residuals[m].append(float(it.norm[pos]))
                 lengths[m].append(float(length[pos]))
             done = it.norm < cfg.tolerance * it.scale
+            release(rows[done])
             if done.all():
                 out[rows] = it.w
                 break

@@ -417,6 +417,23 @@ class TestFactorReuse:
         assert len(infos) == iterations - len(factorizations) > 0
         assert set(infos) == {0}
 
+    def test_factors_held_only_for_iterating_members(self, monkeypatch):
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
+        newton_direction = _Stepper.newton_direction
+        held, iterating = [], []
+
+        def recorded(self, it, t, members=None, factors=None):
+            held.append(set(factors))
+            iterating.append(set(int(m) for m in members))
+            return newton_direction(self, it, t, members, factors)
+
+        monkeypatch.setattr(_Stepper, "newton_direction", recorded)
+        _, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
+        assert failure is None
+        # some member converged while another iterated on
+        assert any(len(m) < 3 for m in iterating)
+        assert all(h <= m for h, m in zip(held, iterating))
+
 
 class TestSolve:
     def test_zero_datum_zero_solution(self):
