@@ -23,10 +23,10 @@ from .grid import (
     CoefficientNorms,
     Cylinder,
     SpaceTimeField,
+    _grad_magnitude,
     coefficient_norms,
     cylinder_in_domain,
     ess_sup,
-    gradient,
     mean_integral,
     region_measure,
     slice_sup_l2,
@@ -75,11 +75,6 @@ class CaccioppoliSides:
         if self.lhs == 0.0:
             return 0.0
         return self.lhs / self.rhs
-
-
-def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
-    g = gradient(f)
-    return SpaceTimeField(f.domain, np.sqrt(np.sum(g**2, axis=0)))
 
 
 def _power_integral(f: SpaceTimeField, r: float, region) -> float:

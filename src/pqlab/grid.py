@@ -278,6 +278,12 @@ def gradient(f: SpaceTimeField) -> np.ndarray:
     return np.stack(comps)
 
 
+def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
+    """|Df| per node, from gradient.  One expression, so the gradient is
+    freed as soon as it is squared."""
+    return SpaceTimeField(f.domain, np.sqrt(np.sum(gradient(f) ** 2, axis=0)))
+
+
 def boundary_frame(domain: Domain) -> np.ndarray:
     """Spatial mask of the nodes on the boundary of the box, shape (nx,)*n."""
     inner = np.zeros((domain.nx,) * domain.n, bool)

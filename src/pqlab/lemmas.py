@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .grid import Cylinder, SpaceTimeField, _resolve, boundary_frame, gradient, mean_integral
+from .grid import (
+    Cylinder,
+    SpaceTimeField,
+    _grad_magnitude,
+    _resolve,
+    boundary_frame,
+    mean_integral,
+)
 
 __all__ = [
     "GeometricIteration",
@@ -103,8 +110,7 @@ def interpolation_ratio(v: SpaceTimeField, cyl: Cylinder, p_alpha: float) -> flo
     slices = v.values[tm][:, sm] ** 2
     sup_mean_sq = float(slices.sum(axis=1).max()) / ball_count
 
-    dv = gradient(v)
-    dv_mag = SpaceTimeField(dom, np.sqrt(np.sum(dv**2, axis=0)))
+    dv_mag = _grad_magnitude(v)
     rhs = sup_mean_sq ** (p_alpha / n) * cyl.rho**p_alpha * mean_integral(dv_mag, p_alpha, cyl)
     return lhs / rhs if rhs > 0 else math.inf
 

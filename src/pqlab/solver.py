@@ -21,9 +21,10 @@ step factors it with SuperLU once, at its first Newton iteration, and its
 later iterations solve their exact Jacobian system by GMRES preconditioned
 by that factor; if GMRES does not converge or gives a non-finite direction,
 the matrix is refactored and solved directly, and the new factor serves the
-rest of the step.  A member's factor is freed once it converges or drops,
-so at most one factor per iterating member is alive.  The directions agree
-with direct solves to GMRES's relative residual 1e-12.  Iteration stops once max|R| < tolerance *
+rest of the step.  The factors sit in an array with one slot per iterating
+member, narrowed together with the members, so a member's factor is freed
+once it converges or drops.  The directions agree with direct solves to
+GMRES's relative residual 1e-12.  Iteration stops once max|R| < tolerance *
 max(1, |w|_inf, dt |div_h F|_inf), so the rule does not depend on the scale
 of the data; a linear problem converges in one iteration.  Every step
 keeps its residual and step-length history.
@@ -70,6 +71,7 @@ from .errors import (
 from .grid import (
     Domain,
     SpaceTimeField,
+    _grad_magnitude,
     _trapezoid_weights,
     boundary_frame,
     gradient,
@@ -226,9 +228,19 @@ class StepHistory:
 
 @dataclass
 class SolveStats:
-    iterations: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
+    """The StepHistory of every time step of one solve."""
+
     histories: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> list:
+        """Newton iterations per time step."""
+        return [len(h.residuals) for h in self.histories]
+
+    @property
+    def residuals(self) -> list:
+        """Final max|R| per time step."""
+        return [h.residuals[-1] for h in self.histories]
 
     @property
     def total_iterations(self) -> int:
@@ -406,7 +418,7 @@ class _Stepper:
         """dR/dw of one member at the interior nodes as a sparse matrix."""
         return _stencil_matrix(self.stencil(it), row)
 
-    def newton_direction(self, it: _Iterate, t: float, members=None, factors=None):
+    def newton_direction(self, it: _Iterate, t: float, factors=None):
         """Solve J d = -R for every member of it, at time level t.
 
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
@@ -419,15 +431,15 @@ class _Stepper:
         or a non-finite value may have spread across blocks, each member is
         solved by itself.
 
-        In 2D each member is solved in turn.  factors maps a member's
-        absolute index (members[pos], default pos) to the SuperLU factor
-        of one of its earlier Newton matrices in this time step.  A member
-        without one is factored and solved directly, and its factor is
-        stored; a member with one solves its exact system J(w) d = -R by
-        GMRES preconditioned by that factor.  If GMRES does not converge or
-        gives a non-finite d, the member is refactored at J(w) and solved
-        directly, and the new factor replaces the old.  factors=None
-        factors every member afresh.
+        In 2D each member is solved in turn.  factors is an object array
+        with one slot per member of it: None, or the SuperLU factor of one
+        of that member's earlier Newton matrices in this time step.  A
+        member without one is factored and solved directly, and its factor
+        is stored in its slot; a member with one solves its exact system
+        J(w) d = -R by GMRES preconditioned by that factor.  If GMRES does
+        not converge or gives a non-finite d, the member is refactored at
+        J(w) and solved directly, and the new factor replaces the old.
+        factors=None factors every member afresh.
         """
         rhs = -it.residual
         stencil = self.stencil(it)
@@ -447,17 +459,16 @@ class _Stepper:
                     raise DivergenceError(f"Newton matrix is not positive definite (info {info})")
                 return d_row
         else:
-            factors = {} if factors is None else factors
-            members = range(len(rhs)) if members is None else members
+            factors = np.full(len(rhs), None) if factors is None else factors
 
             def solve_member(row):
-                matrix, b, m = _stencil_matrix(stencil, row), rhs[row].ravel(), int(members[row])
-                if m in factors:
-                    d_row = _preconditioned_gmres(matrix, b, factors[m])
+                matrix, b = _stencil_matrix(stencil, row), rhs[row].ravel()
+                if factors[row] is not None:
+                    d_row = _preconditioned_gmres(matrix, b, factors[row])
                     if d_row is not None:
                         return d_row.reshape(rhs[row].shape)
-                    del factors[m]  # release the stale factor before refactoring
-                factors[m] = lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+                    factors[row] = None  # release the stale factor before refactoring
+                factors[row] = lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
                 return lu.solve(b).reshape(rhs[row].shape)
         d = np.empty_like(rhs)
         for row in range(len(rhs)):
@@ -481,28 +492,29 @@ class _Stepper:
         member converged).
         """
         cfg = self.cfg
-        factors = {}  # 2D: per iterating member, this step's Newton matrix factor
         out = u_prev.copy()
         out[:, self.frame] = cfg.g.at(self.dom.box, self.frame_coords, t_next)
-        rows = np.arange(len(u_prev))  # the members still iterating, ascending
-        base = u_prev
+        # the members still iterating, ascending, and per row their previous
+        # time level, current iterate and (2D) this step's Newton factor
+        rows, base = np.arange(len(u_prev)), u_prev
         it = self.evaluate(out, base, rows)
+        factors = np.full(len(rows), None)
         residuals = [[] for _ in rows]
         lengths = [[] for _ in rows]
         live, failure = len(rows), None
 
-        def release(members):
-            """Free the factors of members that stop iterating."""
-            for m in members:
-                factors.pop(int(m), None)
+        def keep(sel):
+            """Narrow the iterating members to the rows sel."""
+            nonlocal rows, base, it, factors
+            rows, base, it, factors = rows[sel], base[sel], it.take(sel), factors[sel]
 
         def fail(pos, exc):
             """Drop the member at row pos and every later one."""
-            nonlocal live, failure, rows, base, it
+            nonlocal live, failure
             live, failure = int(rows[pos]), exc
-            release(rows[pos:])
-            rows, base, it = rows[:pos], base[:pos], it.take(slice(pos))
-            return slice(pos)
+            sel = np.arange(pos)  # not a slice: its view would keep the dropped factors
+            keep(sel)
+            return sel
 
         def step_failure(pos, why):
             m = rows[pos]
@@ -514,60 +526,43 @@ class _Stepper:
             )
 
         for _ in range(cfg.max_iter):
-            d, bad = self.newton_direction(it, t_next, rows, factors)
+            d, bad = self.newton_direction(it, t_next, factors)
             if bad is not None:
                 d = d[fail(*bad)]
-                if not len(rows):
-                    break
+            # each round moves every member by its own length; a member's
+            # evaluation does not depend on the others in the batch, so an
+            # accepted member gets the same bits in every later round
             length = np.ones(len(rows))
-            trial = self._try(it, d, length, base, rows)
-            pending = ~self._accepted(trial, it, length)
-            backtracked = pending.any()
-            while pending.any():
+            while len(rows):
+                w = it.w.copy()
+                w[self.interior] += length.reshape((-1,) + (1,) * self.dom.n) * d
+                trial = self.evaluate(w, base, rows)
+                pending = ~((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
+                            | (trial.norm < cfg.tolerance * trial.scale))
                 stuck = pending & (length <= _MIN_STEP)
                 if stuck.any():
                     pos = int(np.argmax(stuck))
-                    keep = fail(pos, step_failure(pos, "line search found no decrease"))
-                    d, length, pending = d[keep], length[keep], pending[keep]
-                    continue
+                    sel = fail(pos, step_failure(pos, "line search found no decrease"))
+                    d, length, pending, trial = d[sel], length[sel], pending[sel], trial.take(sel)
+                if not pending.any():
+                    break
                 length[pending] *= 0.5
-                sel = np.flatnonzero(pending)
-                sub = it.take(sel)
-                again = self._try(sub, d[sel], length[sel], base[sel], rows[sel])
-                pending[sel] = ~self._accepted(again, sub, length[sel])
             if not len(rows):
                 break
-            if backtracked:
-                # every member at its accepted length; the same bits as the
-                # trial that accepted it
-                trial = self._try(it, d, length, base, rows)
             it = trial
             for pos, m in enumerate(rows):
                 residuals[m].append(float(it.norm[pos]))
                 lengths[m].append(float(length[pos]))
             done = it.norm < cfg.tolerance * it.scale
-            release(rows[done])
-            if done.all():
-                out[rows] = it.w
-                break
             if done.any():
                 out[rows[done]] = it.w[done]
-                rows, base, it = rows[~done], base[~done], it.take(~done)
+                if done.all():
+                    break
+                keep(~done)
         else:
             fail(0, step_failure(0, f"no convergence within {cfg.max_iter} iterations"))
         histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
         return out[:live], histories, failure
-
-    def _try(self, it: _Iterate, d, length, base, rows) -> _Iterate:
-        """Evaluate the members of it moved by length * d."""
-        w = it.w.copy()
-        w[self.interior] += length.reshape((-1,) + (1,) * self.dom.n) * d
-        return self.evaluate(w, base, rows)
-
-    def _accepted(self, trial: _Iterate, it: _Iterate, length) -> np.ndarray:
-        """Per member: max|R| fell by the Armijo factor, or trial converged."""
-        return ((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
-                | (trial.norm < self.cfg.tolerance * trial.scale))
 
 
 def _preconditioned_gmres(matrix, b, lu):
@@ -659,8 +654,6 @@ def solve_levels(cfg: SolveConfig, eps_values):
             values, stats = values[: len(u)], stats[: len(u)]
         values[:, j] = u
         for member, history in zip(stats, histories):
-            member.iterations.append(len(history.residuals))
-            member.residuals.append(history.residuals[-1])
             member.histories.append(history)
     return [(SpaceTimeField(dom, v), st) for v, st in zip(values, stats)], failure
 
@@ -809,12 +802,12 @@ def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
     eps = cfg.spec.eps
     alpha = cfg.spec.params.alpha
 
-    du_mag = SpaceTimeField(dom, np.sqrt(np.sum(gradient(u) ** 2, axis=0)))
+    du_mag = _grad_magnitude(u)
     grad_int = lp_norm(du_mag, d.p_alpha) ** d.p_alpha
     alpha_exp = 1.0 if math.isinf(alpha) else (alpha + 1.0) / alpha
 
     g_field = cfg.g.sample(dom)
-    dg_mag = SpaceTimeField(dom, np.sqrt(np.sum(gradient(g_field) ** 2, axis=0)))
+    dg_mag = _grad_magnitude(g_field)
     wnorm = (
         lp_norm(g_field, d.p_alpha) ** d.p_alpha + lp_norm(dg_mag, d.p_alpha) ** d.p_alpha
     ) ** (1.0 / d.p_alpha)
@@ -844,8 +837,9 @@ class ComparisonMap:
     field: SpaceTimeField
 
 
-def comparison_maps(cfg: SolveConfig, amplitude: float | None = None) -> list:
-    """Preset competitor family around the datum (lateral values match g)."""
+def comparison_maps(cfg: SolveConfig) -> list:
+    """Preset competitor family around the datum (lateral values match g),
+    with perturbations of amplitude 0.3 (1 + max|g|)."""
     dom = cfg.domain
     T = dom.T
     g = cfg.g.sample(dom).values
@@ -856,8 +850,7 @@ def comparison_maps(cfg: SolveConfig, amplitude: float | None = None) -> list:
         length = hi - lo
         bump = bump * 4.0 * (c - lo) * (hi - c) / length**2
         sin2 = sin2 * np.sin(2.0 * np.pi * (c - lo) / length)
-    if amplitude is None:
-        amplitude = 0.3 * (1.0 + float(np.abs(g).max()))
+    amplitude = 0.3 * (1.0 + float(np.abs(g).max()))
     t = dom.times.reshape((-1,) + (1,) * dom.n)
 
     def mk(name, extra):

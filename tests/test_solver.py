@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pqlab import (
     SolveConfig,
     SpaceTimeField,
     StepFailure,
+    StepHistory,
     StructureParams,
     comparison_maps,
     constant_field,
@@ -324,6 +326,34 @@ class TestSolveLevels:
         assert bad[0] == 2 and "non-finite values at t = 0.1" in str(bad[1])
         assert np.array_equal(d[:2], alone[:2])
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_line_search_failure_drops_its_member(self, n, monkeypatch):
+        # member 1 reads max|R| = 1 at every trial and never meets the
+        # tolerance, so its line search halves down to the minimum length
+        cfg = degenerate_config() if n == 1 else _probe_config_2d(2.0, 2.1, 0.8, alpha=20.0)
+        cfg = dataclasses.replace(cfg, domain=Domain(
+            n=n, box=((0.0, 1.0),) * n, T=0.3, nx=17 if n == 1 else 9, nt=4))
+        evaluate = _Stepper.evaluate
+
+        def stuck(self, w, u_prev, members):
+            it = evaluate(self, w, u_prev, members)
+            hit = np.asarray(members) == 1
+            return it._replace(norm=np.where(hit, 1.0, it.norm),
+                               scale=np.where(hit, 1e-300, it.scale))
+
+        monkeypatch.setattr(_Stepper, "evaluate", stuck)
+        results, failure = solve_levels(cfg, [0.5, 0.25, 0.125])
+        monkeypatch.undo()
+        assert isinstance(failure, StepFailure)
+        assert str(failure).startswith("line search found no decrease")
+        assert failure.t == cfg.domain.dt
+        assert failure.residual == 1.0
+        assert failure.history == StepHistory((), ())
+        (u, stats), = results
+        lone_u, lone_stats = solve(_at_eps(cfg, 0.5))
+        assert np.array_equal(u.values, lone_u.values)
+        assert stats.iterations == lone_stats.iterations
+
     def test_eps_validated(self):
         with pytest.raises(ParameterError, match="eps"):
             solve_levels(nonlinear_config(nx=9, nt=2), [0.5, 1.5])
@@ -341,7 +371,7 @@ def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
                        BoundaryDatum(kind="profile", profile="sin", amplitude=amplitude))
 
 
-def _factor_every_iteration(stepper, it, t, members=None, factors=None):
+def _factor_every_iteration(stepper, it, t, factors=None):
     """Reference 2D Newton directions: every member factored afresh and
     solved directly, whatever factors it is offered."""
     d = np.empty_like(it.residual)
@@ -371,13 +401,12 @@ class TestFactorReuse:
         stepper = _Stepper(cfg, [0.5, 0.25])
         shape = (1,) + (cfg.domain.nx,) * 2
         u_prev = rng.normal(size=shape)
-        # the factors are keyed by absolute member index: member 1 at row 0
         members = np.array([1])
-        factors = {}
+        factors = np.full(1, None)
         first = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, members)
-        _, bad = stepper.newton_direction(first, 0.1, members, factors)
-        assert bad is None and list(factors) == [1]
-        stale = factors[1]
+        _, bad = stepper.newton_direction(first, 0.1, factors)
+        assert bad is None and factors[0] is not None
+        stale = factors[0]
         it = stepper.evaluate(first.w + 0.1 * rng.normal(size=shape), u_prev, members)
         calls = []
 
@@ -388,11 +417,11 @@ class TestFactorReuse:
             return np.full_like(b, np.nan), 0
 
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", gmres)
-        d, bad = stepper.newton_direction(it, 0.1, members, factors)
+        d, bad = stepper.newton_direction(it, 0.1, factors)
         assert bad is None and len(calls) == 1
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
         assert np.array_equal(d, direct)
-        assert factors[1] is not stale
+        assert factors[0] is not None and factors[0] is not stale
 
     def test_one_factorization_per_step_and_member(self, monkeypatch):
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
@@ -419,20 +448,36 @@ class TestFactorReuse:
 
     def test_factors_held_only_for_iterating_members(self, monkeypatch):
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
-        newton_direction = _Stepper.newton_direction
-        held, iterating = [], []
+        newton_direction, splu = _Stepper.newton_direction, scipy.sparse.linalg.splu
+        factors_made = []  # a weak reference to every factor
+        alive, iterating, slots = [], [], []
 
-        def recorded(self, it, t, members=None, factors=None):
-            held.append(set(factors))
-            iterating.append(set(int(m) for m in members))
-            return newton_direction(self, it, t, members, factors)
+        class Factor:
+            """A SuperLU factor that can be referenced weakly."""
 
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracked_splu(*args, **kwargs):
+            lu = Factor(splu(*args, **kwargs))
+            factors_made.append(weakref.ref(lu))
+            return lu
+
+        def recorded(self, it, t, factors=None):
+            alive.append(sum(ref() is not None for ref in factors_made))
+            iterating.append(len(it.residual))
+            slots.append(len(factors))
+            return newton_direction(self, it, t, factors)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
         _, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
         assert failure is None
         # some member converged while another iterated on
-        assert any(len(m) < 3 for m in iterating)
-        assert all(h <= m for h, m in zip(held, iterating))
+        assert any(m < 3 for m in iterating)
+        assert slots == iterating
+        assert all(a <= m for a, m in zip(alive, iterating))
+        assert all(ref() is None for ref in factors_made)
 
 
 class TestSolve:
