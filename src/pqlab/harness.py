@@ -2,8 +2,12 @@
 
 The config format is flat key-value text with one level of [section]
 headers, full-line # comments, and no nesting.  Unknown sections or keys
-are rejected with the offending line number.  The same canonical form is
-emitted by emit_config, so load/emit round-trips are byte-identical.
+are rejected with the offending line number.  The config dataclasses are
+the schema (_SCHEMA): each key is a field of StructureParams, Domain,
+Coefficient (a_/b_ prefixed), BoundaryDatum or ExperimentConfig, parsed by
+its annotation and defaulted from the field; a field with no default is a
+required key.  emit_config walks the same table to write the canonical
+form, so load/emit round-trips are byte-identical.
 
 A sweep solves the problem for the schedule eps_i = eps0 * 2**-i,
 i = 0..levels-1, all levels in one batched march, evaluates the energy
@@ -20,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .degiorgi import BoundReport, verify_sup_bound
-from .errors import ConfigError
+from .errors import ConfigError, RegionError
 from .exponents import StructureParams, derive
 from .grid import (
     Cylinder,
@@ -61,22 +65,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # config schema
-
-_COEFF_KEYS = ("kind", "value", "center", "exponent", "floor", "lo", "hi", "width", "origin")
-
-_SCHEMA = {
-    "structure": ("n", "p", "q", "alpha", "beta", "mu", "eps"),
-    "domain": ("box", "T", "nx", "nt"),
-    "coefficients": tuple(f"a_{k}" for k in _COEFF_KEYS) + tuple(f"b_{k}" for k in _COEFF_KEYS),
-    "boundary": ("kind", "profile", "amplitude", "mode", "value", "psi"),
-    "sweep": ("eps0", "levels"),
-    "targets": None,  # cylinder<N> keys
-    "calibration": ("c_cal",),
-    "solver": ("tolerance", "max_iter"),
-    "output": ("directory", "seed"),
-}
-
-_REQUIRED = {"structure": ("n", "p", "q"), "domain": ("box", "T", "nx", "nt")}
 
 
 @dataclass(frozen=True)
@@ -115,6 +103,36 @@ class ExperimentConfig:
         return [(center, rho, rho**d.time_exponent) for center, rho in self.targets]
 
 
+def _fields(cls, *names) -> dict:
+    """{name: field} of a dataclass, in declaration order (only the named
+    ones if any are given)."""
+    return {f.name: f for f in fields(cls) if not names or f.name in names}
+
+
+# [section] -> {key: dataclass field}; [targets] holds cylinder<N> keys
+_SCHEMA = {
+    "structure": _fields(StructureParams),
+    "domain": _fields(Domain, "box", "T", "nx", "nt"),
+    "coefficients": {f"{c}_{name}": f for c in "ab" for name, f in _fields(Coefficient).items()},
+    "boundary": _fields(BoundaryDatum),
+    "sweep": _fields(ExperimentConfig, "eps0", "levels"),
+    "targets": None,
+    "calibration": _fields(ExperimentConfig, "c_cal"),
+    "solver": _fields(ExperimentConfig, "tolerance", "max_iter"),
+    "output": {
+        "directory": _fields(ExperimentConfig)["out_dir"],
+        **_fields(ExperimentConfig, "seed"),
+    },
+}
+
+# the coefficient keys emitted for each kind, after <prefix>_kind
+_KIND_KEYS = {
+    "constant": ("value",),
+    "power": ("center", "exponent", "floor"),
+    "checkerboard": ("lo", "hi", "width", "origin"),
+}
+
+
 def _parse_lines(text: str):
     section = None
     entries = {}
@@ -147,24 +165,6 @@ def _parse_lines(text: str):
     return entries
 
 
-def _take(entries, section, key, conv, default=None, required=False):
-    if (section, key) not in entries:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return default
-    value, lineno = entries.pop((section, key))
-    try:
-        return conv(value)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
-
-
-def _float(v: str) -> float:
-    return float(v)
-
-
 def _int(v: str) -> int:
     f = float(v)
     if f != int(f):
@@ -176,8 +176,28 @@ def _floats(v: str) -> tuple:
     return tuple(float(x) for x in v.split())
 
 
-def _str(v: str) -> str:
-    return v
+# a field's annotation (a string under postponed evaluation) picks its parser
+_PARSERS = {"int": _int, "float": float, "tuple": _floats, "str": str}
+
+
+def _section(entries, section, prefix="") -> dict:
+    """Keyword arguments from the section's keys that start with prefix, by
+    field name.  A missing key is left to its field's default; a field with
+    no default is a required key."""
+    kw = {}
+    for key, f in _SCHEMA[section].items():
+        if not key.startswith(prefix):
+            continue
+        if (section, key) not in entries:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required key {key!r} in [{section}]")
+            continue
+        value, lineno = entries[(section, key)]
+        try:
+            kw[f.name] = _PARSERS[f.type](value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
+    return kw
 
 
 def load_config(path) -> ExperimentConfig:
@@ -187,61 +207,26 @@ def load_config(path) -> ExperimentConfig:
         text = fh.read()
     entries = _parse_lines(text)
 
-    params = StructureParams(
-        n=_take(entries, "structure", "n", _int, required=True),
-        p=_take(entries, "structure", "p", _float, required=True),
-        q=_take(entries, "structure", "q", _float, required=True),
-        alpha=_take(entries, "structure", "alpha", _float, default=math.inf),
-        beta=_take(entries, "structure", "beta", _float, default=math.inf),
-        mu=_take(entries, "structure", "mu", _float, default=0.0),
-        eps=_take(entries, "structure", "eps", _float, default=0.0),
-    )
+    params = StructureParams(**_section(entries, "structure"))
     d = derive(params)  # raises ParameterError if the gap fails
 
-    box = _take(entries, "domain", "box", _floats, required=True)
+    kw = _section(entries, "domain")
+    box = kw.pop("box")
     if len(box) != 2 * params.n:
         raise ConfigError(
             f"box needs {2 * params.n} numbers for n = {params.n}, got {len(box)}"
         )
-    domain = Domain(
-        n=params.n,
-        box=tuple((box[2 * i], box[2 * i + 1]) for i in range(params.n)),
-        T=_take(entries, "domain", "T", _float, required=True),
-        nx=_take(entries, "domain", "nx", _int, required=True),
-        nt=_take(entries, "domain", "nt", _int, required=True),
+    domain = Domain(n=params.n, box=tuple(zip(box[::2], box[1::2])), **kw)
+
+    coeffs = CoefficientSpec(
+        a=Coefficient(**_section(entries, "coefficients", "a_")),
+        b=Coefficient(**_section(entries, "coefficients", "b_")),
     )
-
-    def coefficient(prefix, default_kind):
-        kw = {"kind": _take(entries, "coefficients", f"{prefix}_kind", _str, default=default_kind)}
-        for name, conv in (
-            ("value", _float), ("exponent", _float), ("floor", _float),
-            ("lo", _float), ("hi", _float), ("width", _float), ("origin", _float),
-        ):
-            got = _take(entries, "coefficients", f"{prefix}_{name}", conv)
-            if got is not None:
-                kw[name] = got
-        center = _take(entries, "coefficients", f"{prefix}_center", _floats)
-        if center is not None:
-            kw["center"] = center
-        return Coefficient(**kw)
-
-    coeffs = CoefficientSpec(a=coefficient("a", "constant"), b=coefficient("b", "constant"))
-
-    psi = _take(entries, "boundary", "psi", _floats, default=(1.0,))
-    g = BoundaryDatum(
-        kind=_take(entries, "boundary", "kind", _str, default="zero"),
-        profile=_take(entries, "boundary", "profile", _str, default="sin"),
-        amplitude=_take(entries, "boundary", "amplitude", _float, default=1.0),
-        mode=_take(entries, "boundary", "mode", _int, default=1),
-        value=_take(entries, "boundary", "value", _float, default=0.0),
-        psi=psi,
-    )
+    g = BoundaryDatum(**_section(entries, "boundary"))
 
     targets = []
     target_items = sorted(
-        (key, entries.pop(("targets", key)))
-        for (sec, key) in list(entries)
-        if sec == "targets"
+        (key, entry) for (sec, key), entry in entries.items() if sec == "targets"
     )
     for key, (value, lineno) in target_items:
         try:
@@ -260,29 +245,25 @@ def load_config(path) -> ExperimentConfig:
                 f"target {key!r}: doubled cylinder leaves the space-time domain",
                 line=lineno,
             )
+        try:
+            _resolve(domain, Cylinder(center, rho, sigma))
+        except RegionError as exc:
+            raise ConfigError(f"target {key!r}: {exc}", line=lineno) from exc
         targets.append((center, rho))
 
-    cfg = ExperimentConfig(
-        params=params,
-        domain=domain,
-        coeffs=coeffs,
-        g=g,
-        eps0=_take(entries, "sweep", "eps0", _float, default=0.5),
-        levels=_take(entries, "sweep", "levels", _int, default=4),
-        targets=tuple(targets),
-        c_cal=_take(entries, "calibration", "c_cal", _float, default=1.0),
-        tolerance=_take(entries, "solver", "tolerance", _float, default=1e-10),
-        max_iter=_take(entries, "solver", "max_iter", _int, default=60),
-        out_dir=_take(entries, "output", "directory", _str, default="out"),
-        seed=_take(entries, "output", "seed", _int, default=0),
-    )
-    if entries:
-        (section, key), (_, lineno) = next(iter(entries.items()))
-        raise ConfigError(f"unconsumed key {key!r} in [{section}]", line=lineno)
-    return cfg
+    kw = {}
+    for section in ("sweep", "calibration", "solver", "output"):
+        kw.update(_section(entries, section))
+    if kw.get("out_dir") == "":
+        _, lineno = entries[("output", "directory")]
+        raise ConfigError("empty value for 'directory'", line=lineno)
+    return ExperimentConfig(params=params, domain=domain, coeffs=coeffs, g=g,
+                            targets=tuple(targets), **kw)
 
 
 def _fmt(v) -> str:
+    if isinstance(v, tuple):
+        return " ".join(_fmt(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -290,71 +271,23 @@ def _fmt(v) -> str:
 
 def emit_config(cfg: ExperimentConfig, path) -> None:
     """Write the canonical text form (load(emit(c)) == c, byte-identical on
-    re-emit)."""
-    p = cfg.params
-    lines = [
-        "[structure]",
-        f"n = {p.n}",
-        f"p = {_fmt(p.p)}",
-        f"q = {_fmt(p.q)}",
-        f"alpha = {_fmt(p.alpha)}",
-        f"beta = {_fmt(p.beta)}",
-        f"mu = {_fmt(p.mu)}",
-        f"eps = {_fmt(p.eps)}",
-        "",
-        "[domain]",
-        "box = " + " ".join(_fmt(v) for pair in cfg.domain.box for v in pair),
-        f"T = {_fmt(cfg.domain.T)}",
-        f"nx = {cfg.domain.nx}",
-        f"nt = {cfg.domain.nt}",
-        "",
-        "[coefficients]",
-    ]
-    for prefix, coeff in (("a", cfg.coeffs.a), ("b", cfg.coeffs.b)):
-        lines.append(f"{prefix}_kind = {coeff.kind}")
-        if coeff.kind == "constant":
-            lines.append(f"{prefix}_value = {_fmt(coeff.value)}")
-        elif coeff.kind == "power":
-            lines.append(f"{prefix}_center = " + " ".join(_fmt(c) for c in coeff.center))
-            lines.append(f"{prefix}_exponent = {_fmt(coeff.exponent)}")
-            lines.append(f"{prefix}_floor = {_fmt(coeff.floor)}")
+    re-emit): every section, every key of the schema except the coefficient
+    keys another kind reads."""
+    owners = {"structure": cfg.params, "domain": cfg.domain, "boundary": cfg.g}
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        if section == "coefficients":
+            for prefix, coeff in (("a", cfg.coeffs.a), ("b", cfg.coeffs.b)):
+                for name in ("kind", *_KIND_KEYS[coeff.kind]):
+                    lines.append(f"{prefix}_{name} = {_fmt(getattr(coeff, name))}")
+        elif section == "targets":
+            for i, (center, rho) in enumerate(cfg.targets, start=1):
+                lines.append(f"cylinder{i} = {_fmt((*center, rho))}")
         else:
-            lines.append(f"{prefix}_lo = {_fmt(coeff.lo)}")
-            lines.append(f"{prefix}_hi = {_fmt(coeff.hi)}")
-            lines.append(f"{prefix}_width = {_fmt(coeff.width)}")
-            lines.append(f"{prefix}_origin = {_fmt(coeff.origin)}")
-    lines += [
-        "",
-        "[boundary]",
-        f"kind = {cfg.g.kind}",
-        f"profile = {cfg.g.profile}",
-        f"amplitude = {_fmt(cfg.g.amplitude)}",
-        f"mode = {cfg.g.mode}",
-        f"value = {_fmt(cfg.g.value)}",
-        "psi = " + " ".join(_fmt(c) for c in cfg.g.psi),
-        "",
-        "[sweep]",
-        f"eps0 = {_fmt(cfg.eps0)}",
-        f"levels = {cfg.levels}",
-        "",
-        "[targets]",
-    ]
-    for i, (center, rho) in enumerate(cfg.targets, start=1):
-        lines.append(f"cylinder{i} = " + " ".join(_fmt(v) for v in (*center, rho)))
-    lines += [
-        "",
-        "[calibration]",
-        f"c_cal = {_fmt(cfg.c_cal)}",
-        "",
-        "[solver]",
-        f"tolerance = {_fmt(cfg.tolerance)}",
-        f"max_iter = {cfg.max_iter}",
-        "",
-        "[output]",
-        f"directory = {cfg.out_dir}",
-        f"seed = {cfg.seed}",
-        "",
-    ]
+            owner = owners.get(section, cfg)
+            lines += [f"{key} = {_fmt(getattr(owner, f.name))}" for key, f in keys.items()]
+        lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 

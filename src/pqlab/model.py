@@ -42,12 +42,12 @@ __all__ = [
 class Coefficient:
     """One nonnegative coefficient function from the preset family.
 
-    kind "constant":     value
+    kind "constant":     value (the default kind)
     kind "power":        max(|x - center|, floor)**exponent
     kind "checkerboard": lo/hi on a parity pattern of cells with given width
     """
 
-    kind: str
+    kind: str = "constant"
     value: float = 1.0
     center: tuple = (0.5,)
     exponent: float = 0.0

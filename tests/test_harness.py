@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,131 @@ seed = 11
 """
 
 
+# every section and every kind of key, written out of canonical order and
+# with non-canonical numerals; EVERY_KEY_CANONICAL is what emit_config makes
+# of it
+EVERY_KEY = """\
+# a 2D problem with every section
+[output]
+seed = 7
+directory = every_out
+
+[structure]
+n = 2
+q = 2.1
+p = 2
+alpha = inf
+beta = 2e1
+mu = 0.25
+eps = 0.125
+
+[domain]
+box = 0 1 -0.5 0.5
+T = 0.3
+nx = 17
+nt = 16
+
+[coefficients]
+b_kind = power
+b_center = 0.505 0.01
+b_exponent = 0.5
+b_floor = 1e-3
+a_kind = checkerboard
+a_lo = 0.5
+a_hi = 3
+a_width = 0.125
+a_origin = 0.0625
+
+[boundary]
+kind = separable
+profile = bump
+amplitude = 0.8
+mode = 2
+psi = 1 -0.5 0.25
+
+[sweep]
+eps0 = 0.25
+levels = 3
+
+[targets]
+cylinder2 = 0.45 0.05 0.25 0.15
+cylinder1 = 0.5 0.0 0.2 0.2
+
+[calibration]
+c_cal = 2.5
+
+[solver]
+tolerance = 1e-9
+max_iter = 40
+"""
+
+EVERY_KEY_CANONICAL = """\
+[structure]
+n = 2
+p = 2.0
+q = 2.1
+alpha = inf
+beta = 20.0
+mu = 0.25
+eps = 0.125
+
+[domain]
+box = 0.0 1.0 -0.5 0.5
+T = 0.3
+nx = 17
+nt = 16
+
+[coefficients]
+a_kind = checkerboard
+a_lo = 0.5
+a_hi = 3.0
+a_width = 0.125
+a_origin = 0.0625
+b_kind = power
+b_center = 0.505 0.01
+b_exponent = 0.5
+b_floor = 0.001
+
+[boundary]
+kind = separable
+profile = bump
+amplitude = 0.8
+mode = 2
+value = 0.0
+psi = 1.0 -0.5 0.25
+
+[sweep]
+eps0 = 0.25
+levels = 3
+
+[targets]
+cylinder1 = 0.5 0.0 0.2 0.2
+cylinder2 = 0.45 0.05 0.25 0.15
+
+[calibration]
+c_cal = 2.5
+
+[solver]
+tolerance = 1e-09
+max_iter = 40
+
+[output]
+directory = every_out
+seed = 7
+"""
+
+# nt = 16 puts no time node in (0.2 - sigma, 0.2] for rho = 0.1
+NODELESS_TARGET = MINIMAL.replace("alpha = 20.0\nbeta = 20.0\n", "").replace(
+    "nx = 33\nnt = 32\n", "nx = 17\nnt = 16\n\n[targets]\ncylinder1 = 0.5 0.2 0.1\n"
+)
+
+
+def readme_config() -> str:
+    """The ini block of the README's "Config format" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"^```ini\n(.*?)^```", readme, re.S | re.M).group(1)
+
+
 def write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -116,6 +242,26 @@ class TestConfig:
         broken = SWEEP_CFG.replace("cylinder1 = 0.5 0.12 0.2", "cylinder1 = 0.5 0.02 0.2")
         with pytest.raises(ConfigError, match="cylinder1"):
             load_config(write(tmp_path, broken))
+
+    def test_target_without_nodes_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 13: target 'cylinder1'.*no grid node"):
+            load_config(write(tmp_path, NODELESS_TARGET))
+
+    def test_empty_output_directory_rejected(self, tmp_path):
+        broken = MINIMAL + "\n[output]\ndirectory =\n"
+        with pytest.raises(ConfigError, match="line 15: .*'directory'"):
+            load_config(write(tmp_path, broken))
+
+    def test_readme_example_parses(self, tmp_path):
+        cfg = load_config(write(tmp_path, readme_config()))
+        assert cfg.coeffs.a.kind == "power" and cfg.g.kind == "profile"
+        assert cfg.levels == 6 and cfg.seed == 1234
+
+    def test_canonical_emission_of_every_key(self, tmp_path):
+        cfg = load_config(write(tmp_path, EVERY_KEY))
+        emit_config(cfg, tmp_path / "echo.cfg")
+        assert (tmp_path / "echo.cfg").read_text(encoding="utf-8") == EVERY_KEY_CANONICAL
+        assert load_config(tmp_path / "echo.cfg") == cfg
 
     def test_roundtrip_byte_identical(self, tmp_path):
         cfg = load_config(write(tmp_path, SWEEP_CFG))
@@ -209,6 +355,14 @@ class TestCLI:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "[nope]\n")
         assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("command", ["sweep", "verify-bound", "trace-degiorgi",
+                                         "check-caccioppoli"])
+    def test_nodeless_target_exit_code(self, command, tmp_path, capsys):
+        path = write(tmp_path, NODELESS_TARGET)
+        out = str(tmp_path / "x")
+        assert cli_main([command, "--config", str(path), "--out", out]) == 3
+        assert "cylinder1" in capsys.readouterr().err
 
     def test_solve_and_verify_bound(self, tmp_path, capsys):
         path = write(tmp_path, SWEEP_CFG)
