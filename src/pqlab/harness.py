@@ -1,13 +1,14 @@
 """Experiment orchestration: config files, regularization sweeps, reports.
 
 The config format is flat key-value text with one level of [section]
-headers, full-line # comments, and no nesting.  Unknown sections or keys
-are rejected with the offending line number.  The config dataclasses are
-the schema (_SCHEMA): each key is a field of StructureParams, Domain,
-Coefficient (a_/b_ prefixed), BoundaryDatum or ExperimentConfig, parsed by
-its annotation and defaulted from the field; a field with no default is a
-required key.  emit_config walks the same table to write the canonical
-form, so load/emit round-trips are byte-identical.
+headers, full-line # comments, and no nesting.  Unknown sections or keys,
+and coefficient keys that their kind does not read, are rejected with the
+offending line number.  The config dataclasses are the schema (_SCHEMA):
+each key is a field of StructureParams, Domain, Coefficient (a_/b_
+prefixed), BoundaryDatum or ExperimentConfig, parsed by its annotation and
+defaulted from the field; a field with no default is a required key.
+emit_config walks the same table to write the canonical form, so
+load/emit round-trips are byte-identical.
 
 A sweep solves the problem for the schedule eps_i = eps0 * 2**-i,
 i = 0..levels-1, all levels in one batched march, evaluates the energy
@@ -125,7 +126,7 @@ _SCHEMA = {
     },
 }
 
-# the coefficient keys emitted for each kind, after <prefix>_kind
+# the coefficient keys each kind reads, after <prefix>_kind
 _KIND_KEYS = {
     "constant": ("value",),
     "power": ("center", "exponent", "floor"),
@@ -200,6 +201,23 @@ def _section(entries, section, prefix="") -> dict:
     return kw
 
 
+def _coefficient(entries, prefix, n) -> Coefficient:
+    """The coefficient of the <prefix>_ keys.  A key its kind does not read,
+    and a power-law center without n numbers, are rejected."""
+    coeff = Coefficient(**_section(entries, "coefficients", prefix + "_"))
+    read = {f"{prefix}_{name}" for name in ("kind", *_KIND_KEYS[coeff.kind])}
+    for (section, key), (_, lineno) in entries.items():
+        if section == "coefficients" and key.startswith(prefix + "_") and key not in read:
+            raise ConfigError(f"{prefix}_kind = {coeff.kind} does not read {key!r}", line=lineno)
+    if coeff.kind == "power" and len(coeff.center) != n:
+        key = f"{prefix}_center"
+        if ("coefficients", key) not in entries:
+            raise ConfigError(f"missing key {key!r}: a power law needs a center of n = {n} numbers")
+        raise ConfigError(f"{key!r} needs {n} numbers for n = {n}, got {len(coeff.center)}",
+                          line=entries[("coefficients", key)][1])
+    return coeff
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config; unknown keys are rejected
     with their line number."""
@@ -218,10 +236,8 @@ def load_config(path) -> ExperimentConfig:
         )
     domain = Domain(n=params.n, box=tuple(zip(box[::2], box[1::2])), **kw)
 
-    coeffs = CoefficientSpec(
-        a=Coefficient(**_section(entries, "coefficients", "a_")),
-        b=Coefficient(**_section(entries, "coefficients", "b_")),
-    )
+    coeffs = CoefficientSpec(a=_coefficient(entries, "a", params.n),
+                             b=_coefficient(entries, "b", params.n))
     g = BoundaryDatum(**_section(entries, "boundary"))
 
     targets = []

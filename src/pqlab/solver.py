@@ -17,17 +17,14 @@ averaged onto the face, on +-e_j and +-e_k +- e_j.  newton_direction picks
 the linear solver by dimension: in 1D the stencil is the symmetric
 positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
 by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix.  A 2D time
-step factors it with SuperLU once, at its first Newton iteration, and its
-later iterations solve their exact Jacobian system by GMRES preconditioned
-by that factor; if GMRES does not converge or gives a non-finite direction,
-the matrix is refactored and solved directly, and the new factor serves the
-rest of the step.  The factors sit in an array with one slot per iterating
-member, narrowed together with the members, so a member's factor is freed
-once it converges or drops.  The directions agree with direct solves to
-GMRES's relative residual 1e-12.  Iteration stops once max|R| < tolerance *
-max(1, |w|_inf, dt |div_h F|_inf), so the rule does not depend on the scale
-of the data; a linear problem converges in one iteration.  Every step
-keeps its residual and step-length history.
+step factors it with SuperLU at its first Newton iteration; its later
+iterations solve their exact Jacobian system by defect correction with that
+factor to relative residual 1e-12 or, if the defect stops falling, refactor
+and solve directly, and the new factor serves the rest of the step.  A
+member's factor is freed once it converges or drops.  Iteration stops once
+max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf), so the rule does
+not depend on the scale of the data; a linear problem converges in one
+iteration.  Every step keeps its residual and step-length history.
 
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
@@ -104,14 +101,10 @@ _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
 # 2D linear solves after a member's first Newton iteration in a time step:
-# GMRES on the exact Newton matrix, preconditioned by the step's factor,
-# to relative residual _GMRES_RTOL within _GMRES_CYCLES restart cycles of
-# _GMRES_RESTART iterations.  One cycle often stops on its own residual
-# estimate short of the true one, hence more than one.  gmres takes rtol
-# from SciPy 1.12 on, the floor declared in pyproject.toml.
-_GMRES_RTOL = 1e-12
-_GMRES_RESTART = 10
-_GMRES_CYCLES = 3
+# defect correction with the step's factor on the exact Newton matrix, to
+# relative residual _CORRECTION_RTOL within _CORRECTIONS corrections.
+_CORRECTION_RTOL = 1e-12
+_CORRECTIONS = 30
 
 # Size of the sine-mode test family of the energy report's dual norm: 16
 # modes in 1D, 4 x 4 in 2D.
@@ -436,9 +429,9 @@ class _Stepper:
         of that member's earlier Newton matrices in this time step.  A
         member without one is factored and solved directly, and its factor
         is stored in its slot; a member with one solves its exact system
-        J(w) d = -R by GMRES preconditioned by that factor.  If GMRES does
-        not converge or gives a non-finite d, the member is refactored at
-        J(w) and solved directly, and the new factor replaces the old.
+        J(w) d = -R by defect correction with that factor.  If that gives
+        up, the member is refactored at J(w) and solved directly, and the
+        new factor replaces the old.
         factors=None factors every member afresh.
         """
         rhs = -it.residual
@@ -464,7 +457,7 @@ class _Stepper:
             def solve_member(row):
                 matrix, b = _stencil_matrix(stencil, row), rhs[row].ravel()
                 if factors[row] is not None:
-                    d_row = _preconditioned_gmres(matrix, b, factors[row])
+                    d_row = _defect_correction(matrix, b, factors[row])
                     if d_row is not None:
                         return d_row.reshape(rhs[row].shape)
                     factors[row] = None  # release the stale factor before refactoring
@@ -565,13 +558,20 @@ class _Stepper:
         return out[:live], histories, failure
 
 
-def _preconditioned_gmres(matrix, b, lu):
-    """Solve matrix x = b by GMRES, preconditioned by the SuperLU factor lu
-    of a nearby matrix; None unless it converged to a finite x."""
-    precondition = scipy.sparse.linalg.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float)
-    x, info = scipy.sparse.linalg.gmres(matrix, b, M=precondition, rtol=_GMRES_RTOL, atol=0.0,
-                                        restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
-    return x if info == 0 and np.all(np.isfinite(x)) else None
+def _defect_correction(matrix, b, lu):
+    """Solve matrix x = b by x += lu.solve(b - matrix x) from x = lu.solve(b),
+    lu the SuperLU factor of a nearby matrix; None unless |b - matrix x|
+    falls at every correction (at a non-finite x it is NaN or infinite and
+    never does) and reaches _CORRECTION_RTOL |b| within _CORRECTIONS."""
+    x, last, target = lu.solve(b), math.inf, _CORRECTION_RTOL * np.linalg.norm(b)
+    for corrections in itertools.count():
+        defect = b - matrix @ x
+        norm = np.linalg.norm(defect)
+        if norm <= target:
+            return x
+        if not norm < last or corrections == _CORRECTIONS:
+            return None
+        x, last = x + lu.solve(defect), norm
 
 
 def _stencil_matrix(stencil: dict, row: int):

@@ -252,6 +252,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 15: .*'directory'"):
             load_config(write(tmp_path, broken))
 
+    @pytest.mark.parametrize("block,key,line", [
+        ("b_kind = constant\nb_value = 1.0\nb_exponent = 3.0\n", "b_exponent", 22),
+        ("b_kind = power\nb_center = 0.5\nb_value = 2.0\n", "b_value", 22),
+        ("b_kind = checkerboard\nb_center = 0.5\n", "b_center", 21),
+    ])
+    def test_coefficient_key_its_kind_does_not_read_rejected(self, block, key, line, tmp_path):
+        broken = SWEEP_CFG.replace("b_kind = constant\nb_value = 1.0\n", block)
+        with pytest.raises(ConfigError, match=f"line {line}: .*'{key}'"):
+            load_config(write(tmp_path, broken))
+
+    def test_power_center_needs_n_numbers(self, tmp_path):
+        text = MINIMAL.replace("n = 1", "n = 2").replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
+        text += "\n[coefficients]\na_kind = power\na_exponent = 0.04\n"
+        with pytest.raises(ConfigError, match="'a_center'"):
+            load_config(write(tmp_path, text))
+        short = text + "a_center = 0.505\n"  # line 17
+        with pytest.raises(ConfigError, match="line 17: .*'a_center'.*2 numbers"):
+            load_config(write(tmp_path, short))
+        cfg = load_config(write(tmp_path, text + "a_center = 0.505 0.505\n"))
+        assert cfg.coeffs.a.center == (0.505, 0.505)
+
     def test_readme_example_parses(self, tmp_path):
         cfg = load_config(write(tmp_path, readme_config()))
         assert cfg.coeffs.a.kind == "power" and cfg.g.kind == "profile"

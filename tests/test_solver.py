@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -37,6 +38,7 @@ from pqlab import (
     variational_gap_curve,
     weak_residual,
 )
+from pqlab import solver
 from pqlab.solver import _Stepper
 
 
@@ -383,7 +385,7 @@ def _factor_every_iteration(stepper, it, t, factors=None):
 
 class TestFactorReuse:
     """In 2D a member's first Newton matrix of a time step is factored and
-    preconditions GMRES on its later iterations in that step."""
+    serves defect correction on its later iterations in that step."""
 
     @pytest.mark.parametrize("p,q,amplitude", [(3.0, 3.2, 5.0), (4.0, 4.3, 5.0), (2.0, 2.1, 1e5)])
     def test_matches_factoring_every_iteration(self, p, q, amplitude, monkeypatch):
@@ -395,56 +397,57 @@ class TestFactorReuse:
         scale = np.abs(ref_u.values).max()
         assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("stub_result", ["no convergence", "non-finite"])
-    def test_gmres_failure_falls_back_to_direct_solve(self, stub_result, rng, monkeypatch):
+    @pytest.mark.parametrize("stale", ["growth", "non-finite"])
+    def test_failed_correction_falls_back_to_direct_solve(self, stale, rng):
         cfg = _probe_config_2d(3.0, 3.2, 5.0, nx=9, nt=4)
         stepper = _Stepper(cfg, [0.5, 0.25])
         shape = (1,) + (cfg.domain.nx,) * 2
         u_prev = rng.normal(size=shape)
-        members = np.array([1])
+        it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, np.array([1]))
+
+        # a factor of 0.25 J makes the first correction triple the defect
+        lu = scipy.sparse.linalg.splu(0.25 * stepper.jacobian(it, 0), permc_spec="MMD_AT_PLUS_A")
+        solves = []
+
+        class StaleFactor:
+            def solve(self, b):
+                solves.append(b)
+                return lu.solve(b) if stale == "growth" else np.full_like(b, np.nan)
+
         factors = np.full(1, None)
-        first = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, members)
-        _, bad = stepper.newton_direction(first, 0.1, factors)
-        assert bad is None and factors[0] is not None
-        stale = factors[0]
-        it = stepper.evaluate(first.w + 0.1 * rng.normal(size=shape), u_prev, members)
-        calls = []
-
-        def gmres(matrix, b, **kwargs):
-            calls.append(b)
-            if stub_result == "no convergence":
-                return np.zeros_like(b), 1
-            return np.full_like(b, np.nan), 0
-
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", gmres)
-        d, bad = stepper.newton_direction(it, 0.1, factors)
-        assert bad is None and len(calls) == 1
+        factors[0] = old = StaleFactor()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d, bad = stepper.newton_direction(it, 0.1, factors)
+        assert bad is None
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
         assert np.array_equal(d, direct)
-        assert factors[0] is not None and factors[0] is not stale
+        assert factors[0] is not None and factors[0] is not old
+        # given up at the first growth, or at once for a non-finite x
+        assert len(solves) == (2 if stale == "growth" else 1)
 
     def test_one_factorization_per_step_and_member(self, monkeypatch):
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
-        factorizations, infos = [], []
-        splu, gmres = scipy.sparse.linalg.splu, scipy.sparse.linalg.gmres
+        factorizations, corrected = [], []
+        splu, defect_correction = scipy.sparse.linalg.splu, solver._defect_correction
 
         def counted_splu(*args, **kwargs):
             factorizations.append(1)
             return splu(*args, **kwargs)
 
-        def counted_gmres(*args, **kwargs):
-            x, info = gmres(*args, **kwargs)
-            infos.append(info)
-            return x, info
+        def counted_correction(*args):
+            x = defect_correction(*args)
+            corrected.append(x is not None)
+            return x
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", counted_gmres)
+        monkeypatch.setattr(solver, "_defect_correction", counted_correction)
         results, failure = solve_levels(cfg, [0.5, 0.125])
         assert failure is None
         iterations = sum(stats.total_iterations for _, stats in results)
         assert len(factorizations) == cfg.domain.nt * 2
-        assert len(infos) == iterations - len(factorizations) > 0
-        assert set(infos) == {0}
+        assert len(corrected) == iterations - len(factorizations) > 0
+        assert all(corrected)
 
     def test_factors_held_only_for_iterating_members(self, monkeypatch):
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
