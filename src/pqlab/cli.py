@@ -22,6 +22,7 @@ from .exponents import StructureParams, check_gap, derive
 from .grid import (
     Cylinder,
     Domain,
+    coefficient_norms,
     constant_field,
     field_from_function,
     save_field_csv,
@@ -37,16 +38,31 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+# override flag of a config command -> (its type, the ExperimentConfig field)
+_OVERRIDES = {"out": (str, "out_dir"), "seed": (int, "seed"), "calibration": (float, "c_cal")}
+
+
 def _load(args) -> harness.ExperimentConfig:
+    """The config file with the command's override flags applied."""
     cfg = harness.load_config(args.config)
-    updates = {}
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "calibration", None) is not None:
-        updates["c_cal"] = args.calibration
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    updates = {name: getattr(args, flag) for flag, (_, name) in _OVERRIDES.items()
+               if getattr(args, flag, None) not in (None, "")}
+    return dataclasses.replace(cfg, **updates)
+
+
+def _solved(args):
+    """(config, solve config, solved field, solve stats) of a config command."""
+    cfg = _load(args)
+    scfg = cfg.solve_config()
+    return cfg, scfg, *solve(scfg)
+
+
+def _write_table(args, cfg, name, header, rows) -> str:
+    """Write a CSV table to --out, else to name in the output directory."""
+    out = args.out or os.path.join(cfg.out_dir, name)
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    harness._write_csv(out, header, rows)
+    return out
 
 
 def cmd_derive(args) -> int:
@@ -55,33 +71,13 @@ def cmd_derive(args) -> int:
         mu=args.mu, eps=args.eps,
     )
     gap = check_gap(params)
-    record = {
-        "params": {
-            "n": params.n, "p": params.p, "q": params.q,
-            "alpha": params.alpha, "beta": params.beta, "mu": params.mu,
-            "eps": params.eps,
-        },
-        "gap": {
-            "ok": gap.ok,
-            "margin": gap.margin,
-            "rhs": gap.rhs,
-            "coefficient_product": gap.coefficient_product,
-            "coefficient_floor": gap.coefficient_floor,
-            "implied_restriction_ok": gap.implied_restriction_ok,
-        },
-    }
+    record = {"params": dataclasses.asdict(params), "gap": dataclasses.asdict(gap)}
     if not gap.ok:
         _print_json(record)
         return 3
     d = derive(params)
-    record["exponents"] = {
-        k: getattr(d, k)
-        for k in (
-            "p_alpha", "q_beta", "beta_conj", "gamma", "m", "kappa",
-            "theta1", "theta2", "theta3", "p_conj", "p_alpha_conj",
-            "q_beta_conj", "q_equals_p",
-        )
-    }
+    record["exponents"] = {k: v for k, v in dataclasses.asdict(d).items()
+                           if k not in record["params"]}
     record["chain"] = {
         "gamma": d.gamma,
         "gamma_over_beta_conj": d.gamma / d.beta_conj,
@@ -182,9 +178,7 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args)
-    scfg = cfg.solve_config()
-    u, stats = solve(scfg)
+    cfg, scfg, u, stats = _solved(args)
     prefix = args.out or "solution"
     parent = os.path.dirname(prefix)
     if parent:
@@ -211,21 +205,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    cfg = _load(args)
-    u, _ = solve(cfg.solve_config())
+    cfg, _, u, _ = _solved(args)
     reports = harness.target_bounds(cfg, u)
     rows = [harness._bound_row(0, b) for b in reports]
-    out = args.out or os.path.join(cfg.out_dir, "bounds.csv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    harness._write_csv(out, harness.bound_csv_header(cfg.domain.n), rows)
+    out = _write_table(args, cfg, "bounds.csv", harness.bound_csv_header(cfg.domain.n), rows)
     print(f"{sum(b.passed for b in reports)}/{len(reports)} targets pass; report: {out}")
     return 0 if all(b.passed for b in reports) else 1
 
 
 def cmd_trace(args) -> int:
-    cfg = _load(args)
-    scfg = cfg.solve_config()
-    u, _ = solve(scfg)
+    cfg, scfg, u, _ = _solved(args)
     rows = []
     summaries = []
     monotone = True
@@ -247,19 +236,14 @@ def cmd_trace(args) -> int:
             "threshold_ok": tr.threshold_ok,
             "truncated": tr.truncated,
         })
-    out = args.out or os.path.join(cfg.out_dir, "trace.csv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    harness._write_csv(out, ["target", "i", "rho_i", "sigma_i", "k_i", "X_i", "C_i"], rows)
+    _write_table(args, cfg, "trace.csv",
+                 ["target", "i", "rho_i", "sigma_i", "k_i", "X_i", "C_i"], rows)
     _print_json(summaries)
     return 0 if monotone else 1
 
 
 def cmd_check_caccioppoli(args) -> int:
-    cfg = _load(args)
-    scfg = cfg.solve_config()
-    u, _ = solve(scfg)
-    from .grid import coefficient_norms
-
+    cfg, scfg, u, _ = _solved(args)
     a = scfg.spec.coeffs.a.sample(cfg.domain)
     b = scfg.spec.coeffs.b.sample(cfg.domain)
     rows = []
@@ -275,21 +259,14 @@ def cmd_check_caccioppoli(args) -> int:
             )
             worst = max(worst, sides.c_min)
             rows.append([ti, k, sides.lhs, *sides.rhs_terms, sides.c_min])
-    out = args.out or os.path.join(cfg.out_dir, "caccioppoli.csv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    harness._write_csv(
-        out,
-        ["target", "level", "lhs", "rhs_mu", "rhs_hoelder", "rhs_eps", "rhs_time", "c_min"],
-        rows,
-    )
+    _write_table(args, cfg, "caccioppoli.csv", ["target", "level", "lhs", "rhs_mu",
+                 "rhs_hoelder", "rhs_eps", "rhs_time", "c_min"], rows)
     print(f"worst empirical constant: {worst:.6g} (cap {_CACCIOPPOLI_CAP:g})")
     return 0 if worst <= _CACCIOPPOLI_CAP else 1
 
 
 def cmd_check_energy(args) -> int:
-    cfg = _load(args)
-    scfg = cfg.solve_config()
-    u, _ = solve(scfg)
+    cfg, scfg, u, _ = _solved(args)
     e = energy_report(u, scfg)
     record = dict(zip(ENERGY_COLUMNS, e.row()))
     record["pass"] = bool(math.isfinite(e.empirical_constant))
@@ -302,9 +279,7 @@ def cmd_check_energy(args) -> int:
 def cmd_check_varsol(args) -> int:
     # a single solve is checked against the integrand it actually minimized
     # (its own eps); the unregularized inequality is the sweep's business
-    cfg = _load(args)
-    scfg = cfg.solve_config()
-    u, _ = solve(scfg)
+    _, scfg, u, _ = _solved(args)
     records = []
     ok = True
     for v in comparison_maps(scfg):
@@ -363,21 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("case", choices=["mollify", "interp", "geom", "absorb"])
     p.set_defaults(func=cmd_lemma)
 
-    for name, fn, needs_out in (
-        ("solve", cmd_solve, True),
-        ("verify-bound", cmd_verify_bound, True),
-        ("trace-degiorgi", cmd_trace, True),
-        ("check-caccioppoli", cmd_check_caccioppoli, True),
-        ("check-energy", cmd_check_energy, False),
-        ("check-varsol", cmd_check_varsol, False),
-        ("sweep", cmd_sweep, True),
+    # each config command takes the override flags it reads
+    for name, fn, flags in (
+        ("solve", cmd_solve, ("out",)),
+        ("verify-bound", cmd_verify_bound, ("out", "calibration")),
+        ("trace-degiorgi", cmd_trace, ("out", "calibration")),
+        ("check-caccioppoli", cmd_check_caccioppoli, ("out", "calibration")),
+        ("check-energy", cmd_check_energy, ()),
+        ("check-varsol", cmd_check_varsol, ()),
+        ("sweep", cmd_sweep, ("out", "seed", "calibration")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        if needs_out:
-            p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--calibration", type=float, default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=_OVERRIDES[flag][0], default=None)
         p.set_defaults(func=fn)
     return parser
 

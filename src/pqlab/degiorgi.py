@@ -60,7 +60,6 @@ class CaccioppoliSides:
 
     lhs_terms: tuple
     rhs_terms: tuple
-    level: float
 
     @property
     def lhs(self) -> float:
@@ -107,7 +106,7 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     sup_term = slice_sup_l2(trunc, inner)
     if sup_term == 0.0 and mean_integral(trunc, 1.0, outer) == 0.0:
         zero3, zero4 = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
-        return CaccioppoliSides(zero3, zero4, k)
+        return CaccioppoliSides(zero3, zero4)
 
     dmag = _grad_magnitude(trunc)
     grad_int = _power_integral(dmag, d.p_alpha, inner)
@@ -132,7 +131,7 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     ) ** d.time_exponent
     t_eps = eps / dr**d.q_beta * _power_integral(trunc, d.q_beta, outer)
     t_time = _power_integral(trunc, 2.0, outer) / ds
-    return CaccioppoliSides(lhs_terms, (t_mu, t_hoelder, t_eps, t_time), k)
+    return CaccioppoliSides(lhs_terms, (t_mu, t_hoelder, t_eps, t_time))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +228,6 @@ class DeGiorgiTrace:
     energies X_i, the per-step constants at the fitted rate, and the fitted
     certificate (lambda, C) with its convergence threshold."""
 
-    center: tuple
-    rho: float
-    sigma: float
-    level: float
     rho_i: np.ndarray
     sigma_i: np.ndarray
     k_i: np.ndarray
@@ -278,10 +273,6 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
     else:
         threshold = math.inf
     return DeGiorgiTrace(
-        center=q0.center,
-        rho=rho,
-        sigma=sigma,
-        level=k,
         rho_i=rho_i,
         sigma_i=sigma_i,
         k_i=k_i,
@@ -349,7 +340,6 @@ class BoundReport:
     norm_a: float
     norm_b: float
     mean_um: float
-    mu: float
     passed: bool
 
 
@@ -397,6 +387,5 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
         norm_a=norms.norm_a,
         norm_b=norms.norm_b,
         mean_um=mean_um,
-        mu=mu,
         passed=ess <= k_choice,
     )

@@ -56,6 +56,9 @@ __all__ = [
 
 _MAGIC = b"PQF1"
 
+# names of the spatial axes; an n-dimensional domain has the first n
+AXES = "xyz"
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -334,9 +337,6 @@ class CoefficientNorms:
     norm_b: float
     raw_a: float
     raw_b: float
-    alpha: float
-    beta: float
-    measure: float
 
 
 def coefficient_norms(a: SpaceTimeField, b: SpaceTimeField, alpha: float,
@@ -356,7 +356,7 @@ def coefficient_norms(a: SpaceTimeField, b: SpaceTimeField, alpha: float,
     else:
         raw_b = lp_norm(b, beta, region)
         norm_b = raw_b / measure ** (1.0 / beta)
-    return CoefficientNorms(norm_a, norm_b, raw_a, raw_b, alpha, beta, measure)
+    return CoefficientNorms(norm_a, norm_b, raw_a, raw_b)
 
 
 def _finite_or_raise(values: np.ndarray) -> np.ndarray:
@@ -377,7 +377,7 @@ def save_field_csv(f: SpaceTimeField, path) -> None:
     and coordinate columns are formatted once and the file is written one
     time level at a time."""
     dom = f.domain
-    cols = ["t", "x", "y"][: 1 + dom.n] + ["value"]
+    cols = ["t", *AXES[: dom.n], "value"]
     spatial = np.meshgrid(*dom.axes, indexing="ij")
     prefixes = [
         "".join(f"{c:.17g}," for c in node)
@@ -422,7 +422,7 @@ def load_field_csv(path) -> SpaceTimeField:
         )
     grid = np.meshgrid(dom.times, *dom.axes, indexing="ij")
     extents = [dom.T] + [hi - lo for lo, hi in dom.box]
-    for col, (name, g, extent) in enumerate(zip(("t", "x", "y"), grid, extents)):
+    for col, (name, g, extent) in enumerate(zip("t" + AXES, grid, extents)):
         off = np.abs(data[:, col] - g.ravel()) > 1e-12 * extent
         if off.any():
             row = int(np.argmax(off))

@@ -30,9 +30,10 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .degiorgi import BoundReport, verify_sup_bound
-from .errors import ConfigError, RegionError
+from .errors import ConfigError, ParameterError, RegionError
 from .exponents import StructureParams, derive
 from .grid import (
+    AXES,
     Cylinder,
     Domain,
     SpaceTimeField,
@@ -201,10 +202,23 @@ def _section(entries, section, prefix="") -> dict:
     return kw
 
 
+def _build(cls, entries, section, prefix="", **kw):
+    """cls from the section's keys that start with prefix, overridden by kw.
+    A ParameterError from its range checks becomes a ConfigError naming the
+    section (and prefix) at the line of the group's first key."""
+    try:
+        return cls(**{**_section(entries, section, prefix), **kw})
+    except ParameterError as exc:
+        line = min((lineno for (sec, key), (_, lineno) in entries.items()
+                    if sec == section and key.startswith(prefix)), default=None)
+        where = f"[{section}] {prefix}*" if prefix else f"[{section}]"
+        raise ConfigError(f"{where}: {exc}", line=line) from exc
+
+
 def _coefficient(entries, prefix, n) -> Coefficient:
     """The coefficient of the <prefix>_ keys.  A key its kind does not read,
     and a power-law center without n numbers, are rejected."""
-    coeff = Coefficient(**_section(entries, "coefficients", prefix + "_"))
+    coeff = _build(Coefficient, entries, "coefficients", prefix + "_")
     read = {f"{prefix}_{name}" for name in ("kind", *_KIND_KEYS[coeff.kind])}
     for (section, key), (_, lineno) in entries.items():
         if section == "coefficients" and key.startswith(prefix + "_") and key not in read:
@@ -225,20 +239,20 @@ def load_config(path) -> ExperimentConfig:
         text = fh.read()
     entries = _parse_lines(text)
 
-    params = StructureParams(**_section(entries, "structure"))
+    params = _build(StructureParams, entries, "structure")
     d = derive(params)  # raises ParameterError if the gap fails
 
-    kw = _section(entries, "domain")
-    box = kw.pop("box")
+    box = _section(entries, "domain")["box"]
     if len(box) != 2 * params.n:
         raise ConfigError(
             f"box needs {2 * params.n} numbers for n = {params.n}, got {len(box)}"
         )
-    domain = Domain(n=params.n, box=tuple(zip(box[::2], box[1::2])), **kw)
+    domain = _build(Domain, entries, "domain", n=params.n,
+                    box=tuple(zip(box[::2], box[1::2])))
 
     coeffs = CoefficientSpec(a=_coefficient(entries, "a", params.n),
                              b=_coefficient(entries, "b", params.n))
-    g = BoundaryDatum(**_section(entries, "boundary"))
+    g = _build(BoundaryDatum, entries, "boundary")
 
     targets = []
     target_items = sorted(
@@ -251,7 +265,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"bad target {key!r}: {exc}", line=lineno) from exc
         if len(nums) != params.n + 2:
             raise ConfigError(
-                f"target {key!r} needs {params.n + 2} numbers (x{' y' if params.n == 2 else ''} t rho)",
+                f"target {key!r} needs {params.n + 2} numbers ({' '.join(AXES[:params.n])} t rho)",
                 line=lineno,
             )
         center, rho = nums[:-1], nums[-1]
@@ -348,14 +362,15 @@ class SweepReport:
         return out
 
 
-def _target_mask(cfg: ExperimentConfig):
-    """Union of the half target cylinders (the compact verification set K)."""
-    masks = None
+def _target_mask(cfg: ExperimentConfig) -> np.ndarray:
+    """Node mask (time level, flat space) of the union of the half target
+    cylinders, the compact verification set K; every node without targets."""
+    dom = cfg.domain
+    mask = np.zeros((dom.nt + 1, dom.nx**dom.n), bool)
     for center, rho, sigma in cfg.target_cylinders():
-        tm, sm = _resolve(cfg.domain, Cylinder(center, rho, sigma))
-        block = tm[:, None] & sm.ravel()[None, :]
-        masks = block if masks is None else (masks | block)
-    return masks
+        tm, sm = _resolve(dom, Cylinder(center, rho, sigma))
+        mask |= tm[:, None] & sm.ravel()[None, :]
+    return mask if cfg.targets else ~mask
 
 
 def target_bounds(cfg: ExperimentConfig, u: SpaceTimeField, eps: float | None = None) -> list:
@@ -402,11 +417,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 
     mask = _target_mask(cfg)
     for prev, cur in zip(levels, levels[1:]):
-        diff = np.abs(cur.field.values - prev.field.values).reshape(mask.shape if mask is not None else (-1,))
-        if mask is None:
-            report.cauchy.append(float(diff.max()))
-        else:
-            report.cauchy.append(float(diff[mask].max()))
+        diff = np.abs(cur.field.values - prev.field.values).reshape(mask.shape)
+        report.cauchy.append(float(diff[mask].max()))
 
     for lv in levels:
         if all(b.eps_ok for b in lv.bounds):
@@ -420,7 +432,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         gaps, scales = variational_gap_curve(last.field, v, scfg, eps=0.0)
         report.varsol.append((v.name, taus, gaps, scales))
 
-    if mask is not None:
+    if cfg.targets:
         flat = np.abs(last.field.values).reshape(mask.shape)
         report.ess_sup_K = float(flat[mask].max())
         dg_term = last.energy.eps_dg_term
@@ -449,20 +461,21 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
+# bounds.csv columns after the level index and the center: BoundReport
+# fields, each headed by its name ("pass" for passed)
+_BOUND_FIELDS = ("rho", "sigma", "ess_sup", "k_choice", "k_theorem", "margin", "eps",
+                 "eps_threshold", "passed")
+
+
 def _bound_row(i: int, b: BoundReport):
-    return [
-        i, *b.center, b.rho, b.sigma, b.ess_sup, b.k_choice, b.k_theorem,
-        b.margin, b.eps, b.eps_threshold, b.passed,
-    ]
+    return [i, *b.center, *(getattr(b, name) for name in _BOUND_FIELDS)]
 
 
 def bound_csv_header(n: int):
     """Columns of _bound_row in n space dimensions.  The header needs n
     because a sweep that fails at its first level writes it with no rows."""
-    return [
-        "i", *("center_x", "center_y")[:n], "center_t", "rho", "sigma", "ess_sup",
-        "k_choice", "k_theorem", "margin", "eps", "eps_threshold", "pass",
-    ]
+    return ["i", *(f"center_{axis}" for axis in AXES[:n] + "t"),
+            *("pass" if name == "passed" else name for name in _BOUND_FIELDS)]
 
 
 def emit_reports(report: SweepReport, out_dir) -> None:

@@ -193,7 +193,6 @@ class StructureReport:
     model_upper_constant: float
     coercivity_constant: float
     coercivity_slack_min: float
-    samples: int
 
 
 def _ratio_max(num, den):
@@ -235,7 +234,6 @@ def check_structure(spec: IntegrandSpec, domain: Domain, sample_count: int = 64,
     coer_c = np.inf
     slack_min = np.inf
     violated = np.zeros(take, dtype=bool)
-    count = 0
 
     for r in radii:
         for k in range(dirs.shape[1]):
@@ -256,7 +254,6 @@ def check_structure(spec: IntegrandSpec, domain: Domain, sample_count: int = 64,
             coer_c = min(coer_c, float(np.min(ratios)))
             slack_min = min(slack_min, float(np.min(pairing - lower_ref)))
             violated |= fmag > upper_ref * (1.0 + 1e-12)
-            count += take
 
     sample_measure = domain.space_volume() * domain.T / take
     return StructureReport(
@@ -265,5 +262,4 @@ def check_structure(spec: IntegrandSpec, domain: Domain, sample_count: int = 64,
         model_upper_constant=model_c,
         coercivity_constant=coer_c,
         coercivity_slack_min=slack_min,
-        samples=count,
     )

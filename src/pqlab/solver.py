@@ -19,7 +19,7 @@ positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
 by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix.  A 2D time
 step factors it with SuperLU at its first Newton iteration; its later
 iterations solve their exact Jacobian system by defect correction with that
-factor to relative residual 1e-12 or, if the defect stops falling, refactor
+factor to relative residual 1e-12 or, if the defect falls too slowly, refactor
 and solve directly, and the new factor serves the rest of the step.  A
 member's factor is freed once it converges or drops.  Iteration stops once
 max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf), so the rule does
@@ -562,14 +562,15 @@ def _defect_correction(matrix, b, lu):
     """Solve matrix x = b by x += lu.solve(b - matrix x) from x = lu.solve(b),
     lu the SuperLU factor of a nearby matrix; None unless |b - matrix x|
     falls at every correction (at a non-finite x it is NaN or infinite and
-    never does) and reaches _CORRECTION_RTOL |b| within _CORRECTIONS."""
+    never does) and, at the last correction's rate, can still reach
+    _CORRECTION_RTOL |b| within _CORRECTIONS."""
     x, last, target = lu.solve(b), math.inf, _CORRECTION_RTOL * np.linalg.norm(b)
     for corrections in itertools.count():
         defect = b - matrix @ x
         norm = np.linalg.norm(defect)
         if norm <= target:
             return x
-        if not norm < last or corrections == _CORRECTIONS:
+        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - corrections) > target:
             return None
         x, last = x + lu.solve(defect), norm
 

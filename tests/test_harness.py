@@ -11,7 +11,7 @@ import pytest
 
 from pqlab import ConfigError, emit_config, load_config, run_sweep, solve
 from pqlab.cli import main as cli_main
-from pqlab.harness import emit_reports
+from pqlab.harness import bound_csv_header, emit_reports
 
 MINIMAL = """\
 [structure]
@@ -182,6 +182,52 @@ directory = every_out
 seed = 7
 """
 
+# `pqlab derive --n 2 --p 2 --q 2.1 --alpha 20 --beta 20`
+DERIVE_REFERENCE = """\
+{
+  "chain": {
+    "gamma": 2.6845637583892628,
+    "gamma_over_beta_conj": 2.5503355704698,
+    "lower": 2.0,
+    "p_alpha_ratio": 2.3668639053254443,
+    "p_ratio": 2.2222222222222223,
+    "q": 2.1
+  },
+  "exponents": {
+    "beta_conj": 1.0526315789473684,
+    "gamma": 2.6845637583892628,
+    "kappa": 0.5767195767195763,
+    "m": 3.8095238095238093,
+    "p_alpha": 1.9047619047619047,
+    "p_alpha_conj": 2.105263157894737,
+    "p_conj": 2.0,
+    "q_beta": 2.210526315789474,
+    "q_beta_conj": 1.826086956521739,
+    "q_equals_p": false,
+    "theta1": 0.5369318181818189,
+    "theta2": 1.19318181818182,
+    "theta3": 0.32514204545454567
+  },
+  "gap": {
+    "coefficient_floor": 0.75,
+    "coefficient_product": 0.9047619047619048,
+    "implied_restriction_ok": true,
+    "margin": 0.20952380952380945,
+    "ok": true,
+    "rhs": 2.3095238095238093
+  },
+  "params": {
+    "alpha": 20.0,
+    "beta": 20.0,
+    "eps": 0.0,
+    "mu": 0.0,
+    "n": 2,
+    "p": 2.0,
+    "q": 2.1
+  }
+}
+"""
+
 # nt = 16 puts no time node in (0.2 - sigma, 0.2] for rho = 0.1
 NODELESS_TARGET = MINIMAL.replace("alpha = 20.0\nbeta = 20.0\n", "").replace(
     "nx = 33\nnt = 32\n", "nx = 17\nnt = 16\n\n[targets]\ncylinder1 = 0.5 0.2 0.1\n"
@@ -273,6 +319,18 @@ class TestConfig:
         cfg = load_config(write(tmp_path, text + "a_center = 0.505 0.505\n"))
         assert cfg.coeffs.a.center == (0.505, 0.505)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("b_value = 1.0", "b_value = -1",
+         r"line 20: \[coefficients\] b_\*: constant coefficient must be nonnegative"),
+        ("a_kind = power", "a_kind =",
+         r"line 17: \[coefficients\] a_\*: unknown coefficient kind ''"),
+        ("nx = 33", "nx = 2", r"line 11: \[domain\]: need nx >= 3 nodes per axis, got 2"),
+    ], ids=["b_value", "a_kind", "nx"])
+    def test_range_error_names_section_and_line(self, old, new, message, tmp_path):
+        # the line is that of the group's first key: b_kind, a_kind, box
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, SWEEP_CFG.replace(old, new)))
+
     def test_readme_example_parses(self, tmp_path):
         cfg = load_config(write(tmp_path, readme_config()))
         assert cfg.coeffs.a.kind == "power" and cfg.g.kind == "profile"
@@ -359,6 +417,11 @@ class TestCLI:
         assert record["gap"]["ok"]
         assert record["exponents"]["kappa"] == pytest.approx(109.0 / 189.0, abs=1e-13)
 
+    def test_derive_output_text(self, capsys):
+        assert cli_main(["derive", "--n", "2", "--p", "2", "--q", "2.1",
+                         "--alpha", "20", "--beta", "20"]) == 0
+        assert capsys.readouterr().out == DERIVE_REFERENCE
+
     def test_derive_gap_failure_exit_code(self, capsys):
         assert cli_main(["derive", "--n", "2", "--p", "2", "--q", "2.5"]) == 3
         record = json.loads(capsys.readouterr().out)
@@ -397,6 +460,37 @@ class TestCLI:
         header = Path(out_csv).read_text().splitlines()[0].split(",")
         assert header == ["i", "center_x", "center_t", "rho", "sigma", "ess_sup",
                           "k_choice", "k_theorem", "margin", "eps", "eps_threshold", "pass"]
+
+    def test_bound_csv_header(self):
+        assert bound_csv_header(1) == [
+            "i", "center_x", "center_t", "rho", "sigma", "ess_sup", "k_choice",
+            "k_theorem", "margin", "eps", "eps_threshold", "pass"]
+        assert bound_csv_header(2) == [
+            "i", "center_x", "center_y", "center_t", "rho", "sigma", "ess_sup",
+            "k_choice", "k_theorem", "margin", "eps", "eps_threshold", "pass"]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("solve", "--seed"), ("check-energy", "--calibration"), ("check-varsol", "--seed"),
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, command, flag, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a solve that takes the flag writes
+        path = write(tmp_path, SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(path), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_verify_bound_calibration(self, tmp_path, capsys):
+        path = write(tmp_path, SWEEP_CFG)
+        k_choice = []
+        for c_cal in ("1", "100"):
+            out = tmp_path / f"bounds{c_cal}.csv"
+            cli_main(["verify-bound", "--config", str(path), "--out", str(out),
+                      "--calibration", c_cal])
+            header, row = out.read_text().splitlines()
+            k_choice.append(float(row.split(",")[header.split(",").index("k_choice")]))
+        assert k_choice[1] > k_choice[0]
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = write(tmp_path, SWEEP_CFG)

@@ -397,22 +397,26 @@ class TestFactorReuse:
         scale = np.abs(ref_u.values).max()
         assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("stale", ["growth", "non-finite"])
-    def test_failed_correction_falls_back_to_direct_solve(self, stale, rng):
+    @pytest.mark.parametrize("stale,scale,factor_solves", [
+        ("growth", 0.25, 2), ("slow", 10.0, 2), ("non-finite", 0.25, 1),
+    ], ids=["growth", "slow", "non-finite"])
+    def test_failed_correction_falls_back_to_direct_solve(self, stale, scale, factor_solves, rng):
         cfg = _probe_config_2d(3.0, 3.2, 5.0, nx=9, nt=4)
         stepper = _Stepper(cfg, [0.5, 0.25])
         shape = (1,) + (cfg.domain.nx,) * 2
         u_prev = rng.normal(size=shape)
         it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, np.array([1]))
 
-        # a factor of 0.25 J makes the first correction triple the defect
-        lu = scipy.sparse.linalg.splu(0.25 * stepper.jacobian(it, 0), permc_spec="MMD_AT_PLUS_A")
+        # a factor of 0.25 J makes the first correction triple the defect; one
+        # of 10 J shrinks it by 0.9 per correction, which cannot reach the
+        # tolerance within the budget
+        lu = scipy.sparse.linalg.splu(scale * stepper.jacobian(it, 0), permc_spec="MMD_AT_PLUS_A")
         solves = []
 
         class StaleFactor:
             def solve(self, b):
                 solves.append(b)
-                return lu.solve(b) if stale == "growth" else np.full_like(b, np.nan)
+                return np.full_like(b, np.nan) if stale == "non-finite" else lu.solve(b)
 
         factors = np.full(1, None)
         factors[0] = old = StaleFactor()
@@ -423,8 +427,9 @@ class TestFactorReuse:
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
         assert np.array_equal(d, direct)
         assert factors[0] is not None and factors[0] is not old
-        # given up at the first growth, or at once for a non-finite x
-        assert len(solves) == (2 if stale == "growth" else 1)
+        # given up at the first growth or the first observed contraction, or
+        # at once for a non-finite x
+        assert len(solves) == factor_solves
 
     def test_one_factorization_per_step_and_member(self, monkeypatch):
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
