@@ -245,7 +245,8 @@ def load_config(path) -> ExperimentConfig:
     box = _section(entries, "domain")["box"]
     if len(box) != 2 * params.n:
         raise ConfigError(
-            f"box needs {2 * params.n} numbers for n = {params.n}, got {len(box)}"
+            f"box needs {2 * params.n} numbers for n = {params.n}, got {len(box)}",
+            line=entries[("domain", "box")][1],
         )
     domain = _build(Domain, entries, "domain", n=params.n,
                     box=tuple(zip(box[::2], box[1::2])))
@@ -269,6 +270,8 @@ def load_config(path) -> ExperimentConfig:
                 line=lineno,
             )
         center, rho = nums[:-1], nums[-1]
+        if not rho > 0:
+            raise ConfigError(f"target {key!r} needs a positive radius rho, got {rho}", line=lineno)
         sigma = rho**d.time_exponent
         if not cylinder_in_domain(domain, Cylinder(center, 2 * rho, 2 * sigma, intrinsic=False)):
             raise ConfigError(

@@ -16,12 +16,16 @@ the face flux takes its transverse gradient t_j from centred differences
 averaged onto the face, on +-e_j and +-e_k +- e_j.  newton_direction picks
 the linear solver by dimension: in 1D the stencil is the symmetric
 positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
-by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix.  A 2D time
-step factors it with SuperLU at its first Newton iteration; its later
-iterations solve their exact Jacobian system by defect correction with that
-factor to relative residual 1e-12 or, if the defect falls too slowly, refactor
-and solve directly, and the new factor serves the rest of the step.  A
-member's factor is freed once it converges or drops.  Iteration stops once
+by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix, assembled into
+a CSC pattern fixed per run and factored with SuperLU.  A 2D member keeps
+its factor across time steps: every Newton iteration, the first of a step
+included, solves its exact Jacobian system by defect correction with that
+factor to relative residual 1e-12, until the factor's correction solves
+exceed the flops of one factorization in solve-equivalents (read from the
+run's first factor after the first time step, whose factors serve that step
+only: 7 at 17^2, 23 at 65^2).  Then, or if the defect falls too slowly, the
+factor is released and the member refactors and solves directly.  A
+member's factor is freed once it drops.  Iteration stops once
 max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf), so the rule does
 not depend on the scale of the data; a linear problem converges in one
 iteration.  Every step keeps its residual and step-length history.
@@ -100,9 +104,9 @@ __all__ = [
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
-# 2D linear solves after a member's first Newton iteration in a time step:
-# defect correction with the step's factor on the exact Newton matrix, to
-# relative residual _CORRECTION_RTOL within _CORRECTIONS corrections.
+# 2D linear solves with a member's kept factor: defect correction on the
+# exact Newton matrix, to relative residual _CORRECTION_RTOL within
+# _CORRECTIONS corrections.
 _CORRECTION_RTOL = 1e-12
 _CORRECTIONS = 30
 
@@ -340,6 +344,34 @@ class _Stepper:
         ]
         self.a_faces = [cfg.spec.coeffs.a.at(*c) for c in faces]
         self.b_faces = [cfg.spec.coeffs.b.at(*c) for c in faces]
+        # the Newton matrix's CSC pattern on the interior nodes, numbered
+        # row-major: per stencil offset (every one with at most two nonzero
+        # components) the nodes whose neighbour stays on the grid, and the
+        # order that scatters the entries of all offsets into CSC
+        m = dom.nx - 2
+        node = np.arange(m**n).reshape((m,) * n)
+        self.offsets = [off for off in itertools.product((-1, 0, 1), repeat=n)
+                        if sum(map(abs, off)) <= 2]
+        self.valid, rows, cols = [], [], []
+        for off in self.offsets:
+            valid = np.ones(node.shape, bool)
+            for i, o in zip(np.indices(node.shape), off):
+                valid &= (0 <= i + o) & (i + o < m)
+            self.valid.append(valid)
+            rows.append(node[valid])
+            cols.append(node[valid] + sum(o * m ** (n - 1 - j) for j, o in enumerate(off)))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.order = np.lexsort((rows, cols)).astype(np.int32)  # by column, then row
+        self.indices = rows[self.order].astype(np.int32)
+        self.indptr = np.zeros(m**n + 1, np.int32)
+        np.cumsum(np.bincount(cols, minlength=m**n), out=self.indptr[1:])
+        # 2D Newton factors, kept across time steps: per member None or
+        # (SuperLU factor, correction solves it has served), and the budget
+        # of such solves per factor, read from the first factor made after
+        # the first time step (see step)
+        self.slots = [None] * len(self.eps)
+        self.budget = None
+        self.first_step = True
 
     def evaluate(self, w: np.ndarray, u_prev: np.ndarray, members) -> _Iterate:
         """R(w) = w - u_prev - dt div_h F(D_h w) for the given members,
@@ -409,9 +441,18 @@ class _Stepper:
 
     def jacobian(self, it: _Iterate, row: int):
         """dR/dw of one member at the interior nodes as a sparse matrix."""
-        return _stencil_matrix(self.stencil(it), row)
+        return self.matrix(self.stencil(it), row)
 
-    def newton_direction(self, it: _Iterate, t: float, factors=None):
+    def matrix(self, stencil: dict, row: int):
+        """CSC matrix of member row of a stencil on the fixed pattern; an
+        entry that happens to be zero is kept as an explicit zero."""
+        data = np.concatenate([stencil[off][row][valid]
+                               for off, valid in zip(self.offsets, self.valid)])
+        size = len(self.indptr) - 1
+        return scipy.sparse.csc_matrix((data[self.order], self.indices, self.indptr),
+                                       shape=(size, size))
+
+    def newton_direction(self, it: _Iterate, t: float, members=None):
         """Solve J d = -R for every member of it, at time level t.
 
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
@@ -424,15 +465,20 @@ class _Stepper:
         or a non-finite value may have spread across blocks, each member is
         solved by itself.
 
-        In 2D each member is solved in turn.  factors is an object array
-        with one slot per member of it: None, or the SuperLU factor of one
-        of that member's earlier Newton matrices in this time step.  A
-        member without one is factored and solved directly, and its factor
-        is stored in its slot; a member with one solves its exact system
-        J(w) d = -R by defect correction with that factor.  If that gives
-        up, the member is refactored at J(w) and solved directly, and the
-        new factor replaces the old.
-        factors=None factors every member afresh.
+        In 2D each member is solved in turn.  members holds the member
+        index of each row of it, which picks its slot: None, or the SuperLU
+        factor of one of that member's earlier Newton matrices, from this
+        or an earlier time step, with the correction solves it has served.  A
+        member without one is factored and solved directly, and the factor
+        fills its slot; a member with one solves its exact system
+        J(w) d = -R by defect correction with that factor.  Once the factor
+        has served more correction solves than the budget, or if correction
+        gives up, it is released and the member is refactored at J(w) and
+        solved directly.  The budget is one factorization's flops over one
+        solve's, read from the first factor made after the stepper's first
+        time step, so a factor is replaced once its corrections have cost as
+        much as a new one; until it is read, a factor serves without limit.
+        members=None factors every member afresh and keeps nothing.
         """
         rhs = -it.residual
         stencil = self.stencil(it)
@@ -452,16 +498,22 @@ class _Stepper:
                     raise DivergenceError(f"Newton matrix is not positive definite (info {info})")
                 return d_row
         else:
-            factors = np.full(len(rhs), None) if factors is None else factors
-
             def solve_member(row):
-                matrix, b = _stencil_matrix(stencil, row), rhs[row].ravel()
-                if factors[row] is not None:
-                    d_row = _defect_correction(matrix, b, factors[row])
+                matrix, b = self.matrix(stencil, row), rhs[row].ravel()
+                if members is None:
+                    return _factor(matrix).solve(b).reshape(rhs[row].shape)
+                m = members[row]
+                slot, self.slots[m] = self.slots[m], None
+                if slot is not None and (self.budget is None or slot[1] <= self.budget):
+                    d_row, solves = _defect_correction(matrix, b, slot[0])
                     if d_row is not None:
+                        self.slots[m] = (slot[0], slot[1] + solves)
                         return d_row.reshape(rhs[row].shape)
-                    factors[row] = None  # release the stale factor before refactoring
-                factors[row] = lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+                slot = None  # release the stale factor before refactoring
+                lu = _factor(matrix)
+                if self.budget is None and not self.first_step:
+                    self.budget = _solve_equivalents(lu)
+                self.slots[m] = (lu, 0)
                 return lu.solve(b).reshape(rhs[row].shape)
         d = np.empty_like(rhs)
         for row in range(len(rhs)):
@@ -488,24 +540,25 @@ class _Stepper:
         out = u_prev.copy()
         out[:, self.frame] = cfg.g.at(self.dom.box, self.frame_coords, t_next)
         # the members still iterating, ascending, and per row their previous
-        # time level, current iterate and (2D) this step's Newton factor
+        # time level and current iterate
         rows, base = np.arange(len(u_prev)), u_prev
         it = self.evaluate(out, base, rows)
-        factors = np.full(len(rows), None)
         residuals = [[] for _ in rows]
         lengths = [[] for _ in rows]
         live, failure = len(rows), None
 
         def keep(sel):
             """Narrow the iterating members to the rows sel."""
-            nonlocal rows, base, it, factors
-            rows, base, it, factors = rows[sel], base[sel], it.take(sel), factors[sel]
+            nonlocal rows, base, it
+            rows, base, it = rows[sel], base[sel], it.take(sel)
 
         def fail(pos, exc):
-            """Drop the member at row pos and every later one."""
+            """Drop the member at row pos and every later one, releasing
+            their factors."""
             nonlocal live, failure
             live, failure = int(rows[pos]), exc
-            sel = np.arange(pos)  # not a slice: its view would keep the dropped factors
+            self.slots[live:] = [None] * (len(self.slots) - live)
+            sel = np.arange(pos)
             keep(sel)
             return sel
 
@@ -519,7 +572,7 @@ class _Stepper:
             )
 
         for _ in range(cfg.max_iter):
-            d, bad = self.newton_direction(it, t_next, factors)
+            d, bad = self.newton_direction(it, t_next, rows)
             if bad is not None:
                 d = d[fail(*bad)]
             # each round moves every member by its own length; a member's
@@ -554,47 +607,51 @@ class _Stepper:
                 keep(~done)
         else:
             fail(0, step_failure(0, f"no convergence within {cfg.max_iter} iterations"))
+        if self.first_step:
+            # The first step's factors serve that step only and the budget is
+            # read from a later one: reading L and U caches copies of them on
+            # the factor (2.5 MB at 65^2), and during the first step the
+            # allocator still holds, untrimmed, what ran before the solve.
+            self.slots, self.first_step = [None] * len(self.slots), False
         histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
         return out[:live], histories, failure
 
 
+def _factor(matrix):
+    return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+
+
+def _solve_equivalents(lu) -> float:
+    """Flops of the factorization lu over those of one solve with it.
+
+    Eliminating column k costs l_k divisions and 2 l_k u_k multiply-adds,
+    with l_k the entries of L below the diagonal in column k and u_k those
+    of U right of the diagonal in row k; a solve costs 2 (nnz L + nnz U).
+    Both L and U store their diagonal.
+    """
+    lower, upper = lu.L, lu.U
+    below = np.diff(lower.indptr) - 1.0
+    right = np.bincount(upper.indices, minlength=upper.shape[0]) - 1.0
+    return float(np.sum(below + 2.0 * below * right)) / (2.0 * (lower.nnz + upper.nnz))
+
+
 def _defect_correction(matrix, b, lu):
     """Solve matrix x = b by x += lu.solve(b - matrix x) from x = lu.solve(b),
-    lu the SuperLU factor of a nearby matrix; None unless |b - matrix x|
-    falls at every correction (at a non-finite x it is NaN or infinite and
-    never does) and, at the last correction's rate, can still reach
-    _CORRECTION_RTOL |b| within _CORRECTIONS."""
+    lu the SuperLU factor of a nearby matrix.
+
+    Returns (x, solves), solves the number of lu.solve calls made; x is None
+    unless |b - matrix x| falls at every correction (at a non-finite x it is
+    NaN or infinite and never does) and, at the last correction's rate, can
+    still reach _CORRECTION_RTOL |b| within _CORRECTIONS."""
     x, last, target = lu.solve(b), math.inf, _CORRECTION_RTOL * np.linalg.norm(b)
-    for corrections in itertools.count():
+    for solves in itertools.count(1):
         defect = b - matrix @ x
         norm = np.linalg.norm(defect)
         if norm <= target:
-            return x
-        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - corrections) > target:
-            return None
+            return x, solves
+        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:
+            return None, solves
         x, last = x + lu.solve(defect), norm
-
-
-def _stencil_matrix(stencil: dict, row: int):
-    """Sparse matrix of member row on the interior grid, numbered row-major,
-    from a stencil {offset: coefficients per member and node}.  Entries
-    whose neighbour leaves the grid are zeroed; diags drops those past its
-    ends."""
-    first = next(iter(stencil.values()))
-    n, m = first.ndim - 1, first.shape[-1]
-    strides = [m ** (n - 1 - j) for j in range(n)]
-    size = m**n
-    diagonals, offsets = [], []
-    for off, coef in stencil.items():
-        coef = np.array(coef[row], dtype=float)
-        for axis, o in enumerate(off):
-            if o:
-                coef[(slice(None),) * axis + (-1 if o > 0 else 0,)] = 0.0
-        k = sum(o * stride for o, stride in zip(off, strides))
-        flat = coef.ravel()
-        diagonals.append(flat[: size - k] if k >= 0 else flat[-k:])
-        offsets.append(k)
-    return scipy.sparse.diags(diagonals, offsets, format="csc")
 
 
 def _neighbours(v: np.ndarray, axis: int):
@@ -805,6 +862,8 @@ def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
 
     du_mag = _grad_magnitude(u)
     grad_int = lp_norm(du_mag, d.p_alpha) ** d.p_alpha
+    eps_term = eps * lp_norm(du_mag, d.q_beta) ** d.q_beta
+    del du_mag  # freed before the datum's gradient is formed: a lower peak
     alpha_exp = 1.0 if math.isinf(alpha) else (alpha + 1.0) / alpha
 
     g_field = cfg.g.sample(dom)
@@ -816,7 +875,7 @@ def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
     return EnergyData(
         sup_l2=float(_slicewise_l2sq(u.values, dom).max()),
         grad_term=grad_int**alpha_exp,
-        eps_term=eps * lp_norm(du_mag, d.q_beta) ** d.q_beta,
+        eps_term=eps_term,
         dual_term=_dual_norm(cfg) ** d.p_conj,
         wnorm_term=wnorm**p,
         dg_gamma_term=lp_norm(dg_mag, d.gamma) ** d.time_exponent,

@@ -229,6 +229,8 @@ DERIVE_REFERENCE = """\
 """
 
 # nt = 16 puts no time node in (0.2 - sigma, 0.2] for rho = 0.1
+MINIMAL_2D = MINIMAL.replace("n = 1", "n = 2").replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
+
 NODELESS_TARGET = MINIMAL.replace("alpha = 20.0\nbeta = 20.0\n", "").replace(
     "nx = 33\nnt = 32\n", "nx = 17\nnt = 16\n\n[targets]\ncylinder1 = 0.5 0.2 0.1\n"
 )
@@ -293,6 +295,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 13: target 'cylinder1'.*no grid node"):
             load_config(write(tmp_path, NODELESS_TARGET))
 
+    @pytest.mark.parametrize("rho", ["0", "-0.2"])
+    def test_nonpositive_target_radius_names_key_and_line(self, rho, tmp_path):
+        text = MINIMAL_2D + f"\n[targets]\ncylinder1 = 0.5 0.5 0.12 {rho}\n"  # line 15
+        with pytest.raises(ConfigError, match="line 15: target 'cylinder1'.*radius"):
+            load_config(write(tmp_path, text))
+
+    def test_box_of_wrong_length_reports_line(self, tmp_path):
+        text = MINIMAL_2D.replace("box = 0.0 1.0 0.0 1.0", "box = 0.0 1.0 0.0")
+        with pytest.raises(ConfigError, match="line 9: box needs 4 numbers for n = 2, got 3"):
+            load_config(write(tmp_path, text))
+
     def test_empty_output_directory_rejected(self, tmp_path):
         broken = MINIMAL + "\n[output]\ndirectory =\n"
         with pytest.raises(ConfigError, match="line 15: .*'directory'"):
@@ -309,8 +322,7 @@ class TestConfig:
             load_config(write(tmp_path, broken))
 
     def test_power_center_needs_n_numbers(self, tmp_path):
-        text = MINIMAL.replace("n = 1", "n = 2").replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
-        text += "\n[coefficients]\na_kind = power\na_exponent = 0.04\n"
+        text = MINIMAL_2D + "\n[coefficients]\na_kind = power\na_exponent = 0.04\n"
         with pytest.raises(ConfigError, match="'a_center'"):
             load_config(write(tmp_path, text))
         short = text + "a_center = 0.505\n"  # line 17
@@ -447,6 +459,11 @@ class TestCLI:
         out = str(tmp_path / "x")
         assert cli_main([command, "--config", str(path), "--out", out]) == 3
         assert "cylinder1" in capsys.readouterr().err
+
+    def test_nonpositive_target_radius_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, MINIMAL_2D + "\n[targets]\ncylinder1 = 0.5 0.5 0.12 -0.2\n")
+        assert cli_main(["verify-bound", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert "line 15: target 'cylinder1'" in capsys.readouterr().err
 
     def test_solve_and_verify_bound(self, tmp_path, capsys):
         path = write(tmp_path, SWEEP_CFG)

@@ -384,8 +384,9 @@ def _factor_every_iteration(stepper, it, t, factors=None):
 
 
 class TestFactorReuse:
-    """In 2D a member's first Newton matrix of a time step is factored and
-    serves defect correction on its later iterations in that step."""
+    """In 2D a member's Newton factor serves defect correction on its later
+    iterations, across time steps, until its solves have cost one
+    factorization."""
 
     @pytest.mark.parametrize("p,q,amplitude", [(3.0, 3.2, 5.0), (4.0, 4.3, 5.0), (2.0, 2.1, 1e5)])
     def test_matches_factoring_every_iteration(self, p, q, amplitude, monkeypatch):
@@ -405,7 +406,9 @@ class TestFactorReuse:
         stepper = _Stepper(cfg, [0.5, 0.25])
         shape = (1,) + (cfg.domain.nx,) * 2
         u_prev = rng.normal(size=shape)
-        it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, np.array([1]))
+        members = np.array([1])
+        it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, members)
+        stepper.newton_direction(it, 0.1, members)  # fills member 1's slot
 
         # a factor of 0.25 J makes the first correction triple the defect; one
         # of 10 J shrinks it by 0.9 per correction, which cannot reach the
@@ -418,21 +421,23 @@ class TestFactorReuse:
                 solves.append(b)
                 return np.full_like(b, np.nan) if stale == "non-finite" else lu.solve(b)
 
-        factors = np.full(1, None)
-        factors[0] = old = StaleFactor()
+        stepper.slots[1] = (old := StaleFactor(), 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            d, bad = stepper.newton_direction(it, 0.1, factors)
+            d, bad = stepper.newton_direction(it, 0.1, members)
         assert bad is None
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
         assert np.array_equal(d, direct)
-        assert factors[0] is not None and factors[0] is not old
+        assert stepper.slots[0] is None
+        assert stepper.slots[1][0] is not old and stepper.slots[1][1] == 0
         # given up at the first growth or the first observed contraction, or
         # at once for a non-finite x
         assert len(solves) == factor_solves
 
-    def test_one_factorization_per_step_and_member(self, monkeypatch):
-        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
+    def test_factor_serves_across_time_steps(self, monkeypatch):
+        # at 17^2 the budget of about 7 solves is spent within each step and
+        # a factor serves little more than one step; at 33^2 it is about 13
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nt=32, alpha=20.0)
         factorizations, corrected = [], []
         splu, defect_correction = scipy.sparse.linalg.splu, solver._defect_correction
 
@@ -441,50 +446,84 @@ class TestFactorReuse:
             return splu(*args, **kwargs)
 
         def counted_correction(*args):
-            x = defect_correction(*args)
+            x, solves = defect_correction(*args)
             corrected.append(x is not None)
-            return x
+            return x, solves
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(solver, "_defect_correction", counted_correction)
         results, failure = solve_levels(cfg, [0.5, 0.125])
         assert failure is None
         iterations = sum(stats.total_iterations for _, stats in results)
-        assert len(factorizations) == cfg.domain.nt * 2
+        assert len(factorizations) < cfg.domain.nt * 2
         assert len(corrected) == iterations - len(factorizations) > 0
         assert all(corrected)
 
-    def test_factors_held_only_for_iterating_members(self, monkeypatch):
+    def test_budget_read_from_the_factor(self):
+        # a finer grid fills its factor more per node than it lengthens a
+        # solve, so a factor may serve more solves before it is replaced
+        budgets = []
+        for nx in (17, 33):
+            cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=nx, nt=4, alpha=20.0)
+            stepper = _Stepper(cfg, [0.5])
+            u, _, _ = stepper.step(cfg.g.sample(cfg.domain).values[:1], cfg.domain.dt)
+            # the first step's factor is freed with that step, unread
+            assert stepper.slots == [None] and stepper.budget is None
+            stepper.step(u, 2 * cfg.domain.dt)
+            assert stepper.slots[0] is not None
+            budgets.append(stepper.budget)
+        assert 1.0 < budgets[0] < budgets[1]
+
+    def test_factors_held_only_in_live_slots(self, monkeypatch):
+        # member 1 finds no decrease from the third step on, which drops it
+        # and member 2 while they hold factors from earlier steps
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
-        newton_direction, splu = _Stepper.newton_direction, scipy.sparse.linalg.splu
+        newton_direction, evaluate = _Stepper.newton_direction, _Stepper.evaluate
+        splu = scipy.sparse.linalg.splu
+        stuck_from = 3 * cfg.domain.dt
         factors_made = []  # a weak reference to every factor
-        alive, iterating, slots = [], [], []
+        calls = []  # per call: t, its members, living factors, members with a factor
+        now = [0.0]
 
         class Factor:
             """A SuperLU factor that can be referenced weakly."""
 
             def __init__(self, lu):
-                self.solve = lu.solve
+                self.solve, self.L, self.U = lu.solve, lu.L, lu.U
 
         def tracked_splu(*args, **kwargs):
             lu = Factor(splu(*args, **kwargs))
             factors_made.append(weakref.ref(lu))
             return lu
 
-        def recorded(self, it, t, factors=None):
-            alive.append(sum(ref() is not None for ref in factors_made))
-            iterating.append(len(it.residual))
-            slots.append(len(factors))
-            return newton_direction(self, it, t, factors)
+        def recorded(self, it, t, members=None):
+            now[0] = t
+            calls.append((t, list(members), sum(ref() is not None for ref in factors_made),
+                          [m for m, slot in enumerate(self.slots) if slot is not None]))
+            return newton_direction(self, it, t, members)
+
+        def stuck(self, w, u_prev, members):
+            it = evaluate(self, w, u_prev, members)
+            if now[0] < stuck_from:
+                return it
+            hit = np.asarray(members) == 1
+            return it._replace(norm=np.where(hit, 1.0, it.norm),
+                               scale=np.where(hit, 1e-300, it.scale))
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
-        _, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
-        assert failure is None
-        # some member converged while another iterated on
-        assert any(m < 3 for m in iterating)
-        assert slots == iterating
-        assert all(a <= m for a, m in zip(alive, iterating))
+        monkeypatch.setattr(_Stepper, "evaluate", stuck)
+        results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
+        assert isinstance(failure, StepFailure) and failure.t == stuck_from
+        assert len(results) == 1
+        # the dropped members held factors into the step they failed in
+        assert any(t == stuck_from and held == [0, 1, 2] for t, _, _, held in calls)
+        # every living factor sits in one slot, one per live member; after
+        # the failure only member 0 is live
+        for t, members, alive, held in calls:
+            assert alive == len(held) <= 3
+            if t > failure.t or (t == failure.t and max(members) == 0):
+                assert held in ([], [0])
         assert all(ref() is None for ref in factors_made)
 
 
