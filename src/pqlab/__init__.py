@@ -36,12 +36,9 @@ from .grid import (
     ess_sup,
     field_from_function,
     gradient,
-    load_field_csv,
     load_field_dump,
     lp_norm,
     mean_integral,
-    pq_cylinder,
-    pq_distance,
     region_measure,
     save_field_csv,
     save_field_dump,
@@ -62,8 +59,6 @@ from .model import (
     Coefficient,
     CoefficientSpec,
     IntegrandSpec,
-    StructureReport,
-    check_structure,
     flux,
     integrand,
 )
@@ -81,7 +76,6 @@ from .solver import (
     solve,
     solve_levels,
     step,
-    variational_gap,
     variational_gap_curve,
     weak_residual,
 )
@@ -91,7 +85,6 @@ from .degiorgi import (
     DeGiorgiTrace,
     caccioppoli_sides,
     choose_level_k,
-    remark_bound,
     theorem_bound,
     trace,
     verify_sup_bound,

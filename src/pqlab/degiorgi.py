@@ -24,11 +24,11 @@ from .grid import (
     Cylinder,
     SpaceTimeField,
     _grad_magnitude,
+    _integrate_power,
     coefficient_norms,
     cylinder_in_domain,
     ess_sup,
     mean_integral,
-    region_measure,
     slice_sup_l2,
     truncate_plus,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "caccioppoli_sides",
     "choose_level_k",
     "theorem_bound",
-    "remark_bound",
     "trace",
     "verify_sup_bound",
 ]
@@ -76,11 +75,6 @@ class CaccioppoliSides:
         return self.lhs / self.rhs
 
 
-def _power_integral(f: SpaceTimeField, r: float, region) -> float:
-    """integral of |f|**r over a cylinder (not the mean)."""
-    return mean_integral(f, r, region) * region_measure(f.domain, region)
-
-
 def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylinder,
                       norms: CoefficientNorms, d: DerivedExponents,
                       mu: float = 0.0, eps: float = 0.0) -> CaccioppoliSides:
@@ -109,28 +103,28 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
         return CaccioppoliSides(zero3, zero4)
 
     dmag = _grad_magnitude(trunc)
-    grad_int = _power_integral(dmag, d.p_alpha, inner)
+    grad_int = _integrate_power(dmag, d.p_alpha, inner)
     alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
     lhs_terms = (
         sup_term,
         grad_int**alpha_exp / norms.raw_a,
-        eps * _power_integral(dmag, d.q_beta, inner),
+        eps * _integrate_power(dmag, d.q_beta, inner),
     )
 
     t_mu = (
         mu ** (q - 1.0)
         / dr
         * norms.raw_b
-        * _power_integral(trunc, d.beta_conj, outer) ** (1.0 / d.beta_conj)
+        * _integrate_power(trunc, d.beta_conj, outer) ** (1.0 / d.beta_conj)
     )
     t_hoelder = (
         norms.raw_b
         * norms.raw_a ** ((q - 1.0) / p)
         / dr
-        * _power_integral(trunc, d.gamma, outer) ** (1.0 / d.gamma)
+        * _integrate_power(trunc, d.gamma, outer) ** (1.0 / d.gamma)
     ) ** d.time_exponent
-    t_eps = eps / dr**d.q_beta * _power_integral(trunc, d.q_beta, outer)
-    t_time = _power_integral(trunc, 2.0, outer) / ds
+    t_eps = eps / dr**d.q_beta * _integrate_power(trunc, d.q_beta, outer)
+    t_time = _integrate_power(trunc, 2.0, outer) / ds
     return CaccioppoliSides(lhs_terms, (t_mu, t_hoelder, t_eps, t_time))
 
 
@@ -140,13 +134,13 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
 
 def choose_level_k(mean_um: float, norm_a: float, norm_b: float, rho: float,
                    sigma: float, mu: float, d: DerivedExponents,
-                   c_cal: float = 1.0, require_all_terms: bool = False) -> float:
+                   c_cal: float = 1.0) -> float:
     """Five-term level formula driving the iteration.
 
     mean_um is the mean integral of u_+**m over the base cylinder; norm_a,
     norm_b are the mean-integral coefficient norms there.  For q = p the
     term rho/(AB)**(1/(q-p)) degenerates and is dropped, and the rho**(q-p)
-    factor collapses to 1; requesting all five terms then raises.
+    factor collapses to 1.
     """
     if mean_um < 0:
         raise ParameterError("mean integral of u_+**m must be nonnegative")
@@ -166,8 +160,6 @@ def choose_level_k(mean_um: float, norm_a: float, norm_b: float, rho: float,
     term3 = _inverse_scaling_term(norm_a / sigma * (rho / ab) ** s, p, q)
     term4 = rho * mu ** (p + 1.0 - q) / ab
     if d.q_equals_p:
-        if require_all_terms:
-            raise ParameterError("the 1/(q-p) term is undefined for q = p")
         return max(term1, term2, term3, term4)
     term5 = rho / ab ** (1.0 / (q - p))
     return max(term1, term2, term3, term4, term5)
@@ -203,18 +195,6 @@ def theorem_bound(mean_um: float, rho: float, sigma: float,
     term2 = mean_um ** (1.0 / d.m)
     term3 = _inverse_scaling_term(rho**s / sigma, d.p, d.q)
     return max(term1, term2, term3, rho)
-
-
-def remark_bound(mean_um: float, rho: float, d: DerivedExponents,
-                 c_cal: float = 1.0) -> float:
-    """Three-term simplification on intrinsic cylinders with rho <= 1."""
-    if rho > 1.0:
-        raise ParameterError("the simplified bound needs rho <= 1")
-    if mean_um < 0:
-        raise ParameterError("mean integral of u_+**m must be nonnegative")
-    term1 = c_cal * rho ** (-(d.q - d.p) * d.theta2) * mean_um**d.theta3
-    term2 = mean_um ** (1.0 / d.m)
-    return max(term1, term2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +309,6 @@ class BoundReport:
     center: tuple
     rho: float
     sigma: float
-    intrinsic: bool
     ess_sup: float
     k_choice: float
     k_theorem: float
@@ -371,12 +350,10 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
         threshold = epsilon_threshold(k_choice, rho, norms.norm_a, norms.norm_b, d)
     else:
         threshold = math.inf
-    intrinsic = abs(sigma - rho**d.time_exponent) <= 1e-12 * max(sigma, 1.0)
     return BoundReport(
         center=tuple(z_o),
         rho=rho,
         sigma=sigma,
-        intrinsic=intrinsic,
         ess_sup=ess,
         k_choice=k_choice,
         k_theorem=k_thm,

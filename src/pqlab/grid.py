@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegionError
-from .exponents import DerivedExponents
 
 __all__ = [
     "Domain",
@@ -44,12 +43,9 @@ __all__ = [
     "slice_sup_l2",
     "gradient",
     "boundary_frame",
-    "pq_distance",
-    "pq_cylinder",
     "cylinder_in_domain",
     "coefficient_norms",
     "save_field_csv",
-    "load_field_csv",
     "save_field_dump",
     "load_field_dump",
 ]
@@ -145,14 +141,12 @@ class SpaceTimeField:
 class Cylinder:
     """Backward cylinder B_rho(x_o) x (t_o - sigma, t_o].
 
-    center is (x, t) in 1D or (x, y, t) in 2D; intrinsic marks the p,q-scaled
-    time depth sigma = rho**(p/(p+1-q)).
+    center is (x, t) in 1D or (x, y, t) in 2D.
     """
 
     center: tuple
     rho: float
     sigma: float
-    intrinsic: bool = False
 
     def __post_init__(self):
         if not (self.rho > 0 and self.sigma > 0):
@@ -270,21 +264,22 @@ def slice_sup_l2(f: SpaceTimeField, cyl: Cylinder) -> float:
     return float(slices.sum(axis=1).max() * dom.cell_volume)
 
 
+def _partial(f: SpaceTimeField, axis: int) -> np.ndarray:
+    """d f / d x_axis per node: central differences inside, second-order
+    one-sided at the boundary."""
+    return np.gradient(f.values, f.domain.dx[axis], axis=1 + axis, edge_order=2)
+
+
 def gradient(f: SpaceTimeField) -> np.ndarray:
-    """Spatial gradient per node: central differences inside, second-order
-    one-sided at the boundary.  Shape (n, nt+1, nx[, nx])."""
-    dom = f.domain
-    comps = [
-        np.gradient(f.values, dom.dx[axis], axis=1 + axis, edge_order=2)
-        for axis in range(dom.n)
-    ]
-    return np.stack(comps)
+    """Spatial gradient per node, shape (n, nt+1, nx[, nx])."""
+    return np.stack([_partial(f, axis) for axis in range(f.domain.n)])
 
 
 def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
-    """|Df| per node, from gradient.  One expression, so the gradient is
-    freed as soon as it is squared."""
-    return SpaceTimeField(f.domain, np.sqrt(np.sum(gradient(f) ** 2, axis=0)))
+    """|Df| per node.  The squared components are added one axis at a time,
+    so no stack of the gradient is held."""
+    return SpaceTimeField(f.domain, np.sqrt(sum(_partial(f, axis) ** 2
+                                                for axis in range(f.domain.n))))
 
 
 def boundary_frame(domain: Domain) -> np.ndarray:
@@ -292,24 +287,6 @@ def boundary_frame(domain: Domain) -> np.ndarray:
     inner = np.zeros((domain.nx,) * domain.n, bool)
     inner[(slice(1, -1),) * domain.n] = True
     return ~inner
-
-
-# ---------------------------------------------------------------------------
-# p,q-scaled geometry
-
-
-def pq_distance(z1: tuple, z2: tuple, d: DerivedExponents) -> float:
-    """|x1 - x2| + |t1 - t2|**((p+1-q)/p)."""
-    x1, t1 = np.asarray(z1[:-1], float), z1[-1]
-    x2, t2 = np.asarray(z2[:-1], float), z2[-1]
-    return float(np.linalg.norm(x1 - x2) + abs(t1 - t2) ** (1.0 / d.time_exponent))
-
-
-def pq_cylinder(z_o: tuple, rho: float, d: DerivedExponents) -> Cylinder:
-    """Intrinsic cylinder with time depth rho**(p/(p+1-q))."""
-    if not rho > 0:
-        raise ParameterError(f"radius must be positive, got {rho}")
-    return Cylinder(tuple(z_o), rho, rho**d.time_exponent, intrinsic=True)
 
 
 def cylinder_in_domain(domain: Domain, cyl: Cylinder) -> bool:
@@ -373,64 +350,21 @@ def _finite_or_raise(values: np.ndarray) -> np.ndarray:
 
 
 def save_field_csv(f: SpaceTimeField, path) -> None:
-    """One row t, x[, y], value per node, every number as %.17g.  The time
-    and coordinate columns are formatted once and the file is written one
-    time level at a time."""
+    """One row t, x[, y], value per node, every number as %.17g.  The rows
+    of one time level, coordinate columns filled in, form a template that
+    is built once; each level is written with one % against it."""
     dom = f.domain
-    cols = ["t", *AXES[: dom.n], "value"]
     spatial = np.meshgrid(*dom.axes, indexing="ij")
-    prefixes = [
-        "".join(f"{c:.17g}," for c in node)
+    template = "".join(
+        "%s" + "".join(f"{c:.17g}," for c in node) + "%.17g\n"
         for node in zip(*(g.ravel().tolist() for g in spatial))
-    ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, level in zip(dom.times.tolist(), f.values):
-            head = f"{t:.17g},"
-            fh.write("".join(
-                f"{head}{prefix}{v:.17g}\n"
-                for prefix, v in zip(prefixes, level.ravel().tolist())
-            ))
-
-
-def load_field_csv(path) -> SpaceTimeField:
-    """Read a field written by save_field_csv.  The rows must list every
-    node of a uniform grid once, time level first and row-major."""
-    with open(path) as fh:
-        fh.readline()  # the header
-        if not any(line.strip() for line in fh):
-            raise ParameterError("field CSV has a header and no rows")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    ncols = data.shape[1]
-    if ncols not in (3, 4):
-        raise ParameterError(f"field CSV must have 3 or 4 columns, got {ncols}")
-    n = ncols - 2
-    times = np.unique(data[:, 0])
-    axes = [np.unique(data[:, 1 + k]) for k in range(n)]
-    dom = Domain(
-        n=n,
-        box=tuple((float(ax[0]), float(ax[-1])) for ax in axes),
-        T=float(times[-1]),
-        nx=len(axes[0]),
-        nt=len(times) - 1,
     )
-    expected = int(np.prod(dom.shape))
-    if len(data) != expected:
-        raise ParameterError(
-            f"field CSV has {len(data)} rows, expected {expected} for its "
-            f"{dom.nt + 1} time levels and {dom.nx} nodes per axis"
-        )
-    grid = np.meshgrid(dom.times, *dom.axes, indexing="ij")
-    extents = [dom.T] + [hi - lo for lo, hi in dom.box]
-    for col, (name, g, extent) in enumerate(zip("t" + AXES, grid, extents)):
-        off = np.abs(data[:, col] - g.ravel()) > 1e-12 * extent
-        if off.any():
-            row = int(np.argmax(off))
-            raise ParameterError(
-                f"field CSV line {row + 2}: expected {name} = {float(g.flat[row])!r}, "
-                f"found {float(data[row, col])!r}"
-            )
-    return SpaceTimeField(dom, data[:, -1].reshape(dom.shape))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(["t", *AXES[: dom.n], "value"]) + "\n")
+        for t, level in zip(dom.times.tolist(), f.values):
+            args = [f"{t:.17g},"] * (2 * level.size)
+            args[1::2] = level.ravel().tolist()
+            fh.write(template % tuple(args))
 
 
 def save_field_dump(f: SpaceTimeField, path) -> None:

@@ -273,7 +273,7 @@ def load_config(path) -> ExperimentConfig:
         if not rho > 0:
             raise ConfigError(f"target {key!r} needs a positive radius rho, got {rho}", line=lineno)
         sigma = rho**d.time_exponent
-        if not cylinder_in_domain(domain, Cylinder(center, 2 * rho, 2 * sigma, intrinsic=False)):
+        if not cylinder_in_domain(domain, Cylinder(center, 2 * rho, 2 * sigma)):
             raise ConfigError(
                 f"target {key!r}: doubled cylinder leaves the space-time domain",
                 line=lineno,

@@ -30,11 +30,9 @@ __all__ = [
     "Coefficient",
     "CoefficientSpec",
     "IntegrandSpec",
-    "StructureReport",
     "flux",
     "flux_coefficient",
     "integrand",
-    "check_structure",
 ]
 
 
@@ -170,96 +168,4 @@ def integrand(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -
         np.asarray(a_val, float) / p * (mu2 + s) ** (p / 2.0)
         + np.asarray(b_val, float) / q * (mu2 + s) ** (q / 2.0)
         + eps * s ** (qb / 2.0)
-    )
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Sampled verification of the growth and coercivity conditions.
-
-    upper_constant           smallest C with |D f_i| <= C (b s^((q-1)/2) + q_beta eps |xi|^(q_beta-1))
-    upper_violation_measure  measure of the (x,t) node set where that bound
-                             needs C > 1 for some sampled xi (for the model
-                             this is where the a-term is not dominated by b)
-    model_upper_constant     smallest C against the model-forma bound that
-                             includes the a-term a s^((p-1)/2); exactly 1 at mu = 0
-    coercivity_constant      largest C with <D f_i, xi> >= C (a s^((p-2)/2)|xi|^2
-                             + q_beta eps |xi|^q_beta); >= 1 for the model
-    coercivity_slack_min     min of LHS - RHS at C = 1 (>= 0 up to roundoff)
-    """
-
-    upper_constant: float
-    upper_violation_measure: float
-    model_upper_constant: float
-    coercivity_constant: float
-    coercivity_slack_min: float
-
-
-def _ratio_max(num, den):
-    # sup of num/den, ignoring 0/0; positive/0 counts as inf
-    num, den = np.asarray(num), np.asarray(den)
-    out = np.ones_like(num)
-    active = (num > 0) | (den > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(active, num / den, 1.0)
-    return float(np.max(out)) if out.size else 1.0
-
-
-def check_structure(spec: IntegrandSpec, domain: Domain, sample_count: int = 64,
-                    n_shells: int = 25, seed: int = 0) -> StructureReport:
-    """Sample (x,t) grid nodes and gradients on logarithmic shells
-    |xi| in [1e-6, 1e6] and measure the structure constants."""
-    rng = np.random.default_rng(seed)
-    grids = domain.meshgrid()
-    flat = [g.ravel() for g in grids]
-    total = flat[0].size
-    take = min(sample_count, total)
-    idx = rng.choice(total, size=take, replace=False)
-    a_vals = spec.coeffs.a.at(*[f[idx] for f in flat])
-    b_vals = spec.coeffs.b.at(*[f[idx] for f in flat])
-
-    radii = np.logspace(-6, 6, n_shells)
-    if domain.n == 1:
-        dirs = np.array([[1.0], [-1.0]]).T  # shape (1, 2)
-    else:
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=8)
-        dirs = np.stack([np.cos(ang), np.sin(ang)])  # shape (2, 8)
-
-    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    mu2 = spec.params.mu**2
-    eps = spec.eps
-
-    upper_c = 1.0
-    model_c = 1.0
-    coer_c = np.inf
-    slack_min = np.inf
-    violated = np.zeros(take, dtype=bool)
-
-    for r in radii:
-        for k in range(dirs.shape[1]):
-            xi = (r * dirs[:, k])[:, None] * np.ones(take)[None, :]
-            s = r**2
-            fl = flux(xi, a_vals, b_vals, spec)
-            fmag = np.sqrt(np.sum(fl**2, axis=0))
-            pairing = np.sum(fl * xi, axis=0)
-
-            upper_ref = b_vals * (mu2 + s) ** ((q - 1.0) / 2.0) + qb * eps * r ** (qb - 1.0)
-            model_ref = a_vals * (mu2 + s) ** ((p - 1.0) / 2.0) + upper_ref
-            lower_ref = a_vals * (mu2 + s) ** ((p - 2.0) / 2.0) * s + qb * eps * r**qb
-
-            upper_c = max(upper_c, _ratio_max(fmag, upper_ref))
-            model_c = max(model_c, _ratio_max(fmag, model_ref))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(lower_ref > 0, pairing / lower_ref, np.inf)
-            coer_c = min(coer_c, float(np.min(ratios)))
-            slack_min = min(slack_min, float(np.min(pairing - lower_ref)))
-            violated |= fmag > upper_ref * (1.0 + 1e-12)
-
-    sample_measure = domain.space_volume() * domain.T / take
-    return StructureReport(
-        upper_constant=upper_c,
-        upper_violation_measure=float(violated.sum()) * sample_measure,
-        model_upper_constant=model_c,
-        coercivity_constant=coer_c,
-        coercivity_slack_min=slack_min,
     )

@@ -94,7 +94,6 @@ __all__ = [
     "face_divergence",
     "weak_residual",
     "energy_report",
-    "variational_gap",
     "variational_gap_curve",
     "comparison_maps",
 ]
@@ -452,7 +451,7 @@ class _Stepper:
         return scipy.sparse.csc_matrix((data[self.order], self.indices, self.indptr),
                                        shape=(size, size))
 
-    def newton_direction(self, it: _Iterate, t: float, members=None):
+    def newton_direction(self, it: _Iterate, t: float, members):
         """Solve J d = -R for every member of it, at time level t.
 
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
@@ -478,7 +477,6 @@ class _Stepper:
         solve's, read from the first factor made after the stepper's first
         time step, so a factor is replaced once its corrections have cost as
         much as a new one; until it is read, a factor serves without limit.
-        members=None factors every member afresh and keeps nothing.
         """
         rhs = -it.residual
         stencil = self.stencil(it)
@@ -500,8 +498,6 @@ class _Stepper:
         else:
             def solve_member(row):
                 matrix, b = self.matrix(stencil, row), rhs[row].ravel()
-                if members is None:
-                    return _factor(matrix).solve(b).reshape(rhs[row].shape)
                 m = members[row]
                 slot, self.slots[m] = self.slots[m], None
                 if slot is not None and (self.budget is None or slot[1] <= self.budget):
@@ -982,18 +978,6 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
     gaps = cum_fv + cum_dual - slice_sq[1:] + init_sq - cum_fu
     scales = cum_fv + cum_fu + np.abs(cum_dual) + slice_sq[1:] + init_sq
     return gaps, scales
-
-
-def variational_gap(u: SpaceTimeField, v: ComparisonMap, tau: float,
-                    cfg: SolveConfig, eps: float = 0.0) -> float:
-    """Variational-inequality gap at one grid time tau (>= up to tolerance
-    for the computed solution)."""
-    dom = u.domain
-    j = int(round(tau / dom.dt))
-    if not (1 <= j <= dom.nt) or abs(tau - j * dom.dt) > 1e-9 * max(dom.T, 1.0):
-        raise ParameterError(f"tau = {tau} is not a positive grid time")
-    gaps, _ = variational_gap_curve(u, v, cfg, eps=eps)
-    return float(gaps[j - 1])
 
 
 def _check_lateral_match(values: np.ndarray, cfg: SolveConfig) -> None:

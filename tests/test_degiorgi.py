@@ -23,7 +23,6 @@ from pqlab import (
     coefficient_norms,
     constant_field,
     derive,
-    remark_bound,
     solve,
     theorem_bound,
     trace,
@@ -140,8 +139,6 @@ class TestLevelFormulas:
         d = derive(StructureParams(n=2, p=2.0, q=2.0, alpha=20.0, beta=20.0))
         k = choose_level_k(0.0, 2.0, 2.0, 1.0, 1.0, 0.0, d)
         assert math.isfinite(k)
-        with pytest.raises(ParameterError, match="q = p"):
-            choose_level_k(0.0, 2.0, 2.0, 1.0, 1.0, 0.0, d, require_all_terms=True)
 
     def test_degenerate_exponent_intrinsic_convention(self):
         # p = q = 2: the inverse-scaling exponent is 1/0; on intrinsic
@@ -165,12 +162,6 @@ class TestLevelFormulas:
         d = D_REF
         vals = [theorem_bound(m, 0.5, 0.5**d.time_exponent, d) for m in (0.0, 0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_remark_bound(self):
-        assert remark_bound(1.0, 1.0, D_REF, c_cal=1.0) == 1.0
-        assert remark_bound(1.0, 1.0, D_REF, c_cal=3.0) == 3.0
-        with pytest.raises(ParameterError, match="rho"):
-            remark_bound(1.0, 1.5, D_REF)
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):
@@ -272,7 +263,6 @@ class TestVerifySupBound:
         d = spec.d
         c = 0.6
         rep = verify_sup_bound(constant_field(dom, c), (0.0, 2.4), 1.0, 1.0, spec)
-        assert rep.intrinsic
         assert rep.norm_a == pytest.approx(1.0, rel=1e-12)
         assert rep.norm_b == pytest.approx(1.0, rel=1e-12)
         assert rep.mean_um == pytest.approx(c**d.m, rel=1e-12)

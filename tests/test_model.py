@@ -1,4 +1,5 @@
-"""Coefficients, integrand/flux consistency, structure condition checks."""
+"""Coefficients, integrand/flux consistency and the structure conditions
+that the flux satisfies."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from pqlab import (
     IntegrandSpec,
     ParameterError,
     StructureParams,
-    check_structure,
     flux,
     integrand,
     lp_norm,
@@ -121,42 +121,18 @@ class TestFluxAndIntegrand:
             assert float(np.dot(dflux, xi1 - xi2)) >= -1e-14
 
     def test_coercivity_exact(self, rng):
+        # both structure conditions with unit constants: the coercivity
+        # bound from below and the p,q-growth bound on |flux| from above
         spec = const_spec(p=2.0, q=2.05, alpha=8.0, beta=12.0, mu=0.1, eps=0.2, n=2)
-        p, mu, qb = spec.params.p, spec.params.mu, spec.d.q_beta
+        p, q, mu, qb = spec.params.p, spec.params.q, spec.params.mu, spec.d.q_beta
         for _ in range(200):
             xi = rng.normal(size=2) * 10 ** rng.uniform(-3, 3)
             a, b = rng.uniform(0.0, 3.0, 2)
             s = float(np.dot(xi, xi))
+            fl = flux(xi, a, b, spec)
             lower = a * (mu**2 + s) ** ((p - 2) / 2) * s + qb * spec.eps * s ** (qb / 2)
-            assert float(np.dot(flux(xi, a, b, spec), xi)) - lower >= -1e-14
+            assert float(np.dot(fl, xi)) - lower >= -1e-14
+            upper = (a * (mu**2 + s) ** ((p - 1) / 2) + b * (mu**2 + s) ** ((q - 1) / 2)
+                     + qb * spec.eps * s ** ((qb - 1) / 2))
+            assert float(np.linalg.norm(fl)) <= upper * (1.0 + 1e-14)
 
-
-class TestCheckStructure:
-    def dom(self):
-        return Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=33, nt=16)
-
-    def test_unit_coefficients_model_identity(self):
-        rep = check_structure(const_spec(a=1.0, b=1.0, mu=0.0), self.dom())
-        # with mu = 0 the model-form upper bound is an algebraic identity
-        assert rep.model_upper_constant == pytest.approx(1.0, abs=1e-12)
-        assert rep.coercivity_constant >= 1.0 - 1e-12
-        assert rep.coercivity_slack_min >= -1e-14
-
-    def test_a_dominant_violates_q_growth_bound(self):
-        rep = check_structure(const_spec(a=2.0, b=1.0, mu=0.0), self.dom())
-        assert rep.upper_violation_measure > 0.0
-        assert rep.upper_constant > 1.0
-
-    def test_pure_q_growth_constant_one(self):
-        rep = check_structure(const_spec(a=0.0, b=1.0, mu=0.0), self.dom())
-        assert rep.upper_constant == pytest.approx(1.0, abs=1e-12)
-        assert rep.upper_violation_measure == 0.0
-
-    def test_eps_terms_vacuous_at_zero(self):
-        r0 = check_structure(const_spec(a=0.0, b=1.0, mu=0.0, eps=0.0), self.dom())
-        r1 = check_structure(const_spec(a=0.0, b=1.0, mu=0.0, eps=0.5), self.dom())
-        # the eps-terms carry the exact derivative constant, so both sides
-        # stay tight whether or not eps is present
-        assert r0.upper_constant == pytest.approx(1.0, abs=1e-12)
-        assert r1.upper_constant == pytest.approx(1.0, abs=1e-12)
-        assert r1.coercivity_constant >= 1.0 - 1e-12

@@ -34,7 +34,6 @@ from pqlab import (
     solve,
     solve_levels,
     step,
-    variational_gap,
     variational_gap_curve,
     weak_residual,
 )
@@ -136,7 +135,7 @@ class TestNewton:
               - stepper.evaluate(w - h * v, u_prev, [0]).residual) / (2 * h)
         assert np.abs(jv - fd.ravel()).max() <= 1e-6 * np.abs(jv).max()
         # the Newton direction solves J d = -R
-        d, bad = stepper.newton_direction(it, dom.dt)
+        d, bad = stepper.newton_direction(it, dom.dt, [0])
         assert bad is None
         assert np.allclose(jac @ d.ravel(), -it.residual.ravel(), rtol=0, atol=1e-10)
 
@@ -314,17 +313,17 @@ class TestSolveLevels:
         rows = np.arange(3)
         u_prev = np.tile(0.8 * np.sin(np.pi * cfg.domain.axes[0]), (3, 1))
         it = stepper.evaluate(u_prev, 0.9 * u_prev, rows)
-        alone, bad = stepper.newton_direction(it, 0.1)
+        alone, bad = stepper.newton_direction(it, 0.1, rows)
         assert bad is None
         (big_g, dg), = it.coeffs
         big_g = big_g.copy()
         big_g[1] = -1e6
-        d, bad = stepper.newton_direction(it._replace(coeffs=[(big_g, dg)]), 0.1)
+        d, bad = stepper.newton_direction(it._replace(coeffs=[(big_g, dg)]), 0.1, rows)
         assert bad[0] == 1 and "not positive definite" in str(bad[1])
         assert np.array_equal(d[0], alone[0])
         residual = it.residual.copy()
         residual[2, 3] = np.nan
-        d, bad = stepper.newton_direction(it._replace(residual=residual), 0.1)
+        d, bad = stepper.newton_direction(it._replace(residual=residual), 0.1, rows)
         assert bad[0] == 2 and "non-finite values at t = 0.1" in str(bad[1])
         assert np.array_equal(d[:2], alone[:2])
 
@@ -373,9 +372,9 @@ def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
                        BoundaryDatum(kind="profile", profile="sin", amplitude=amplitude))
 
 
-def _factor_every_iteration(stepper, it, t, factors=None):
+def _factor_every_iteration(stepper, it, t, members=None):
     """Reference 2D Newton directions: every member factored afresh and
-    solved directly, whatever factors it is offered."""
+    solved directly, whatever factors its slots hold."""
     d = np.empty_like(it.residual)
     for row in range(len(d)):
         lu = scipy.sparse.linalg.splu(stepper.jacobian(it, row), permc_spec="MMD_AT_PLUS_A")
@@ -496,7 +495,7 @@ class TestFactorReuse:
             factors_made.append(weakref.ref(lu))
             return lu
 
-        def recorded(self, it, t, members=None):
+        def recorded(self, it, t, members):
             now[0] = t
             calls.append((t, list(members), sum(ref() is not None for ref in factors_made),
                           [m for m, slot in enumerate(self.slots) if slot is not None]))
@@ -709,7 +708,8 @@ class TestVariationalGap:
         u, _ = solve(cfg)
         zero = ComparisonMap("zero", constant_field(cfg.domain, 0.0))
         tau = cfg.domain.T
-        got = variational_gap(u, zero, tau, cfg)
+        gaps, _ = variational_gap_curve(u, zero, cfg)
+        got = gaps[-1]  # the gap at the final time tau
         expect = (1.0 - math.exp(-2.0 * math.pi**2 * tau)) / 8.0
         assert got == pytest.approx(expect, rel=5e-2)
 
@@ -726,13 +726,6 @@ class TestVariationalGap:
         bad = ComparisonMap("bad", constant_field(cfg.domain, 1.0))
         with pytest.raises(PreconditionError, match="lateral"):
             variational_gap_curve(u, bad, cfg)
-
-    def test_tau_must_be_grid_time(self):
-        cfg = nonlinear_config(nx=17, nt=8)
-        u, _ = solve(cfg)
-        v = comparison_maps(cfg)[0]
-        with pytest.raises(ParameterError, match="grid time"):
-            variational_gap(u, v, cfg.domain.dt * 0.5, cfg)
 
 
 class TestBoundaryDatum:
