@@ -228,6 +228,33 @@ class TestCoefficientNorms:
 
 
 class TestFieldIO:
+    @staticmethod
+    def _read_csv(f: SpaceTimeField, path):
+        """Parse a field CSV and check its header and coordinate columns
+        against f's domain; return the value column on the domain's shape."""
+        dom = f.domain
+        with open(path, encoding="ascii") as fh:
+            assert fh.readline().rstrip("\n").split(",") == ["t", "x", "y"][: 1 + dom.n] + ["value"]
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        grids = np.meshgrid(dom.times, *dom.axes, indexing="ij")
+        for col, g in enumerate(grids):
+            assert np.array_equal(table[:, col], g.ravel())
+        return table[:, -1].reshape(dom.shape)
+
+    def test_csv_roundtrip(self, tmp_path):
+        dom = Domain(n=1, box=((0.25, 1.25),), T=0.5, nx=9, nt=6)
+        f = field_from_function(dom, lambda x, t: np.sin(3 * x) * (1 + t))
+        path = tmp_path / "field.csv"
+        save_field_csv(f, path)
+        assert np.array_equal(self._read_csv(f, path), f.values)
+
+    def test_csv_roundtrip_2d(self, tmp_path):
+        dom = Domain(n=2, box=((0.0, 1.0), (0.0, 2.0)), T=0.5, nx=5, nt=3)
+        f = field_from_function(dom, lambda x, y, t: x + 2 * y + t)
+        path = tmp_path / "field2.csv"
+        save_field_csv(f, path)
+        assert np.array_equal(self._read_csv(f, path), f.values)
+
     def test_binary_roundtrip_bit_exact(self, tmp_path):
         dom = Domain(n=2, box=((0.0, 1.0), (-1.0, 1.0)), T=2.0, nx=7, nt=4)
         rng = np.random.default_rng(1)
