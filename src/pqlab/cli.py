@@ -66,10 +66,8 @@ def _write_table(args, cfg, name, header, rows) -> str:
 
 
 def cmd_derive(args) -> int:
-    params = StructureParams(
-        n=args.n, p=args.p, q=args.q, alpha=args.alpha, beta=args.beta,
-        mu=args.mu, eps=args.eps,
-    )
+    params = StructureParams(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(StructureParams)})
     gap = check_gap(params)
     record = {"params": dataclasses.asdict(params), "gap": dataclasses.asdict(gap)}
     if not gap.ok:
@@ -185,21 +183,16 @@ def cmd_solve(args) -> int:
         os.makedirs(parent, exist_ok=True)
     save_field_dump(u, prefix + ".pqf")
     save_field_csv(u, prefix + ".csv")
-    manifest = {
+    harness._write_json(prefix + "_manifest.json", {
         "eps": scfg.spec.eps,
         "iterations": stats.iterations,
         "max_residual": float(max(stats.residuals)),
         "total_iterations": stats.total_iterations,
         "nx": cfg.domain.nx,
         "nt": cfg.domain.nt,
-    }
-    with open(prefix + "_manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(prefix + "_energy.json", "w", encoding="ascii") as fh:
-        json.dump(dict(zip(ENERGY_COLUMNS, energy_report(u, scfg).row())), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+    harness._write_json(prefix + "_energy.json",
+                        dict(zip(ENERGY_COLUMNS, energy_report(u, scfg).row())))
     print(f"solved: {prefix}.pqf ({stats.total_iterations} nonlinear iterations)")
     return 0
 
@@ -324,14 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive", help="print derived exponents as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=math.inf)
-    p.add_argument("--beta", type=float, default=math.inf)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.0)
+    p = sub.add_parser("derive", help="print derived exponents as JSON")  # one flag per field
+    for f in dataclasses.fields(StructureParams):
+        required = f.default is dataclasses.MISSING
+        p.add_argument(f"--{f.name}", type={"int": int, "float": float}[f.type],
+                       required=required, default=None if required else f.default)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("lemma", help="run built-in lemma verdict cases")

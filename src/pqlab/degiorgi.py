@@ -99,8 +99,7 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
 
     sup_term = slice_sup_l2(trunc, inner)
     if sup_term == 0.0 and mean_integral(trunc, 1.0, outer) == 0.0:
-        zero3, zero4 = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
-        return CaccioppoliSides(zero3, zero4)
+        return CaccioppoliSides((0.0,) * 3, (0.0,) * 4)
 
     dmag = _grad_magnitude(trunc)
     grad_int = _integrate_power(dmag, d.p_alpha, inner)
@@ -270,10 +269,7 @@ def _fit_recursion(x_i: np.ndarray, kappa: float):
     """Fit (lambda, C) with X_{i+1} <= C lambda**i X_i**(1+kappa) over the
     measured steps, choosing lambda >= 1 to make the convergence threshold
     least demanding.  Steps after the sequence hits zero are skipped."""
-    steps = [
-        (i, x_i[i], x_i[i + 1]) for i in range(len(x_i) - 1) if x_i[i] > 0
-    ]
-    steps = [(i, a, b) for (i, a, b) in steps if b > 0]
+    steps = [(i, a, b) for i, (a, b) in enumerate(zip(x_i[:-1], x_i[1:])) if a > 0 and b > 0]
     if not steps:
         return 1.0, 0.0, np.zeros(max(len(x_i) - 1, 0))
 

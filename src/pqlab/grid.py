@@ -21,6 +21,7 @@ t, x[, y], value.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -109,9 +110,6 @@ class Domain:
     def shape(self) -> tuple:
         return (self.nt + 1,) + (self.nx,) * self.n
 
-    def space_volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.box]))
-
     def meshgrid(self):
         """Spatial coordinate arrays of shape (nx,)*n, matrix-indexed."""
         return np.meshgrid(*self.axes, indexing="ij")
@@ -141,7 +139,7 @@ class SpaceTimeField:
 class Cylinder:
     """Backward cylinder B_rho(x_o) x (t_o - sigma, t_o].
 
-    center is (x, t) in 1D or (x, y, t) in 2D.
+    center holds n + 1 coordinates: (x, t) in 1D or (x, y, t) in 2D.
     """
 
     center: tuple
@@ -176,23 +174,24 @@ def constant_field(domain: Domain, value: float) -> SpaceTimeField:
 # region resolution
 
 
-def _space_mask(domain: Domain, cyl: Cylinder) -> np.ndarray:
-    grids = domain.meshgrid()
-    dist2 = sum((g - c) ** 2 for g, c in zip(grids, cyl.x))
-    return dist2 < cyl.rho**2
-
-
-def _time_mask(domain: Domain, cyl: Cylinder) -> np.ndarray:
-    t = domain.times
-    tol = 1e-12 * max(1.0, abs(cyl.t), cyl.sigma)
-    return (t > cyl.t - cyl.sigma + tol) & (t <= cyl.t + tol)
+def _check_center(domain: Domain, cyl: Cylinder) -> None:
+    if len(cyl.center) != domain.n + 1:
+        raise ParameterError(f"cylinder center {cyl.center} needs n + 1 = {domain.n + 1} "
+                             f"coordinates on a grid with n = {domain.n}")
 
 
 def _resolve(domain: Domain, region) -> tuple:
-    """(time_mask, space_mask) node masks for a region (None = everything)."""
+    """(time_mask, space_mask) node masks for a region (None = everything):
+    t_o - sigma < t <= t_o to 1e-12 max(1, |t_o|, sigma), and
+    sum_k (x_k - c_k)^2 < rho^2 as an outer sum over the 1-D axes."""
     if region is None:
         return np.ones(domain.nt + 1, bool), np.ones((domain.nx,) * domain.n, bool)
-    tm, sm = _time_mask(domain, region), _space_mask(domain, region)
+    _check_center(domain, region)
+    t = domain.times
+    tol = 1e-12 * max(1.0, abs(region.t), region.sigma)
+    tm = (t > region.t - region.sigma + tol) & (t <= region.t + tol)
+    dist2 = functools.reduce(np.add.outer, [(ax - c) ** 2 for ax, c in zip(domain.axes, region.x)])
+    sm = dist2 < region.rho**2
     if not tm.any() or not sm.any():
         raise RegionError(
             f"region around {region.center} (rho={region.rho}, sigma={region.sigma}) "
@@ -205,7 +204,7 @@ def region_measure(domain: Domain, region) -> float:
     """Measure of a region: continuum for the whole box, node count times
     cell volume for cylinders."""
     if region is None:
-        return domain.space_volume() * domain.T
+        return float(np.prod([hi - lo for lo, hi in domain.box])) * domain.T
     tm, sm = _resolve(domain, region)
     return int(tm.sum()) * int(sm.sum()) * domain.cell_volume * domain.dt
 
@@ -292,6 +291,7 @@ def boundary_frame(domain: Domain) -> np.ndarray:
 def cylinder_in_domain(domain: Domain, cyl: Cylinder) -> bool:
     """True iff the closed cylinder sits inside the box with its bottom above
     t = 0 (the top may touch T; the final slice is not parabolic boundary)."""
+    _check_center(domain, cyl)
     for (lo, hi), c in zip(domain.box, cyl.x):
         if not (c - cyl.rho > lo and c + cyl.rho < hi):
             return False
@@ -394,7 +394,7 @@ def load_field_dump(path) -> SpaceTimeField:
     box = tuple(struct.unpack_from("<dd", blob, 16 + 16 * k) for k in range(n))
     (T,) = struct.unpack_from("<d", blob, off - 8)
     dom = Domain(n=n, box=box, T=T, nx=nx, nt=nt)
-    expected = 8 * int(np.prod(dom.shape))
+    expected = 8 * math.prod(dom.shape)
     if len(blob) - off != expected:
         raise ParameterError(
             f"field dump body: expected {expected} bytes of values, got {len(blob) - off}"

@@ -22,10 +22,11 @@ maps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .solver import (
     BoundaryDatum,
     EnergyData,
     SolveConfig,
-    SolveStats,
     comparison_maps,
     energy_report,
     solve_levels,
@@ -83,6 +83,13 @@ class ExperimentConfig:
     max_iter: int = 60
     out_dir: str = "out"
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.levels >= 1:
+            raise ParameterError(f"levels must be at least 1, got {self.levels}")
+        if not self.c_cal > 0:
+            raise ParameterError(f"c_cal must be positive, got {self.c_cal}")
+        self.solve_config(self.eps0)  # the eps, tolerance and max_iter ranges
 
     def integrand(self, eps: float | None = None) -> IntegrandSpec:
         return IntegrandSpec(self.params, self.coeffs, self.params.eps if eps is None else eps)
@@ -284,14 +291,15 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"target {key!r}: {exc}", line=lineno) from exc
         targets.append((center, rho))
 
-    kw = {}
+    # one run section at a time, so a range error names the section at fault
+    cfg = ExperimentConfig(params=params, domain=domain, coeffs=coeffs, g=g,
+                           targets=tuple(targets))
     for section in ("sweep", "calibration", "solver", "output"):
-        kw.update(_section(entries, section))
-    if kw.get("out_dir") == "":
+        cfg = _build(functools.partial(replace, cfg), entries, section)
+    if cfg.out_dir == "":
         _, lineno = entries[("output", "directory")]
         raise ConfigError("empty value for 'directory'", line=lineno)
-    return ExperimentConfig(params=params, domain=domain, coeffs=coeffs, g=g,
-                            targets=tuple(targets), **kw)
+    return cfg
 
 
 def _fmt(v) -> str:
@@ -386,19 +394,6 @@ def target_bounds(cfg: ExperimentConfig, u: SpaceTimeField, eps: float | None = 
     ]
 
 
-def _level_report(cfg: ExperimentConfig, i: int, eps: float, u: SpaceTimeField,
-                  stats: SolveStats) -> SweepLevel:
-    return SweepLevel(
-        index=i,
-        eps=eps,
-        field=u,
-        iterations=list(stats.iterations),
-        max_residual=float(max(stats.residuals)) if stats.residuals else 0.0,
-        energy=energy_report(u, cfg.solve_config(eps)),
-        bounds=target_bounds(cfg, u, eps),
-    )
-
-
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Solve the full regularization schedule and assemble every check.
 
@@ -410,7 +405,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     schedule = cfg.eps_schedule()
     results, failure = solve_levels(cfg.solve_config(), schedule)
     levels = [
-        _level_report(cfg, i, eps, u, stats)
+        SweepLevel(
+            index=i,
+            eps=eps,
+            field=u,
+            iterations=list(stats.iterations),
+            max_residual=float(max(stats.residuals)) if stats.residuals else 0.0,
+            energy=energy_report(u, cfg.solve_config(eps)),
+            bounds=target_bounds(cfg, u, eps),
+        )
         for i, (eps, (u, stats)) in enumerate(zip(schedule, results))
     ]
     report = SweepReport(config=cfg, levels=levels,
@@ -457,6 +460,12 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _write_json(path, record) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
@@ -489,7 +498,7 @@ def emit_reports(report: SweepReport, out_dir) -> None:
 
     emit_config(cfg, os.path.join(out_dir, "config.txt"))
 
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "seed": cfg.seed,
         "eps_schedule": [lv.eps for lv in report.levels],
         "iterations": {str(lv.index): lv.iterations for lv in report.levels},
@@ -502,10 +511,7 @@ def emit_reports(report: SweepReport, out_dir) -> None:
         "all_bounds_pass": report.all_bounds_pass,
         "min_normalized_gap": _json_float(report.min_normalized_gap),
         "failure": report.failure,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
     rows = [_bound_row(lv.index, b) for lv in report.levels for b in lv.bounds]
     _write_csv(os.path.join(out_dir, "bounds.csv"), bound_csv_header(cfg.domain.n), rows)

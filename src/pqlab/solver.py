@@ -438,10 +438,6 @@ class _Stepper:
                         entries[off] = entries[off] + value if off in entries else value
         return entries
 
-    def jacobian(self, it: _Iterate, row: int):
-        """dR/dw of one member at the interior nodes as a sparse matrix."""
-        return self.matrix(self.stencil(it), row)
-
     def matrix(self, stencil: dict, row: int):
         """CSC matrix of member row of a stencil on the fixed pattern; an
         entry that happens to be zero is kept as an explicit zero."""
@@ -506,7 +502,7 @@ class _Stepper:
                         self.slots[m] = (slot[0], slot[1] + solves)
                         return d_row.reshape(rhs[row].shape)
                 slot = None  # release the stale factor before refactoring
-                lu = _factor(matrix)
+                lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
                 if self.budget is None and not self.first_step:
                     self.budget = _solve_equivalents(lu)
                 self.slots[m] = (lu, 0)
@@ -611,10 +607,6 @@ class _Stepper:
             self.slots, self.first_step = [None] * len(self.slots), False
         histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
         return out[:live], histories, failure
-
-
-def _factor(matrix):
-    return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
 
 def _solve_equivalents(lu) -> float:
@@ -900,12 +892,8 @@ def comparison_maps(cfg: SolveConfig) -> list:
     T = dom.T
     g = cfg.g.sample(dom).values
     grids = dom.meshgrid()
-    bump = np.ones((dom.nx,) * dom.n)
-    sin2 = np.ones((dom.nx,) * dom.n)
-    for (lo, hi), c in zip(dom.box, grids):
-        length = hi - lo
-        bump = bump * 4.0 * (c - lo) * (hi - c) / length**2
-        sin2 = sin2 * np.sin(2.0 * np.pi * (c - lo) / length)
+    bump = BoundaryDatum(kind="profile", profile="bump")._g0(dom.box, grids)
+    sin2 = BoundaryDatum(kind="profile", mode=2)._g0(dom.box, grids)
     amplitude = 0.3 * (1.0 + float(np.abs(g).max()))
     t = dom.times.reshape((-1,) + (1,) * dom.n)
 
@@ -931,8 +919,7 @@ def _cell_integrals(values: np.ndarray, cfg: SolveConfig, eps: float) -> np.ndar
     n = dom.n
     centres = np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) for ax in dom.axes), indexing="ij")
     xi = []
-    for k, h in enumerate(dom.dx):
-        component = _diff(values, k - n) / h
+    for k, component in enumerate(face_gradients(values, dom)):
         for j in range(n):
             if j != k:
                 component = _face_average(component, j - n)

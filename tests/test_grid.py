@@ -1,6 +1,8 @@
 """Fields, quadrature, cylinders, norms and I/O."""
 
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from pqlab import (
     slice_sup_l2,
     truncate_plus,
 )
-from pqlab.grid import _grad_magnitude, _trapezoid_weights, boundary_frame
+from pqlab.grid import _grad_magnitude, _resolve, _trapezoid_weights, boundary_frame
 
 
 def unit_domain(nx=65, nt=32, T=1.0):
@@ -199,6 +201,74 @@ class TestPQGeometry:
         assert not cylinder_in_domain(dom, Cylinder((0.1, 0.9), 0.2, 0.3))  # leaves the box
         assert cylinder_in_domain(dom, Cylinder((0.5, 1.0), 0.2, 0.3))  # may touch t = T
 
+    def test_short_center_rejected(self):
+        # (x, t) on a 2D grid once read as the slab 0.05 < x < 0.15
+        dom = Domain(n=2, box=((0.0, 1.0), (0.0, 1.0)), T=1.0, nx=21, nt=8)
+        f = field_from_function(dom, lambda x, y, t: x + y + t)
+        cyl = Cylinder((0.1, 0.2), 0.05, 0.1)
+        with pytest.raises(ParameterError, match="needs n \\+ 1 = 3 coordinates"):
+            ess_sup(f, cyl)
+        with pytest.raises(ParameterError, match="needs n \\+ 1 = 3 coordinates"):
+            cylinder_in_domain(dom, cyl)
+
+    @pytest.mark.parametrize("n,center", [(1, (0.5, 0.5, 0.9)), (2, (0.5, 0.5, 0.5, 0.9))])
+    def test_long_center_rejected(self, n, center):
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=1.0, nx=9, nt=8)
+        cyl = Cylinder(center, 0.2, 0.3)
+        with pytest.raises(ParameterError, match=f"needs n \\+ 1 = {n + 1} coordinates"):
+            region_measure(dom, cyl)
+        with pytest.raises(ParameterError, match=f"needs n \\+ 1 = {n + 1} coordinates"):
+            cylinder_in_domain(dom, cyl)
+
+
+def _brute_force_masks(dom: Domain, cyl: Cylinder):
+    """The node masks of a cylinder by a loop over the nodes: the time levels
+    in (t - sigma, t] to the tolerance 1e-12 max(1, |t|, sigma), and the
+    nodes with sum over the axes of (x_k - c_k)^2 below rho^2."""
+    tol = 1e-12 * max(1.0, abs(cyl.t), cyl.sigma)
+    tm = np.array([cyl.t - cyl.sigma + tol < t <= cyl.t + tol for t in dom.times.tolist()])
+    axes = [ax.tolist() for ax in dom.axes]
+    sm = np.zeros((dom.nx,) * dom.n, bool)
+    for node in itertools.product(range(dom.nx), repeat=dom.n):
+        dist2 = 0.0
+        for ax, i, c in zip(axes, node, cyl.x):
+            dist2 += (ax[i] - c) * (ax[i] - c)
+        sm[node] = dist2 < cyl.rho * cyl.rho
+    return tm, sm
+
+
+def _resolver_cylinders(dom: Domain, rng):
+    """Random cylinders, and cylinders whose radius is the distance to a node
+    and whose time window ends on a grid time."""
+    cylinders = []
+    for _ in range(20):
+        x = rng.uniform(-0.1, 1.1, dom.n)
+        cylinders.append(Cylinder((*x, rng.uniform(0.2, 1.2)), rng.uniform(0.05, 0.8),
+                                  rng.uniform(0.05, 0.8)))
+    axes = dom.axes
+    for _ in range(10):
+        centre = [axes[k][rng.integers(dom.nx)] for k in range(dom.n)]
+        node = [axes[k][rng.integers(dom.nx)] for k in range(dom.n)]
+        rho = math.sqrt(sum((a - c) ** 2 for a, c in zip(node, centre))) or dom.dx[0]
+        j = int(rng.integers(2, dom.nt + 1))
+        cylinders.append(Cylinder((*centre, float(dom.times[j])), rho,
+                                  float(rng.integers(1, j + 1)) * dom.dt))
+    return cylinders
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_resolver_matches_brute_force(n, rng):
+    dom = Domain(n=n, box=((0.0, 1.0), (-0.5, 1.5))[:n], T=1.0, nx=17, nt=10)
+    for cyl in _resolver_cylinders(dom, rng):
+        tm, sm = _brute_force_masks(dom, cyl)
+        if not tm.any() or not sm.any():
+            with pytest.raises(RegionError):
+                _resolve(dom, cyl)
+            continue
+        got_tm, got_sm = _resolve(dom, cyl)
+        assert np.array_equal(got_tm, tm) and np.array_equal(got_sm, sm)
+        assert region_measure(dom, cyl) == int(tm.sum()) * int(sm.sum()) * dom.cell_volume * dom.dt
+
 
 class TestCoefficientNorms:
     def test_mean_raw_identity(self):
@@ -288,6 +358,14 @@ class TestFieldIO:
         path, blob = self._dump_bytes(tmp_path)
         path.write_bytes(blob[:-8])
         with pytest.raises(ParameterError, match="expected 160 bytes of values, got 152"):
+            load_field_dump(path)
+
+    def test_dump_size_beyond_int64_rejected(self, tmp_path):
+        # 4 * 2**31 * 2**31 values wrap to 0 in int64, which an empty body matched
+        path = tmp_path / "huge.pqf"
+        path.write_bytes(b"PQF1" + struct.pack("<III", 2, 2**31, 3)
+                         + struct.pack("<ddddd", 0.0, 1.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ParameterError, match="expected 147573952589676412928 bytes"):
             load_field_dump(path)
 
     def test_dump_long_body_rejected(self, tmp_path):

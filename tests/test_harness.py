@@ -343,6 +343,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(write(tmp_path, SWEEP_CFG.replace(old, new)))
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("levels = 3", "levels = 0", r"line 29: \[sweep\]: levels must be at least 1, got 0"),
+        ("levels = 3", "levels = -3", r"line 29: \[sweep\]: levels must be at least 1, got -3"),
+        ("eps0 = 0.25", "eps0 = 2", r"line 29: \[sweep\]: eps must lie in \[0, 1\], got 2.0"),
+        ("seed = 11\n", "seed = 11\n\n[calibration]\nc_cal = -5\n",
+         r"line 40: \[calibration\]: c_cal must be positive, got -5.0"),
+        ("seed = 11\n", "seed = 11\n\n[solver]\ntolerance = -1\n",
+         r"line 40: \[solver\]: tolerance must be positive, got -1.0"),
+        ("seed = 11\n", "seed = 11\n\n[solver]\nmax_iter = 0\n",
+         r"line 40: \[solver\]: max_iter must be at least 1"),
+    ], ids=["levels-0", "levels-negative", "eps0", "c_cal", "tolerance", "max_iter"])
+    def test_run_range_error_names_section_and_line(self, old, new, message, tmp_path):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, SWEEP_CFG.replace(old, new)))
+
     def test_readme_example_parses(self, tmp_path):
         cfg = load_config(write(tmp_path, readme_config()))
         assert cfg.coeffs.a.kind == "power" and cfg.g.kind == "profile"
@@ -442,6 +457,14 @@ class TestCLI:
     def test_derive_bad_params_exit_code(self, capsys):
         assert cli_main(["derive", "--n", "2", "--p", "1.0", "--q", "2.0"]) == 3
 
+    def test_derive_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal
+        with pytest.raises(SystemExit):
+            cli_main(["derive", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage == ("usage: pqlab derive [-h] --n N --p P --q Q [--alpha ALPHA] [--beta BETA]\n"
+                         "                    [--mu MU] [--eps EPS]")
+
     @pytest.mark.parametrize("case", ["mollify", "interp", "geom", "absorb"])
     def test_lemma_verdicts(self, case, capsys):
         assert cli_main(["lemma", case]) == 0
@@ -519,6 +542,13 @@ class TestCLI:
         for name in ("bounds.csv", "energy.csv", "varsol.csv", "cauchy.csv",
                      "u_final.pqf", "config.txt"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_sweep_nonpositive_calibration_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, SWEEP_CFG)
+        out = str(tmp_path / "sweepout")
+        assert cli_main(["sweep", "--config", str(path), "--out", out, "--calibration", "-5"]) == 3
+        assert "c_cal must be positive" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_check_subcommands(self, tmp_path, capsys):
         path = write(tmp_path, SWEEP_CFG)

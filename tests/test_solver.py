@@ -128,7 +128,7 @@ class TestNewton:
         v = np.zeros(shape)
         v[stepper.interior] = rng.normal(size=(1,) + (dom.nx - 2,) * n)
         it = stepper.evaluate(w, u_prev, [0])
-        jac = stepper.jacobian(it, 0)
+        jac = stepper.matrix(stepper.stencil(it), 0)
         jv = jac @ v[stepper.interior].ravel()
         h = 1e-6
         fd = (stepper.evaluate(w + h * v, u_prev, [0]).residual
@@ -230,18 +230,19 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
     shape = (2,) + (dom.nx,) * n
     u_prev = rng.normal(size=shape)
     it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, [0, 1])
+    stencil = stepper.stencil(it)
     if n == 1:
-        stencil = stepper.stencil(it)
         diag, off = _reference_tridiagonal(stepper, it)
         assert np.array_equal(stencil[(0,)], diag)
         assert np.array_equal(stencil[(1,)][:, :-1], off)
         assert np.array_equal(stencil[(-1,)][:, 1:], off)
         for row in (0, 1):
             ref = scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1])
-            assert (stepper.jacobian(it, row) != ref).nnz == 0
+            assert (stepper.matrix(stencil, row) != ref).nnz == 0
     else:
         for row in (0, 1):
-            assert (stepper.jacobian(it, row) != _reference_nine_point(stepper, it, row)).nnz == 0
+            ref = _reference_nine_point(stepper, it, row)
+            assert (stepper.matrix(stencil, row) != ref).nnz == 0
 
 
 def _at_eps(cfg, eps):
@@ -375,9 +376,9 @@ def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
 def _factor_every_iteration(stepper, it, t, members=None):
     """Reference 2D Newton directions: every member factored afresh and
     solved directly, whatever factors its slots hold."""
-    d = np.empty_like(it.residual)
+    d, stencil = np.empty_like(it.residual), stepper.stencil(it)
     for row in range(len(d)):
-        lu = scipy.sparse.linalg.splu(stepper.jacobian(it, row), permc_spec="MMD_AT_PLUS_A")
+        lu = scipy.sparse.linalg.splu(stepper.matrix(stencil, row), permc_spec="MMD_AT_PLUS_A")
         d[row] = lu.solve(-it.residual[row].ravel()).reshape(d[row].shape)
     return d, None
 
@@ -412,7 +413,8 @@ class TestFactorReuse:
         # a factor of 0.25 J makes the first correction triple the defect; one
         # of 10 J shrinks it by 0.9 per correction, which cannot reach the
         # tolerance within the budget
-        lu = scipy.sparse.linalg.splu(scale * stepper.jacobian(it, 0), permc_spec="MMD_AT_PLUS_A")
+        lu = scipy.sparse.linalg.splu(scale * stepper.matrix(stepper.stencil(it), 0),
+                                      permc_spec="MMD_AT_PLUS_A")
         solves = []
 
         class StaleFactor:
