@@ -7,6 +7,8 @@ arithmetic and the growth-gap condition, the time mollification and
 analysis lemmas, the truncation energy (Caccioppoli) inequality, level
 choices and shrinking-cylinder iterations, energy bounds for the
 regularization sweep, and the variational inequality of the limit map.
+
+The imports below are the one declaration of the public API.
 """
 
 from .errors import (
@@ -75,7 +77,6 @@ from .solver import (
     face_gradients,
     solve,
     solve_levels,
-    step,
     variational_gap_curve,
     weak_residual,
 )

@@ -34,17 +34,6 @@ from .grid import (
 )
 from .model import IntegrandSpec
 
-__all__ = [
-    "CaccioppoliSides",
-    "DeGiorgiTrace",
-    "BoundReport",
-    "caccioppoli_sides",
-    "choose_level_k",
-    "theorem_bound",
-    "trace",
-    "verify_sup_bound",
-]
-
 
 @dataclass(frozen=True)
 class CaccioppoliSides:
@@ -326,6 +315,9 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
     The regularization strength is checked against its admissible threshold
     and flagged (not rejected) when it exceeds it.
     """
+    if spec.params.n != u.domain.n:
+        raise ParameterError(
+            f"spec has n = {spec.params.n} but the field has n = {u.domain.n}")
     d = spec.d
     q0 = Cylinder(tuple(z_o), 2.0 * rho, 2.0 * sigma)
     if not cylinder_in_domain(u.domain, q0):

@@ -25,15 +25,6 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
-__all__ = [
-    "StructureParams",
-    "GapReport",
-    "DerivedExponents",
-    "check_gap",
-    "derive",
-    "epsilon_threshold",
-]
-
 
 @dataclass(frozen=True)
 class StructureParams:
@@ -74,16 +65,6 @@ class StructureParams:
             raise ParameterError(f"mu must lie in [0, 1], got mu = {self.mu}")
         if not 0.0 <= self.eps <= 1.0:
             raise ParameterError(f"eps must lie in [0, 1], got eps = {self.eps}")
-
-    @property
-    def alpha_factor(self) -> float:
-        """alpha/(alpha+1), read as 1 for infinite alpha."""
-        return 1.0 if math.isinf(self.alpha) else self.alpha / (self.alpha + 1.0)
-
-    @property
-    def beta_factor(self) -> float:
-        """(beta-1)/beta, read as 1 for infinite beta."""
-        return 1.0 if math.isinf(self.beta) else (self.beta - 1.0) / self.beta
 
 
 def _rational_factor(value: float, which: str) -> Fraction:
@@ -185,9 +166,10 @@ def derive(params: StructureParams) -> DerivedExponents:
             f"gap condition fails: q = {params.q} must be < {gap.rhs} (margin {gap.margin})"
         )
 
-    n, p, q = params.n, params.p, params.q
-    af = params.alpha_factor
-    bf = params.beta_factor
+    n, p, q, alpha, beta = params.n, params.p, params.q, params.alpha, params.beta
+    # alpha/(alpha+1) and (beta-1)/beta, read as 1 for infinite alpha resp. beta
+    af = 1.0 if math.isinf(alpha) else alpha / (alpha + 1.0)
+    bf = 1.0 if math.isinf(beta) else (beta - 1.0) / beta
 
     p_alpha = p * af
     q_beta = q / bf
@@ -206,8 +188,8 @@ def derive(params: StructureParams) -> DerivedExponents:
         n=n,
         p=p,
         q=q,
-        alpha=params.alpha,
-        beta=params.beta,
+        alpha=alpha,
+        beta=beta,
         p_alpha=p_alpha,
         q_beta=q_beta,
         beta_conj=beta_conj,

@@ -29,28 +29,6 @@ import numpy as np
 
 from .errors import ParameterError, RegionError
 
-__all__ = [
-    "Domain",
-    "SpaceTimeField",
-    "Cylinder",
-    "CoefficientNorms",
-    "field_from_function",
-    "constant_field",
-    "lp_norm",
-    "mean_integral",
-    "region_measure",
-    "truncate_plus",
-    "ess_sup",
-    "slice_sup_l2",
-    "gradient",
-    "boundary_frame",
-    "cylinder_in_domain",
-    "coefficient_norms",
-    "save_field_csv",
-    "save_field_dump",
-    "load_field_dump",
-]
-
 _MAGIC = b"PQF1"
 
 # names of the spatial axes; an n-dimensional domain has the first n

@@ -54,16 +54,6 @@ from .solver import (
     variational_gap_curve,
 )
 
-__all__ = [
-    "ExperimentConfig",
-    "SweepLevel",
-    "SweepReport",
-    "load_config",
-    "emit_config",
-    "run_sweep",
-    "emit_reports",
-]
-
 
 # ---------------------------------------------------------------------------
 # config schema

@@ -30,17 +30,6 @@ from .grid import (
     mean_integral,
 )
 
-__all__ = [
-    "GeometricIteration",
-    "IterationResult",
-    "AbsorptionParams",
-    "mollify_time",
-    "mollifier_derivative_residual",
-    "interpolation_ratio",
-    "geometric_iterate",
-    "absorption_bound",
-]
-
 
 def mollify_time(v: SpaceTimeField, h: float) -> SpaceTimeField:
     """Forward exponential time average of v with memory h > 0.

@@ -26,15 +26,6 @@ from .errors import ParameterError
 from .exponents import DerivedExponents, StructureParams, derive
 from .grid import Domain, SpaceTimeField
 
-__all__ = [
-    "Coefficient",
-    "CoefficientSpec",
-    "IntegrandSpec",
-    "flux",
-    "flux_coefficient",
-    "integrand",
-]
-
 
 @dataclass(frozen=True)
 class Coefficient:

@@ -80,24 +80,6 @@ from .grid import (
 )
 from .model import IntegrandSpec, flux_coefficient, integrand
 
-__all__ = [
-    "BoundaryDatum",
-    "SolveConfig",
-    "SolveStats",
-    "StepHistory",
-    "EnergyData",
-    "ComparisonMap",
-    "step",
-    "solve",
-    "solve_levels",
-    "face_gradients",
-    "face_divergence",
-    "weak_residual",
-    "energy_report",
-    "variational_gap_curve",
-    "comparison_maps",
-]
-
 # Line search: accept step length t once max|R| has fallen by the factor
 # 1 - ARMIJO * t; halve t down to MIN_STEP.
 _ARMIJO = 1e-4
@@ -207,6 +189,9 @@ class SolveConfig:
     max_iter: int = 60
 
     def __post_init__(self):
+        if self.spec.params.n != self.domain.n:
+            raise ParameterError(
+                f"spec has n = {self.spec.params.n} but the grid has n = {self.domain.n}")
         if not self.tolerance > 0:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iter < 1:
@@ -661,15 +646,6 @@ def _face_average(v: np.ndarray, axis: int) -> np.ndarray:
     """Mean of neighbouring node values along axis, on the faces between."""
     lo, hi = _neighbours(v, axis)
     return 0.5 * (lo + hi)
-
-
-def step(u_prev: np.ndarray, t_next: float, cfg: SolveConfig):
-    """One implicit Euler step; returns (field slice, iterations, residual)."""
-    u, histories, failure = _Stepper(cfg, [cfg.spec.eps]).step(
-        np.asarray(u_prev, float)[None], t_next)
-    if failure is not None:
-        raise failure
-    return u[0], len(histories[0].residuals), histories[0].residuals[-1]
 
 
 def solve_levels(cfg: SolveConfig, eps_values):

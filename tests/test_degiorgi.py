@@ -297,6 +297,14 @@ class TestVerifySupBound:
         assert rep.eps_threshold == pytest.approx(expect, rel=1e-14)
         assert rep.eps_ok == (rep.eps <= rep.eps_threshold)
 
+    def test_spec_dimension_must_match_the_field(self):
+        # a 2D spec on a 1D field would report levels from the 2D exponents
+        params = StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0)
+        spec = IntegrandSpec(params, self.make_spec().coeffs, eps=0.0)
+        field = constant_field(big_domain(), 0.0)
+        with pytest.raises(ParameterError, match="spec has n = 2 but the field has n = 1"):
+            verify_sup_bound(field, (0.0, 2.0), 0.8, 0.5, spec)
+
     def test_mean_um_uses_positive_part(self):
         dom = big_domain()
         spec = self.make_spec()

@@ -274,6 +274,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 11.*nx"):
             load_config(write(tmp_path, broken))
 
+    @pytest.mark.parametrize("text,line,message", [
+        (MINIMAL + "nx 65\n", 13, "expected 'key = value', got 'nx 65'"),
+        ("n = 1\n" + MINIMAL, 1, "key outside of any [section]"),
+        (MINIMAL + "\n[targets]\nzone1 = 0.5 0.12 0.2\n", 15,
+         "unknown key 'zone1' in [targets] (expected cylinder<N>)"),
+        (MINIMAL.replace("nx = 33", "nx = 33.5"), 11, "bad value for 'nx': '33.5' is not an integer"),
+        (MINIMAL + "\n[targets]\ncylinder1 = 0.5 early 0.2\n", 15,
+         "bad target 'cylinder1': could not convert string to float: 'early'"),
+        (MINIMAL + "\n[targets]\ncylinder1 = 0.5 0.12\n", 15,
+         "target 'cylinder1' needs 3 numbers (x t rho)"),
+    ], ids=["no-equals", "no-section", "targets-key", "non-integer", "non-numeric-target",
+            "target-length"])
+    def test_malformed_line_named(self, text, line, message, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, text))
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_duplicate_key_rejected(self, tmp_path):
         broken = MINIMAL + "nt = 64\n"
         with pytest.raises(ConfigError, match="duplicate"):
