@@ -37,7 +37,6 @@ from .grid import (
     cylinder_in_domain,
     ess_sup,
     field_from_function,
-    gradient,
     load_field_dump,
     lp_norm,
     mean_integral,

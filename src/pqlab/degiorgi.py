@@ -322,7 +322,7 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
     q0 = Cylinder(tuple(z_o), 2.0 * rho, 2.0 * sigma)
     if not cylinder_in_domain(u.domain, q0):
         raise RegionError(
-            f"cylinder Q(2rho=, {2 * rho}, 2sigma={2 * sigma}) at {z_o} leaves the domain"
+            f"cylinder Q(2rho={2 * rho}, 2sigma={2 * sigma}) at {z_o} leaves the domain"
         )
     a = spec.coeffs.a.sample(u.domain)
     b = spec.coeffs.b.sample(u.domain)

@@ -247,11 +247,6 @@ def _partial(f: SpaceTimeField, axis: int) -> np.ndarray:
     return np.gradient(f.values, f.domain.dx[axis], axis=1 + axis, edge_order=2)
 
 
-def gradient(f: SpaceTimeField) -> np.ndarray:
-    """Spatial gradient per node, shape (n, nt+1, nx[, nx])."""
-    return np.stack([_partial(f, axis) for axis in range(f.domain.n)])
-
-
 def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
     """|Df| per node.  The squared components are added one axis at a time,
     so no stack of the gradient is held."""
@@ -297,30 +292,31 @@ class CoefficientNorms:
 def coefficient_norms(a: SpaceTimeField, b: SpaceTimeField, alpha: float,
                       beta: float, region=None) -> CoefficientNorms:
     """Mean and raw integral norms of 1/a (exponent alpha) and b (exponent
-    beta) over a region; infinite exponents give node suprema."""
-    measure = region_measure(a.domain, region)
+    beta) over a region; infinite exponents give node suprema.  1/a is
+    taken at the region's nodes only, so a zero of a outside it is no
+    error."""
+    dom = a.domain
+    measure = region_measure(dom, region)
+    tm, sm = _resolve(dom, region)
+    inv_a = np.ones(dom.shape)
     with np.errstate(divide="ignore"):
-        inv_a = SpaceTimeField(a.domain, _finite_or_raise(1.0 / np.maximum(a.values, 0)))
-    if np.isinf(alpha):
-        raw_a = norm_a = ess_sup(inv_a, region)
-    else:
-        raw_a = lp_norm(inv_a, alpha, region)
-        norm_a = raw_a / measure ** (1.0 / alpha)
-    if np.isinf(beta):
-        raw_b = norm_b = ess_sup(b, region)
-    else:
-        raw_b = lp_norm(b, beta, region)
-        norm_b = raw_b / measure ** (1.0 / beta)
-    return CoefficientNorms(norm_a, norm_b, raw_a, raw_b)
-
-
-def _finite_or_raise(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
+        np.divide(1.0, np.maximum(a.values, 0), out=inv_a, where=tm[(...,) + (None,) * dom.n] & sm)
+    if not np.all(np.isfinite(inv_a)):
         raise ParameterError(
             "coefficient a vanishes at a grid node; 1/a is not integrable on "
             "the discrete region (move the degeneracy off-node or floor it)"
         )
-    return values
+
+    def norms(f, r):
+        """(mean, raw) norm of f with exponent r over the region."""
+        if np.isinf(r):
+            return (ess_sup(f, region),) * 2
+        raw = lp_norm(f, r, region)
+        return raw / measure ** (1.0 / r), raw
+
+    norm_a, raw_a = norms(SpaceTimeField(dom, inv_a), alpha)
+    norm_b, raw_b = norms(b, beta)
+    return CoefficientNorms(norm_a, norm_b, raw_a, raw_b)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,13 @@ first failure.
 
 D_h places gradients on cell faces and div_h is its negative adjoint, which
 makes discrete integration by parts exact for test functions vanishing on
-the boundary.  In 1D one step is therefore the minimizing movement of the
-convex integrand, and the discrete variational inequality holds up to
+the boundary.  weak_residual sums the step residual against a test field,
+so the discrete weak form of a computed solution holds to the solver
+tolerance in 1D and 2D.  In 1D one step is also the minimizing movement of
+the convex integrand, and the discrete variational inequality holds up to
 iteration tolerance.  The averaged transverse gradient of the 2D flux makes
-the 2D step minimize no discrete energy exactly.
+the 2D step minimize no discrete energy exactly, so in 2D the inequality
+holds only up to a first-order error.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .grid import (
     _grad_magnitude,
     _trapezoid_weights,
     boundary_frame,
-    gradient,
     lp_norm,
 )
 from .model import IntegrandSpec, flux_coefficient, integrand
@@ -697,10 +699,19 @@ def solve(cfg: SolveConfig):
 # weak-form residual
 
 
-def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, spec: IntegrandSpec) -> float:
-    """Quadrature of integral(-u d_t phi + <F(Du), D phi>) for a nonnegative
-    test field phi vanishing near the parabolic boundary (and at the final
-    time).  Nonpositive up to consistency error for discrete subsolutions."""
+def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, cfg: SolveConfig) -> float:
+    """The scheme's discrete weak form of u tested with phi,
+
+        sum_{j=1..nt} sum_interior phi_j R_j(u) |cell|,
+        R_j(u) = u_j - u_{j-1} - dt div_h F(D_h u_j),
+
+    with R the residual of the implicit step.  phi must be nonnegative and
+    vanish near the parabolic boundary and at the final time; summation by
+    parts in space and time then makes this the quadrature of
+    integral(-u d_t phi + <F(D_h u), D_h phi>), nonpositive for discrete
+    subsolutions.  For a field computed by solve with stats,
+    |weak_residual| <= max(stats.residuals) sum |phi| |cell| up to rounding.
+    """
     dom = u.domain
     if phi.domain != dom:
         raise ParameterError("test field lives on a different grid")
@@ -713,14 +724,9 @@ def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, spec: IntegrandSpec) -
     if pmax > 0 and float(np.abs(phi.values[frame]).max()) > tol:
         raise PreconditionError("test field must vanish near the parabolic boundary")
 
-    a = spec.coeffs.a.sample(dom).values
-    b = spec.coeffs.b.sample(dom).values
-    du = gradient(u)
-    coeff = flux_coefficient(np.sum(du**2, axis=0), a, b, spec)
-    dphi = gradient(phi)
-    dtphi = np.gradient(phi.values, dom.dt, axis=0, edge_order=2)
-    density = -u.values * dtphi + coeff * np.sum(du * dphi, axis=0)
-    return float(np.sum(density * _trapezoid_weights(dom)))
+    stepper = _Stepper(cfg, [cfg.spec.eps])
+    it = stepper.evaluate(u.values[1:], u.values[:-1], np.zeros(dom.nt, int))
+    return float(np.sum(phi.values[1:][stepper.interior] * it.residual)) * dom.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +894,11 @@ def comparison_maps(cfg: SolveConfig) -> list:
 
 def _cell_integrals(values: np.ndarray, cfg: SolveConfig, eps: float) -> np.ndarray:
     """integral of f(x, Dw) at every time level of values (time first), by
-    cell-centred staggered gradients (the quadrature adapted to the scheme,
+    cell-centred staggered gradients.  In 1D this is the step's own energy,
     so the discrete variational inequality survives with the iteration
-    tolerance).  The coefficients are time-independent."""
+    tolerance; in 2D it does not (the strict xfail of
+    TestVariationalGap::test_first_variation_vanishes).  The coefficients
+    are time-independent."""
     dom = cfg.domain
     n = dom.n
     centres = np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) for ax in dom.axes), indexing="ij")
@@ -920,8 +928,13 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
     is v itself), paired with (v - u) at the right endpoint.
     """
     dom = u.domain
-    g0 = cfg.g.at(dom.box, dom.meshgrid(), 0.0)
-    _check_lateral_match(v.field.values, cfg)
+    g = cfg.g.sample(dom).values
+    lateral = boundary_frame(dom)
+    mismatch = float(np.abs(v.field.values[:, lateral] - g[:, lateral]).max())
+    if mismatch > 1e-12 * max(float(np.abs(v.field.values).max()), float(np.abs(g).max()), 1e-300):
+        raise PreconditionError(
+            f"comparison map does not match the datum on the lateral boundary "
+            f"(mismatch {mismatch:g})")
 
     fv = _cell_integrals(v.field.values, cfg, eps)
     fu = _cell_integrals(u.values, cfg, eps)
@@ -933,7 +946,7 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
         dv_steps * diff_vu[1:], axis=tuple(range(1, dv_steps.ndim))
     ) * cell
     slice_sq = 0.5 * np.sum(diff_vu**2, axis=tuple(range(1, diff_vu.ndim))) * cell
-    init_sq = 0.5 * float(np.sum((v.field.values[0] - g0) ** 2)) * cell
+    init_sq = 0.5 * float(np.sum((v.field.values[0] - g[0]) ** 2)) * cell
 
     cum_fv = np.cumsum(fv[1:]) * dom.dt
     cum_fu = np.cumsum(fu[1:]) * dom.dt
@@ -942,15 +955,3 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
     scales = cum_fv + cum_fu + np.abs(cum_dual) + slice_sq[1:] + init_sq
     return gaps, scales
 
-
-def _check_lateral_match(values: np.ndarray, cfg: SolveConfig) -> None:
-    dom = cfg.domain
-    g = cfg.g.sample(dom).values
-    scale = max(float(np.abs(values).max()), float(np.abs(g).max()), 1e-300)
-    lateral = boundary_frame(dom)
-    mismatch = float(np.abs(values[:, lateral] - g[:, lateral]).max())
-    if mismatch > 1e-12 * scale:
-        raise PreconditionError(
-            f"comparison map does not match the datum on the lateral boundary "
-            f"(mismatch {mismatch:g})"
-        )

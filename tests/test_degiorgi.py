@@ -2,6 +2,7 @@
 sup-bound verification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,10 @@ class TestLevelFormulas:
             choose_level_k(-1.0, 1.0, 1.0, 1.0, 1.0, 0.0, D_REF)
         with pytest.raises(ParameterError):
             choose_level_k(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, D_REF)
+        with pytest.raises(ParameterError, match="mean integral of u_\\+\\*\\*m must be nonnegative"):
+            theorem_bound(-1.0, 1.0, 1.0, D_REF)
+        with pytest.raises(ParameterError, match="cylinder extents must be positive"):
+            theorem_bound(1.0, 1.0, 0.0, D_REF)
 
 
 class TestTrace:
@@ -195,6 +200,13 @@ class TestTrace:
         assert np.all(np.diff(tr.k_i) > 0)
         assert np.all(np.diff(tr.rho_i) < 0)
         assert np.all(np.diff(tr.sigma_i) < 0)
+
+    def test_preconditions(self):
+        u = constant_field(big_domain(), 3.0)
+        with pytest.raises(RegionError, match="base cylinder leaves the space-time domain"):
+            trace(u, Cylinder((0.0, 0.5), 1.6, 1.0), 2.0, D_1D)
+        with pytest.raises(ParameterError, match="level must be positive, got k = 0.0"):
+            trace(u, Cylinder((0.0, 2.0), 1.6, 1.0), 0.0, D_1D)
 
     def test_truncation_warning_flag(self):
         dom = big_domain(nx=41, nt=40)
@@ -282,8 +294,22 @@ class TestVerifySupBound:
 
     def test_geometry_violation(self):
         dom = big_domain()
-        with pytest.raises(RegionError):
+        with pytest.raises(RegionError, match=re.escape(
+                "cylinder Q(2rho=1.6, 2sigma=1.0) at (0.0, 0.5) leaves the domain")):
             verify_sup_bound(constant_field(dom, 0.0), (0.0, 0.5), 0.8, 0.5, self.make_spec())
+
+    def test_zero_of_a_outside_the_cylinder(self):
+        # a vanishes at the node x = 0.125, outside Q(0.2, 0.3) at (0.75, 0.4)
+        params = StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0)
+        coeffs = CoefficientSpec(
+            a=Coefficient("power", center=(0.125,), exponent=0.5),
+            b=Coefficient("constant", value=1.0),
+        )
+        spec = IntegrandSpec(params, coeffs, eps=0.0)
+        dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=65, nt=32)
+        u, _ = solve(SolveConfig(dom, spec, BoundaryDatum(kind="profile", profile="sin")))
+        rep = verify_sup_bound(u, (0.75, 0.4), 0.1, 0.15, spec)
+        assert math.isfinite(rep.norm_a) and rep.ess_sup > 0
 
     def test_eps_threshold_flag(self):
         dom = big_domain()

@@ -20,7 +20,6 @@ from pqlab import (
     cylinder_in_domain,
     ess_sup,
     field_from_function,
-    gradient,
     load_field_dump,
     lp_norm,
     mean_integral,
@@ -30,7 +29,7 @@ from pqlab import (
     slice_sup_l2,
     truncate_plus,
 )
-from pqlab.grid import _grad_magnitude, _resolve, _trapezoid_weights, boundary_frame
+from pqlab.grid import _grad_magnitude, _partial, _resolve, _trapezoid_weights, boundary_frame
 
 
 def unit_domain(nx=65, nt=32, T=1.0):
@@ -57,6 +56,10 @@ class TestDomainAndField:
     def test_domain_validation(self, kwargs):
         with pytest.raises(ParameterError):
             Domain(**kwargs)
+
+    def test_box_needs_one_pair_per_axis(self):
+        with pytest.raises(ParameterError, match="box must carry one \\(lo, hi\\) pair per axis"):
+            Domain(n=2, box=((0.0, 1.0),), T=1.0, nx=5, nt=4)
 
     def test_field_shape_and_finiteness(self):
         dom = unit_domain(nx=5, nt=4)
@@ -171,10 +174,10 @@ class TestSupsAndGradient:
     def test_gradient_exact_for_linear(self):
         dom = unit_domain(nx=17, nt=4)
         f = field_from_function(dom, lambda x, t: 3.0 * x - 1.0)
-        g = gradient(f)
-        assert g.shape == (1, 5, 17)
+        g = _partial(f, 0)
+        assert g.shape == (5, 17)
         assert np.allclose(g, 3.0, atol=1e-12)
-        assert np.allclose(gradient(constant_field(dom, 4.0)), 0.0)
+        assert np.allclose(_partial(constant_field(dom, 4.0), 0), 0.0)
 
     def test_gradient_second_order(self):
         errs = []
@@ -182,15 +185,14 @@ class TestSupsAndGradient:
             dom = unit_domain(nx=nx, nt=4)
             f = field_from_function(dom, lambda x, t: np.sin(np.pi * x))
             exact = np.pi * np.cos(np.pi * dom.axes[0])
-            errs.append(np.abs(gradient(f)[0] - exact[None, :]).max())
+            errs.append(np.abs(_partial(f, 0) - exact[None, :]).max())
         rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(rates) >= 1.8
 
     def test_gradient_2d_components(self):
         dom = Domain(n=2, box=((0.0, 1.0), (0.0, 2.0)), T=1.0, nx=9, nt=3)
         f = field_from_function(dom, lambda x, y, t: 2.0 * x + 5.0 * y)
-        g = gradient(f)
-        assert np.allclose(g[0], 2.0) and np.allclose(g[1], 5.0)
+        assert np.allclose(_partial(f, 0), 2.0) and np.allclose(_partial(f, 1), 5.0)
 
 
 class TestPQGeometry:
@@ -210,6 +212,11 @@ class TestPQGeometry:
             ess_sup(f, cyl)
         with pytest.raises(ParameterError, match="needs n \\+ 1 = 3 coordinates"):
             cylinder_in_domain(dom, cyl)
+
+    @pytest.mark.parametrize("rho, sigma", [(0.0, 0.3), (0.2, -0.3)])
+    def test_nonpositive_extent_rejected(self, rho, sigma):
+        with pytest.raises(ParameterError, match="cylinder needs positive rho and sigma"):
+            Cylinder((0.5, 0.9), rho, sigma)
 
     @pytest.mark.parametrize("n,center", [(1, (0.5, 0.5, 0.9)), (2, (0.5, 0.5, 0.5, 0.9))])
     def test_long_center_rejected(self, n, center):
@@ -296,6 +303,20 @@ class TestCoefficientNorms:
         with pytest.raises(ParameterError, match="vanishes"):
             coefficient_norms(a, b, 2.0, 2.0)
 
+    @pytest.mark.parametrize("alpha", [2.0, math.inf])
+    def test_zero_of_a_outside_the_region_ignored(self, alpha):
+        # a vanishes at the node x = 0.125, which the region leaves out; the
+        # norms are those of a field without that zero, bit for bit
+        dom = unit_domain(nx=65, nt=32)
+        a = field_from_function(dom, lambda x, t: np.abs(x - 0.125) ** 0.5)
+        b = constant_field(dom, 1.0)
+        region = Cylinder((0.75, 0.4), 0.1, 0.2)
+        lifted = SpaceTimeField(dom, np.maximum(a.values, 0.5))
+        assert coefficient_norms(a, b, alpha, 3.0, region) == coefficient_norms(
+            lifted, b, alpha, 3.0, region)
+        with pytest.raises(ParameterError, match="vanishes"):
+            coefficient_norms(a, b, alpha, 3.0, Cylinder((0.125, 0.4), 0.1, 0.2))
+
 
 class TestFieldIO:
     @staticmethod
@@ -354,6 +375,13 @@ class TestFieldIO:
         with pytest.raises(ParameterError, match="header"):
             load_field_dump(path)
 
+    def test_dump_header_short_for_its_n_rejected(self, tmp_path):
+        # n is read, but the box and T it calls for are cut short
+        path, blob = self._dump_bytes(tmp_path)
+        path.write_bytes(blob[:30])
+        with pytest.raises(ParameterError, match="header needs 40 bytes for n = 1, got 30"):
+            load_field_dump(path)
+
     def test_dump_short_body_rejected(self, tmp_path):
         path, blob = self._dump_bytes(tmp_path)
         path.write_bytes(blob[:-8])
@@ -405,7 +433,7 @@ def test_grad_magnitude_matches_stacked_gradient(n, rng):
     # stacked gradient does
     dom = Domain(n=n, box=((0.0, 1.0), (0.0, 2.0))[:n], T=1.0, nx=9, nt=3)
     f = SpaceTimeField(dom, rng.normal(size=dom.shape) * 10.0 ** rng.uniform(-5, 5, dom.shape))
-    stacked = np.sqrt(np.sum(gradient(f) ** 2, axis=0))
+    stacked = np.sqrt(np.sum(np.stack([_partial(f, k) for k in range(n)]) ** 2, axis=0))
     assert np.array_equal(_grad_magnitude(f).values, stacked)
 
 

@@ -186,6 +186,12 @@ class TestGeometric:
         assert res.diverged and not res.converged
         assert list(res.values[:4]) == [1.0, 1.0, 2.0, 16.0]
 
+    def test_out_of_iterations_neither_converged_nor_diverged(self):
+        # about halving from X0 = 1: 1e-12 lies far beyond 5 steps
+        res = geometric_iterate(GeometricIteration(C=0.5, lam=1.01, kappa=0.01, X0=1.0), 5)
+        assert not res.converged and not res.diverged
+        assert len(res.values) == 6 and 0.0 < res.values[-1] < 1.0
+
     def test_dichotomy_random_draws(self):
         gen = np.random.default_rng(2024)
         for _ in range(50):

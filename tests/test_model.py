@@ -46,6 +46,16 @@ class TestCoefficients:
         with pytest.raises(ParameterError):
             Coefficient("gaussian")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="constant", value=-1.0), "constant coefficient must be nonnegative"),
+        (dict(kind="power", floor=-0.1), "power-law floor must be nonnegative"),
+        (dict(kind="checkerboard", lo=-1.0), "checkerboard needs nonnegative values"),
+        (dict(kind="checkerboard", width=0.0), "and positive width"),
+    ])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            Coefficient(**kwargs)
+
     def test_degenerate_preset_stays_integrable(self):
         # theta * alpha < n keeps 1/a integrable; the discrete norm must be
         # finite and refinement-stable

@@ -654,30 +654,38 @@ class TestWeakResidual:
     def test_constant_solution(self):
         cfg = heat_config(nx=33, nt=64)
         u = constant_field(cfg.domain, 2.0)
-        r = weak_residual(u, self.bump(cfg.domain), cfg.spec)
+        r = weak_residual(u, self.bump(cfg.domain), cfg)
         assert abs(r) < 1e-12
 
     def test_zero_test_function(self):
         cfg = heat_config(nx=33, nt=64)
         u = constant_field(cfg.domain, 2.0)
-        assert weak_residual(u, constant_field(cfg.domain, 0.0), cfg.spec) == 0.0
+        assert weak_residual(u, constant_field(cfg.domain, 0.0), cfg) == 0.0
 
-    def test_discrete_heat_solution_consistency_order(self):
-        # residual of the solved field shrinks like the scheme consistency error
-        values = []
-        for nx, nt in ((33, 50), (65, 100), (129, 200)):
-            cfg = heat_config(nx=nx, nt=nt)
-            u, _ = solve(cfg)
-            values.append(abs(weak_residual(u, self.bump(cfg.domain), cfg.spec)))
-        assert values[0] > values[1] > values[2]
-        cfg = heat_config(nx=65, nt=100)
-        dom = cfg.domain
-        assert values[1] < 50.0 * (dom.dx[0] ** 2 + dom.dt)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (2.0, 2.1), (3.0, 3.2)])
+    def test_computed_solution_within_step_residual_bound(self, n, p, q):
+        # the weak form sums phi times the step's own residual, so the
+        # stopping rule bounds it for a computed field in every dimension
+        params = StructureParams(n=n, p=p, q=q)
+        coeffs = CoefficientSpec(
+            a=Coefficient("constant", value=1.0), b=Coefficient("constant", value=1.0)
+        )
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=0.1, nx=65 if n == 1 else 17, nt=16)
+        cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.0),
+                          BoundaryDatum(kind="profile", profile="sin"), tolerance=1e-8)
+        u, stats = solve(cfg)
+        phi = np.sin(np.pi * dom.times / dom.T).reshape((-1,) + (1,) * n) ** 2
+        for x in dom.meshgrid():
+            phi = phi * np.sin(np.pi * x) ** 2
+        phi = SpaceTimeField(dom, phi)
+        bound = 2.0 * max(stats.residuals) * float(np.abs(phi.values).sum()) * dom.cell_volume
+        assert abs(weak_residual(u, phi, cfg)) <= bound
 
     def test_subsolution_sign_for_exact_solutions(self):
         cfg = heat_config()
         u, _ = solve(cfg)
-        r = weak_residual(u, self.bump(cfg.domain), cfg.spec)
+        r = weak_residual(u, self.bump(cfg.domain), cfg)
         assert r <= 1e-3
 
     def test_preconditions(self):
@@ -685,9 +693,12 @@ class TestWeakResidual:
         u = constant_field(cfg.domain, 1.0)
         negative = SpaceTimeField(cfg.domain, -np.ones(cfg.domain.shape))
         with pytest.raises(PreconditionError, match="nonnegative"):
-            weak_residual(u, negative, cfg.spec)
+            weak_residual(u, negative, cfg)
         with pytest.raises(PreconditionError, match="boundary"):
-            weak_residual(u, constant_field(cfg.domain, 1.0), cfg.spec)
+            weak_residual(u, constant_field(cfg.domain, 1.0), cfg)
+        other = heat_config(nx=17, nt=16).domain
+        with pytest.raises(ParameterError, match="test field lives on a different grid"):
+            weak_residual(u, constant_field(other, 0.0), cfg)
 
 
 class TestEnergyReport:
@@ -819,8 +830,12 @@ class TestBoundaryDatum:
         assert BoundaryDatum(kind="separable", psi=(1.0, 1.0)).time_dependent
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="unknown boundary datum kind 'wavelet'"):
             BoundaryDatum(kind="wavelet")
+        with pytest.raises(ParameterError, match="unknown boundary profile 'gauss'"):
+            BoundaryDatum(kind="profile", profile="gauss")
+        with pytest.raises(ParameterError, match="separable datum needs polynomial coefficients"):
+            BoundaryDatum(kind="separable", psi=())
         with pytest.raises(ParameterError):
             SolveConfig(
                 Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=9, nt=4),
