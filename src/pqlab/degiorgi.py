@@ -219,6 +219,8 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
         raise RegionError("base cylinder leaves the space-time domain")
     if not k > 0:
         raise ParameterError(f"level must be positive, got k = {k}")
+    if i_max < 1:
+        raise ParameterError(f"need i_max >= 1 iteration steps, got {i_max}")
     rho, sigma = 0.5 * q0.rho, 0.5 * q0.sigma
     dom = u.domain
     dx_min = min(dom.dx)

@@ -57,6 +57,8 @@ class Domain:
         for lo, hi in self.box:
             if not hi > lo:
                 raise ParameterError(f"empty axis extent ({lo}, {hi})")
+        # float pairs in a tuple, so that grids given as lists compare equal
+        object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
         if not self.T > 0:
             raise ParameterError(f"final time must be positive, got T = {self.T}")
         if self.nx < 3:
@@ -241,17 +243,24 @@ def slice_sup_l2(f: SpaceTimeField, cyl: Cylinder) -> float:
     return float(slices.sum(axis=1).max() * dom.cell_volume)
 
 
-def _partial(f: SpaceTimeField, axis: int) -> np.ndarray:
-    """d f / d x_axis per node: central differences inside, second-order
-    one-sided at the boundary."""
-    return np.gradient(f.values, f.domain.dx[axis], axis=1 + axis, edge_order=2)
+def _partial(values: np.ndarray, domain: Domain, axis: int) -> np.ndarray:
+    """d / d x_axis per node over the last n axes of values: central
+    differences inside, second-order one-sided at the boundary."""
+    return np.gradient(values, domain.dx[axis], axis=axis - domain.n, edge_order=2)
 
 
 def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
     """|Df| per node.  The squared components are added one axis at a time,
     so no stack of the gradient is held."""
-    return SpaceTimeField(f.domain, np.sqrt(sum(_partial(f, axis) ** 2
+    return SpaceTimeField(f.domain, np.sqrt(sum(_partial(f.values, f.domain, axis) ** 2
                                                 for axis in range(f.domain.n))))
+
+
+def _same_grid(domain: Domain, **named) -> None:
+    """Raise ParameterError unless every named field lives on domain."""
+    for name, f in named.items():
+        if f.domain != domain:
+            raise ParameterError(f"{name} lives on a different grid")
 
 
 def boundary_frame(domain: Domain) -> np.ndarray:
@@ -296,6 +305,7 @@ def coefficient_norms(a: SpaceTimeField, b: SpaceTimeField, alpha: float,
     taken at the region's nodes only, so a zero of a outside it is no
     error."""
     dom = a.domain
+    _same_grid(dom, b=b)
     measure = region_measure(dom, region)
     tm, sm = _resolve(dom, region)
     inv_a = np.ones(dom.shape)

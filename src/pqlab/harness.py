@@ -400,7 +400,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
             eps=eps,
             field=u,
             iterations=list(stats.iterations),
-            max_residual=float(max(stats.residuals)) if stats.residuals else 0.0,
+            max_residual=float(max(stats.residuals)),
             energy=energy_report(u, cfg.solve_config(eps)),
             bounds=target_bounds(cfg, u, eps),
         )

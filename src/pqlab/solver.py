@@ -76,6 +76,8 @@ from .grid import (
     Domain,
     SpaceTimeField,
     _grad_magnitude,
+    _partial,
+    _same_grid,
     _trapezoid_weights,
     boundary_frame,
     lp_norm,
@@ -155,29 +157,17 @@ class BoundaryDatum:
         return sum(c * np.asarray(t, float) ** j for j, c in enumerate(self.psi))
 
     def _dpsi(self, t):
-        if self.kind != "separable":
-            return np.zeros_like(np.asarray(t, float))
-        return sum(
-            j * c * np.asarray(t, float) ** (j - 1)
-            for j, c in enumerate(self.psi)
-            if j >= 1
-        )
+        """psi' of a time-dependent datum."""
+        return sum(j * c * np.asarray(t, float) ** (j - 1) for j, c in enumerate(self.psi[1:], 1))
 
     def at(self, box, coords, t):
         """Value at spatial coordinate arrays and time(s) t."""
         return self._g0(box, coords) * self._psi(t)
 
     def sample(self, domain: Domain) -> SpaceTimeField:
-        g0 = self._g0(domain.box, domain.meshgrid())
-        psi = self._psi(domain.times)
-        shape = (domain.nt + 1,) + (1,) * domain.n
-        return SpaceTimeField(domain, g0[None] * psi.reshape(shape))
-
-    def sample_dt(self, domain: Domain) -> SpaceTimeField:
-        g0 = self._g0(domain.box, domain.meshgrid())
-        dpsi = self._dpsi(domain.times)
-        shape = (domain.nt + 1,) + (1,) * domain.n
-        return SpaceTimeField(domain, g0[None] * dpsi.reshape(shape))
+        """at over the grid's nodes and times."""
+        t = domain.times.reshape((-1,) + (1,) * domain.n)
+        return SpaceTimeField(domain, self.at(domain.box, domain.meshgrid(), t))
 
 
 @dataclass(frozen=True)
@@ -367,8 +357,7 @@ class _Stepper:
         n = dom.n
         grads = face_gradients(w, dom)
         trans = [
-            [_face_average(np.gradient(w, self.dx[j], axis=j - n, edge_order=2), k - n)
-             for j in range(n) if j != k]
+            [_face_average(_partial(w, dom, j), k - n) for j in range(n) if j != k]
             for k in range(n)
         ]
         s = [g**2 for g in grads]
@@ -712,9 +701,8 @@ def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, cfg: SolveConfig) -> f
     subsolutions.  For a field computed by solve with stats,
     |weak_residual| <= max(stats.residuals) sum |phi| |cell| up to rounding.
     """
-    dom = u.domain
-    if phi.domain != dom:
-        raise ParameterError("test field lives on a different grid")
+    dom = cfg.domain
+    _same_grid(dom, u=u, phi=phi)
     pmax = float(np.abs(phi.values).max())
     tol = 1e-12 * max(pmax, 1e-300)
     if float(phi.values.min()) < -tol:
@@ -797,20 +785,16 @@ def _dual_norm(cfg: SolveConfig) -> float:
         return 0.0
     dom = cfg.domain
     d = cfg.spec.d
-    dtg = cfg.g.sample_dt(dom).values
+    grids = dom.meshgrid()
+    dtg = cfg.g._g0(dom.box, grids) * cfg.g._dpsi(dom.times).reshape((-1,) + (1,) * dom.n)
     w = _trapezoid_weights(dom, time=False)
     side = round(_DUAL_MODES ** (1.0 / dom.n))
-    grids = dom.meshgrid()
     best = np.zeros(dom.nt + 1)
     for mode in itertools.product(range(1, side + 1), repeat=dom.n):
         phi = np.ones((dom.nx,) * dom.n)
         for (lo, hi), c, k in zip(dom.box, grids, mode):
             phi = phi * np.sin(k * np.pi * (c - lo) / (hi - lo))
-        dphi = [
-            np.gradient(phi, dom.dx[axis], axis=axis, edge_order=2)
-            for axis in range(dom.n)
-        ]
-        dphi_mag = np.sqrt(sum(g**2 for g in dphi))
+        dphi_mag = np.sqrt(sum(_partial(phi, dom, axis) ** 2 for axis in range(dom.n)))
         den = float(
             np.sum((np.abs(phi) ** d.p_alpha + dphi_mag**d.p_alpha) * w)
         ) ** (1.0 / d.p_alpha)
@@ -824,6 +808,7 @@ def _dual_norm(cfg: SolveConfig) -> float:
 
 def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
     dom = cfg.domain
+    _same_grid(dom, u=u)
     d = cfg.spec.d
     p = cfg.spec.params.p
     mu = cfg.spec.params.mu
@@ -927,7 +912,8 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
     The duality factor d_t v is integrated exactly in time (its antiderivative
     is v itself), paired with (v - u) at the right endpoint.
     """
-    dom = u.domain
+    dom = cfg.domain
+    _same_grid(dom, u=u, v=v.field)
     g = cfg.g.sample(dom).values
     lateral = boundary_frame(dom)
     mismatch = float(np.abs(v.field.values[:, lateral] - g[:, lateral]).max())

@@ -208,6 +208,13 @@ class TestTrace:
         with pytest.raises(ParameterError, match="level must be positive, got k = 0.0"):
             trace(u, Cylinder((0.0, 2.0), 1.6, 1.0), 0.0, D_1D)
 
+    @pytest.mark.parametrize("i_max", [-1, 0])
+    def test_needs_one_iteration_step(self, i_max):
+        # i_max = 0 would certify from X_0 alone: c_fit = 0, threshold = inf
+        u = constant_field(big_domain(), 3.0)
+        with pytest.raises(ParameterError, match=f"need i_max >= 1 iteration steps, got {i_max}"):
+            trace(u, Cylinder((0.0, 2.0), 1.6, 1.0), 2.0, D_1D, i_max=i_max)
+
     def test_truncation_warning_flag(self):
         dom = big_domain(nx=41, nt=40)
         u = constant_field(dom, 3.0)
@@ -330,6 +337,18 @@ class TestVerifySupBound:
         field = constant_field(big_domain(), 0.0)
         with pytest.raises(ParameterError, match="spec has n = 2 but the field has n = 1"):
             verify_sup_bound(field, (0.0, 2.0), 0.8, 0.5, spec)
+
+    def test_zero_level_has_no_eps_threshold(self):
+        # p = q = 2, mu = 0 and a zero datum: the level formula gives k = 0,
+        # and sigma > rho^2 leaves it there
+        params = StructureParams(n=1, p=2.0, q=2.0, alpha=20.0, beta=20.0)
+        spec = IntegrandSpec(params, self.make_spec().coeffs, eps=0.0)
+        dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=33, nt=16)
+        u, _ = solve(SolveConfig(dom, spec, BoundaryDatum(kind="zero")))
+        rep = verify_sup_bound(u, (0.5, 0.6), 0.2, 0.15, spec)
+        assert rep.k_choice == 0.0
+        assert rep.eps_threshold == math.inf and rep.eps_ok
+        assert rep.margin == math.inf and rep.passed
 
     def test_mean_um_uses_positive_part(self):
         dom = big_domain()

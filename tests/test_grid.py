@@ -57,6 +57,13 @@ class TestDomainAndField:
         with pytest.raises(ParameterError):
             Domain(**kwargs)
 
+    def test_box_given_as_lists_is_the_same_grid(self):
+        # the diagnostics compare domains, so the container must not matter
+        lists = Domain(n=2, box=[[0, 1], [-1.0, 2]], T=1.0, nx=5, nt=4)
+        tuples = Domain(n=2, box=((0.0, 1.0), (-1.0, 2.0)), T=1.0, nx=5, nt=4)
+        assert lists == tuples and hash(lists) == hash(tuples)
+        assert lists.box == ((0.0, 1.0), (-1.0, 2.0))
+
     def test_box_needs_one_pair_per_axis(self):
         with pytest.raises(ParameterError, match="box must carry one \\(lo, hi\\) pair per axis"):
             Domain(n=2, box=((0.0, 1.0),), T=1.0, nx=5, nt=4)
@@ -174,10 +181,10 @@ class TestSupsAndGradient:
     def test_gradient_exact_for_linear(self):
         dom = unit_domain(nx=17, nt=4)
         f = field_from_function(dom, lambda x, t: 3.0 * x - 1.0)
-        g = _partial(f, 0)
+        g = _partial(f.values, dom, 0)
         assert g.shape == (5, 17)
         assert np.allclose(g, 3.0, atol=1e-12)
-        assert np.allclose(_partial(constant_field(dom, 4.0), 0), 0.0)
+        assert np.allclose(_partial(constant_field(dom, 4.0).values, dom, 0), 0.0)
 
     def test_gradient_second_order(self):
         errs = []
@@ -185,14 +192,30 @@ class TestSupsAndGradient:
             dom = unit_domain(nx=nx, nt=4)
             f = field_from_function(dom, lambda x, t: np.sin(np.pi * x))
             exact = np.pi * np.cos(np.pi * dom.axes[0])
-            errs.append(np.abs(_partial(f, 0) - exact[None, :]).max())
+            errs.append(np.abs(_partial(f.values, dom, 0) - exact[None, :]).max())
         rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(rates) >= 1.8
 
     def test_gradient_2d_components(self):
         dom = Domain(n=2, box=((0.0, 1.0), (0.0, 2.0)), T=1.0, nx=9, nt=3)
         f = field_from_function(dom, lambda x, y, t: 2.0 * x + 5.0 * y)
-        assert np.allclose(_partial(f, 0), 2.0) and np.allclose(_partial(f, 1), 5.0)
+        assert np.allclose(_partial(f.values, dom, 0), 2.0)
+        assert np.allclose(_partial(f.values, dom, 1), 5.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gradient_acts_on_the_last_n_axes(self, n, rng):
+        # a spatial-only array and a stack with a leading member axis
+        # differentiate slice by slice, bitwise as one time slice does
+        dom = Domain(n=n, box=((0.0, 1.0), (-1.0, 2.0))[:n], T=1.0, nx=7, nt=3)
+        f = SpaceTimeField(dom, rng.normal(size=dom.shape))
+        stack = np.stack([f.values, 2.0 * f.values])
+        for axis in range(n):
+            full = _partial(f.values, dom, axis)
+            assert np.array_equal(_partial(f.values[1], dom, axis), full[1])
+            members = _partial(stack, dom, axis)
+            assert members.shape == stack.shape
+            assert np.array_equal(members[0], full)
+            assert np.array_equal(members[1], _partial(2.0 * f.values, dom, axis))
 
 
 class TestPQGeometry:
@@ -427,13 +450,23 @@ def test_field_csv_matches_row_writer(n, tmp_path, rng):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_coefficient_norms_reject_b_on_another_grid():
+    # b = 1 sampled at 65 nodes would read norm_b = 0.99804 on a's region
+    dom = Domain(n=1, box=((0.0, 1.0),), T=0.3, nx=33, nt=16)
+    a = field_from_function(dom, lambda x, t: np.abs(x - 0.505) ** 0.04 + 0.0 * t)
+    b = constant_field(Domain(n=1, box=((0.0, 1.0),), T=0.3, nx=65, nt=16), 1.0)
+    with pytest.raises(ParameterError, match="b lives on a different grid"):
+        coefficient_norms(a, b, 20.0, 20.0, Cylinder((0.5, 0.2), 0.2, 0.1))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_grad_magnitude_matches_stacked_gradient(n, rng):
     # adding the squared components axis by axis rounds as the sum over the
     # stacked gradient does
     dom = Domain(n=n, box=((0.0, 1.0), (0.0, 2.0))[:n], T=1.0, nx=9, nt=3)
     f = SpaceTimeField(dom, rng.normal(size=dom.shape) * 10.0 ** rng.uniform(-5, 5, dom.shape))
-    stacked = np.sqrt(np.sum(np.stack([_partial(f, k) for k in range(n)]) ** 2, axis=0))
+    stacked = np.sqrt(np.sum(np.stack([_partial(f.values, dom, k) for k in range(n)]) ** 2,
+                             axis=0))
     assert np.array_equal(_grad_magnitude(f).values, stacked)
 
 

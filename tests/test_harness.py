@@ -577,6 +577,14 @@ class TestCLI:
         assert cli_main(["trace-degiorgi", "--config", str(path),
                          "--out", str(tmp_path / "trace.csv")]) == 0
 
+    def test_check_energy_time_dependent_datum(self, tmp_path, capsys):
+        # psi' != 0, so the energy report's dual norm of d_t g is taken
+        text = SWEEP_CFG.replace("kind = profile", "kind = separable\npsi = 1.0 -0.5")
+        path = write(tmp_path, text)
+        assert cli_main(["check-energy", "--config", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["dual_term"] > 0 and record["pass"]
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # an unreachable tolerance makes the first step fail
         text = SWEEP_CFG + "\n[solver]\ntolerance = 1e-30\nmax_iter = 2\n"

@@ -100,6 +100,12 @@ class TestFluxAndIntegrand:
         assert integrand(np.zeros(1), 1.0, 1.0, spec) == 0.0
         assert integrand(np.array([1.0]), 1.0, 1.0, spec) == pytest.approx(1.0)
 
+    def test_scalar_xi_is_one_component(self):
+        spec = const_spec(p=2.0, q=2.1, mu=0.1, eps=0.2)
+        for fn in (flux, integrand):
+            assert np.array_equal(fn(np.float64(0.7), 1.5, 2.0, spec),
+                                  fn(np.array([0.7]), 1.5, 2.0, spec))
+
     def test_eps_adds_power_term(self):
         spec = const_spec(eps=0.1)
         base = integrand(np.array([1.0]), 1.0, 1.0, spec, eps=0.0)

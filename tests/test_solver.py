@@ -697,7 +697,7 @@ class TestWeakResidual:
         with pytest.raises(PreconditionError, match="boundary"):
             weak_residual(u, constant_field(cfg.domain, 1.0), cfg)
         other = heat_config(nx=17, nt=16).domain
-        with pytest.raises(ParameterError, match="test field lives on a different grid"):
+        with pytest.raises(ParameterError, match="phi lives on a different grid"):
             weak_residual(u, constant_field(other, 0.0), cfg)
 
 
@@ -812,17 +812,60 @@ class TestVariationalGap:
             variational_gap_curve(u, bad, cfg)
 
 
+class TestGridMismatch:
+    """A diagnostic given a field on another grid than its config's raises.
+    Without the check, a config on the box (0, 2) instead of (0, 1), at the
+    same nx and nt, reads lhs_total 0.7377 against 0.4177, a bump gap of
+    -0.0351 against +0.0476 and a weak residual of -0.0710 against 1.1e-12."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        params = StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0, eps=0.5)
+        coeffs = CoefficientSpec(a=Coefficient("power", center=(0.505,), exponent=0.04),
+                                 b=Coefficient("constant", value=1.0))
+        spec = IntegrandSpec(params, coeffs, eps=0.5)
+        dom = Domain(n=1, box=((0.0, 1.0),), T=0.3, nx=33, nt=16)
+        cfg = SolveConfig(dom, spec, BoundaryDatum(kind="profile", profile="sin", amplitude=0.8))
+        u, _ = solve(cfg)
+        other = dataclasses.replace(cfg, domain=dataclasses.replace(dom, box=((0.0, 2.0),)))
+        return cfg, other, u
+
+    def test_energy_report(self, solved):
+        cfg, other, u = solved
+        with pytest.raises(ParameterError, match="u lives on a different grid"):
+            energy_report(u, other)
+
+    def test_variational_gap_curve(self, solved):
+        cfg, other, u = solved
+        bump = next(v for v in comparison_maps(cfg) if v.name == "bump")
+        with pytest.raises(ParameterError, match="u lives on a different grid"):
+            variational_gap_curve(u, bump, other)
+        # the competitor too: u on cfg's grid, v on the other
+        moved = ComparisonMap("moved", SpaceTimeField(other.domain, bump.field.values))
+        with pytest.raises(ParameterError, match="v lives on a different grid"):
+            variational_gap_curve(u, moved, cfg)
+
+    def test_weak_residual(self, solved):
+        cfg, other, u = solved
+        dom = cfg.domain
+        phi = field_from_function(
+            dom, lambda x, t: np.sin(np.pi * x) ** 2 * np.sin(np.pi * t / dom.T) ** 2)
+        with pytest.raises(ParameterError, match="u lives on a different grid"):
+            weak_residual(u, phi, other)
+
+
 class TestBoundaryDatum:
     def test_separable_values_and_derivative(self):
         dom = Domain(n=1, box=((0.0, 1.0),), T=2.0, nx=9, nt=4)
         g = BoundaryDatum(kind="separable", profile="sin", amplitude=2.0, psi=(1.0, 0.5, -0.25))
         f = g.sample(dom)
-        df = g.sample_dt(dom)
+        # d_t g as the energy report's dual norm builds it
+        dtg = g._g0(dom.box, dom.meshgrid()) * g._dpsi(dom.times)[:, None]
         x, t = dom.axes[0][3], dom.times[2]
         expect = 2.0 * math.sin(math.pi * x) * (1.0 + 0.5 * t - 0.25 * t**2)
         expect_dt = 2.0 * math.sin(math.pi * x) * (0.5 - 0.5 * t)
         assert f.values[2, 3] == pytest.approx(expect, rel=1e-12)
-        assert df.values[2, 3] == pytest.approx(expect_dt, rel=1e-12)
+        assert dtg[2, 3] == pytest.approx(expect_dt, rel=1e-12)
 
     def test_time_dependence_flag(self):
         assert not BoundaryDatum(kind="profile").time_dependent
