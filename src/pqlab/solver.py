@@ -30,10 +30,20 @@ max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf), so the rule does
 not depend on the scale of the data; a linear problem converges in one
 iteration.  Every step keeps its residual and step-length history.
 
+Newton starts from u^j or from the member's extrapolation in time,
+whichever has the smaller max|R|; a tie or a non-finite residual keeps
+u^j.  The extrapolation uses the accepted levels there are: none at the
+first step, 2u^j - u^{j-1} at the second and 3u^j - 3u^{j-1} + u^{j-2}
+after that, on the interior nodes only, while the frame takes g(t_{j+1})
+in both starts.  While the solution is smooth in time the extrapolation is
+O(dt^3) from u^{j+1}, against O(dt) for u^j, which about halves the
+iterations of a march; the residual test keeps u^j where the solution turns
+faster than dt resolves.  Every member still takes at least one iteration.
+
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
 differ only in eps, through one Newton loop; solve is its one-member case.
-Each member keeps its own line-search length, convergence test and
+Each member keeps its own start, line-search length, convergence test and
 iteration count, and is frozen once converged, so its iterates are
 bitwise those of a lone solve.  In 1D one dptsv call solves the uncoupled
 block tridiagonal of all members; in 2D each member is solved in turn,
@@ -348,6 +358,9 @@ class _Stepper:
         self.slots = [None] * len(self.eps)
         self.budget = None
         self.first_step = True
+        # each member's accepted time levels before the one step starts from,
+        # newest first and at most two: u_{j-1} and u_{j-2} (see step)
+        self.past = []
 
     def evaluate(self, w: np.ndarray, u_prev: np.ndarray, members) -> _Iterate:
         """R(w) = w - u_prev - dt div_h F(D_h w) for the given members,
@@ -503,6 +516,16 @@ class _Stepper:
         every later member; w and histories hold the members before the
         first failure and failure is that member's exception (None if every
         member converged).
+
+        Newton starts from u_prev or from the extrapolation in time of u_prev
+        and the levels in self.past, of order 0, 1 or 2 as self.past holds
+        none, one or two.  Only the interior is extrapolated; both starts
+        take g(t_next) on the frame.  Both starts of every member are
+        evaluated in one batch and each member takes the one with the
+        strictly smaller max|R|, so a tie or a NaN keeps u_prev.  A member's
+        start depends only on its own rows, so in a batch it starts as in a
+        lone solve.  The step then stores u_prev and the newest level of
+        self.past, narrowed to the members that did not fail.
         """
         cfg = self.cfg
         out = u_prev.copy()
@@ -510,7 +533,19 @@ class _Stepper:
         # the members still iterating, ascending, and per row their previous
         # time level and current iterate
         rows, base = np.arange(len(u_prev)), u_prev
-        it = self.evaluate(out, base, rows)
+        if self.past:
+            inner = self.interior
+            ext = out.copy()
+            if len(self.past) == 1:
+                ext[inner] = 2.0 * u_prev[inner] - self.past[0][inner]
+            else:
+                ext[inner] = 3.0 * (u_prev[inner] - self.past[0][inner]) + self.past[1][inner]
+            both = self.evaluate(np.concatenate([out, ext]), np.concatenate([base, base]),
+                                 np.concatenate([rows, rows]))
+            size = len(rows)
+            it = both.take(rows + size * (both.norm[size:] < both.norm[:size]))
+        else:
+            it = self.evaluate(out, base, rows)
         residuals = [[] for _ in rows]
         lengths = [[] for _ in rows]
         live, failure = len(rows), None
@@ -581,6 +616,7 @@ class _Stepper:
             # the factor (2.5 MB at 65^2), and during the first step the
             # allocator still holds, untrimmed, what ran before the solve.
             self.slots, self.first_step = [None] * len(self.slots), False
+        self.past = [v[:live] for v in (u_prev, *self.past[:1])]
         histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
         return out[:live], histories, failure
 
@@ -658,10 +694,11 @@ def solve_levels(cfg: SolveConfig, eps_values):
     stats = [SolveStats() for _ in eps_values]
     u = values[:, 0].copy()
     failure = None
+    times = dom.times
     for j in range(1, dom.nt + 1):
         if not len(u):
             break
-        u, histories, failed = stepper.step(u, float(dom.times[j]))
+        u, histories, failed = stepper.step(u, float(times[j]))
         if failed is not None:
             failure = failed
             values, stats = values[: len(u)], stats[: len(u)]

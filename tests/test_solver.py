@@ -563,6 +563,130 @@ class TestFactorReuse:
         assert all(ref() is None for ref in factors_made)
 
 
+_step = _Stepper.step
+
+
+def _start_from_u_j(stepper, u_prev, t_next):
+    """Reference step: every member starts Newton from u_j, whatever levels
+    the stepper has stored."""
+    stepper.past = []
+    return _step(stepper, u_prev, t_next)
+
+
+class TestExtrapolatedStart:
+    """Each step starts Newton from u_j or from the extrapolation in time of
+    the member's stored levels, whichever has the smaller max|R|."""
+
+    @pytest.mark.parametrize("stored", ["worse", "non-finite"])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_safeguard_starts_from_u_j(self, n, order, stored):
+        cfg = degenerate_config() if n == 1 else _probe_config_2d(3.0, 3.2, 5.0, nx=9, nt=4)
+        dom = cfg.domain
+        u_prev = cfg.g.sample(dom).values[:1]
+        bump = np.ones((dom.nx,) * n)
+        for c in dom.meshgrid():
+            bump = bump * np.sin(3 * np.pi * c)
+        # stored levels u_j + k bump extrapolate to u_j - bump at either order
+        past = [u_prev + k * bump for k in range(1, order + 1)]
+        if stored == "non-finite":
+            past[0][(0,) + (dom.nx // 2,) * n] = np.nan
+        stepper = _Stepper(cfg, [cfg.spec.eps])
+        stepper.past = past
+        fresh = _Stepper(cfg, [cfg.spec.eps])
+        start = u_prev.copy()
+        start[:, stepper.frame] = cfg.g.at(dom.box, stepper.frame_coords, dom.dt)
+        ext = start.copy()
+        ext[stepper.interior] = (u_prev - bump)[stepper.interior]
+        if stored == "non-finite":
+            ext[(0,) + (dom.nx // 2,) * n] = np.nan
+        ext_norm = fresh.evaluate(ext, u_prev, [0]).norm[0]
+        u_j_norm = fresh.evaluate(start, u_prev, [0]).norm[0]
+        assert not ext_norm <= u_j_norm  # larger, or NaN
+        u, histories, failure = stepper.step(u_prev, dom.dt)
+        ref_u, ref_histories, ref_failure = fresh.step(u_prev, dom.dt)
+        assert failure is None and ref_failure is None
+        assert np.array_equal(u, ref_u)
+        assert histories == ref_histories
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_starting_from_u_j(self, n, monkeypatch):
+        cfg = degenerate_config() if n == 1 else _probe_config_2d(3.0, 3.2, 5.0, nx=17, nt=16)
+        schedule = [0.5, 0.125, 0.0]
+        results, failure = solve_levels(cfg, schedule)
+        monkeypatch.setattr(_Stepper, "step", _start_from_u_j)
+        ref_results, ref_failure = solve_levels(cfg, schedule)
+        assert failure is None and ref_failure is None
+        for (u, stats), (ref_u, ref_stats) in zip(results, ref_results):
+            scale = np.abs(ref_u.values).max()
+            assert np.abs(u.values - ref_u.values).max() <= 1e-9 * scale
+            assert stats.total_iterations <= ref_stats.total_iterations
+            assert stats.histories != ref_stats.histories
+
+    def test_frame_takes_the_datum(self):
+        # a cubic in time: the extrapolation of the frame would miss g(t_{j+1})
+        g = BoundaryDatum(kind="separable", psi=(1.0, 0.0, 0.0, 100.0))
+        cfg = heat_config(nx=17, nt=16, g=g)
+        u, _ = solve(cfg)
+        frame = solver.boundary_frame(cfg.domain)
+        expected = g.sample(cfg.domain).values[:, frame]
+        assert np.abs(u.values[:, frame] - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_heat_error_does_not_grow(self, monkeypatch):
+        cfg = heat_config()
+        dom = cfg.domain
+        exact = np.exp(-np.pi**2 * dom.times)[:, None] * np.sin(np.pi * dom.axes[0])[None, :]
+        u, _ = solve(cfg)
+        monkeypatch.setattr(_Stepper, "step", _start_from_u_j)
+        ref_u, _ = solve(cfg)
+        assert np.abs(u.values - exact).max() <= np.abs(ref_u.values - exact).max() + 1e-12
+
+    def test_iteration_count(self):
+        # 513 iterations when every step starts from u_j
+        _, stats = solve(degenerate_config())
+        assert stats.total_iterations <= 300
+
+    def test_batched_matches_lone_after_a_member_drops(self, monkeypatch):
+        # member 1 finds no decrease from the fourth step on; member 0 goes
+        # on alone and starts its last steps from the extrapolation
+        cfg = _probe_config_2d(3.0, 3.2, 5.0, nx=17, nt=8)
+        evaluate, newton_direction = _Stepper.evaluate, _Stepper.newton_direction
+        stuck_from = 4 * cfg.domain.dt
+        now = [0.0]
+        steppers = []
+
+        def recorded(self, it, t, members):
+            now[0] = t
+            return newton_direction(self, it, t, members)
+
+        def stuck(self, w, u_prev, members):
+            it = evaluate(self, w, u_prev, members)
+            if now[0] < stuck_from:
+                return it
+            hit = np.asarray(members) == 1
+            return it._replace(norm=np.where(hit, 1.0, it.norm),
+                               scale=np.where(hit, 1e-300, it.scale))
+
+        def kept(self, u_prev, t_next):
+            steppers.append(self)
+            return _step(self, u_prev, t_next)
+
+        monkeypatch.setattr(_Stepper, "newton_direction", recorded)
+        monkeypatch.setattr(_Stepper, "evaluate", stuck)
+        monkeypatch.setattr(_Stepper, "step", kept)
+        results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
+        monkeypatch.undo()
+        assert isinstance(failure, StepFailure) and failure.t == stuck_from
+        (u, stats), = results
+        lone_u, lone_stats = solve(_at_eps(cfg, 0.5))
+        assert np.array_equal(u.values, lone_u.values)
+        assert stats.histories == lone_stats.histories
+        assert [len(level) for level in steppers[-1].past] == [1, 1]
+        monkeypatch.setattr(_Stepper, "step", _start_from_u_j)
+        _, ref_stats = solve(_at_eps(cfg, 0.5))
+        assert stats.histories[4:] != ref_stats.histories[4:]
+
+
 class TestSolve:
     def test_spec_dimension_must_match_the_grid(self):
         # a 2D spec on a 1D grid would march with the 2D exponents
