@@ -72,11 +72,13 @@ from .solver import (
     StepHistory,
     comparison_maps,
     energy_report,
+    energy_reports,
     face_divergence,
     face_gradients,
     solve,
     solve_levels,
     variational_gap_curve,
+    variational_gap_curves,
     weak_residual,
 )
 from .degiorgi import (

@@ -28,7 +28,7 @@ from .grid import (
     save_field_csv,
     save_field_dump,
 )
-from .solver import ENERGY_COLUMNS, comparison_maps, energy_report, solve, variational_gap_curve
+from .solver import ENERGY_COLUMNS, comparison_maps, energy_report, solve, variational_gap_curves
 
 _VAR_TOL = 1e-6
 _CACCIOPPOLI_CAP = 1e3
@@ -199,7 +199,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify_bound(args) -> int:
     cfg, _, u, _ = _solved(args)
-    reports = harness.target_bounds(cfg, u)
+    reports = harness.target_bounds(cfg, [u])[0]
     rows = [harness._bound_row(0, b) for b in reports]
     out = _write_table(args, cfg, "bounds.csv", harness.bound_csv_header(cfg.domain.n), rows)
     print(f"{sum(b.passed for b in reports)}/{len(reports)} targets pass; report: {out}")
@@ -211,7 +211,7 @@ def cmd_trace(args) -> int:
     rows = []
     summaries = []
     monotone = True
-    for ti, rep in enumerate(harness.target_bounds(cfg, u)):
+    for ti, rep in enumerate(harness.target_bounds(cfg, [u])[0]):
         k = max(rep.k_choice, 1e-12)
         tr = degiorgi.trace(u, Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma), k, scfg.spec.d)
         for i in range(len(tr.x_i)):
@@ -241,7 +241,7 @@ def cmd_check_caccioppoli(args) -> int:
     b = scfg.spec.coeffs.b.sample(cfg.domain)
     rows = []
     worst = 0.0
-    for ti, rep in enumerate(harness.target_bounds(cfg, u)):
+    for ti, rep in enumerate(harness.target_bounds(cfg, [u])[0]):
         inner = Cylinder(rep.center, rep.rho, rep.sigma)
         outer = Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma)
         norms = coefficient_norms(a, b, cfg.params.alpha, cfg.params.beta, outer)
@@ -273,8 +273,8 @@ def cmd_check_varsol(args) -> int:
     _, scfg, u, _ = _solved(args)
     records = []
     ok = True
-    for v in comparison_maps(scfg):
-        gaps, scales = variational_gap_curve(u, v, scfg, eps=scfg.spec.eps)
+    maps = comparison_maps(scfg)
+    for v, (gaps, scales) in zip(maps, variational_gap_curves(u, maps, scfg, eps=scfg.spec.eps)):
         normalized = gaps / np.maximum(scales, 1e-300)
         passed = bool(np.min(normalized) >= -_VAR_TOL)
         ok &= passed

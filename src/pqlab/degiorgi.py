@@ -22,9 +22,11 @@ from .exponents import DerivedExponents, epsilon_threshold
 from .grid import (
     CoefficientNorms,
     Cylinder,
+    Domain,
     SpaceTimeField,
     _grad_magnitude,
     _integrate_power,
+    _same_grid,
     coefficient_norms,
     cylinder_in_domain,
     ess_sup,
@@ -315,44 +317,54 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
     and the coefficient-free bound on Q_{2rho,2sigma}(z_o).
 
     The regularization strength is checked against its admissible threshold
-    and flagged (not rejected) when it exceeds it.
+    and flagged (not rejected) when it exceeds it.  This is the one-field
+    case of _sup_bound_check, which harness.target_bounds, the batched form,
+    calls once per target.
     """
     if spec.params.n != u.domain.n:
         raise ParameterError(
             f"spec has n = {spec.params.n} but the field has n = {u.domain.n}")
-    d = spec.d
-    q0 = Cylinder(tuple(z_o), 2.0 * rho, 2.0 * sigma)
-    if not cylinder_in_domain(u.domain, q0):
+    return _sup_bound_check(u.domain, z_o, rho, sigma, spec, c_cal)(u, spec)
+
+
+def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
+                     spec: IntegrandSpec, c_cal: float):
+    """The part of verify_sup_bound that reads neither the field nor eps:
+    the cylinder check and the coefficient norms on Q_{2rho,2sigma}(z_o).
+    Returns check(u, spec), the part per field, at spec's eps."""
+    center = tuple(z_o)
+    q0 = Cylinder(center, 2.0 * rho, 2.0 * sigma)
+    if not cylinder_in_domain(domain, q0):
         raise RegionError(
             f"cylinder Q(2rho={2 * rho}, 2sigma={2 * sigma}) at {z_o} leaves the domain"
         )
-    a = spec.coeffs.a.sample(u.domain)
-    b = spec.coeffs.b.sample(u.domain)
-    norms = coefficient_norms(a, b, spec.params.alpha, spec.params.beta, q0)
-    mean_um = mean_integral(truncate_plus(u, 0.0), d.m, q0)
-    mu = spec.params.mu
+    norms = coefficient_norms(spec.coeffs.a.sample(domain), spec.coeffs.b.sample(domain),
+                              spec.params.alpha, spec.params.beta, q0)
 
-    k_choice = choose_level_k(mean_um, norms.norm_a, norms.norm_b, rho, sigma, mu, d, c_cal)
-    k_thm = theorem_bound(mean_um, rho, sigma, d, c_cal)
-    half = Cylinder(tuple(z_o), rho, sigma)
-    ess = ess_sup(u, half)
-    if k_choice > 0:
-        threshold = epsilon_threshold(k_choice, rho, norms.norm_a, norms.norm_b, d)
-    else:
-        threshold = math.inf
-    return BoundReport(
-        center=tuple(z_o),
-        rho=rho,
-        sigma=sigma,
-        ess_sup=ess,
-        k_choice=k_choice,
-        k_theorem=k_thm,
-        margin=k_choice / ess if ess > 0 else math.inf,
-        eps=spec.eps,
-        eps_threshold=threshold,
-        eps_ok=spec.eps <= threshold,
-        norm_a=norms.norm_a,
-        norm_b=norms.norm_b,
-        mean_um=mean_um,
-        passed=ess <= k_choice,
-    )
+    def check(u: SpaceTimeField, spec: IntegrandSpec) -> BoundReport:
+        _same_grid(domain, u=u)
+        d = spec.d
+        mean_um = mean_integral(truncate_plus(u, 0.0), d.m, q0)
+        k_choice = choose_level_k(mean_um, norms.norm_a, norms.norm_b, rho, sigma,
+                                  spec.params.mu, d, c_cal)
+        k_thm = theorem_bound(mean_um, rho, sigma, d, c_cal)
+        ess = ess_sup(u, Cylinder(center, rho, sigma))
+        threshold = (epsilon_threshold(k_choice, rho, norms.norm_a, norms.norm_b, d)
+                     if k_choice > 0 else math.inf)
+        return BoundReport(
+            center=center,
+            rho=rho,
+            sigma=sigma,
+            ess_sup=ess,
+            k_choice=k_choice,
+            k_theorem=k_thm,
+            margin=k_choice / ess if ess > 0 else math.inf,
+            eps=spec.eps,
+            eps_threshold=threshold,
+            eps_ok=spec.eps <= threshold,
+            norm_a=norms.norm_a,
+            norm_b=norms.norm_b,
+            mean_um=mean_um,
+            passed=ess <= k_choice,
+        )
+    return check

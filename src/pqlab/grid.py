@@ -74,13 +74,13 @@ class Domain:
     def dt(self) -> float:
         return self.T / self.nt
 
-    @property
+    @functools.cached_property
     def axes(self) -> tuple:
-        return tuple(np.linspace(lo, hi, self.nx) for lo, hi in self.box)
+        return tuple(_read_only(np.linspace(lo, hi, self.nx)) for lo, hi in self.box)
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.nt + 1)
+        return _read_only(np.linspace(0.0, self.T, self.nt + 1))
 
     @property
     def cell_volume(self) -> float:
@@ -93,6 +93,11 @@ class Domain:
     def meshgrid(self):
         """Spatial coordinate arrays of shape (nx,)*n, matrix-indexed."""
         return np.meshgrid(*self.axes, indexing="ij")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +115,7 @@ class SpaceTimeField:
             )
         if not np.all(np.isfinite(v)):
             raise ParameterError("field contains non-finite values")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v.copy()))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .degiorgi import BoundReport, verify_sup_bound
+from .degiorgi import BoundReport, _sup_bound_check
 from .errors import ConfigError, ParameterError, RegionError
 from .exponents import StructureParams, derive
 from .grid import (
@@ -49,9 +49,9 @@ from .solver import (
     EnergyData,
     SolveConfig,
     comparison_maps,
-    energy_report,
+    energy_reports,
     solve_levels,
-    variational_gap_curve,
+    variational_gap_curves,
 )
 
 
@@ -356,11 +356,10 @@ class SweepReport:
 
     @property
     def min_normalized_gap(self) -> float:
-        out = math.inf
-        for _, _, gaps, scales in self.varsol:
-            ref = np.maximum(scales, 1e-300)
-            out = min(out, float(np.min(gaps / ref)))
-        return out
+        """The least gap / scale over every map and time; NaN if any gap is
+        NaN, inf with no maps."""
+        return float(np.min([np.min(gaps / np.maximum(scales, 1e-300))
+                             for _, _, gaps, scales in self.varsol], initial=math.inf))
 
 
 def _target_mask(cfg: ExperimentConfig) -> np.ndarray:
@@ -374,37 +373,34 @@ def _target_mask(cfg: ExperimentConfig) -> np.ndarray:
     return mask if cfg.targets else ~mask
 
 
-def target_bounds(cfg: ExperimentConfig, u: SpaceTimeField, eps: float | None = None) -> list:
-    """The sup-bound check (verify_sup_bound) of u on every target, for the
-    integrand at eps (default: the config's own)."""
-    spec = cfg.integrand(eps)
-    return [
-        verify_sup_bound(u, center, rho, sigma, spec, cfg.c_cal)
-        for center, rho, sigma in cfg.target_cylinders()
-    ]
+def target_bounds(cfg: ExperimentConfig, fields, eps_values=None) -> list:
+    """Per field, the BoundReport of verify_sup_bound on every target, at the
+    field's eps (default: the config's own).  Each target's cylinder check
+    and coefficient norms are taken once, for all the fields."""
+    checks = [_sup_bound_check(cfg.domain, center, rho, sigma, cfg.integrand(), cfg.c_cal)
+              for center, rho, sigma in cfg.target_cylinders()]
+    specs = map(cfg.integrand, eps_values or [None] * len(fields))
+    return [[check(u, spec) for check in checks] for u, spec in zip(fields, specs)]
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Solve the full regularization schedule and assemble every check.
 
-    The levels are solved together (solver.solve_levels).  A solve failure
-    aborts the schedule from the failing level on; the report then carries
-    the completed prefix plus the failure message (partial reports
-    persist).
+    The levels are solved together (solver.solve_levels), and each
+    diagnostic takes all of them in one call, which does its
+    level-invariant work once.  A solve failure aborts the schedule from
+    the failing level on; the report then carries the completed prefix plus
+    the failure message (partial reports persist).
     """
     schedule = cfg.eps_schedule()
     results, failure = solve_levels(cfg.solve_config(), schedule)
+    fields = [u for u, _ in results]
     levels = [
-        SweepLevel(
-            index=i,
-            eps=eps,
-            field=u,
-            iterations=list(stats.iterations),
-            max_residual=float(max(stats.residuals)),
-            energy=energy_report(u, cfg.solve_config(eps)),
-            bounds=target_bounds(cfg, u, eps),
-        )
-        for i, (eps, (u, stats)) in enumerate(zip(schedule, results))
+        SweepLevel(index=i, eps=eps, field=u, iterations=list(stats.iterations),
+                   max_residual=float(max(stats.residuals)), energy=energy, bounds=bounds)
+        for i, (eps, (u, stats), energy, bounds) in enumerate(zip(
+            schedule, results, energy_reports(fields, cfg.solve_config(), schedule),
+            target_bounds(cfg, fields, schedule)))
     ]
     report = SweepReport(config=cfg, levels=levels,
                          failure=None if failure is None else str(failure))
@@ -424,8 +420,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     last = levels[-1]
     scfg = cfg.solve_config(last.eps)
     taus = cfg.domain.times[1:]
-    for v in comparison_maps(scfg):
-        gaps, scales = variational_gap_curve(last.field, v, scfg, eps=0.0)
+    maps = comparison_maps(scfg)
+    for v, (gaps, scales) in zip(maps, variational_gap_curves(last.field, maps, scfg, eps=0.0)):
         report.varsol.append((v.name, taus, gaps, scales))
 
     if cfg.targets:
@@ -525,7 +521,5 @@ def emit_reports(report: SweepReport, out_dir) -> None:
 
 
 def _json_float(v: float):
-    # json has no Infinity literal in strict mode; clamp sentinel values
-    if math.isinf(v):
-        return None
-    return v
+    # json has no Infinity or NaN literal in strict mode: write them as null
+    return v if math.isfinite(v) else None

@@ -62,6 +62,11 @@ the convex integrand, and the discrete variational inequality holds up to
 iteration tolerance.  The averaged transverse gradient of the 2D flux makes
 the 2D step minimize no discrete energy exactly, so in 2D the inequality
 holds only up to a first-order error.
+
+energy_reports takes the datum's terms once for all its fields, and
+variational_gap_curves the datum's sample and the integral of f(Du) once
+for all its maps; energy_report and variational_gap_curve are the one-field
+cases.
 """
 
 from __future__ import annotations
@@ -240,8 +245,7 @@ def face_gradients(w: np.ndarray, domain: Domain) -> list:
 
     1D: shape (nx-1,).  2D: axis 0 faces (nx-1, nx), axis 1 faces (nx, nx-1).
     """
-    n = domain.n
-    return [_diff(w, k - n) / h for k, h in enumerate(domain.dx)]
+    return _face_gradients(w, domain.dx, _face_slices(domain.n))
 
 
 def face_divergence(face_fluxes: list, domain: Domain) -> np.ndarray:
@@ -249,13 +253,30 @@ def face_divergence(face_fluxes: list, domain: Domain) -> np.ndarray:
     the boundary frame.  Satisfies sum(div F * phi) dV = -sum(F . D phi) dV
     exactly for phi vanishing on the boundary.  Leading axes of the face
     fluxes are carried along."""
-    n = domain.n
-    lead = face_fluxes[0].shape[: face_fluxes[0].ndim - n]
-    out = np.zeros(lead + (domain.nx,) * n)
-    inner = (Ellipsis,) + (slice(1, -1),) * n
-    for k, (f, h) in enumerate(zip(face_fluxes, domain.dx)):
-        across = (Ellipsis,) + tuple(slice(None) if j == k else slice(1, -1) for j in range(n))
-        out[inner] += _diff(f[across], k - n) / h
+    return _face_divergence(face_fluxes, domain.dx, _face_slices(domain.n))
+
+
+def _face_slices(n: int) -> list:
+    """Per axis k, over the last n axes, the (east, west) index pairs of the
+    nodes beside every k-face and of the k-faces beside every interior node."""
+    return [
+        tuple(tuple((Ellipsis,) + tuple(near if j == k else other for j in range(n))
+                    for near in (slice(1, None), slice(None, -1)))
+              for other in (slice(None), slice(1, -1)))
+        for k in range(n)
+    ]
+
+
+def _face_gradients(w, dx, slices) -> list:
+    return [(w[east] - w[west]) / h for ((east, west), _), h in zip(slices, dx)]
+
+
+def _face_divergence(face_fluxes, dx, slices) -> np.ndarray:
+    last = face_fluxes[-1]  # on the faces along the last axis: nx - 1 of them
+    out = np.zeros(last.shape[:-1] + (last.shape[-1] + 1,))
+    inner = (Ellipsis,) + (slice(1, -1),) * len(dx)
+    for f, h, (_, (east, west)) in zip(face_fluxes, dx, slices):
+        out[inner] += (f[east] - f[west]) / h
     return out
 
 
@@ -287,9 +308,9 @@ class _Iterate(NamedTuple):
 
 
 class _Stepper:
-    """Per-run cache (face coefficients, interior slice) and the Newton
-    iteration of one implicit step, for a stack of members that share
-    everything but eps."""
+    """Per-run cache (face slices and coefficients, the frame's datum
+    profile) and the Newton iteration of one implicit step, for a stack of
+    members that share everything but eps."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
         self.cfg = cfg
@@ -298,21 +319,19 @@ class _Stepper:
         self.dt = dom.dt
         self.dx = dom.dx
         self.frame = boundary_frame(dom)
-        self.frame_coords = [c[self.frame] for c in dom.meshgrid()]
+        # g = g0(x) psi(t): the frame's profile g0, which each step scales
+        self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
         self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
         self.spatial = tuple(range(-dom.n, 0))
         self.interior = (slice(None),) + (slice(1, -1),) * dom.n
         n = dom.n
+        self.slices = _face_slices(n)
         # Newton stencil geometry: per axis k the unit offsets +-e_k, the
         # k-faces east and west of the interior nodes and dt/h_k^2; per
         # transverse pair (k, j), in the order of _Iterate.trans, the cross
         # factor dt/(4 h_k h_j)
         self.units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-        self.east, self.west = (
-            [(slice(None),) + tuple(near if j == k else slice(1, -1) for j in range(n))
-             for k in range(n)]
-            for near in (slice(1, None), slice(None, -1))
-        )
+        self.east, self.west = zip(*(faces for _, faces in self.slices))
         self.normal = [
             (e, tuple(-a for a in e), self.dt / h**2, east, west)
             for e, h, east, west in zip(self.units, self.dx, self.east, self.west)
@@ -368,7 +387,7 @@ class _Stepper:
         Jacobian."""
         dom = self.dom
         n = dom.n
-        grads = face_gradients(w, dom)
+        grads = _face_gradients(w, self.dx, self.slices)
         trans = [
             [_face_average(_partial(w, dom, j), k - n) for j in range(n) if j != k]
             for k in range(n)
@@ -382,7 +401,7 @@ class _Stepper:
             flux_coefficient(sk, a, b, self.cfg.spec, eps=eps, derivative=True)
             for sk, a, b in zip(s, self.a_faces, self.b_faces)
         ]
-        div = face_divergence([c[0] * g for c, g in zip(coeffs, grads)], dom)
+        div = _face_divergence([c[0] * g for c, g in zip(coeffs, grads)], self.dx, self.slices)
         residual = (w - u_prev - self.dt * div)[self.interior]
         scale = np.maximum(
             np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
@@ -529,7 +548,7 @@ class _Stepper:
         """
         cfg = self.cfg
         out = u_prev.copy()
-        out[:, self.frame] = cfg.g.at(self.dom.box, self.frame_coords, t_next)
+        out[:, self.frame] = self.frame_g0 * cfg.g._psi(t_next)
         # the members still iterating, ascending, and per row their previous
         # time level and current iterate
         rows, base = np.arange(len(u_prev)), u_prev
@@ -599,9 +618,9 @@ class _Stepper:
             if not len(rows):
                 break
             it = trial
-            for pos, m in enumerate(rows):
-                residuals[m].append(float(it.norm[pos]))
-                lengths[m].append(float(length[pos]))
+            for m, r, t in zip(rows.tolist(), it.norm.tolist(), length.tolist()):
+                residuals[m].append(r)
+                lengths[m].append(t)
             done = it.norm < cfg.tolerance * it.scale
             if done.any():
                 out[rows[done]] = it.w[done]
@@ -654,25 +673,12 @@ def _defect_correction(matrix, b, lu):
         x, last = x + lu.solve(defect), norm
 
 
-def _neighbours(v: np.ndarray, axis: int):
-    """Views of v without its last and without its first entry along axis."""
+def _face_average(v: np.ndarray, axis: int) -> np.ndarray:
+    """Mean of neighbouring node values along axis, on the faces between."""
     lo = [slice(None)] * v.ndim
     hi = list(lo)
     lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return v[tuple(lo)], v[tuple(hi)]
-
-
-def _diff(v: np.ndarray, axis: int) -> np.ndarray:
-    """np.diff's arithmetic without its per-call overhead, which shows in
-    the 1D step's thousands of small calls."""
-    lo, hi = _neighbours(v, axis)
-    return hi - lo
-
-
-def _face_average(v: np.ndarray, axis: int) -> np.ndarray:
-    """Mean of neighbouring node values along axis, on the faces between."""
-    lo, hi = _neighbours(v, axis)
-    return 0.5 * (lo + hi)
+    return 0.5 * (v[tuple(lo)] + v[tuple(hi)])
 
 
 def solve_levels(cfg: SolveConfig, eps_values):
@@ -844,37 +850,45 @@ def _dual_norm(cfg: SolveConfig) -> float:
 
 
 def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
+    """The energy bound's terms for u: energy_reports of u alone at cfg.spec.eps."""
+    return energy_reports([u], cfg, [cfg.spec.eps])[0]
+
+
+def energy_reports(fields, cfg: SolveConfig, eps_values) -> list:
+    """EnergyData of each field at its eps (cfg.spec.eps is not used).  The
+    datum's terms are the same for every field and are computed once; its
+    eps-term is eps times one shared norm."""
     dom = cfg.domain
-    _same_grid(dom, u=u)
+    for u in fields:
+        _same_grid(dom, u=u)
     d = cfg.spec.d
-    p = cfg.spec.params.p
-    mu = cfg.spec.params.mu
-    eps = cfg.spec.eps
-    alpha = cfg.spec.params.alpha
-
-    du_mag = _grad_magnitude(u)
-    grad_int = lp_norm(du_mag, d.p_alpha) ** d.p_alpha
-    eps_term = eps * lp_norm(du_mag, d.q_beta) ** d.q_beta
-    del du_mag  # freed before the datum's gradient is formed: a lower peak
-    alpha_exp = 1.0 if math.isinf(alpha) else (alpha + 1.0) / alpha
-
     g_field = cfg.g.sample(dom)
     dg_mag = _grad_magnitude(g_field)
     wnorm = (
         lp_norm(g_field, d.p_alpha) ** d.p_alpha + lp_norm(dg_mag, d.p_alpha) ** d.p_alpha
     ) ** (1.0 / d.p_alpha)
-
-    return EnergyData(
-        sup_l2=float(_slicewise_l2sq(u.values, dom).max()),
-        grad_term=grad_int**alpha_exp,
-        eps_term=eps_term,
+    datum = dict(
         dual_term=_dual_norm(cfg) ** d.p_conj,
-        wnorm_term=wnorm**p,
+        wnorm_term=wnorm**d.p,
         dg_gamma_term=lp_norm(dg_mag, d.gamma) ** d.time_exponent,
-        dg_mu_term=mu ** (d.q - 1.0) * lp_norm(dg_mag, d.beta_conj),
+        dg_mu_term=cfg.spec.params.mu ** (d.q - 1.0) * lp_norm(dg_mag, d.beta_conj),
         g_sup_l2=float(_slicewise_l2sq(g_field.values, dom).max()),
-        eps_dg_term=eps * lp_norm(dg_mag, d.q_beta) ** d.q_beta,
     )
+    dg_qb = lp_norm(dg_mag, d.q_beta) ** d.q_beta
+    del g_field, dg_mag  # freed before a field's gradient is formed: a lower peak
+    alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
+    reports = []
+    for u, eps in zip(fields, eps_values):
+        du_mag = _grad_magnitude(u)
+        reports.append(EnergyData(
+            sup_l2=float(_slicewise_l2sq(u.values, dom).max()),
+            grad_term=(lp_norm(du_mag, d.p_alpha) ** d.p_alpha) ** alpha_exp,
+            eps_term=eps * lp_norm(du_mag, d.q_beta) ** d.q_beta,
+            eps_dg_term=eps * dg_qb,
+            **datum,
+        ))
+        del du_mag
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +951,8 @@ def _cell_integrals(values: np.ndarray, cfg: SolveConfig, eps: float) -> np.ndar
 
 def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
                           eps: float = 0.0):
-    """Gap and term scale of the variational inequality at every grid time.
+    """Gap and term scale of the variational inequality at every grid time:
+    the one-map case of variational_gap_curves.
 
     Returns (gaps, scales), both arrays over time levels 1..nt.  The gap at
     tau is RHS - LHS with the unregularized integrand (pass eps to use a
@@ -949,32 +964,36 @@ def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
     The duality factor d_t v is integrated exactly in time (its antiderivative
     is v itself), paired with (v - u) at the right endpoint.
     """
+    return variational_gap_curves(u, [v], cfg, eps)[0]
+
+
+def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float = 0.0) -> list:
+    """variational_gap_curve of u against every comparison map, as a list of
+    (gaps, scales).  The datum is sampled and f(Du) integrated once."""
     dom = cfg.domain
-    _same_grid(dom, u=u, v=v.field)
+    _same_grid(dom, u=u)
+    for v in maps:
+        _same_grid(dom, v=v.field)
     g = cfg.g.sample(dom).values
-    lateral = boundary_frame(dom)
-    mismatch = float(np.abs(v.field.values[:, lateral] - g[:, lateral]).max())
-    if mismatch > 1e-12 * max(float(np.abs(v.field.values).max()), float(np.abs(g).max()), 1e-300):
-        raise PreconditionError(
-            f"comparison map does not match the datum on the lateral boundary "
-            f"(mismatch {mismatch:g})")
+    lateral, g_max = boundary_frame(dom), float(np.abs(g).max())
+    cum_fu = np.cumsum(_cell_integrals(u.values, cfg, eps)[1:]) * dom.dt
+    cell, spatial = dom.cell_volume, tuple(range(1, dom.n + 1))
+    curves = []
+    for v in maps:
+        vals = v.field.values
+        mismatch = float(np.abs(vals[:, lateral] - g[:, lateral]).max())
+        if mismatch > 1e-12 * max(float(np.abs(vals).max()), g_max, 1e-300):
+            raise PreconditionError(
+                f"comparison map does not match the datum on the lateral boundary "
+                f"(mismatch {mismatch:g})")
+        cum_fv = np.cumsum(_cell_integrals(vals, cfg, eps)[1:]) * dom.dt
+        diff_vu = vals - u.values
+        dual_steps = np.sum((vals[1:] - vals[:-1]) * diff_vu[1:], axis=spatial) * cell
+        slice_sq = 0.5 * np.sum(diff_vu**2, axis=spatial) * cell
+        init_sq = 0.5 * float(np.sum((vals[0] - g[0]) ** 2)) * cell
 
-    fv = _cell_integrals(v.field.values, cfg, eps)
-    fu = _cell_integrals(u.values, cfg, eps)
-
-    cell = dom.cell_volume
-    diff_vu = v.field.values - u.values
-    dv_steps = v.field.values[1:] - v.field.values[:-1]
-    dual_steps = np.sum(
-        dv_steps * diff_vu[1:], axis=tuple(range(1, dv_steps.ndim))
-    ) * cell
-    slice_sq = 0.5 * np.sum(diff_vu**2, axis=tuple(range(1, diff_vu.ndim))) * cell
-    init_sq = 0.5 * float(np.sum((v.field.values[0] - g[0]) ** 2)) * cell
-
-    cum_fv = np.cumsum(fv[1:]) * dom.dt
-    cum_fu = np.cumsum(fu[1:]) * dom.dt
-    cum_dual = np.cumsum(dual_steps)
-    gaps = cum_fv + cum_dual - slice_sq[1:] + init_sq - cum_fu
-    scales = cum_fv + cum_fu + np.abs(cum_dual) + slice_sq[1:] + init_sq
-    return gaps, scales
-
+        cum_dual = np.cumsum(dual_steps)
+        gaps = cum_fv + cum_dual - slice_sq[1:] + init_sq - cum_fu
+        scales = cum_fv + cum_fu + np.abs(cum_dual) + slice_sq[1:] + init_sq
+        curves.append((gaps, scales))
+    return curves

@@ -82,6 +82,20 @@ class TestDomainAndField:
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_axes_and_times_built_once_and_read_only(self, n):
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=2.0, nx=5, nt=4)
+        assert dom.times is dom.times and dom.axes is dom.axes
+        assert np.array_equal(dom.times, np.linspace(0.0, 2.0, 5))
+        assert all(np.array_equal(ax, np.linspace(0.0, 1.0, 5)) for ax in dom.axes)
+        for values in (dom.times, *dom.axes):
+            with pytest.raises(ValueError):
+                values[1] = 7.0
+        # the kept arrays are no part of the value: a fresh grid compares
+        # and hashes alike
+        fresh = Domain(n=n, box=((0.0, 1.0),) * n, T=2.0, nx=5, nt=4)
+        assert dom == fresh and hash(dom) == hash(fresh)
+
 
 class TestQuadrature:
     def test_zero_field(self):

@@ -1,5 +1,6 @@
 """Config ingestion, sweeps, report emission, CLI entry points."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqlab import ConfigError, emit_config, load_config, run_sweep, solve
+from pqlab import (
+    ConfigError,
+    SweepReport,
+    comparison_maps,
+    emit_config,
+    energy_report,
+    load_config,
+    run_sweep,
+    solve,
+    variational_gap_curve,
+    verify_sup_bound,
+)
 from pqlab.cli import main as cli_main
 from pqlab.harness import bound_csv_header, emit_reports
 
@@ -68,6 +80,16 @@ directory = out
 seed = 11
 """
 
+# SWEEP_CFG with two targets, and its 2D form on a coarser grid
+TWO_TARGETS = SWEEP_CFG.replace("cylinder1 = 0.5 0.12 0.2",
+                                "cylinder1 = 0.5 0.12 0.2\ncylinder2 = 0.45 0.2 0.15")
+TWO_TARGETS_2D = (
+    TWO_TARGETS.replace("n = 1", "n = 2").replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
+    .replace("a_center = 0.505", "a_center = 0.505 0.505")
+    .replace("nx = 33", "nx = 17").replace("nt = 32", "nt = 16").replace("levels = 3", "levels = 2")
+    .replace("cylinder1 = 0.5 0.12", "cylinder1 = 0.5 0.5 0.12")
+    .replace("cylinder2 = 0.45 0.2", "cylinder2 = 0.45 0.55 0.2")
+)
 
 # every section and every kind of key, written out of canonical order and
 # with non-canonical numerals; EVERY_KEY_CANONICAL is what emit_config makes
@@ -442,6 +464,56 @@ class TestSweep:
         assert names == sorted(os.listdir(out2))
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("text", [TWO_TARGETS, TWO_TARGETS_2D], ids=["1d", "2d"])
+    def test_batched_diagnostics_equal_the_one_field_forms(self, text, tmp_path):
+        # the sweep takes each diagnostic of all its levels or maps in one
+        # call; every report is bitwise the one-field form's
+        cfg = load_config(write(tmp_path, text))
+        report = run_sweep(cfg)
+        assert len(report.levels) == cfg.levels and len(cfg.targets) == 2
+
+        def bits(record):
+            return repr(dataclasses.astuple(record))
+
+        for lv in report.levels:
+            scfg = cfg.solve_config(lv.eps)
+            assert bits(lv.energy) == bits(energy_report(lv.field, scfg))
+            lone = [verify_sup_bound(lv.field, center, rho, sigma, scfg.spec, cfg.c_cal)
+                    for center, rho, sigma in cfg.target_cylinders()]
+            assert [bits(b) for b in lv.bounds] == [bits(b) for b in lone]
+        last = report.levels[-1]
+        scfg = cfg.solve_config(last.eps)
+        maps = comparison_maps(scfg)
+        assert [name for name, *_ in report.varsol] == [v.name for v in maps]
+        for (_, _, gaps, scales), v in zip(report.varsol, maps):
+            lone_gaps, lone_scales = variational_gap_curve(last.field, v, scfg, eps=0.0)
+            assert gaps.tobytes() == lone_gaps.tobytes()
+            assert scales.tobytes() == lone_scales.tobytes()
+
+    def test_nan_gap_is_the_minimum_and_written_as_null(self, tmp_path):
+        # min(inf, nan) is inf in Python, so a NaN gap used to vanish from
+        # the minimum and criterion 9 passed without it
+        cfg = load_config(write(tmp_path, SWEEP_CFG))
+        taus = np.array([0.1, 0.2])
+
+        def curve(name, gaps):
+            return (name, taus, np.array(gaps), np.ones(2))
+
+        report = SweepReport(config=cfg, varsol=[curve("a", [0.1, np.nan]), curve("b", [0.2, 0.3])])
+        assert math.isnan(report.min_normalized_gap)
+        report.varsol.reverse()
+        assert math.isnan(report.min_normalized_gap)
+        emit_reports(report, tmp_path / "out")
+
+        def bare(constant):
+            raise AssertionError(f"manifest.json holds a bare {constant}, which is not JSON")
+
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        assert json.loads(text, parse_constant=bare)["min_normalized_gap"] is None
+        assert SweepReport(config=cfg, varsol=[curve("b", [0.2, 0.3]), curve("c", [0.5, -0.1])]
+                           ).min_normalized_gap == -0.1
+        assert SweepReport(config=cfg).min_normalized_gap == math.inf
 
     def test_i_o_matches_thresholds(self, tmp_path):
         cfg = load_config(write(tmp_path, SWEEP_CFG))

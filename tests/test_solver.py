@@ -28,6 +28,7 @@ from pqlab import (
     comparison_maps,
     constant_field,
     energy_report,
+    energy_reports,
     face_divergence,
     face_gradients,
     field_from_function,
@@ -35,6 +36,7 @@ from pqlab import (
     solve,
     solve_levels,
     variational_gap_curve,
+    variational_gap_curves,
     weak_residual,
 )
 from pqlab import solver
@@ -573,6 +575,14 @@ def _start_from_u_j(stepper, u_prev, t_next):
     return _step(stepper, u_prev, t_next)
 
 
+class _LiftedDatum(BoundaryDatum):
+    """A preset datum lifted by one, (g0 + 1) psi(t): nonzero on the frame,
+    where every preset profile vanishes."""
+
+    def _g0(self, box, coords):
+        return super()._g0(box, coords) + 1.0
+
+
 class TestExtrapolatedStart:
     """Each step starts Newton from u_j or from the extrapolation in time of
     the member's stored levels, whichever has the smaller max|R|."""
@@ -595,7 +605,8 @@ class TestExtrapolatedStart:
         stepper.past = past
         fresh = _Stepper(cfg, [cfg.spec.eps])
         start = u_prev.copy()
-        start[:, stepper.frame] = cfg.g.at(dom.box, stepper.frame_coords, dom.dt)
+        start[:, stepper.frame] = cfg.g.at(dom.box, [c[stepper.frame] for c in dom.meshgrid()],
+                                           dom.dt)
         ext = start.copy()
         ext[stepper.interior] = (u_prev - bump)[stepper.interior]
         if stored == "non-finite":
@@ -624,8 +635,9 @@ class TestExtrapolatedStart:
             assert stats.histories != ref_stats.histories
 
     def test_frame_takes_the_datum(self):
-        # a cubic in time: the extrapolation of the frame would miss g(t_{j+1})
-        g = BoundaryDatum(kind="separable", psi=(1.0, 0.0, 0.0, 100.0))
+        # a cubic in time: the extrapolation of the frame would miss
+        # g(t_{j+1}), and a frame left at the profile would miss psi(t_{j+1})
+        g = _LiftedDatum(kind="separable", psi=(1.0, 0.0, 0.0, 100.0))
         cfg = heat_config(nx=17, nt=16, g=g)
         u, _ = solve(cfg)
         frame = solver.boundary_frame(cfg.domain)
@@ -825,7 +837,40 @@ class TestWeakResidual:
             weak_residual(u, constant_field(other, 0.0), cfg)
 
 
+def _batch_config(n):
+    """Three eps-levels of a small degenerate problem with a time-dependent
+    datum, so that every datum term of the energy report is nonzero."""
+    cfg = degenerate_config() if n == 1 else _probe_config_2d(2.0, 2.1, 0.8, nx=9, nt=8)
+    dom = dataclasses.replace(cfg.domain, nx=33, nt=16) if n == 1 else cfg.domain
+    g = BoundaryDatum(kind="separable", amplitude=0.8, psi=(1.0, -0.5, 0.25))
+    cfg = dataclasses.replace(cfg, domain=dom, g=g)
+    results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
+    assert failure is None
+    return cfg, [0.5, 0.125, 0.0], [u for u, _ in results]
+
+
+def _bits(record) -> str:
+    """repr of a dataclass's values: equal strings mean bitwise-equal floats
+    (repr round-trips a double exactly and tells -0.0 from 0.0)."""
+    return repr(dataclasses.astuple(record))
+
+
 class TestEnergyReport:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batched_rows_equal_lone_reports(self, n):
+        cfg, schedule, fields = _batch_config(n)
+        reports = energy_reports(fields, cfg, schedule)
+        assert len(reports) == len(fields)
+        assert reports[0].dual_term > 0.0 and reports[0].eps_dg_term > 0.0
+        for u, eps, report in zip(fields, schedule, reports):
+            assert _bits(report) == _bits(energy_report(u, _at_eps(cfg, eps)))
+
+    def test_batched_rejects_a_field_on_another_grid(self):
+        cfg, schedule, fields = _batch_config(1)
+        other = constant_field(dataclasses.replace(cfg.domain, nt=8), 0.0)
+        with pytest.raises(ParameterError, match="u lives on a different grid"):
+            energy_reports([fields[0], other], cfg, schedule[:2])
+
     def test_zero_datum_all_zero(self):
         cfg = heat_config(nx=17, nt=16, g=BoundaryDatum(kind="zero"))
         u, _ = solve(cfg)
@@ -867,6 +912,29 @@ class TestEnergyReport:
 
 
 class TestVariationalGap:
+    @pytest.mark.parametrize("eps", [0.0, 0.125])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batched_curves_equal_lone_curves(self, n, eps):
+        cfg, _, fields = _batch_config(n)
+        u = fields[-1]
+        maps = comparison_maps(cfg) + [ComparisonMap("solution", fields[0])]
+        curves = variational_gap_curves(u, maps, cfg, eps=eps)
+        assert len(curves) == len(maps)
+        for v, (gaps, scales) in zip(maps, curves):
+            lone_gaps, lone_scales = variational_gap_curve(u, v, cfg, eps=eps)
+            assert gaps.tobytes() == lone_gaps.tobytes()
+            assert scales.tobytes() == lone_scales.tobytes()
+
+    def test_batched_rejects_a_bad_map_among_good_ones(self):
+        cfg, _, fields = _batch_config(1)
+        maps = comparison_maps(cfg)
+        bad = ComparisonMap("bad", constant_field(cfg.domain, 1.0))
+        with pytest.raises(PreconditionError, match="lateral"):
+            variational_gap_curves(fields[-1], maps + [bad], cfg)
+        moved = ComparisonMap("moved", constant_field(dataclasses.replace(cfg.domain, nt=8), 0.0))
+        with pytest.raises(ParameterError, match="v lives on a different grid"):
+            variational_gap_curves(fields[-1], [*maps, moved], cfg)
+
     def test_gap_zero_for_v_equal_u(self):
         cfg = nonlinear_config(nx=33, nt=32)
         u, _ = solve(cfg)
