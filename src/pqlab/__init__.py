@@ -73,8 +73,6 @@ from .solver import (
     comparison_maps,
     energy_report,
     energy_reports,
-    face_divergence,
-    face_gradients,
     solve,
     solve_levels,
     variational_gap_curve,

@@ -6,9 +6,19 @@ Each implicit Euler step solves, at the interior nodes,
     R(w) = w - u^j - dt div_h F(x, t_{j+1}, D_h w) = 0,
     w = g(., t_{j+1}) on the lateral boundary,
 
-by Newton's method on the exact Jacobian of R.  A backtracking line search
-(Armijo factor 1e-4, halving) on max|R| globalizes it, with no relaxation
-factor to tune.
+by Newton's method on the exact Jacobian of R.
+
+Two classes split the work.  _Scheme is the spatial discretization of one
+domain and integrand, written once: D_h places gradients on cell faces and
+div_h is its negative adjoint, which makes discrete integration by parts
+exact for test functions vanishing on the boundary; evaluate gives R,
+stencil its Jacobian and cell_energy the integral of f(Du); a and b are
+sampled on the faces and at the cell centres on first use.  _Stepper is the
+Newton driver on one scheme: the members' eps, the datum on the frame, the
+start, the line search, the stopping rule and the linear solves.
+solve_levels builds one stepper per run, and weak_residual and
+variational_gap_curves each build one scheme per call.
+
 The Jacobian is one stencil written over the axes: per axis k the normal
 weight G + 2G'(s) g_k^2 of the k-faces on the neighbours +-e_k and the
 diagonal, and per transverse axis j the cross weight 2G'(s) g_k t_j, where
@@ -18,17 +28,18 @@ the linear solver by dimension: in 1D the stencil is the symmetric
 positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
 by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix, assembled into
 a CSC pattern fixed per run and factored with SuperLU.  A 2D member keeps
-its factor across time steps: every Newton iteration, the first of a step
-included, solves its exact Jacobian system by defect correction with that
-factor to relative residual 1e-12, until the factor's correction solves
-exceed the flops of one factorization in solve-equivalents (read from the
-run's first factor after the first time step, whose factors serve that step
-only: 7 at 17^2, 23 at 65^2).  Then, or if the defect falls too slowly, the
-factor is released and the member refactors and solves directly.  A
-member's factor is freed once it drops.  Iteration stops once
-max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf), so the rule does
-not depend on the scale of the data; a linear problem converges in one
-iteration.  Every step keeps its residual and step-length history.
+its factor across time steps and solves each later Newton system by defect
+correction with it to relative residual 1e-12, until those solves have cost
+one factorization (7 of them at 17^2, 23 at 65^2) or the defect falls too
+slowly; then it refactors.
+
+A backtracking line search (Armijo factor 1e-4, halving) on max|R|
+globalizes Newton, with no relaxation factor to tune.  Iteration stops once
+max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf): relative to the
+data above |w|_inf = 1, absolute below it (at amplitude 1e-8 a field stops
+1e-4 relative from a tight solve; ROADMAP item 10).  A linear problem
+converges in one iteration.  Every step keeps its residual and step-length
+history.
 
 Newton starts from u^j or from the member's extrapolation in time,
 whichever has the smaller max|R|; a tie or a non-finite residual keeps
@@ -53,15 +64,13 @@ every later member while the earlier ones run to completion, which is the
 outcome of solving the members one after another and stopping at the
 first failure.
 
-D_h places gradients on cell faces and div_h is its negative adjoint, which
-makes discrete integration by parts exact for test functions vanishing on
-the boundary.  weak_residual sums the step residual against a test field,
-so the discrete weak form of a computed solution holds to the solver
-tolerance in 1D and 2D.  In 1D one step is also the minimizing movement of
-the convex integrand, and the discrete variational inequality holds up to
-iteration tolerance.  The averaged transverse gradient of the 2D flux makes
-the 2D step minimize no discrete energy exactly, so in 2D the inequality
-holds only up to a first-order error.
+weak_residual sums the step residual against a test field, so the discrete
+weak form of a computed solution holds to the solver tolerance in 1D and
+2D.  In 1D one step is also the minimizing movement of the convex
+integrand, and the discrete variational inequality holds up to iteration
+tolerance.  The averaged transverse gradient of the 2D flux makes the 2D
+step minimize no discrete energy exactly, so in 2D the inequality holds
+only up to a first-order error.
 
 energy_reports takes the datum's terms once for all its fields, and
 variational_gap_curves the datum's sample and the integral of f(Du) once
@@ -71,6 +80,7 @@ cases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -236,48 +246,7 @@ class SolveStats:
 
 
 # ---------------------------------------------------------------------------
-# staggered operators (exact summation-by-parts pair)
-
-
-def face_gradients(w: np.ndarray, domain: Domain) -> list:
-    """Per-axis difference quotients on cell faces, over the last n axes of
-    w (leading axes are carried along).
-
-    1D: shape (nx-1,).  2D: axis 0 faces (nx-1, nx), axis 1 faces (nx, nx-1).
-    """
-    return _face_gradients(w, domain.dx, _face_slices(domain.n))
-
-
-def face_divergence(face_fluxes: list, domain: Domain) -> np.ndarray:
-    """Negative adjoint of face_gradients; values at interior nodes, zero on
-    the boundary frame.  Satisfies sum(div F * phi) dV = -sum(F . D phi) dV
-    exactly for phi vanishing on the boundary.  Leading axes of the face
-    fluxes are carried along."""
-    return _face_divergence(face_fluxes, domain.dx, _face_slices(domain.n))
-
-
-def _face_slices(n: int) -> list:
-    """Per axis k, over the last n axes, the (east, west) index pairs of the
-    nodes beside every k-face and of the k-faces beside every interior node."""
-    return [
-        tuple(tuple((Ellipsis,) + tuple(near if j == k else other for j in range(n))
-                    for near in (slice(1, None), slice(None, -1)))
-              for other in (slice(None), slice(1, -1)))
-        for k in range(n)
-    ]
-
-
-def _face_gradients(w, dx, slices) -> list:
-    return [(w[east] - w[west]) / h for ((east, west), _), h in zip(slices, dx)]
-
-
-def _face_divergence(face_fluxes, dx, slices) -> np.ndarray:
-    last = face_fluxes[-1]  # on the faces along the last axis: nx - 1 of them
-    out = np.zeros(last.shape[:-1] + (last.shape[-1] + 1,))
-    inner = (Ellipsis,) + (slice(1, -1),) * len(dx)
-    for f, h, (_, (east, west)) in zip(face_fluxes, dx, slices):
-        out[inner] += (f[east] - f[west]) / h
-    return out
+# the discretization
 
 
 class _Iterate(NamedTuple):
@@ -307,25 +276,27 @@ class _Iterate(NamedTuple):
         )
 
 
-class _Stepper:
-    """Per-run cache (face slices and coefficients, the frame's datum
-    profile) and the Newton iteration of one implicit step, for a stack of
-    members that share everything but eps."""
+class _Scheme:
+    """The spatial discretization of one domain and integrand, which the
+    stepper, the weak residual and the variational gap read.  Fields carry
+    leading axes (members or time levels) before the n spatial ones.  a and b
+    are sampled on the faces and at the cell centres on first use, so a
+    caller pays only for the set it reads."""
 
-    def __init__(self, cfg: SolveConfig, eps_values):
-        self.cfg = cfg
-        dom = cfg.domain
-        self.dom = dom
-        self.dt = dom.dt
-        self.dx = dom.dx
-        self.frame = boundary_frame(dom)
-        # g = g0(x) psi(t): the frame's profile g0, which each step scales
-        self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
-        self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
-        self.spatial = tuple(range(-dom.n, 0))
-        self.interior = (slice(None),) + (slice(1, -1),) * dom.n
-        n = dom.n
-        self.slices = _face_slices(n)
+    def __init__(self, domain: Domain, spec: IntegrandSpec):
+        n = domain.n
+        self.dom, self.spec, self.dt, self.dx = domain, spec, domain.dt, domain.dx
+        self.spatial = tuple(range(-n, 0))
+        self.interior = (Ellipsis,) + (slice(1, -1),) * n
+        # per axis k, over the last n axes, the (east, west) index pairs of
+        # the nodes beside every k-face and of the k-faces beside every
+        # interior node
+        self.slices = [
+            tuple(tuple((Ellipsis,) + tuple(near if j == k else other for j in range(n))
+                        for near in (slice(1, None), slice(None, -1)))
+                  for other in (slice(None), slice(1, -1)))
+            for k in range(n)
+        ]
         # Newton stencil geometry: per axis k the unit offsets +-e_k, the
         # k-faces east and west of the interior nodes and dt/h_k^2; per
         # transverse pair (k, j), in the order of _Iterate.trans, the cross
@@ -340,68 +311,62 @@ class _Stepper:
             (k, j, self.dt / (4.0 * self.dx[min(j, k)] * self.dx[max(j, k)]))
             for k in range(n) for j in range(n) if j != k
         ]
-        axes = dom.axes
-        # per axis k, the coordinates of the k-faces (midpoints along k)
-        faces = [
-            np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) if j == k else ax for j, ax in enumerate(axes)),
-                        indexing="ij")
-            for k in range(dom.n)
-        ]
-        self.a_faces = [cfg.spec.coeffs.a.at(*c) for c in faces]
-        self.b_faces = [cfg.spec.coeffs.b.at(*c) for c in faces]
-        # the Newton matrix's CSC pattern on the interior nodes, numbered
-        # row-major: per stencil offset (every one with at most two nonzero
-        # components) the nodes whose neighbour stays on the grid, and the
-        # order that scatters the entries of all offsets into CSC
-        m = dom.nx - 2
-        node = np.arange(m**n).reshape((m,) * n)
-        self.offsets = [off for off in itertools.product((-1, 0, 1), repeat=n)
-                        if sum(map(abs, off)) <= 2]
-        self.valid, rows, cols = [], [], []
-        for off in self.offsets:
-            valid = np.ones(node.shape, bool)
-            for i, o in zip(np.indices(node.shape), off):
-                valid &= (0 <= i + o) & (i + o < m)
-            self.valid.append(valid)
-            rows.append(node[valid])
-            cols.append(node[valid] + sum(o * m ** (n - 1 - j) for j, o in enumerate(off)))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        self.order = np.lexsort((rows, cols)).astype(np.int32)  # by column, then row
-        self.indices = rows[self.order].astype(np.int32)
-        self.indptr = np.zeros(m**n + 1, np.int32)
-        np.cumsum(np.bincount(cols, minlength=m**n), out=self.indptr[1:])
-        # 2D Newton factors, kept across time steps: per member None or
-        # (SuperLU factor, correction solves it has served), and the budget
-        # of such solves per factor, read from the first factor made after
-        # the first time step (see step)
-        self.slots = [None] * len(self.eps)
-        self.budget = None
-        self.first_step = True
-        # each member's accepted time levels before the one step starts from,
-        # newest first and at most two: u_{j-1} and u_{j-2} (see step)
-        self.past = []
 
-    def evaluate(self, w: np.ndarray, u_prev: np.ndarray, members) -> _Iterate:
-        """R(w) = w - u_prev - dt div_h F(D_h w) for the given members,
-        evaluating the face coefficients once for both the residual and the
-        Jacobian."""
-        dom = self.dom
-        n = dom.n
-        grads = _face_gradients(w, self.dx, self.slices)
+    @functools.cached_property
+    def face_coeffs(self) -> list:
+        """(a, b) per axis k on the k-faces, the midpoints along k."""
+        axes, coeffs = self.dom.axes, self.spec.coeffs
+        faces = (np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) if j == k else ax
+                               for j, ax in enumerate(axes)), indexing="ij")
+                 for k in range(self.dom.n))
+        return [(coeffs.a.at(*c), coeffs.b.at(*c)) for c in faces]
+
+    @functools.cached_property
+    def centre_coeffs(self) -> tuple:
+        """(a, b) at the cell centres."""
+        centres = np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) for ax in self.dom.axes), indexing="ij")
+        return self.spec.coeffs.a.at(*centres), self.spec.coeffs.b.at(*centres)
+
+    def face_gradients(self, w: np.ndarray) -> list:
+        """D_h w: per axis k the difference quotients on the k-faces, of
+        which there are nx - 1 along k and nx along every other axis."""
+        return [(w[east] - w[west]) / h for ((east, west), _), h in zip(self.slices, self.dx)]
+
+    def face_average(self, v: np.ndarray, k: int) -> np.ndarray:
+        """Mean of neighbouring node values along axis k, on the faces between."""
+        east, west = self.slices[k][0]
+        return 0.5 * (v[west] + v[east])
+
+    def face_divergence(self, fluxes: list) -> np.ndarray:
+        """div_h F, the negative adjoint of face_gradients: values at the
+        interior nodes, zero on the boundary frame.  Satisfies
+        sum(div F * phi) dV = -sum(F . D phi) dV exactly for phi vanishing on
+        the boundary."""
+        last = fluxes[-1]  # on the faces along the last axis: nx - 1 of them
+        out = np.zeros(last.shape[:-1] + (last.shape[-1] + 1,))
+        for f, h, (_, (east, west)) in zip(fluxes, self.dx, self.slices):
+            out[self.interior] += (f[east] - f[west]) / h
+        return out
+
+    def evaluate(self, w: np.ndarray, u_prev: np.ndarray, eps: np.ndarray) -> _Iterate:
+        """R(w) = w - u_prev - dt div_h F(D_h w) per member, eps the members'
+        regularization broadcast over the spatial axes, evaluating the face
+        coefficients once for both the residual and the Jacobian."""
+        n = self.dom.n
+        grads = self.face_gradients(w)
         trans = [
-            [_face_average(_partial(w, dom, j), k - n) for j in range(n) if j != k]
+            [self.face_average(_partial(w, self.dom, j), k) for j in range(n) if j != k]
             for k in range(n)
         ]
         s = [g**2 for g in grads]
         for sk, tk in zip(s, trans):
             for t in tk:
                 sk += t**2
-        eps = self.eps[members]
         coeffs = [
-            flux_coefficient(sk, a, b, self.cfg.spec, eps=eps, derivative=True)
-            for sk, a, b in zip(s, self.a_faces, self.b_faces)
+            flux_coefficient(sk, a, b, self.spec, eps=eps, derivative=True)
+            for sk, (a, b) in zip(s, self.face_coeffs)
         ]
-        div = _face_divergence([c[0] * g for c, g in zip(coeffs, grads)], self.dx, self.slices)
+        div = self.face_divergence([c[0] * g for c, g in zip(coeffs, grads)])
         residual = (w - u_prev - self.dt * div)[self.interior]
         scale = np.maximum(
             np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
@@ -446,6 +411,70 @@ class _Stepper:
                         entries[off] = entries[off] + value if off in entries else value
         return entries
 
+    def cell_energy(self, values: np.ndarray, eps: float) -> np.ndarray:
+        """integral of f(x, Dw) at every time level of values (time first), by
+        cell-centred staggered gradients.  In 1D this is the step's own energy,
+        so the discrete variational inequality survives with the iteration
+        tolerance; in 2D it does not (the strict xfail of
+        TestVariationalGap::test_first_variation_vanishes)."""
+        n = self.dom.n
+        xi = []
+        for k, component in enumerate(self.face_gradients(values)):
+            for j in range(n):
+                if j != k:
+                    component = self.face_average(component, j)
+            xi.append(component)
+        f_vals = integrand(np.stack(xi), *self.centre_coeffs, self.spec, eps=eps)
+        return f_vals.reshape(len(values), -1).sum(axis=1) * self.dom.cell_volume
+
+
+class _Stepper:
+    """The Newton driver of the implicit step on one scheme, for a stack of
+    members that share everything but eps: the members' eps, the frame's
+    datum profile, the 2D factor slots and their budget, and the levels the
+    extrapolated start reads.  It also holds the Newton matrix's storage in
+    the format of the 2D linear solver, a CSC pattern."""
+
+    def __init__(self, cfg: SolveConfig, eps_values):
+        self.cfg = cfg
+        dom = cfg.domain
+        self.scheme = _Scheme(dom, cfg.spec)
+        self.frame = boundary_frame(dom)
+        # g = g0(x) psi(t): the frame's profile g0, which each step scales
+        self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
+        self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
+        # the Newton matrix's CSC pattern on the interior nodes, numbered
+        # row-major: per stencil offset (every one with at most two nonzero
+        # components) the nodes whose neighbour stays on the grid, and the
+        # order that scatters the entries of all offsets into CSC
+        n, m = dom.n, dom.nx - 2
+        node = np.arange(m**n).reshape((m,) * n)
+        self.offsets = [off for off in itertools.product((-1, 0, 1), repeat=n)
+                        if sum(map(abs, off)) <= 2]
+        self.valid, rows, cols = [], [], []
+        for off in self.offsets:
+            valid = np.ones(node.shape, bool)
+            for i, o in zip(np.indices(node.shape), off):
+                valid &= (0 <= i + o) & (i + o < m)
+            self.valid.append(valid)
+            rows.append(node[valid])
+            cols.append(node[valid] + sum(o * m ** (n - 1 - j) for j, o in enumerate(off)))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.order = np.lexsort((rows, cols)).astype(np.int32)  # by column, then row
+        self.indices = rows[self.order].astype(np.int32)
+        self.indptr = np.zeros(m**n + 1, np.int32)
+        np.cumsum(np.bincount(cols, minlength=m**n), out=self.indptr[1:])
+        # 2D Newton factors, kept across time steps: per member None or
+        # (SuperLU factor, correction solves it has served), and the budget
+        # of such solves per factor, read from the first factor made after
+        # the first time step (see step)
+        self.slots = [None] * len(self.eps)
+        self.budget = None
+        self.first_step = True
+        # each member's accepted time levels before the one step starts from,
+        # newest first and at most two: u_{j-1} and u_{j-2} (see step)
+        self.past = []
+
     def matrix(self, stencil: dict, row: int):
         """CSC matrix of member row of a stencil on the fixed pattern; an
         entry that happens to be zero is kept as an explicit zero."""
@@ -483,8 +512,8 @@ class _Stepper:
         much as a new one; until it is read, a factor serves without limit.
         """
         rhs = -it.residual
-        stencil = self.stencil(it)
-        if self.dom.n == 1:
+        stencil = self.scheme.stencil(it)
+        if self.cfg.domain.n == 1:
             diag, east = stencil[(0,)], stencil[(1,)]
             coupling = east.copy()
             coupling[:, -1] = 0.0
@@ -546,25 +575,25 @@ class _Stepper:
         lone solve.  The step then stores u_prev and the newest level of
         self.past, narrowed to the members that did not fail.
         """
-        cfg = self.cfg
+        cfg, scheme = self.cfg, self.scheme
         out = u_prev.copy()
         out[:, self.frame] = self.frame_g0 * cfg.g._psi(t_next)
         # the members still iterating, ascending, and per row their previous
         # time level and current iterate
         rows, base = np.arange(len(u_prev)), u_prev
         if self.past:
-            inner = self.interior
+            inner = scheme.interior
             ext = out.copy()
             if len(self.past) == 1:
                 ext[inner] = 2.0 * u_prev[inner] - self.past[0][inner]
             else:
                 ext[inner] = 3.0 * (u_prev[inner] - self.past[0][inner]) + self.past[1][inner]
-            both = self.evaluate(np.concatenate([out, ext]), np.concatenate([base, base]),
-                                 np.concatenate([rows, rows]))
+            both = scheme.evaluate(np.concatenate([out, ext]), np.concatenate([base, base]),
+                                   self.eps[np.concatenate([rows, rows])])
             size = len(rows)
             it = both.take(rows + size * (both.norm[size:] < both.norm[:size]))
         else:
-            it = self.evaluate(out, base, rows)
+            it = scheme.evaluate(out, base, self.eps[rows])
         residuals = [[] for _ in rows]
         lengths = [[] for _ in rows]
         live, failure = len(rows), None
@@ -603,8 +632,8 @@ class _Stepper:
             length = np.ones(len(rows))
             while len(rows):
                 w = it.w.copy()
-                w[self.interior] += length.reshape((-1,) + (1,) * self.dom.n) * d
-                trial = self.evaluate(w, base, rows)
+                w[scheme.interior] += length.reshape((-1,) + (1,) * cfg.domain.n) * d
+                trial = scheme.evaluate(w, base, self.eps[rows])
                 pending = ~((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
                             | (trial.norm < cfg.tolerance * trial.scale))
                 stuck = pending & (length <= _MIN_STEP)
@@ -671,14 +700,6 @@ def _defect_correction(matrix, b, lu):
         if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:
             return None, solves
         x, last = x + lu.solve(defect), norm
-
-
-def _face_average(v: np.ndarray, axis: int) -> np.ndarray:
-    """Mean of neighbouring node values along axis, on the faces between."""
-    lo = [slice(None)] * v.ndim
-    hi = list(lo)
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return 0.5 * (v[tuple(lo)] + v[tuple(hi)])
 
 
 def solve_levels(cfg: SolveConfig, eps_values):
@@ -755,9 +776,9 @@ def weak_residual(u: SpaceTimeField, phi: SpaceTimeField, cfg: SolveConfig) -> f
     if pmax > 0 and float(np.abs(phi.values[frame]).max()) > tol:
         raise PreconditionError("test field must vanish near the parabolic boundary")
 
-    stepper = _Stepper(cfg, [cfg.spec.eps])
-    it = stepper.evaluate(u.values[1:], u.values[:-1], np.zeros(dom.nt, int))
-    return float(np.sum(phi.values[1:][stepper.interior] * it.residual)) * dom.cell_volume
+    scheme = _Scheme(dom, cfg.spec)
+    it = scheme.evaluate(u.values[1:], u.values[:-1], np.full((1,) * (dom.n + 1), cfg.spec.eps))
+    return float(np.sum(phi.values[1:][scheme.interior] * it.residual)) * dom.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -928,27 +949,6 @@ def comparison_maps(cfg: SolveConfig) -> list:
     ]
 
 
-def _cell_integrals(values: np.ndarray, cfg: SolveConfig, eps: float) -> np.ndarray:
-    """integral of f(x, Dw) at every time level of values (time first), by
-    cell-centred staggered gradients.  In 1D this is the step's own energy,
-    so the discrete variational inequality survives with the iteration
-    tolerance; in 2D it does not (the strict xfail of
-    TestVariationalGap::test_first_variation_vanishes).  The coefficients
-    are time-independent."""
-    dom = cfg.domain
-    n = dom.n
-    centres = np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) for ax in dom.axes), indexing="ij")
-    xi = []
-    for k, component in enumerate(face_gradients(values, dom)):
-        for j in range(n):
-            if j != k:
-                component = _face_average(component, j - n)
-        xi.append(component)
-    f_vals = integrand(np.stack(xi), cfg.spec.coeffs.a.at(*centres),
-                       cfg.spec.coeffs.b.at(*centres), cfg.spec, eps=eps)
-    return f_vals.reshape(len(values), -1).sum(axis=1) * dom.cell_volume
-
-
 def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
                           eps: float = 0.0):
     """Gap and term scale of the variational inequality at every grid time:
@@ -976,7 +976,8 @@ def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float
         _same_grid(dom, v=v.field)
     g = cfg.g.sample(dom).values
     lateral, g_max = boundary_frame(dom), float(np.abs(g).max())
-    cum_fu = np.cumsum(_cell_integrals(u.values, cfg, eps)[1:]) * dom.dt
+    scheme = _Scheme(dom, cfg.spec)
+    cum_fu = np.cumsum(scheme.cell_energy(u.values, eps)[1:]) * dom.dt
     cell, spatial = dom.cell_volume, tuple(range(1, dom.n + 1))
     curves = []
     for v in maps:
@@ -986,7 +987,7 @@ def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float
             raise PreconditionError(
                 f"comparison map does not match the datum on the lateral boundary "
                 f"(mismatch {mismatch:g})")
-        cum_fv = np.cumsum(_cell_integrals(vals, cfg, eps)[1:]) * dom.dt
+        cum_fv = np.cumsum(scheme.cell_energy(vals, eps)[1:]) * dom.dt
         diff_vu = vals - u.values
         dual_steps = np.sum((vals[1:] - vals[:-1]) * diff_vu[1:], axis=spatial) * cell
         slice_sq = 0.5 * np.sum(diff_vu**2, axis=spatial) * cell

@@ -29,8 +29,6 @@ from pqlab import (
     constant_field,
     energy_report,
     energy_reports,
-    face_divergence,
-    face_gradients,
     field_from_function,
     flux,
     solve,
@@ -40,7 +38,7 @@ from pqlab import (
     weak_residual,
 )
 from pqlab import solver
-from pqlab.solver import _Stepper
+from pqlab.solver import _Scheme, _Stepper
 
 
 def heat_config(nx=65, nt=400, T=0.1, n=1, g=None):
@@ -132,17 +130,18 @@ class TestNewton:
         cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.3),
                           BoundaryDatum(kind="profile", profile="sin"))
         stepper = _Stepper(cfg, [0.3])
+        scheme, eps = stepper.scheme, stepper.eps
         shape = (1,) + (dom.nx,) * n
         u_prev = rng.normal(size=shape)
         w = u_prev + rng.normal(size=shape)
         v = np.zeros(shape)
-        v[stepper.interior] = rng.normal(size=(1,) + (dom.nx - 2,) * n)
-        it = stepper.evaluate(w, u_prev, [0])
-        jac = stepper.matrix(stepper.stencil(it), 0)
-        jv = jac @ v[stepper.interior].ravel()
+        v[scheme.interior] = rng.normal(size=(1,) + (dom.nx - 2,) * n)
+        it = scheme.evaluate(w, u_prev, eps)
+        jac = stepper.matrix(scheme.stencil(it), 0)
+        jv = jac @ v[scheme.interior].ravel()
         h = 1e-6
-        fd = (stepper.evaluate(w + h * v, u_prev, [0]).residual
-              - stepper.evaluate(w - h * v, u_prev, [0]).residual) / (2 * h)
+        fd = (scheme.evaluate(w + h * v, u_prev, eps).residual
+              - scheme.evaluate(w - h * v, u_prev, eps).residual) / (2 * h)
         assert np.abs(jv - fd.ravel()).max() <= 1e-6 * np.abs(jv).max()
         # the Newton direction solves J d = -R
         d, bad = stepper.newton_direction(it, dom.dt, [0])
@@ -175,18 +174,55 @@ class TestNewton:
         assert np.allclose(recomputed, stats.residuals, rtol=1e-2, atol=1e-12 * amplitude)
 
 
-def _reference_tridiagonal(stepper, it):
+def _scale_probe(n, p, q, amplitude, tolerance=1e-10):
+    """a = |x - 0.5037| (no node on the degeneracy), b = 1, mu = eps = 0 and
+    a sine datum of the given amplitude; 65x16 in 1D, 17^2x8 in 2D."""
+    params = StructureParams(n=n, p=p, q=q, mu=0.0, eps=0.0)
+    coeffs = CoefficientSpec(a=Coefficient("power", center=(0.5037,) * n, exponent=1.0),
+                             b=Coefficient("constant", value=1.0))
+    dom = Domain(n=n, box=((0.0, 1.0),) * n, T=0.3, nx=65 if n == 1 else 17,
+                 nt=16 if n == 1 else 8)
+    return SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.0),
+                       BoundaryDatum(kind="profile", profile="sin", amplitude=amplitude),
+                       tolerance=tolerance)
+
+
+class TestScaleOfTheData:
+    """Newton's globalization and stopping rule across the scale of the
+    data.  Both ends fail today; ROADMAP item 10 is the mend."""
+
+    @pytest.mark.xfail(strict=True, raises=StepFailure,
+                       reason="the Armijo test on max|R| only halves, and Newton stalls at "
+                              "large data (ROADMAP item 10)")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_large_data_converge(self, n):
+        # no convergence within 60 iterations at the first step
+        solve(_scale_probe(n, 4.4, 4.5, 1e12))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the 1 in max(1, |w|_inf, dt |div F|_inf) makes the tolerance "
+                              "absolute below |w|_inf = 1 (ROADMAP item 10)")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_data_stop_at_relative_tolerance(self, n):
+        # 1.4e-4 relative in 1D and 6.7e-4 in 2D
+        amplitude = 1e-8
+        u, _ = solve(_scale_probe(n, 2.0, 2.1, amplitude))
+        ref, _ = solve(_scale_probe(n, 2.0, 2.1, amplitude, tolerance=1e-13 * amplitude))
+        assert np.abs(u.values - ref.values).max() <= 1e-8 * np.abs(ref.values).max()
+
+
+def _reference_tridiagonal(scheme, it):
     """Per-dimension 1D Newton matrix: diagonal and off-diagonal of
     I + c D^T diag(H) D per member."""
     (g,), ((big_g, dg),) = it.grads, it.coeffs
     h = big_g + dg * g**2
-    c = stepper.dt / stepper.dx[0] ** 2
+    c = scheme.dt / scheme.dx[0] ** 2
     return 1.0 + c * (h[:, 1:] + h[:, :-1]), -c * h[:, 1:-1]
 
 
-def _reference_nine_point(stepper, it, row):
+def _reference_nine_point(scheme, it, row):
     """Per-dimension 2D Newton matrix of one member, row-major."""
-    dt, (dx, dy) = stepper.dt, stepper.dx
+    dt, (dx, dy) = scheme.dt, scheme.dx
     cx, cy = dt / dx**2, dt / dy**2
     kappa = dt / (4.0 * dx * dy)
     (hx, cross_x), (hy, cross_y) = (
@@ -239,10 +275,10 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
     stepper = _Stepper(cfg, [0.3, 0.1])
     shape = (2,) + (dom.nx,) * n
     u_prev = rng.normal(size=shape)
-    it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, [0, 1])
-    stencil = stepper.stencil(it)
+    it = stepper.scheme.evaluate(u_prev + rng.normal(size=shape), u_prev, stepper.eps)
+    stencil = stepper.scheme.stencil(it)
     if n == 1:
-        diag, off = _reference_tridiagonal(stepper, it)
+        diag, off = _reference_tridiagonal(stepper.scheme, it)
         assert np.array_equal(stencil[(0,)], diag)
         assert np.array_equal(stencil[(1,)][:, :-1], off)
         assert np.array_equal(stencil[(-1,)][:, 1:], off)
@@ -251,7 +287,7 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
             assert (stepper.matrix(stencil, row) != ref).nnz == 0
     else:
         for row in (0, 1):
-            ref = _reference_nine_point(stepper, it, row)
+            ref = _reference_nine_point(stepper.scheme, it, row)
             assert (stepper.matrix(stencil, row) != ref).nnz == 0
 
 
@@ -323,7 +359,7 @@ class TestSolveLevels:
         stepper = _Stepper(cfg, [0.25, 0.125, 0.0])
         rows = np.arange(3)
         u_prev = np.tile(0.8 * np.sin(np.pi * cfg.domain.axes[0]), (3, 1))
-        it = stepper.evaluate(u_prev, 0.9 * u_prev, rows)
+        it = stepper.scheme.evaluate(u_prev, 0.9 * u_prev, stepper.eps[rows])
         alone, bad = stepper.newton_direction(it, 0.1, rows)
         assert bad is None
         (big_g, dg), = it.coeffs
@@ -367,20 +403,21 @@ class TestSolveLevels:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_line_search_failure_drops_its_member(self, n, monkeypatch):
-        # member 1 reads max|R| = 1 at every trial and never meets the
-        # tolerance, so its line search halves down to the minimum length
+        # member 1 (eps = 0.25) reads max|R| = 1 at every trial and never
+        # meets the tolerance, so its line search halves down to the minimum
+        # length
         cfg = degenerate_config() if n == 1 else _probe_config_2d(2.0, 2.1, 0.8, alpha=20.0)
         cfg = dataclasses.replace(cfg, domain=Domain(
             n=n, box=((0.0, 1.0),) * n, T=0.3, nx=17 if n == 1 else 9, nt=4))
-        evaluate = _Stepper.evaluate
+        evaluate = _Scheme.evaluate
 
-        def stuck(self, w, u_prev, members):
-            it = evaluate(self, w, u_prev, members)
-            hit = np.asarray(members) == 1
+        def stuck(self, w, u_prev, eps):
+            it = evaluate(self, w, u_prev, eps)
+            hit = eps.reshape(len(eps)) == 0.25
             return it._replace(norm=np.where(hit, 1.0, it.norm),
                                scale=np.where(hit, 1e-300, it.scale))
 
-        monkeypatch.setattr(_Stepper, "evaluate", stuck)
+        monkeypatch.setattr(_Scheme, "evaluate", stuck)
         results, failure = solve_levels(cfg, [0.5, 0.25, 0.125])
         monkeypatch.undo()
         assert isinstance(failure, StepFailure)
@@ -413,7 +450,7 @@ def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
 def _factor_every_iteration(stepper, it, t, members=None):
     """Reference 2D Newton directions: every member factored afresh and
     solved directly, whatever factors its slots hold."""
-    d, stencil = np.empty_like(it.residual), stepper.stencil(it)
+    d, stencil = np.empty_like(it.residual), stepper.scheme.stencil(it)
     for row in range(len(d)):
         lu = scipy.sparse.linalg.splu(stepper.matrix(stencil, row), permc_spec="MMD_AT_PLUS_A")
         d[row] = lu.solve(-it.residual[row].ravel()).reshape(d[row].shape)
@@ -444,13 +481,13 @@ class TestFactorReuse:
         shape = (1,) + (cfg.domain.nx,) * 2
         u_prev = rng.normal(size=shape)
         members = np.array([1])
-        it = stepper.evaluate(u_prev + rng.normal(size=shape), u_prev, members)
+        it = stepper.scheme.evaluate(u_prev + rng.normal(size=shape), u_prev, stepper.eps[members])
         stepper.newton_direction(it, 0.1, members)  # fills member 1's slot
 
         # a factor of 0.25 J makes the first correction triple the defect; one
         # of 10 J shrinks it by 0.9 per correction, which cannot reach the
         # tolerance within the budget
-        lu = scipy.sparse.linalg.splu(scale * stepper.matrix(stepper.stencil(it), 0),
+        lu = scipy.sparse.linalg.splu(scale * stepper.matrix(stepper.scheme.stencil(it), 0),
                                       permc_spec="MMD_AT_PLUS_A")
         solves = []
 
@@ -513,10 +550,11 @@ class TestFactorReuse:
         assert 1.0 < budgets[0] < budgets[1]
 
     def test_factors_held_only_in_live_slots(self, monkeypatch):
-        # member 1 finds no decrease from the third step on, which drops it
-        # and member 2 while they hold factors from earlier steps
+        # member 1 (eps = 0.125) finds no decrease from the third step on,
+        # which drops it and member 2 while they hold factors from earlier
+        # steps
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
-        newton_direction, evaluate = _Stepper.newton_direction, _Stepper.evaluate
+        newton_direction, evaluate = _Stepper.newton_direction, _Scheme.evaluate
         splu = scipy.sparse.linalg.splu
         stuck_from = 3 * cfg.domain.dt
         factors_made = []  # a weak reference to every factor
@@ -540,17 +578,17 @@ class TestFactorReuse:
                           [m for m, slot in enumerate(self.slots) if slot is not None]))
             return newton_direction(self, it, t, members)
 
-        def stuck(self, w, u_prev, members):
-            it = evaluate(self, w, u_prev, members)
+        def stuck(self, w, u_prev, eps):
+            it = evaluate(self, w, u_prev, eps)
             if now[0] < stuck_from:
                 return it
-            hit = np.asarray(members) == 1
+            hit = eps.reshape(len(eps)) == 0.125
             return it._replace(norm=np.where(hit, 1.0, it.norm),
                                scale=np.where(hit, 1e-300, it.scale))
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
-        monkeypatch.setattr(_Stepper, "evaluate", stuck)
+        monkeypatch.setattr(_Scheme, "evaluate", stuck)
         results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
         assert isinstance(failure, StepFailure) and failure.t == stuck_from
         assert len(results) == 1
@@ -608,11 +646,12 @@ class TestExtrapolatedStart:
         start[:, stepper.frame] = cfg.g.at(dom.box, [c[stepper.frame] for c in dom.meshgrid()],
                                            dom.dt)
         ext = start.copy()
-        ext[stepper.interior] = (u_prev - bump)[stepper.interior]
+        inner = fresh.scheme.interior
+        ext[inner] = (u_prev - bump)[inner]
         if stored == "non-finite":
             ext[(0,) + (dom.nx // 2,) * n] = np.nan
-        ext_norm = fresh.evaluate(ext, u_prev, [0]).norm[0]
-        u_j_norm = fresh.evaluate(start, u_prev, [0]).norm[0]
+        ext_norm = fresh.scheme.evaluate(ext, u_prev, fresh.eps).norm[0]
+        u_j_norm = fresh.scheme.evaluate(start, u_prev, fresh.eps).norm[0]
         assert not ext_norm <= u_j_norm  # larger, or NaN
         u, histories, failure = stepper.step(u_prev, dom.dt)
         ref_u, ref_histories, ref_failure = fresh.step(u_prev, dom.dt)
@@ -659,10 +698,11 @@ class TestExtrapolatedStart:
         assert stats.total_iterations <= 300
 
     def test_batched_matches_lone_after_a_member_drops(self, monkeypatch):
-        # member 1 finds no decrease from the fourth step on; member 0 goes
-        # on alone and starts its last steps from the extrapolation
+        # member 1 (eps = 0.125) finds no decrease from the fourth step on;
+        # member 0 goes on alone and starts its last steps from the
+        # extrapolation
         cfg = _probe_config_2d(3.0, 3.2, 5.0, nx=17, nt=8)
-        evaluate, newton_direction = _Stepper.evaluate, _Stepper.newton_direction
+        evaluate, newton_direction = _Scheme.evaluate, _Stepper.newton_direction
         stuck_from = 4 * cfg.domain.dt
         now = [0.0]
         steppers = []
@@ -671,11 +711,11 @@ class TestExtrapolatedStart:
             now[0] = t
             return newton_direction(self, it, t, members)
 
-        def stuck(self, w, u_prev, members):
-            it = evaluate(self, w, u_prev, members)
+        def stuck(self, w, u_prev, eps):
+            it = evaluate(self, w, u_prev, eps)
             if now[0] < stuck_from:
                 return it
-            hit = np.asarray(members) == 1
+            hit = eps.reshape(len(eps)) == 0.125
             return it._replace(norm=np.where(hit, 1.0, it.norm),
                                scale=np.where(hit, 1e-300, it.scale))
 
@@ -684,7 +724,7 @@ class TestExtrapolatedStart:
             return _step(self, u_prev, t_next)
 
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
-        monkeypatch.setattr(_Stepper, "evaluate", stuck)
+        monkeypatch.setattr(_Scheme, "evaluate", stuck)
         monkeypatch.setattr(_Stepper, "step", kept)
         results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
         monkeypatch.undo()
@@ -774,11 +814,69 @@ class TestDiscreteCalculus:
         else:
             phi[0, :] = phi[-1, :] = phi[:, 0] = phi[:, -1] = 0.0
             fluxes = [rng.normal(size=(dom.nx - 1, dom.nx)), rng.normal(size=(dom.nx, dom.nx - 1))]
-        div = face_divergence(fluxes, dom)
-        grads = face_gradients(phi, dom)
+        scheme = _Scheme(dom, heat_config(n=n).spec)
+        div = scheme.face_divergence(fluxes)
+        grads = scheme.face_gradients(phi)
         lhs = float(np.sum(div * phi)) * dom.cell_volume
         rhs = -sum(float(np.sum(f * g)) for f, g in zip(fluxes, grads)) * dom.cell_volume
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+
+
+class TestCoefficientSampling:
+    """Each caller samples a and b where it reads them, once per call: the
+    stepper and the weak residual on the cell faces, the variational gap at
+    the cell centres.  In 1D the faces are the cell centres, so there only
+    the number of samplings tells them apart."""
+
+    @staticmethod
+    def config(n):
+        cfg = degenerate_config() if n == 1 else _probe_config_2d(2.0, 2.1, 0.8, alpha=20.0)
+        return dataclasses.replace(cfg, domain=Domain(
+            n=n, box=((0.0, 1.0),) * n, T=0.3, nx=17 if n == 1 else 9, nt=4))
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The shape of every Coefficient.at sample taken from now on."""
+        at, shapes = Coefficient.at, []
+
+        def recorded(self, *coords):
+            value = at(self, *coords)
+            shapes.append(value.shape)
+            return value
+
+        monkeypatch.setattr(Coefficient, "at", recorded)
+        return shapes
+
+    @staticmethod
+    def faces(dom):
+        """The shapes of the a and b samples on every face set."""
+        return sorted(2 * [tuple(dom.nx - (j == k) for j in range(dom.n)) for k in range(dom.n)])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solve_levels_samples_each_face_set_once(self, n, monkeypatch):
+        cfg = self.config(n)
+        shapes = self.counted(monkeypatch)
+        _, failure = solve_levels(cfg, [0.5, 0.25, 0.125])
+        assert failure is None
+        assert sorted(shapes) == self.faces(cfg.domain)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_weak_residual_samples_on_the_faces(self, n, monkeypatch):
+        cfg = self.config(n)
+        u, _ = solve(cfg)
+        shapes = self.counted(monkeypatch)
+        weak_residual(u, constant_field(cfg.domain, 0.0), cfg)
+        assert sorted(shapes) == self.faces(cfg.domain)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gap_samples_the_centres_once(self, n, monkeypatch):
+        cfg = self.config(n)
+        u, _ = solve(cfg)
+        maps = comparison_maps(cfg)
+        shapes = self.counted(monkeypatch)
+        curves = variational_gap_curves(u, maps, cfg)
+        assert len(curves) == 6
+        assert shapes == [(cfg.domain.nx - 1,) * n] * 2
 
 
 class TestWeakResidual:
