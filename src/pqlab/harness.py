@@ -23,6 +23,7 @@ maps.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -438,14 +439,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 # report emission
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_json(path, record) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -453,10 +446,19 @@ def _write_json(path, record) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write header and rows as CSV: a float (np.float64 too) to 17
+    significant digits, a bool as true or false and any other cell as str
+    writes it.  Each run of rows whose cells have the same types is
+    formatted by one % on its row template, repeated per row."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+        for kinds, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+            run = list(run)
+            template = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+            cells = itertools.chain.from_iterable(run)
+            if bool in kinds:
+                cells = (("true" if v else "false") if type(v) is bool else v for v in cells)
+            fh.write((template * len(run)) % tuple(cells))
 
 
 # bounds.csv columns after the level index and the center: BoundReport

@@ -22,6 +22,7 @@ from pqlab import (
     variational_gap_curve,
     verify_sup_bound,
 )
+from pqlab import harness
 from pqlab.cli import main as cli_main
 from pqlab.harness import bound_csv_header, emit_reports
 
@@ -598,6 +599,34 @@ class TestCLI:
         assert bound_csv_header(2) == [
             "i", "center_x", "center_y", "center_t", "rho", "sigma", "ess_sup",
             "k_choice", "k_theorem", "margin", "eps", "eps_threshold", "pass"]
+
+    def test_csv_cells_of_every_type(self, tmp_path):
+        # each cell as str() writes it, but a float (np.float64 too) to 17
+        # significant digits and a bool as true/false, whichever rows share
+        # their cell types
+        def cell(v):  # the reference: one cell at a time
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+        rows = [
+            [True, 3, "datum", 0.1, np.float64(1.0) / 3.0, math.inf],
+            [False, -7, "bump", -2.5e-300, np.float64(-0.0), -math.inf],
+            [True, 10**20, "mode2-ramp", 1e22, np.float64(7.0), math.nan],
+            [1, 2.0, np.float32(0.1), np.bool_(True), None, "x,y"],
+            [False],
+        ]
+        path = tmp_path / "cells.csv"
+        harness._write_csv(path, ["a", "b"], rows)
+        assert path.read_bytes() == (
+            b"a,b\n"
+            b"true,3,datum,0.10000000000000001,0.33333333333333331,inf\n"
+            b"false,-7,bump,-2.5e-300,-0,-inf\n"
+            b"true,100000000000000000000,mode2-ramp,1e+22,7,nan\n"
+            b"1,2,0.1,True,None,x,y\n"
+            b"false\n")
+        assert path.read_text() == "a,b\n" + "".join(
+            ",".join(map(cell, row)) + "\n" for row in rows)
 
     @pytest.mark.parametrize("command,flag", [
         ("solve", "--seed"), ("check-energy", "--calibration"), ("check-varsol", "--seed"),

@@ -457,12 +457,99 @@ def _factor_every_iteration(stepper, it, t, members=None):
     return d, None
 
 
+# (p, q, amplitude) of the 33^2 x 32 factor-reuse probes
+_REUSE_PROBES = [(3.0, 3.2, 5.0), (4.0, 4.3, 5.0), (2.0, 2.1, 1e5)]
+
+
+class _ContractingFactor:
+    """A stale factor of the matrix diag(d) that leaves exactly the fraction
+    rate of every defect: its solve is the exact one scaled by 1 - rate."""
+
+    def __init__(self, d, rate):
+        self.d, self.rate, self.solves = d, rate, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return (1.0 - self.rate) * b / self.d
+
+
+def _first_power_below(rate, bound):
+    """Smallest k >= 1 with rate^k <= bound."""
+    k = 1
+    while rate**k > bound:
+        k += 1
+    return k
+
+
+def _count_factor_work(monkeypatch):
+    """Count every splu factorization and every solve with a factor made
+    from then on: returns the dict {"factorizations", "solves"}."""
+    splu, counts = scipy.sparse.linalg.splu, {"factorizations": 0, "solves": 0}
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            counts["solves"] += 1
+            return self.lu.solve(b)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def counted_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return Counted(splu(*args, **kwargs))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    return counts
+
+
+class TestDefectCorrection:
+    """_defect_correction stops at max(_CORRECTION_RTOL |b|, floor)."""
+
+    @staticmethod
+    def system(rng, rate):
+        d = rng.uniform(1.0, 4.0, size=40)
+        return np.diag(d), rng.normal(size=40), _ContractingFactor(d, rate)
+
+    def test_reaches_the_relative_tolerance_without_a_floor(self, rng):
+        matrix, b, lu = self.system(rng, 0.2)
+        x, solves = solver._defect_correction(matrix, b, lu, 0.0)
+        assert solves == lu.solves == _first_power_below(0.2, solver._CORRECTION_RTOL)
+        assert np.linalg.norm(b - matrix @ x) <= solver._CORRECTION_RTOL * np.linalg.norm(b)
+
+    def test_stops_at_the_first_defect_under_the_floor(self, rng):
+        matrix, b, lu = self.system(rng, 0.2)
+        floor = 1e-5 * np.linalg.norm(b)
+        x, solves = solver._defect_correction(matrix, b, lu, floor)
+        # the defect after k solves is 0.2^k |b|: 0.2^7 = 1.3e-5, 0.2^8 = 2.6e-6
+        assert solves == lu.solves == _first_power_below(0.2, 1e-5) == 8
+        assert np.linalg.norm(b - matrix @ x) <= floor
+        _, unfloored = solver._defect_correction(matrix, b, _ContractingFactor(lu.d, 0.2), 0.0)
+        assert solves < unfloored
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 0.35, 0.45, 0.6, 0.9, 1.5])
+    def test_never_gives_up_where_floor_zero_converges(self, rate, rng):
+        matrix, b, lu = self.system(rng, rate)
+        x0, solves0 = solver._defect_correction(matrix, b, lu, 0.0)
+        for relative in (1e-11, 1e-8, 1e-5, 1e-2, 0.1):
+            x, solves = solver._defect_correction(
+                matrix, b, _ContractingFactor(lu.d, rate), relative * np.linalg.norm(b))
+            if x0 is not None:
+                assert x is not None and solves <= solves0
+            # the stall rule predicts rate^31 |b| after the 30 corrections
+            # and gives up only if that misses the floored target
+            assert (x is not None) == (rate**31 <= relative)
+        assert (x0 is not None) == (rate**31 <= solver._CORRECTION_RTOL)
+
+
 class TestFactorReuse:
     """In 2D a member's Newton factor serves defect correction on its later
     iterations, across time steps, until its solves have cost one
     factorization."""
 
-    @pytest.mark.parametrize("p,q,amplitude", [(3.0, 3.2, 5.0), (4.0, 4.3, 5.0), (2.0, 2.1, 1e5)])
+    @pytest.mark.parametrize("p,q,amplitude", _REUSE_PROBES)
     def test_matches_factoring_every_iteration(self, p, q, amplitude, monkeypatch):
         cfg = _probe_config_2d(p, q, amplitude)
         u, stats = solve(cfg)
@@ -471,6 +558,24 @@ class TestFactorReuse:
         assert stats.iterations == ref_stats.iterations
         scale = np.abs(ref_u.values).max()
         assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p,q,amplitude", _REUSE_PROBES)
+    def test_floor_saves_solves(self, p, q, amplitude, monkeypatch):
+        # stopping each correction at the floor leaves the Newton iterations
+        # as they are and the field within rounding of corrections run to
+        # the relative tolerance, for fewer solves
+        cfg = _probe_config_2d(p, q, amplitude)
+        counts = _count_factor_work(monkeypatch)
+        u, stats = solve(cfg)
+        floored = dict(counts)
+        counts.update(factorizations=0, solves=0)
+        monkeypatch.setattr(solver, "_CORRECTION_FLOOR", 0.0)
+        ref_u, ref_stats = solve(cfg)
+        assert stats.iterations == ref_stats.iterations
+        scale = np.abs(ref_u.values).max()
+        assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
+        assert floored["solves"] < counts["solves"]
+        assert floored["factorizations"] <= counts["factorizations"]
 
     @pytest.mark.parametrize("stale,scale,factor_solves", [
         ("growth", 0.25, 2), ("slow", 10.0, 2), ("non-finite", 0.25, 1),
