@@ -53,6 +53,9 @@ in both starts.  While the solution is smooth in time the extrapolation is
 O(dt^3) from u^{j+1}, against O(dt) for u^j, which about halves the
 iterations of a march; the residual test keeps u^j where the solution turns
 faster than dt resolves.  Every member still takes at least one iteration.
+Once steps end at their first trial for every member, each step's first
+trial batch also evaluates the next step's starts, which the next step takes
+if that trial ends its step: one evaluation per one-iteration step.
 
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
@@ -444,9 +447,9 @@ class _Scheme:
 class _Stepper:
     """The Newton driver of the implicit step on one scheme, for a stack of
     members that share everything but eps: the members' eps, the frame's
-    datum profile, the 2D factor slots and their budget, and the levels the
-    extrapolated start reads.  It also holds the Newton matrix's storage in
-    the format of the 2D linear solver, a CSC pattern."""
+    datum profile, the 2D factor slots and their budget, the levels the
+    extrapolated start reads and the starts carried to the next step.  It
+    also holds the 2D Newton matrix's storage for SuperLU, a CSC pattern."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
         self.cfg = cfg
@@ -487,6 +490,9 @@ class _Stepper:
         # each member's accepted time levels before the one step starts from,
         # newest first and at most two: u_{j-1} and u_{j-2} (see step)
         self.past = []
+        # whether the last step ended at its first trial for every member, and
+        # the next step's starts evaluated with it, keyed by its time and bits
+        self.swift, self.carry = False, None
 
     def matrix(self, stencil: dict, row: int):
         """CSC matrix of member row of a stencil on the fixed pattern; an
@@ -572,7 +578,35 @@ class _Stepper:
                     f"Newton step produced non-finite values at t = {t}"))
         return d, None
 
-    def step(self, u_prev: np.ndarray, t_next: float):
+    def starts(self, u: np.ndarray, t: float, past: list):
+        """Blocks of rows (w, u_prev, eps) of the starts of the step from u
+        (members first) to t: u and, if past (newest first) holds a level, its
+        extrapolation of order len(past) on the interior; both take g(t) on the frame."""
+        out = u.copy()
+        out[:, self.frame] = self.frame_g0 * self.cfg.g._psi(t)
+        eps = self.eps[:len(u)]
+        if not past:
+            return [out], [u], [eps]
+        inner = self.scheme.interior
+        ext = out.copy()
+        if len(past) == 1:
+            ext[inner] = 2.0 * u[inner] - past[0][inner]
+        else:
+            ext[inner] = 3.0 * (u[inner] - past[0][inner]) + past[1][inner]
+        return [out, ext], [u, u], [eps, eps]
+
+    @staticmethod
+    def pick(both: _Iterate, size: int, first: int = 0) -> _Iterate:
+        """The size members' starts, from their rows of both from first on: the
+        extrapolation where its max|R| is strictly smaller (a tie or NaN keeps u)."""
+        if len(both.w) == size:
+            return both
+        ext = both.norm[first + size:] < both.norm[first:first + size]
+        if ext.all() or not ext.any():  # a slice takes views
+            return both.take(slice(first + size * ext[0], first + size * (1 + ext[0])))
+        return both.take(first + np.arange(size) + size * ext)
+
+    def step(self, u_prev: np.ndarray, t_next: float, t_after: float | None = None):
         """One implicit step of every member from u_prev (members first).
 
         Returns (w, histories, failure).  Each member iterates, line-searches
@@ -582,35 +616,31 @@ class _Stepper:
         first failure and failure is that member's exception (None if every
         member converged).
 
-        Newton starts from u_prev or from the extrapolation in time of u_prev
-        and the levels in self.past, of order 0, 1 or 2 as self.past holds
-        none, one or two.  Only the interior is extrapolated; both starts
-        take g(t_next) on the frame.  Both starts of every member are
-        evaluated in one batch and each member takes the one with the
-        strictly smaller max|R|, so a tie or a NaN keeps u_prev.  A member's
-        start depends only on its own rows, so in a batch it starts as in a
-        lone solve.  The step then stores u_prev and the newest level of
-        self.past, narrowed to the members that did not fail.
+        Each member starts Newton from the better of its starts (see starts
+        and pick), evaluated in one batch, as in a lone solve: its start
+        depends only on its own rows.  The step then stores u_prev and the
+        newest level of self.past, narrowed to the members that did not fail.
+
+        t_after is the next step's time, None at the last step.  After a step
+        that ended at its first trial for every member, the first trial batch
+        also evaluates the next step's starts from that trial; if it ends this
+        step too, they are carried (self.carry) to the call whose t_next and
+        u_prev are bitwise t_after and that trial.  They are the rows that
+        call would evaluate, so every result is the same.
         """
         cfg, scheme = self.cfg, self.scheme
-        out = u_prev.copy()
-        out[:, self.frame] = self.frame_g0 * cfg.g._psi(t_next)
+        carry, self.carry = self.carry, None
+        if carry is not None and carry[0] == (t_next, u_prev.tobytes()):
+            it = carry[1]
+        else:
+            blocks = self.starts(u_prev, t_next, self.past)
+            it = self.pick(scheme.evaluate(*map(np.concatenate, blocks)), len(u_prev))
+        out = np.empty_like(u_prev)  # every member kept writes its row
         # the members still iterating, ascending, and per row their previous
         # time level and current iterate
         rows, base = np.arange(len(u_prev)), u_prev
-        if self.past:
-            inner = scheme.interior
-            ext = out.copy()
-            if len(self.past) == 1:
-                ext[inner] = 2.0 * u_prev[inner] - self.past[0][inner]
-            else:
-                ext[inner] = 3.0 * (u_prev[inner] - self.past[0][inner]) + self.past[1][inner]
-            both = scheme.evaluate(np.concatenate([out, ext]), np.concatenate([base, base]),
-                                   self.eps[np.concatenate([rows, rows])])
-            size = len(rows)
-            it = both.take(rows + size * (both.norm[size:] < both.norm[:size]))
-        else:
-            it = scheme.evaluate(out, base, self.eps[rows])
+        # whether the first trial also evaluates the next step's starts: ahead
+        look, ahead = t_after is not None and self.swift, None
         residuals = [[] for _ in rows]
         lengths = [[] for _ in rows]
         live, failure = len(rows), None
@@ -650,7 +680,13 @@ class _Stepper:
             while len(rows):
                 w = it.w.copy()
                 w[scheme.interior] += length.reshape((-1,) + (1,) * cfg.domain.n) * d
-                trial = scheme.evaluate(w, base, self.eps[rows])
+                if look and len(rows) == len(u_prev):
+                    ahead = scheme.evaluate(*(np.concatenate([x, *xs]) for x, xs in zip(
+                        (w, base, self.eps[rows]), self.starts(w, t_after, [base, *self.past[:1]]))))
+                    trial = ahead.take(slice(len(w)))
+                else:
+                    trial = scheme.evaluate(w, base, self.eps[rows])
+                look = False
                 pending = ~((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
                             | (trial.norm < cfg.tolerance * trial.scale))
                 stuck = pending & (length <= _MIN_STEP)
@@ -681,6 +717,9 @@ class _Stepper:
             # the factor (2.5 MB at 65^2), and during the first step the
             # allocator still holds, untrimmed, what ran before the solve.
             self.slots, self.first_step = [None] * len(self.slots), False
+        self.swift = failure is None and all(t == [1.0] for t in lengths)
+        if self.swift and ahead is not None:
+            self.carry = ((t_after, out.tobytes()), self.pick(ahead, live, live))
         self.past = [v[:live] for v in (u_prev, *self.past[:1])]
         histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
         return out[:live], histories, failure
@@ -746,7 +785,8 @@ def solve_levels(cfg: SolveConfig, eps_values):
     for j in range(1, dom.nt + 1):
         if not len(u):
             break
-        u, histories, failed = stepper.step(u, float(times[j]))
+        u, histories, failed = stepper.step(
+            u, float(times[j]), float(times[j + 1]) if j < dom.nt else None)
         if failed is not None:
             failure = failed
             values, stats = values[: len(u)], stats[: len(u)]

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import sample_gap_params
 
 from pqlab import (
     BoundaryDatum,
@@ -711,11 +715,11 @@ class TestFactorReuse:
 _step = _Stepper.step
 
 
-def _start_from_u_j(stepper, u_prev, t_next):
+def _start_from_u_j(stepper, u_prev, t_next, t_after=None):
     """Reference step: every member starts Newton from u_j, whatever levels
-    the stepper has stored."""
-    stepper.past = []
-    return _step(stepper, u_prev, t_next)
+    the stepper has stored or starts it has carried."""
+    stepper.past, stepper.carry = [], None
+    return _step(stepper, u_prev, t_next, t_after)
 
 
 class _LiftedDatum(BoundaryDatum):
@@ -824,9 +828,9 @@ class TestExtrapolatedStart:
             return it._replace(norm=np.where(hit, 1.0, it.norm),
                                scale=np.where(hit, 1e-300, it.scale))
 
-        def kept(self, u_prev, t_next):
+        def kept(self, u_prev, t_next, t_after=None):
             steppers.append(self)
-            return _step(self, u_prev, t_next)
+            return _step(self, u_prev, t_next, t_after)
 
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
         monkeypatch.setattr(_Scheme, "evaluate", stuck)
@@ -842,6 +846,214 @@ class TestExtrapolatedStart:
         monkeypatch.setattr(_Stepper, "step", _start_from_u_j)
         _, ref_stats = solve(_at_eps(cfg, 0.5))
         assert stats.histories[4:] != ref_stats.histories[4:]
+
+
+def _without_carry(stepper, u_prev, t_next, t_after=None):
+    """Reference step: no start of the next step is evaluated ahead or
+    carried, so every step evaluates its own starts."""
+    return _step(stepper, u_prev, t_next)
+
+
+def _count_evaluations(monkeypatch):
+    """Count every _Scheme.evaluate call and the member rows it evaluates
+    from then on: returns the dict {"calls", "rows"}."""
+    evaluate, counts = _Scheme.evaluate, {"calls": 0, "rows": 0}
+
+    def counted(self, w, u_prev, eps):
+        counts["calls"] += 1
+        counts["rows"] += len(w)
+        return evaluate(self, w, u_prev, eps)
+
+    monkeypatch.setattr(_Scheme, "evaluate", counted)
+    return counts
+
+
+def _assert_same_march(got, ref):
+    """Two solve_levels outcomes agree bit for bit: fields, histories and
+    failure (repr round-trips a double and tells -0.0 from 0.0)."""
+    (results, failure), (ref_results, ref_failure) = got, ref
+    assert len(results) == len(ref_results)
+    for (u, stats), (ref_u, ref_stats) in zip(results, ref_results):
+        assert u.values.tobytes() == ref_u.values.tobytes()
+        assert repr(stats.histories) == repr(ref_stats.histories)
+    assert type(failure) is type(ref_failure) and str(failure) == str(ref_failure)
+    if isinstance(failure, StepFailure):
+        assert repr((failure.t, failure.residual, failure.history)) == repr(
+            (ref_failure.t, ref_failure.residual, ref_failure.history))
+
+
+def _carry_probe(n):
+    """Marches whose later steps end at their first trial for every member
+    of [0.5, 0.25, 0.125]: in 1D from the 11th step on (the degenerate preset
+    over T = 0.075 at 65 x 64), in 2D from the 39th (9^2 x 64, p = 2)."""
+    if n == 1:
+        cfg = degenerate_config()
+        return dataclasses.replace(cfg, domain=dataclasses.replace(cfg.domain, T=0.075, nt=64))
+    return _probe_config_2d(2.0, 2.1, 0.8, nx=9, nt=64, alpha=20.0)
+
+
+class TestCarriedStart:
+    """A step that ends at its first trial for every member, after a step
+    that did too, has evaluated the next step's starts in that trial's
+    batch; the next step takes them, with bitwise the same results."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_calls_for_the_same_rows(self, n, monkeypatch):
+        # 1D: the sweep-1d problem, 525 calls without carried starts
+        if n == 1:
+            cfg, schedule = degenerate_config(), [0.5 / 2**k for k in range(6)]
+        else:
+            cfg, schedule = _carry_probe(2), [0.5, 0.25]
+        counts = _count_evaluations(monkeypatch)
+        got = solve_levels(cfg, schedule)
+        carried = dict(counts)
+        counts.update(calls=0, rows=0)
+        monkeypatch.setattr(_Stepper, "step", _without_carry)
+        _assert_same_march(got, solve_levels(cfg, schedule))
+        assert carried["rows"] == counts["rows"]
+        assert carried["calls"] < counts["calls"]
+        if n == 1:
+            assert carried["calls"] <= 290
+
+    @given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_evaluating_every_start(self, seed, members):
+        rng = np.random.default_rng(seed)
+        params = sample_gap_params(rng)
+        while params.n > 2:
+            params = sample_gap_params(rng)
+        n = params.n
+        # nx - 1 is not a multiple of 8
+        nx = int(rng.choice([12, 20, 28, 30, 36] if n == 1 else [6, 7, 8, 11, 12]))
+        params = dataclasses.replace(params, mu=float(rng.uniform(0.0, 1.0)), eps=0.5)
+        coeffs = CoefficientSpec(
+            a=Coefficient("power", center=(0.43,) * n, exponent=float(rng.uniform(0.0, 1.0))),
+            b=Coefficient("constant", value=float(rng.uniform(0.1, 2.0))),
+        )
+        psi = (1.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+               float(rng.uniform(-2.0, 2.0)))
+        g = BoundaryDatum(kind="separable", amplitude=float(10.0 ** rng.uniform(-2.0, 1.0)),
+                          psi=psi)
+        dom = Domain(n=n, box=((0.0, 1.0),) * n, T=float(rng.uniform(0.05, 1.0)), nx=nx, nt=16)
+        cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.5), g)
+        schedule = sorted(rng.uniform(0.0, 1.0, members).tolist(), reverse=True)
+        got = solve_levels(cfg, schedule)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Stepper, "step", _without_carry)
+            _assert_same_march(got, solve_levels(cfg, schedule))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_backtrack_at_the_first_trial(self, n, monkeypatch):
+        # member 1 (eps = 0.25) reads max|R| = inf at the first trial of the
+        # 48th step, after a step that ended at its first trial: it halves
+        # its length once, and the starts made with that trial are dropped
+        cfg, schedule = _carry_probe(n), [0.5, 0.25, 0.125]
+        spoiled = float(cfg.domain.times[48])
+        evaluate, newton_direction = _Scheme.evaluate, _Stepper.newton_direction
+        now = [None, False]  # time of the last direction, first trial pending
+
+        def recorded(self, it, t, members):
+            now[:] = t, t == spoiled and now[0] != t
+            return newton_direction(self, it, t, members)
+
+        def spoil(self, w, u_prev, eps):
+            it = evaluate(self, w, u_prev, eps)
+            if not now[1]:
+                return it
+            now[1] = False
+            return it._replace(norm=np.where(eps.reshape(len(eps)) == 0.25, np.inf, it.norm))
+
+        monkeypatch.setattr(_Stepper, "newton_direction", recorded)
+        monkeypatch.setattr(_Scheme, "evaluate", spoil)
+        got = solve_levels(cfg, schedule)
+        monkeypatch.setattr(_Stepper, "step", _without_carry)
+        _assert_same_march(got, solve_levels(cfg, schedule))
+        results, failure = got
+        assert failure is None
+        assert all(stats.histories[46].step_lengths == (1.0,) for _, stats in results)
+        assert [stats.histories[47].step_lengths[0] for _, stats in results] == [1.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_member_fails_mid_march(self, n, monkeypatch):
+        # the stuck member of TestSolveLevels, from the 48th step on: it and
+        # the member after it drop after a run of carried starts, and
+        # member 0 goes on alone (the 17^2 x 8 probe of
+        # test_batched_matches_lone_after_a_member_drops has no step that
+        # ends at its first trial, so nothing would be carried there)
+        cfg, schedule = _carry_probe(n), [0.5, 0.25, 0.125]
+        stuck_from = float(cfg.domain.times[48])
+        evaluate, newton_direction = _Scheme.evaluate, _Stepper.newton_direction
+        now = [0.0]
+
+        def recorded(self, it, t, members):
+            now[0] = t
+            return newton_direction(self, it, t, members)
+
+        def stuck(self, w, u_prev, eps):
+            it = evaluate(self, w, u_prev, eps)
+            if now[0] < stuck_from:
+                return it
+            hit = eps.reshape(len(eps)) == 0.25
+            return it._replace(norm=np.where(hit, 1.0, it.norm),
+                               scale=np.where(hit, 1e-300, it.scale))
+
+        monkeypatch.setattr(_Stepper, "newton_direction", recorded)
+        monkeypatch.setattr(_Scheme, "evaluate", stuck)
+        got = solve_levels(cfg, schedule)
+        now[0] = 0.0
+        monkeypatch.setattr(_Stepper, "step", _without_carry)
+        _assert_same_march(got, solve_levels(cfg, schedule))
+        results, failure = got
+        assert isinstance(failure, StepFailure) and failure.t == stuck_from
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("change", ["none", "one ulp", "sign of zero", "time"])
+    def test_direct_call_with_other_inputs(self, change, monkeypatch):
+        # a carried start serves only the call whose t_next and u_prev are
+        # bitwise those it was made for; it saves that call one evaluation
+        cfg = _carry_probe(1)
+        times = cfg.domain.times
+        carrying, plain = _Stepper(cfg, [0.5, 0.25]), _Stepper(cfg, [0.5, 0.25])
+        u = ref = np.repeat(cfg.g.sample(cfg.domain).values[:1], 2, axis=0)
+        for j in range(1, 40):
+            u, _, _ = carrying.step(u, float(times[j]), float(times[j + 1]))
+            ref, _, _ = plain.step(ref, float(times[j]))
+        assert carrying.carry is not None and u.tobytes() == ref.tobytes()
+        t = float(times[40])
+        u = u.copy()
+        if change == "one ulp":
+            u[1, 30] = np.nextafter(u[1, 30], np.inf)
+        elif change == "sign of zero":
+            assert u[0, 0] == 0.0 and not np.signbit(u[0, 0])
+            u[0, 0] = -0.0
+        elif change == "time":
+            t = float(np.nextafter(t, 0.0))
+        counts = _count_evaluations(monkeypatch)
+        got = carrying.step(u, t, float(times[41]))
+        carried = counts["calls"]
+        counts["calls"] = 0
+        want = plain.step(u.copy(), t)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert repr(got[1:]) == repr(want[1:])
+        assert carried == counts["calls"] - (change == "none")
+
+    def test_last_step_carries_nothing(self, monkeypatch):
+        cfg, schedule = _carry_probe(1), [0.5, 0.25]
+        calls = []  # per step: t_after and whether a start was carried in
+
+        def kept(self, u_prev, t_next, t_after=None):
+            calls.append((t_after, self.carry is not None))
+            result = _step(self, u_prev, t_next, t_after)
+            calls[-1] += (self.carry is not None,)
+            return result
+
+        monkeypatch.setattr(_Stepper, "step", kept)
+        got = solve_levels(cfg, schedule)
+        # the last step takes the start carried in, and carries none out
+        assert calls[-1] == (None, True, False)
+        assert calls[-2] == (float(cfg.domain.times[-1]), True, True)
+        monkeypatch.setattr(_Stepper, "step", _without_carry)
+        _assert_same_march(got, solve_levels(cfg, schedule))
 
 
 class TestSolve:
