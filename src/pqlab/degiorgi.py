@@ -24,15 +24,14 @@ from .grid import (
     Cylinder,
     Domain,
     SpaceTimeField,
-    _grad_magnitude,
-    _integrate_power,
+    _grad_norm,
+    _node_integral,
+    _region_norms,
+    _resolve,
     _same_grid,
-    coefficient_norms,
     cylinder_in_domain,
     ess_sup,
-    mean_integral,
-    slice_sup_l2,
-    truncate_plus,
+    region_measure,
 )
 from .model import IntegrandSpec
 
@@ -83,39 +82,55 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     if not cylinder_in_domain(u.domain, outer):
         raise RegionError("outer cylinder leaves the space-time domain")
 
-    trunc = truncate_plus(u, k)
+    # (u - k)_+ only at the time levels of the two cylinders, over the whole
+    # space so that its gradient is that of the whole field
+    dom = u.domain
+    t_in, ball_in = _resolve(dom, inner)
+    t_out, ball_out = _resolve(dom, outer)
+    levels = t_in | t_out
+    trunc = np.maximum(u.values[levels] - k, 0.0)
+    inner_vals = trunc[t_in[levels]]
+    outer_vals = trunc[t_out[levels]][:, ball_out]
     dr = outer.rho - inner.rho
     ds = outer.sigma - inner.sigma
     q, p = d.q, d.p
 
-    sup_term = slice_sup_l2(trunc, inner)
-    if sup_term == 0.0 and mean_integral(trunc, 1.0, outer) == 0.0:
+    sup_term = float((inner_vals[:, ball_in] ** 2).sum(axis=1).max() * dom.cell_volume)
+    if sup_term == 0.0 and _node_integral(outer_vals, 1.0, dom) / region_measure(dom, outer) == 0.0:
         return CaccioppoliSides((0.0,) * 3, (0.0,) * 4)
 
-    dmag = _grad_magnitude(trunc)
-    grad_int = _integrate_power(dmag, d.p_alpha, inner)
+    dmag = _grad_norm(inner_vals, dom)[:, ball_in]
+    grad_int = _node_integral(dmag, d.p_alpha, dom)
     alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
     lhs_terms = (
         sup_term,
         grad_int**alpha_exp / norms.raw_a,
-        eps * _integrate_power(dmag, d.q_beta, inner),
+        eps * _node_integral(dmag, d.q_beta, dom),
     )
 
     t_mu = (
         mu ** (q - 1.0)
         / dr
         * norms.raw_b
-        * _integrate_power(trunc, d.beta_conj, outer) ** (1.0 / d.beta_conj)
+        * _node_integral(outer_vals, d.beta_conj, dom) ** (1.0 / d.beta_conj)
     )
     t_hoelder = (
         norms.raw_b
         * norms.raw_a ** ((q - 1.0) / p)
         / dr
-        * _integrate_power(trunc, d.gamma, outer) ** (1.0 / d.gamma)
+        * _node_integral(outer_vals, d.gamma, dom) ** (1.0 / d.gamma)
     ) ** d.time_exponent
-    t_eps = eps / dr**d.q_beta * _integrate_power(trunc, d.q_beta, outer)
-    t_time = _integrate_power(trunc, 2.0, outer) / ds
+    t_eps = eps / dr**d.q_beta * _node_integral(outer_vals, d.q_beta, dom)
+    t_time = _node_integral(outer_vals, 2.0, dom) / ds
     return CaccioppoliSides(lhs_terms, (t_mu, t_hoelder, t_eps, t_time))
+
+
+def _truncated_mean(u: SpaceTimeField, k: float, r: float, cyl: Cylinder) -> float:
+    """mean_integral(truncate_plus(u, k), r, cyl), truncating only the
+    cylinder's nodes."""
+    t_mask, ball = _resolve(u.domain, cyl)
+    vals = np.maximum(u.values[t_mask][:, ball] - k, 0.0)
+    return _node_integral(vals, r, u.domain) / region_measure(u.domain, cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +252,7 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
     x_i = np.empty(n_steps + 1)
     for i in range(n_steps + 1):
         cyl = Cylinder(q0.center, float(rho_i[i]), float(sigma_i[i]))
-        x_i[i] = mean_integral(truncate_plus(u, float(k_i[i])), d.m, cyl)
+        x_i[i] = _truncated_mean(u, float(k_i[i]), d.m, cyl)
 
     lam, c_fit, c_i = _fit_recursion(x_i, d.kappa)
     if c_fit > 0:
@@ -338,13 +353,18 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
         raise RegionError(
             f"cylinder Q(2rho={2 * rho}, 2sigma={2 * sigma}) at {z_o} leaves the domain"
         )
-    norms = coefficient_norms(spec.coeffs.a.sample(domain), spec.coeffs.b.sample(domain),
-                              spec.params.alpha, spec.params.beta, q0)
+    # a and b at the cylinder's nodes only: they are constant in time
+    t_mask, ball = _resolve(domain, q0)
+    at_ball = [c[ball] for c in domain.meshgrid()]
+    shape = (int(t_mask.sum()), len(at_ball[0]))
+    norms = _region_norms(*(np.broadcast_to(c.at(*at_ball), shape)
+                            for c in (spec.coeffs.a, spec.coeffs.b)),
+                          spec.params.alpha, spec.params.beta, domain, q0)
 
     def check(u: SpaceTimeField, spec: IntegrandSpec) -> BoundReport:
         _same_grid(domain, u=u)
         d = spec.d
-        mean_um = mean_integral(truncate_plus(u, 0.0), d.m, q0)
+        mean_um = _truncated_mean(u, 0.0, d.m, q0)
         k_choice = choose_level_k(mean_um, norms.norm_a, norms.norm_b, rho, sigma,
                                   spec.params.mu, d, c_cal)
         k_thm = theorem_bound(mean_um, rho, sigma, d, c_cal)

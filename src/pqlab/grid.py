@@ -153,6 +153,25 @@ def constant_field(domain: Domain, value: float) -> SpaceTimeField:
     return SpaceTimeField(domain, np.full(domain.shape, float(value)))
 
 
+# The diagnostics that run over the time levels of a field (the energy
+# density, gradient norms, weighted powers and the variational gap's
+# pairings) take them in blocks of at most this many bytes per array, so a
+# call's temporaries are a few blocks whatever the size of the field.  Arrays
+# this small come from the heap and are reused from block to block and call
+# to call, instead of being mapped afresh and faulted in: glibc's default mmap
+# threshold is 128 KiB.  Smaller blocks cost more Python per field.  Every
+# per-level result is formed as over the whole field, and sums over the
+# whole field still run over the whole array, so blocks change no result.
+_BLOCK_BYTES = 96 * 2**10
+
+
+def _level_blocks(values: np.ndarray) -> list:
+    """Slices over the leading axis of values, each holding at most
+    _BLOCK_BYTES of its levels (at least one level)."""
+    step = max(1, _BLOCK_BYTES // max(1, values[0].nbytes))
+    return [slice(lo, min(lo + step, len(values))) for lo in range(0, len(values), step)]
+
+
 # ---------------------------------------------------------------------------
 # region resolution
 
@@ -192,9 +211,10 @@ def region_measure(domain: Domain, region) -> float:
     return int(tm.sum()) * int(sm.sum()) * domain.cell_volume * domain.dt
 
 
-def _trapezoid_weights(domain: Domain, time: bool = True) -> np.ndarray:
+def _trapezoid_weights(domain: Domain, time: bool = True, levels=slice(None)) -> np.ndarray:
     """Composite trapezoid weights at the nodes: the outer product of the
-    per-axis weights, time first (space only if time is False)."""
+    per-axis weights, time first and at the time levels picked by levels
+    (space only if time is False)."""
     axes = [(domain.nt + 1, domain.dt)] if time else []
     axes += [(domain.nx, h) for h in domain.dx]
     weights = []
@@ -202,6 +222,8 @@ def _trapezoid_weights(domain: Domain, time: bool = True) -> np.ndarray:
         w = np.full(nodes, h)
         w[0] = w[-1] = 0.5 * h
         weights.append(w)
+    if time:
+        weights[0] = weights[0][levels]
     return functools.reduce(np.multiply.outer, weights)
 
 
@@ -209,17 +231,31 @@ def _integrate_power(f: SpaceTimeField, r: float, region) -> float:
     """integral of |f|**r over the region."""
     dom = f.domain
     if region is None:
-        return float(np.sum(np.abs(f.values) ** r * _trapezoid_weights(dom)))
+        vals = np.abs(f.values)
+        vals **= r
+        for block in _level_blocks(vals):
+            vals[block] *= _trapezoid_weights(dom, levels=block)
+        return float(np.sum(vals))
     tm, sm = _resolve(dom, region)
-    vals = np.abs(f.values[tm][:, sm]) ** r
-    return float(vals.sum() * dom.cell_volume * dom.dt)
+    return _node_integral(f.values[tm][:, sm], r, dom)
+
+
+def _node_integral(vals: np.ndarray, r: float, domain: Domain) -> float:
+    """integral of |vals|**r, vals the values at a cylinder's nodes (time
+    first, then the nodes of its ball), by the node quadrature of cylinders."""
+    vals = np.abs(vals) ** r
+    return float(vals.sum() * domain.cell_volume * domain.dt)
 
 
 def lp_norm(f: SpaceTimeField, r: float, region=None) -> float:
     """Discrete L^r norm of f over the region, r >= 1 finite."""
+    _check_exponent(r)
+    return _integrate_power(f, r, region) ** (1.0 / r)
+
+
+def _check_exponent(r: float) -> None:
     if not (np.isfinite(r) and r >= 1):
         raise ParameterError(f"lp_norm needs a finite exponent r >= 1, got {r}")
-    return _integrate_power(f, r, region) ** (1.0 / r)
 
 
 def mean_integral(f: SpaceTimeField, r: float, region=None) -> float:
@@ -253,10 +289,19 @@ def _partial(values: np.ndarray, domain: Domain, axis: int) -> np.ndarray:
 
 
 def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
-    """|Df| per node.  The squared components are added one axis at a time,
+    """|Df| per node."""
+    return SpaceTimeField(f.domain, _grad_norm(f.values, f.domain))
+
+
+def _grad_norm(values: np.ndarray, domain: Domain) -> np.ndarray:
+    """|D values| per node over the last n axes, a block of the leading
+    levels at a time.  The squared components are added one axis at a time,
     so no stack of the gradient is held."""
-    return SpaceTimeField(f.domain, np.sqrt(sum(_partial(f.values, f.domain, axis) ** 2
-                                                for axis in range(f.domain.n))))
+    out = np.empty(values.shape)
+    for block in _level_blocks(values):
+        out[block] = np.sqrt(sum(_partial(values[block], domain, axis) ** 2
+                                 for axis in range(domain.n)))
+    return out
 
 
 def _same_grid(domain: Domain, **named) -> None:
@@ -309,26 +354,36 @@ def coefficient_norms(a: SpaceTimeField, b: SpaceTimeField, alpha: float,
     error."""
     dom = a.domain
     _same_grid(dom, b=b)
-    measure = region_measure(dom, region)
     tm, sm = _resolve(dom, region)
-    inv_a = np.ones(dom.shape)
+    return _region_norms(a.values[tm][:, sm], b.values[tm][:, sm], alpha, beta, dom, region)
+
+
+def _region_norms(a_vals, b_vals, alpha: float, beta: float, domain: Domain,
+                  region) -> CoefficientNorms:
+    """coefficient_norms from a and b at the region's nodes, ordered as
+    f.values[tm][:, sm] orders them for the masks of _resolve."""
     with np.errstate(divide="ignore"):
-        np.divide(1.0, np.maximum(a.values, 0), out=inv_a, where=tm[(...,) + (None,) * dom.n] & sm)
+        inv_a = 1.0 / np.maximum(a_vals, 0)
     if not np.all(np.isfinite(inv_a)):
         raise ParameterError(
             "coefficient a vanishes at a grid node; 1/a is not integrable on "
             "the discrete region (move the degeneracy off-node or floor it)"
         )
+    measure = region_measure(domain, region)
 
-    def norms(f, r):
-        """(mean, raw) norm of f with exponent r over the region."""
+    def norms(vals, r):
+        """(mean, raw) norm with exponent r of the region's node values vals."""
         if np.isinf(r):
-            return (ess_sup(f, region),) * 2
-        raw = lp_norm(f, r, region)
+            return (float(vals.max()),) * 2
+        if region is None:  # the trapezoid rule over the whole box
+            raw = lp_norm(SpaceTimeField(domain, vals.reshape(domain.shape)), r)
+        else:
+            _check_exponent(r)
+            raw = _node_integral(vals, r, domain) ** (1.0 / r)
         return raw / measure ** (1.0 / r), raw
 
-    norm_a, raw_a = norms(SpaceTimeField(dom, inv_a), alpha)
-    norm_b, raw_b = norms(b, beta)
+    norm_a, raw_a = norms(inv_a, alpha)
+    norm_b, raw_b = norms(b_vals, beta)
     return CoefficientNorms(norm_a, norm_b, raw_a, raw_b)
 
 

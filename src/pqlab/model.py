@@ -150,13 +150,27 @@ def flux(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.
 def integrand(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:
     """Value of the regularized integrand f_i; pass eps=0.0 for plain f."""
     xi = _as_xi(xi)
+    return energy_density(np.sum(xi**2, axis=0), a_val, b_val, spec, eps)
+
+
+def energy_density(s, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:
+    """f_i at s = |xi|^2, as flux_coefficient takes its argument.  The terms
+    a/p (mu^2 + s)^(p/2) + b/q (mu^2 + s)^(q/2) + eps s^(q_beta/2) are formed
+    in this order in two arrays of the size of s, in place, so the values are
+    bitwise those of the formula written out."""
     if eps is None:
         eps = spec.eps
-    s = np.sum(xi**2, axis=0)
-    mu2 = spec.params.mu**2
+    s = np.asarray(s, float)
     p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    return (
-        np.asarray(a_val, float) / p * (mu2 + s) ** (p / 2.0)
-        + np.asarray(b_val, float) / q * (mu2 + s) ** (q / 2.0)
-        + eps * s ** (qb / 2.0)
-    )
+    r = np.empty(np.broadcast_shapes(s.shape, np.shape(a_val), np.shape(b_val)))
+    np.add(spec.params.mu**2, s, out=r)
+    out = r ** (p / 2.0)
+    out *= np.asarray(a_val, float) / p
+    r **= q / 2.0
+    r *= np.asarray(b_val, float) / q
+    out += r
+    r[...] = s
+    r **= qb / 2.0
+    r *= eps
+    out += r
+    return out

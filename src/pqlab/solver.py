@@ -26,12 +26,15 @@ the face flux takes its transverse gradient t_j from centred differences
 averaged onto the face, on +-e_j and +-e_k +- e_j.  newton_direction picks
 the linear solver by dimension: in 1D the stencil is the symmetric
 positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
-by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix, assembled into
-a CSC pattern fixed per run and factored with SuperLU.  A 2D member keeps
-its factor across time steps and solves each later Newton system by defect
-correction with it, until those solves have cost one factorization (7 of
-them at 17^2, 23 at 65^2) or the defect falls too slowly; then it
-refactors.  A correction stops at relative defect 1e-12 or at the floor
+by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix with
+half-bandwidth nx - 1 in row-major order, written from the stencil into
+LAPACK's band storage and factored by a float64 band LU (band.py).  A 2D
+member keeps its factor across time steps and solves each later Newton
+system by defect correction with it, taking the product with J(w) from the
+stencil by shifted slices, until those solves have cost the flops of one
+factorization (a closed form in the bandwidth: 8 of them at 17^2, 32 at
+65^2) or the defect falls too slowly; then it refactors.  A correction
+stops at relative defect 1e-12 or at the floor
 1e-2 * tolerance * scale of the stopping rule below, whichever is larger:
 to first order the defect is the next residual, which it moves by at most
 1% of the stopping threshold.
@@ -94,9 +97,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
+from .band import BandLU, band_storage, half_bandwidth, solve_budget, stencil_product
 from .errors import (
     DivergenceError,
     ParameterError,
@@ -107,13 +109,14 @@ from .grid import (
     Domain,
     SpaceTimeField,
     _grad_magnitude,
+    _level_blocks,
     _partial,
     _same_grid,
     _trapezoid_weights,
     boundary_frame,
     lp_norm,
 )
-from .model import IntegrandSpec, flux_coefficient, integrand
+from .model import IntegrandSpec, energy_density, flux_coefficient
 
 # Line search: accept step length t once max|R| has fallen by the factor
 # 1 - ARMIJO * t; halve t down to MIN_STEP.
@@ -429,19 +432,23 @@ class _Scheme:
 
     def cell_energy(self, values: np.ndarray, eps: float) -> np.ndarray:
         """integral of f(x, Dw) at every time level of values (time first), by
-        cell-centred staggered gradients.  In 1D this is the step's own energy,
-        so the discrete variational inequality survives with the iteration
-        tolerance; in 2D it does not (the strict xfail of
+        cell-centred staggered gradients, a block of levels at a time (see
+        grid._BLOCK_BYTES).  In 1D this is the step's own energy, so the
+        discrete variational inequality survives with the iteration tolerance;
+        in 2D it does not (the strict xfail of
         TestVariationalGap::test_first_variation_vanishes)."""
         n = self.dom.n
-        xi = []
-        for k, component in enumerate(self.face_gradients(values)):
-            for j in range(n):
-                if j != k:
-                    component = self.face_average(component, j)
-            xi.append(component)
-        f_vals = integrand(np.stack(xi), *self.centre_coeffs, self.spec, eps=eps)
-        return f_vals.reshape(len(values), -1).sum(axis=1) * self.dom.cell_volume
+        out = np.empty(len(values))
+        for block in _level_blocks(values):
+            s = 0.0  # |xi|^2, summed over the components in axis order
+            for k, component in enumerate(self.face_gradients(values[block])):
+                for j in range(n):
+                    if j != k:
+                        component = self.face_average(component, j)
+                s = s + component**2
+            f_vals = energy_density(s, *self.centre_coeffs, self.spec, eps=eps)
+            out[block] = f_vals.reshape(len(f_vals), -1).sum(axis=1)
+        return out * self.dom.cell_volume
 
 
 class _Stepper:
@@ -449,7 +456,7 @@ class _Stepper:
     members that share everything but eps: the members' eps, the frame's
     datum profile, the 2D factor slots and their budget, the levels the
     extrapolated start reads and the starts carried to the next step.  It
-    also holds the 2D Newton matrix's storage for SuperLU, a CSC pattern."""
+    also holds the half-bandwidth of the 2D Newton matrix."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
         self.cfg = cfg
@@ -459,34 +466,12 @@ class _Stepper:
         # g = g0(x) psi(t): the frame's profile g0, which each step scales
         self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
         self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
-        # the Newton matrix's CSC pattern on the interior nodes, numbered
-        # row-major: per stencil offset (every one with at most two nonzero
-        # components) the nodes whose neighbour stays on the grid, and the
-        # order that scatters the entries of all offsets into CSC
-        n, m = dom.n, dom.nx - 2
-        node = np.arange(m**n).reshape((m,) * n)
-        self.offsets = [off for off in itertools.product((-1, 0, 1), repeat=n)
-                        if sum(map(abs, off)) <= 2]
-        self.valid, rows, cols = [], [], []
-        for off in self.offsets:
-            valid = np.ones(node.shape, bool)
-            for i, o in zip(np.indices(node.shape), off):
-                valid &= (0 <= i + o) & (i + o < m)
-            self.valid.append(valid)
-            rows.append(node[valid])
-            cols.append(node[valid] + sum(o * m ** (n - 1 - j) for j, o in enumerate(off)))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        self.order = np.lexsort((rows, cols)).astype(np.int32)  # by column, then row
-        self.indices = rows[self.order].astype(np.int32)
-        self.indptr = np.zeros(m**n + 1, np.int32)
-        np.cumsum(np.bincount(cols, minlength=m**n), out=self.indptr[1:])
         # 2D Newton factors, kept across time steps: per member None or
-        # (SuperLU factor, correction solves it has served), and the budget
-        # of such solves per factor, read from the first factor made after
-        # the first time step (see step)
+        # (band factor, correction solves it has served), and the budget of
+        # such solves per factor, whose flops are those of one factorization
+        self.kl = half_bandwidth((dom.nx - 2,) * dom.n)
         self.slots = [None] * len(self.eps)
-        self.budget = None
-        self.first_step = True
+        self.budget = solve_budget(self.kl)
         # each member's accepted time levels before the one step starts from,
         # newest first and at most two: u_{j-1} and u_{j-2} (see step)
         self.past = []
@@ -494,44 +479,36 @@ class _Stepper:
         # the next step's starts evaluated with it, keyed by its time and bits
         self.swift, self.carry = False, None
 
-    def matrix(self, stencil: dict, row: int):
-        """CSC matrix of member row of a stencil on the fixed pattern; an
-        entry that happens to be zero is kept as an explicit zero."""
-        data = np.concatenate([stencil[off][row][valid]
-                               for off, valid in zip(self.offsets, self.valid)])
-        size = len(self.indptr) - 1
-        return scipy.sparse.csc_matrix((data[self.order], self.indices, self.indptr),
-                                       shape=(size, size))
-
     def newton_direction(self, it: _Iterate, t: float, members):
         """Solve J d = -R for every member of it, at time level t.
 
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
-        the first member whose Newton matrix is not positive definite or
-        whose direction is not finite; d is valid for the members before
-        pos.  The linear solver depends on the dimension.  In 1D the matrix
-        is tridiagonal (stencil entries 0 and +e_0) and one dptsv call solves
-        the block tridiagonal of all members.  Its blocks are uncoupled, so
+        the first member whose Newton matrix is not positive definite (1D) or
+        singular (2D) or whose direction is not finite; d is valid for the
+        members before pos.  The linear solver depends on the dimension.  In
+        1D the matrix is tridiagonal (stencil entries 0 and +e_0) and one
+        dptsv call solves the block tridiagonal of all members.  Its blocks are uncoupled, so
         each is eliminated exactly as it would be alone; if any block fails,
         or a non-finite value may have spread across blocks, each member is
         solved by itself.
 
         In 2D each member is solved in turn.  members holds the member
-        index of each row of it, which picks its slot: None, or the SuperLU
+        index of each row of it, which picks its slot: None, or the band LU
         factor of one of that member's earlier Newton matrices, from this
         or an earlier time step, with the correction solves it has served.  A
         member without one is factored and solved directly, and the factor
         fills its slot; a member with one solves its exact system
-        J(w) d = -R by defect correction with that factor, down to the floor
+        J(w) d = -R by defect correction with that factor and the stencil's
+        product, down to the floor
         _CORRECTION_FLOOR * tolerance * scale of the member's stopping rule
         (or relative defect _CORRECTION_RTOL, if that is larger): to first
         order the defect is the next residual.  Once the factor
         has served more correction solves than the budget, or if correction
         gives up, it is released and the member is refactored at J(w) and
         solved directly.  The budget is one factorization's flops over one
-        solve's, read from the first factor made after the stepper's first
-        time step, so a factor is replaced once its corrections have cost as
-        much as a new one; until it is read, a factor serves without limit.
+        solve's, in closed form from the bandwidth (band.solve_budget), so a
+        factor is replaced once its corrections have cost as much as a new
+        one.  A singular matrix fails its member with DivergenceError.
         """
         rhs = -it.residual
         stencil = self.scheme.stencil(it)
@@ -552,19 +529,17 @@ class _Stepper:
                 return d_row
         else:
             def solve_member(row):
-                matrix, b = self.matrix(stencil, row), rhs[row].ravel()
-                m = members[row]
+                b, m = rhs[row].ravel(), members[row]
                 slot, self.slots[m] = self.slots[m], None
-                if slot is not None and (self.budget is None or slot[1] <= self.budget):
+                if slot is not None and slot[1] <= self.budget:
                     floor = _CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row]
-                    d_row, solves = _defect_correction(matrix, b, slot[0], floor)
+                    d_row, solves = _defect_correction(
+                        functools.partial(stencil_product, stencil, row), b, slot[0], floor)
                     if d_row is not None:
                         self.slots[m] = (slot[0], slot[1] + solves)
                         return d_row.reshape(rhs[row].shape)
                 slot = None  # release the stale factor before refactoring
-                lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
-                if self.budget is None and not self.first_step:
-                    self.budget = _solve_equivalents(lu)
+                lu = BandLU(band_storage(stencil, row), self.kl)
                 self.slots[m] = (lu, 0)
                 return lu.solve(b).reshape(rhs[row].shape)
         d = np.empty_like(rhs)
@@ -711,12 +686,6 @@ class _Stepper:
                 keep(~done)
         else:
             fail(0, step_failure(0, f"no convergence within {cfg.max_iter} iterations"))
-        if self.first_step:
-            # The first step's factors serve that step only and the budget is
-            # read from a later one: reading L and U caches copies of them on
-            # the factor (2.5 MB at 65^2), and during the first step the
-            # allocator still holds, untrimmed, what ran before the solve.
-            self.slots, self.first_step = [None] * len(self.slots), False
         self.swift = failure is None and all(t == [1.0] for t in lengths)
         if self.swift and ahead is not None:
             self.carry = ((t_after, out.tobytes()), self.pick(ahead, live, live))
@@ -725,24 +694,11 @@ class _Stepper:
         return out[:live], histories, failure
 
 
-def _solve_equivalents(lu) -> float:
-    """Flops of the factorization lu over those of one solve with it.
-
-    Eliminating column k costs l_k divisions and 2 l_k u_k multiply-adds,
-    with l_k the entries of L below the diagonal in column k and u_k those
-    of U right of the diagonal in row k; a solve costs 2 (nnz L + nnz U).
-    Both L and U store their diagonal.
-    """
-    lower, upper = lu.L, lu.U
-    below = np.diff(lower.indptr) - 1.0
-    right = np.bincount(upper.indices, minlength=upper.shape[0]) - 1.0
-    return float(np.sum(below + 2.0 * below * right)) / (2.0 * (lower.nnz + upper.nnz))
-
-
-def _defect_correction(matrix, b, lu, floor):
-    """Solve matrix x = b by x += lu.solve(b - matrix x) from x = lu.solve(b),
-    lu the SuperLU factor of a nearby matrix, until the defect |b - matrix x|
-    (2-norm) is at most the target max(_CORRECTION_RTOL |b|, floor).
+def _defect_correction(apply, b, lu, floor):
+    """Solve A x = b by x += lu.solve(b - A x) from x = lu.solve(b), apply
+    the product x -> A x and lu the factor of a nearby matrix, until the
+    defect |b - A x| (2-norm) is at most the target
+    max(_CORRECTION_RTOL |b|, floor).
 
     Returns (x, solves), solves the number of lu.solve calls made; x is None
     unless the defect falls at every correction (at a non-finite x it is NaN
@@ -753,7 +709,7 @@ def _defect_correction(matrix, b, lu, floor):
     x, last = lu.solve(b), math.inf
     target = max(_CORRECTION_RTOL * np.linalg.norm(b), floor)
     for solves in itertools.count(1):
-        defect = b - matrix @ x
+        defect = b - apply(x)
         norm = np.linalg.norm(defect)
         if norm <= target:
             return x, solves
@@ -898,8 +854,14 @@ ENERGY_COLUMNS = tuple(f.name for f in fields(EnergyData)) + ("lhs_total", "m_g"
 
 
 def _slicewise_l2sq(values: np.ndarray, dom: Domain) -> np.ndarray:
+    """The trapezoid integral of values^2 at every time level."""
     w = _trapezoid_weights(dom, time=False)
-    return np.sum(values**2 * w, axis=tuple(range(1, values.ndim)))
+    out = np.empty(len(values))
+    for block in _level_blocks(values):
+        sq = values[block] ** 2
+        sq *= w
+        out[block] = np.sum(sq, axis=tuple(range(1, values.ndim)))
+    return out
 
 
 def _dual_norm(cfg: SolveConfig) -> float:
@@ -1035,24 +997,37 @@ def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float
     _same_grid(dom, u=u)
     for v in maps:
         _same_grid(dom, v=v.field)
-    g = cfg.g.sample(dom).values
-    lateral, g_max = boundary_frame(dom), float(np.abs(g).max())
+    # the datum only on the lateral frame and at t = 0, which is all the gap
+    # reads of it; g_max is max|g0| max|psi|, which by monotone rounding is
+    # the largest |g| over the grid
+    lateral, psi = boundary_frame(dom), cfg.g._psi(dom.times)
+    g0 = cfg.g._g0(dom.box, dom.meshgrid())
+    g_lateral, g_init = g0[lateral] * psi[:, None], g0 * psi[0]
+    g_max = float(np.abs(g0).max() * np.abs(psi).max())
     scheme = _Scheme(dom, cfg.spec)
     cum_fu = np.cumsum(scheme.cell_energy(u.values, eps)[1:]) * dom.dt
     cell, spatial = dom.cell_volume, tuple(range(1, dom.n + 1))
     curves = []
     for v in maps:
         vals = v.field.values
-        mismatch = float(np.abs(vals[:, lateral] - g[:, lateral]).max())
-        if mismatch > 1e-12 * max(float(np.abs(vals).max()), g_max, 1e-300):
+        mismatch = float(np.abs(vals[:, lateral] - g_lateral).max())
+        if mismatch > 1e-12 * max(float(vals.max()), -float(vals.min()), g_max, 1e-300):
             raise PreconditionError(
                 f"comparison map does not match the datum on the lateral boundary "
                 f"(mismatch {mismatch:g})")
         cum_fv = np.cumsum(scheme.cell_energy(vals, eps)[1:]) * dom.dt
-        diff_vu = vals - u.values
-        dual_steps = np.sum((vals[1:] - vals[:-1]) * diff_vu[1:], axis=spatial) * cell
-        slice_sq = 0.5 * np.sum(diff_vu**2, axis=spatial) * cell
-        init_sq = 0.5 * float(np.sum((vals[0] - g[0]) ** 2)) * cell
+        # per level j: sum (v_j - v_{j-1})(v_j - u_j) from j = 1 and
+        # sum (v_j - u_j)^2, a block of levels at a time
+        dual_steps, slice_sq = np.zeros(len(vals)), np.empty(len(vals))
+        for block in _level_blocks(vals):
+            diff = vals[block] - u.values[block]
+            lo, hi = max(block.start, 1), block.stop
+            steps = (vals[lo:hi] - vals[lo - 1:hi - 1]) * diff[lo - block.start:]
+            dual_steps[lo:hi] = np.sum(steps, axis=spatial)
+            slice_sq[block] = np.sum(diff**2, axis=spatial)
+        dual_steps = dual_steps[1:] * cell
+        slice_sq = 0.5 * slice_sq * cell
+        init_sq = 0.5 * float(np.sum((vals[0] - g_init) ** 2)) * cell
 
         cum_dual = np.cumsum(dual_steps)
         gaps = cum_fv + cum_dual - slice_sq[1:] + init_sq - cum_fu

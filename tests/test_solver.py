@@ -8,7 +8,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +41,7 @@ from pqlab import (
     weak_residual,
 )
 from pqlab import solver
+from pqlab.band import band_storage, stencil_product
 from pqlab.solver import _Scheme, _Stepper
 
 
@@ -141,7 +141,7 @@ class TestNewton:
         v = np.zeros(shape)
         v[scheme.interior] = rng.normal(size=(1,) + (dom.nx - 2,) * n)
         it = scheme.evaluate(w, u_prev, eps)
-        jac = stepper.matrix(scheme.stencil(it), 0)
+        jac = _dense_operator(scheme.stencil(it), 0)
         jv = jac @ v[scheme.interior].ravel()
         h = 1e-6
         fd = (scheme.evaluate(w + h * v, u_prev, eps).residual
@@ -287,12 +287,113 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
         assert np.array_equal(stencil[(1,)][:, :-1], off)
         assert np.array_equal(stencil[(-1,)][:, 1:], off)
         for row in (0, 1):
-            ref = scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1])
-            assert (stepper.matrix(stencil, row) != ref).nnz == 0
+            ref = scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1]).toarray()
+            assert np.array_equal(_unpack_band(band_storage(stencil, row), stepper.kl), ref)
     else:
         for row in (0, 1):
-            ref = _reference_nine_point(stepper.scheme, it, row)
-            assert (stepper.matrix(stencil, row) != ref).nnz == 0
+            ref = _reference_nine_point(stepper.scheme, it, row).toarray()
+            assert np.array_equal(_unpack_band(band_storage(stencil, row), stepper.kl), ref)
+
+
+def _dense_operator(stencil, row):
+    """Member row's Newton matrix assembled node by node from a stencil:
+    every offset's entry at every node whose neighbour there is interior,
+    nodes numbered row-major."""
+    shape = stencil[(0,) * len(next(iter(stencil)))].shape[1:]
+    dense = np.zeros((math.prod(shape),) * 2)
+    for node in np.ndindex(*shape):
+        for off, entries in stencil.items():
+            nb = tuple(c + o for c, o in zip(node, off))
+            if all(0 <= c < m for c, m in zip(nb, shape)):
+                dense[np.ravel_multi_index(node, shape),
+                      np.ravel_multi_index(nb, shape)] = entries[row][node]
+    return dense
+
+
+def _unpack_band(ab, kl):
+    """Dense matrix of LAPACK general band storage with kl sub- and
+    superdiagonals below kl rows of fill."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for i in range(size):
+        for j in range(max(0, i - kl), min(size, i + kl + 1)):
+            dense[i, j] = ab[2 * kl + i - j, j]
+    return dense
+
+
+class TestBandLU:
+    """The 2D Newton matrix in band storage, its product by stencil and its
+    band LU."""
+
+    @staticmethod
+    def stencil(nx, rng, members=2):
+        # the finite-difference problem of TestNewton: every face weight and
+        # cross term is nonzero
+        params = StructureParams(n=2, p=3.0, q=3.2, alpha=1e4, beta=1e4, mu=0.0, eps=0.3)
+        coeffs = CoefficientSpec(
+            a=Coefficient("power", center=(0.43, 0.43), exponent=0.5),
+            b=Coefficient("constant", value=0.7),
+        )
+        dom = Domain(n=2, box=((0.0, 1.0),) * 2, T=0.1, nx=nx, nt=8)
+        cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.3),
+                          BoundaryDatum(kind="profile", profile="sin"))
+        stepper = _Stepper(cfg, [0.3, 0.1][:members])
+        shape = (members, nx, nx)
+        u_prev = rng.normal(size=shape)
+        it = stepper.scheme.evaluate(u_prev + rng.normal(size=shape), u_prev, stepper.eps)
+        return stepper, stepper.scheme.stencil(it)
+
+    @pytest.mark.parametrize("nx", [9, 17])
+    def test_band_is_the_node_by_node_operator(self, nx, rng):
+        stepper, stencil = self.stencil(nx, rng)
+        m, kl = nx - 2, stepper.kl
+        assert kl == nx - 1
+        for row in (0, 1):
+            dense = _dense_operator(stencil, row)
+            ab = band_storage(stencil, row)
+            assert ab.shape == (3 * kl + 1, m * m) and ab.flags.f_contiguous
+            assert not ab[:kl].any()  # the rows kept for the fill
+            assert np.array_equal(_unpack_band(ab, kl), dense)
+            # an offset that leaves the grid across the last or first column
+            # would couple across a wrap of the numbering: the stencil holds
+            # an entry there, the band holds 0
+            last, first = np.arange(m - 1, m * m, m), np.arange(0, m * m, m)
+            for off, nodes in [((0, 1), last), ((0, -1), first), ((1, 1), last),
+                               ((-1, -1), first), ((-1, 1), last), ((1, -1), first)]:
+                cols = nodes + off[0] * m + off[1]
+                inside = (0 <= cols) & (cols < m * m)
+                nodes, cols = nodes[inside], cols[inside]
+                assert np.all(stencil[off][row].ravel()[nodes] != 0.0)
+                assert np.all(ab[2 * kl + nodes - cols, cols] == 0.0)
+
+    @pytest.mark.parametrize("nx", [9, 17])
+    def test_stencil_product_is_the_dense_product(self, nx, rng):
+        stepper, stencil = self.stencil(nx, rng)
+        x = rng.normal(size=(nx - 2) ** 2)
+        for row in (0, 1):
+            ref = _dense_operator(stencil, row) @ x
+            got = stencil_product(stencil, row, x)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("pivoting", [False, True])
+    def test_factor_solves(self, pivoting, rng):
+        # the Newton matrix needs no row interchanges and is solved by the
+        # two triangles; a matrix with a small diagonal needs them, and is
+        # solved by dgbtrs
+        stepper, stencil = self.stencil(9, rng, members=1)
+        ab = band_storage(stencil, 0)
+        if pivoting:
+            ab[2 * stepper.kl] *= 1e-3
+        dense = _unpack_band(ab, stepper.kl)
+        lu = solver.BandLU(ab, stepper.kl)
+        assert (lu.lu is not None) == pivoting
+        b = rng.normal(size=len(dense))
+        x = lu.solve(b)
+        assert np.abs(dense @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_singular_matrix_is_a_divergence(self):
+        with pytest.raises(DivergenceError, match="singular"):
+            solver.BandLU(np.zeros((4, 5), order="F"), 1)
 
 
 def _at_eps(cfg, eps):
@@ -456,7 +557,7 @@ def _factor_every_iteration(stepper, it, t, members=None):
     solved directly, whatever factors its slots hold."""
     d, stencil = np.empty_like(it.residual), stepper.scheme.stencil(it)
     for row in range(len(d)):
-        lu = scipy.sparse.linalg.splu(stepper.matrix(stencil, row), permc_spec="MMD_AT_PLUS_A")
+        lu = solver.BandLU(band_storage(stencil, row), stepper.kl)
         d[row] = lu.solve(-it.residual[row].ravel()).reshape(d[row].shape)
     return d, None
 
@@ -486,26 +587,20 @@ def _first_power_below(rate, bound):
 
 
 def _count_factor_work(monkeypatch):
-    """Count every splu factorization and every solve with a factor made
+    """Count every band factorization and every solve with a factor made
     from then on: returns the dict {"factorizations", "solves"}."""
-    splu, counts = scipy.sparse.linalg.splu, {"factorizations": 0, "solves": 0}
+    counts = {"factorizations": 0, "solves": 0}
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
+    class Counted(solver.BandLU):
+        def __init__(self, *args):
+            counts["factorizations"] += 1
+            super().__init__(*args)
 
         def solve(self, b):
             counts["solves"] += 1
-            return self.lu.solve(b)
+            return super().solve(b)
 
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-    def counted_splu(*args, **kwargs):
-        counts["factorizations"] += 1
-        return Counted(splu(*args, **kwargs))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(solver, "BandLU", Counted)
     return counts
 
 
@@ -519,27 +614,28 @@ class TestDefectCorrection:
 
     def test_reaches_the_relative_tolerance_without_a_floor(self, rng):
         matrix, b, lu = self.system(rng, 0.2)
-        x, solves = solver._defect_correction(matrix, b, lu, 0.0)
+        x, solves = solver._defect_correction(matrix.__matmul__, b, lu, 0.0)
         assert solves == lu.solves == _first_power_below(0.2, solver._CORRECTION_RTOL)
         assert np.linalg.norm(b - matrix @ x) <= solver._CORRECTION_RTOL * np.linalg.norm(b)
 
     def test_stops_at_the_first_defect_under_the_floor(self, rng):
         matrix, b, lu = self.system(rng, 0.2)
         floor = 1e-5 * np.linalg.norm(b)
-        x, solves = solver._defect_correction(matrix, b, lu, floor)
+        x, solves = solver._defect_correction(matrix.__matmul__, b, lu, floor)
         # the defect after k solves is 0.2^k |b|: 0.2^7 = 1.3e-5, 0.2^8 = 2.6e-6
         assert solves == lu.solves == _first_power_below(0.2, 1e-5) == 8
         assert np.linalg.norm(b - matrix @ x) <= floor
-        _, unfloored = solver._defect_correction(matrix, b, _ContractingFactor(lu.d, 0.2), 0.0)
+        _, unfloored = solver._defect_correction(
+            matrix.__matmul__, b, _ContractingFactor(lu.d, 0.2), 0.0)
         assert solves < unfloored
 
     @pytest.mark.parametrize("rate", [0.05, 0.3, 0.35, 0.45, 0.6, 0.9, 1.5])
     def test_never_gives_up_where_floor_zero_converges(self, rate, rng):
         matrix, b, lu = self.system(rng, rate)
-        x0, solves0 = solver._defect_correction(matrix, b, lu, 0.0)
+        x0, solves0 = solver._defect_correction(matrix.__matmul__, b, lu, 0.0)
         for relative in (1e-11, 1e-8, 1e-5, 1e-2, 0.1):
             x, solves = solver._defect_correction(
-                matrix, b, _ContractingFactor(lu.d, rate), relative * np.linalg.norm(b))
+                matrix.__matmul__, b, _ContractingFactor(lu.d, rate), relative * np.linalg.norm(b))
             if x0 is not None:
                 assert x is not None and solves <= solves0
             # the stall rule predicts rate^31 |b| after the 30 corrections
@@ -596,8 +692,8 @@ class TestFactorReuse:
         # a factor of 0.25 J makes the first correction triple the defect; one
         # of 10 J shrinks it by 0.9 per correction, which cannot reach the
         # tolerance within the budget
-        lu = scipy.sparse.linalg.splu(scale * stepper.matrix(stepper.scheme.stencil(it), 0),
-                                      permc_spec="MMD_AT_PLUS_A")
+        lu = solver.BandLU(np.asfortranarray(scale * band_storage(stepper.scheme.stencil(it), 0)),
+                           stepper.kl)
         solves = []
 
         class StaleFactor:
@@ -619,22 +715,23 @@ class TestFactorReuse:
         assert len(solves) == factor_solves
 
     def test_factor_serves_across_time_steps(self, monkeypatch):
-        # at 17^2 the budget of about 7 solves is spent within each step and
-        # a factor serves little more than one step; at 33^2 it is about 13
+        # at 17^2 the budget of about 8 solves is spent within each step and
+        # a factor serves little more than one step; at 33^2 it is about 16
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nt=32, alpha=20.0)
         factorizations, corrected = [], []
-        splu, defect_correction = scipy.sparse.linalg.splu, solver._defect_correction
+        defect_correction = solver._defect_correction
 
-        def counted_splu(*args, **kwargs):
-            factorizations.append(1)
-            return splu(*args, **kwargs)
+        class Counted(solver.BandLU):
+            def __init__(self, *args):
+                factorizations.append(1)
+                super().__init__(*args)
 
         def counted_correction(*args):
             x, solves = defect_correction(*args)
             corrected.append(x is not None)
             return x, solves
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        monkeypatch.setattr(solver, "BandLU", Counted)
         monkeypatch.setattr(solver, "_defect_correction", counted_correction)
         results, failure = solve_levels(cfg, [0.5, 0.125])
         assert failure is None
@@ -643,19 +740,18 @@ class TestFactorReuse:
         assert len(corrected) == iterations - len(factorizations) > 0
         assert all(corrected)
 
-    def test_budget_read_from_the_factor(self):
-        # a finer grid fills its factor more per node than it lengthens a
-        # solve, so a factor may serve more solves before it is replaced
+    def test_budget_grows_with_the_band(self):
+        # a wider band costs a factorization more flops per node than a
+        # solve, so a factor may serve more solves before it is replaced;
+        # the budget is known before any factor is made, and the first
+        # step's factor serves the next step
         budgets = []
         for nx in (17, 33):
             cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=nx, nt=4, alpha=20.0)
             stepper = _Stepper(cfg, [0.5])
-            u, _, _ = stepper.step(cfg.g.sample(cfg.domain).values[:1], cfg.domain.dt)
-            # the first step's factor is freed with that step, unread
-            assert stepper.slots == [None] and stepper.budget is None
-            stepper.step(u, 2 * cfg.domain.dt)
-            assert stepper.slots[0] is not None
             budgets.append(stepper.budget)
+            stepper.step(cfg.g.sample(cfg.domain).values[:1], cfg.domain.dt)
+            assert stepper.slots[0] is not None
         assert 1.0 < budgets[0] < budgets[1]
 
     def test_factors_held_only_in_live_slots(self, monkeypatch):
@@ -664,22 +760,15 @@ class TestFactorReuse:
         # steps
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
         newton_direction, evaluate = _Stepper.newton_direction, _Scheme.evaluate
-        splu = scipy.sparse.linalg.splu
         stuck_from = 3 * cfg.domain.dt
         factors_made = []  # a weak reference to every factor
         calls = []  # per call: t, its members, living factors, members with a factor
         now = [0.0]
 
-        class Factor:
-            """A SuperLU factor that can be referenced weakly."""
-
-            def __init__(self, lu):
-                self.solve, self.L, self.U = lu.solve, lu.L, lu.U
-
-        def tracked_splu(*args, **kwargs):
-            lu = Factor(splu(*args, **kwargs))
-            factors_made.append(weakref.ref(lu))
-            return lu
+        class Tracked(solver.BandLU):
+            def __init__(self, *args):
+                super().__init__(*args)
+                factors_made.append(weakref.ref(self))
 
         def recorded(self, it, t, members):
             now[0] = t
@@ -695,7 +784,7 @@ class TestFactorReuse:
             return it._replace(norm=np.where(hit, 1.0, it.norm),
                                scale=np.where(hit, 1e-300, it.scale))
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
+        monkeypatch.setattr(solver, "BandLU", Tracked)
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
         monkeypatch.setattr(_Scheme, "evaluate", stuck)
         results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])

@@ -1,0 +1,160 @@
+"""The solver's work at the benchmark's sizes, and the working memory of the
+diagnostics.
+
+The work ledger counts what the solver does on the problems of the
+benchmark's solve-2d and sweep-1d workloads.  Counts are deterministic where
+timings are not, so they are the first evidence of a performance change.
+Each bound is today's count plus about 3%: NumPy and SciPy versions round
+differently and may move a count by one.  A change that lowers a count
+tightens its bound; one that raises a count says so and why.
+"""
+
+import tracemalloc
+
+import pytest
+
+from pqlab import (
+    Cylinder,
+    caccioppoli_sides,
+    coefficient_norms,
+    comparison_maps,
+    energy_report,
+    grid,
+    solve,
+    solve_levels,
+    solver,
+    variational_gap_curves,
+)
+from pqlab.solver import _Scheme, _Stepper
+
+from test_solver import _count_evaluations, _probe_config_2d, degenerate_config
+
+
+class TestWorkLedger:
+    def test_solve_2d(self, monkeypatch):
+        # p = 2, q = 2.1, alpha = beta = 20 at 65^2 x 64: 104 Newton
+        # iterations, 12 band factorizations with a direct solve each and
+        # 395 correction solves
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=65, nt=64, alpha=20.0)
+        counts = {"factorizations": 0, "solves": 0, "corrections": 0}
+
+        class Counted(solver.BandLU):
+            def __init__(self, *args):
+                counts["factorizations"] += 1
+                super().__init__(*args)
+
+            def solve(self, b):
+                counts["solves"] += 1
+                return super().solve(b)
+
+        defect_correction = solver._defect_correction
+
+        def counted_correction(*args):
+            x, solves = defect_correction(*args)
+            counts["corrections"] += solves
+            return x, solves
+
+        monkeypatch.setattr(solver, "BandLU", Counted)
+        monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+        _, stats = solve(cfg)
+        assert stats.total_iterations <= 107
+        assert counts["factorizations"] <= 13
+        assert counts["solves"] - counts["corrections"] == counts["factorizations"]
+        assert counts["corrections"] <= 407
+
+    def test_sweep_1d(self, monkeypatch):
+        # the degenerate 1D preset at 65 x 256 and six eps-levels, solved
+        # together: 269 batched Newton iterations, one tridiagonal solve
+        # each, and 281 evaluations of the residual
+        directions = []
+        newton_direction = _Stepper.newton_direction
+
+        def counted(self, it, t, members):
+            directions.append(len(members))
+            return newton_direction(self, it, t, members)
+
+        monkeypatch.setattr(_Stepper, "newton_direction", counted)
+        evaluations = _count_evaluations(monkeypatch)
+        results, failure = solve_levels(degenerate_config(), [0.5 / 2**k for k in range(6)])
+        assert failure is None and len(results) == 6
+        assert len(directions) <= 277
+        assert evaluations["calls"] <= 290
+
+
+@pytest.fixture(scope="module")
+def diagnostics_field():
+    """The diagnostics-2d field: the 2D degenerate preset at 33^2 x 32."""
+    cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0)
+    u, _ = solve(cfg)
+    return cfg, u
+
+
+def _cylinders():
+    center = (0.5, 0.5, 0.12)
+    return Cylinder(center, 0.2, 0.05), Cylinder(center, 0.4, 0.1)
+
+
+def _peak_bytes(fn):
+    """Peak traced memory of a call above what was traced before it, after
+    one untraced call that pays for lazy caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """The diagnostics' temporaries are blocks of time levels, not copies of
+    the field (287,496 bytes here).  The peaks before blocking were
+    2,841,881 bytes for the six gap curves, 1,293,784 for the energy report
+    and 1,266,880 for the Caccioppoli sides; now they are about 910,000,
+    1,098,000 and 432,000."""
+
+    def test_gap_curves(self, diagnostics_field):
+        cfg, u = diagnostics_field
+        maps = comparison_maps(cfg)
+        assert len(maps) == 6
+        assert _peak_bytes(lambda: variational_gap_curves(u, maps, cfg, eps=0.5)) < 1024 * 1024
+
+    def test_energy_report(self, diagnostics_field):
+        # the datum, its gradient norm and one weighted power of a field are
+        # held at once; the bound is four fields
+        cfg, u = diagnostics_field
+        assert _peak_bytes(lambda: energy_report(u, cfg)) < 4 * u.values.nbytes
+
+    def test_caccioppoli_sides(self, diagnostics_field):
+        cfg, u = diagnostics_field
+        spec = cfg.spec
+        inner, outer = _cylinders()
+        norms = coefficient_norms(spec.coeffs.a.sample(u.domain), spec.coeffs.b.sample(u.domain),
+                                  20.0, 20.0, outer)
+        assert _peak_bytes(lambda: caccioppoli_sides(
+            u, 0.0, inner, outer, norms, spec.d, mu=0.0, eps=0.5)) < 512 * 1024
+
+    @pytest.mark.parametrize("block_bytes", [1, 2**40], ids=["one-level", "one-block"])
+    def test_blocks_change_no_result(self, block_bytes, diagnostics_field, monkeypatch):
+        # 33 levels take three blocks; blocks of one level and a single block
+        # give bitwise the same gaps, energy and Caccioppoli sides
+        cfg, u = diagnostics_field
+        spec = cfg.spec
+        inner, outer = _cylinders()
+        norms = coefficient_norms(spec.coeffs.a.sample(u.domain), spec.coeffs.b.sample(u.domain),
+                                  20.0, 20.0, outer)
+        maps = comparison_maps(cfg)
+
+        def outputs():
+            return (b"".join(a.tobytes() for curve in variational_gap_curves(u, maps, cfg, eps=0.5)
+                             for a in curve),
+                    repr(energy_report(u, cfg)),
+                    repr(_Scheme(u.domain, spec).cell_energy(u.values, 0.5).tolist()),
+                    repr(caccioppoli_sides(u, 0.0, inner, outer, norms, spec.d, mu=0.0, eps=0.5)))
+
+        assert len(grid._level_blocks(u.values)) > 1
+        blocked = outputs()
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", block_bytes)
+        assert outputs() == blocked
