@@ -24,7 +24,6 @@ from .grid import (
     Cylinder,
     Domain,
     SpaceTimeField,
-    _grad_norm,
     _node_integral,
     _region_norms,
     _resolve,
@@ -34,6 +33,7 @@ from .grid import (
     region_measure,
 )
 from .model import IntegrandSpec
+from .scheme import _grad_norm
 
 
 @dataclass(frozen=True)

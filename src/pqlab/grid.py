@@ -282,28 +282,6 @@ def slice_sup_l2(f: SpaceTimeField, cyl: Cylinder) -> float:
     return float(slices.sum(axis=1).max() * dom.cell_volume)
 
 
-def _partial(values: np.ndarray, domain: Domain, axis: int) -> np.ndarray:
-    """d / d x_axis per node over the last n axes of values: central
-    differences inside, second-order one-sided at the boundary."""
-    return np.gradient(values, domain.dx[axis], axis=axis - domain.n, edge_order=2)
-
-
-def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
-    """|Df| per node."""
-    return SpaceTimeField(f.domain, _grad_norm(f.values, f.domain))
-
-
-def _grad_norm(values: np.ndarray, domain: Domain) -> np.ndarray:
-    """|D values| per node over the last n axes, a block of the leading
-    levels at a time.  The squared components are added one axis at a time,
-    so no stack of the gradient is held."""
-    out = np.empty(values.shape)
-    for block in _level_blocks(values):
-        out[block] = np.sqrt(sum(_partial(values[block], domain, axis) ** 2
-                                 for axis in range(domain.n)))
-    return out
-
-
 def _same_grid(domain: Domain, **named) -> None:
     """Raise ParameterError unless every named field lives on domain."""
     for name, f in named.items():

@@ -380,6 +380,8 @@ def target_bounds(cfg: ExperimentConfig, fields, eps_values=None) -> list:
     and coefficient norms are taken once, for all the fields."""
     checks = [_sup_bound_check(cfg.domain, center, rho, sigma, cfg.integrand(), cfg.c_cal)
               for center, rho, sigma in cfg.target_cylinders()]
+    if eps_values is not None and len(eps_values) != len(fields):
+        raise ParameterError(f"{len(fields)} fields but {len(eps_values)} eps values")
     specs = map(cfg.integrand, eps_values or [None] * len(fields))
     return [[check(u, spec) for check in checks] for u, spec in zip(fields, specs)]
 
@@ -395,7 +397,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """
     schedule = cfg.eps_schedule()
     results, failure = solve_levels(cfg.solve_config(), schedule)
-    fields = [u for u, _ in results]
+    fields, schedule = [u for u, _ in results], schedule[:len(results)]  # the levels solved
     levels = [
         SweepLevel(index=i, eps=eps, field=u, iterations=list(stats.iterations),
                    max_residual=float(max(stats.residuals)), energy=energy, bounds=bounds)

@@ -24,11 +24,11 @@ from .errors import ParameterError, PreconditionError
 from .grid import (
     Cylinder,
     SpaceTimeField,
-    _grad_magnitude,
     _resolve,
     boundary_frame,
     mean_integral,
 )
+from .scheme import _grad_magnitude
 
 
 def mollify_time(v: SpaceTimeField, h: float) -> SpaceTimeField:

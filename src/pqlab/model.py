@@ -62,6 +62,8 @@ class Coefficient:
         if self.kind == "constant":
             return np.full(np.broadcast(*coords).shape, self.value)
         if self.kind == "power":
+            if len(self.center) != len(coords):
+                raise ParameterError(f"power-law center {self.center} needs {len(coords)} numbers")
             dist = np.sqrt(sum((c - cc) ** 2 for c, cc in zip(coords, self.center)))
             return np.maximum(dist, self.floor) ** self.exponent
         parity = sum(np.floor((c - self.origin) / self.width).astype(int) for c in coords) % 2

@@ -6,38 +6,27 @@ Each implicit Euler step solves, at the interior nodes,
     R(w) = w - u^j - dt div_h F(x, t_{j+1}, D_h w) = 0,
     w = g(., t_{j+1}) on the lateral boundary,
 
-by Newton's method on the exact Jacobian of R.
+by Newton's method on the exact Jacobian of R.  R, its Jacobian stencil and
+the discrete energy come from the discretization, scheme._Scheme (see
+scheme.py).  _Stepper is the Newton driver on one scheme: the members' eps,
+the datum on the frame, the start, the line search, the stopping rule and
+the linear solves.  solve_levels builds one stepper per run, and
+weak_residual and variational_gap_curves each build one scheme per call.
 
-Two classes split the work.  _Scheme is the spatial discretization of one
-domain and integrand, written once: D_h places gradients on cell faces and
-div_h is its negative adjoint, which makes discrete integration by parts
-exact for test functions vanishing on the boundary; evaluate gives R,
-stencil its Jacobian and cell_energy the integral of f(Du); a and b are
-sampled on the faces and at the cell centres on first use.  _Stepper is the
-Newton driver on one scheme: the members' eps, the datum on the frame, the
-start, the line search, the stopping rule and the linear solves.
-solve_levels builds one stepper per run, and weak_residual and
-variational_gap_curves each build one scheme per call.
-
-The Jacobian is one stencil written over the axes: per axis k the normal
-weight G + 2G'(s) g_k^2 of the k-faces on the neighbours +-e_k and the
-diagonal, and per transverse axis j the cross weight 2G'(s) g_k t_j, where
-the face flux takes its transverse gradient t_j from centred differences
-averaged onto the face, on +-e_j and +-e_k +- e_j.  newton_direction picks
-the linear solver by dimension: in 1D the stencil is the symmetric
-positive definite tridiagonal I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved
-by LAPACK dptsv; in 2D it is a nonsymmetric 9-point matrix with
-half-bandwidth nx - 1 in row-major order, written from the stencil into
-LAPACK's band storage and factored by a float64 band LU (band.py).  A 2D
-member keeps its factor across time steps and solves each later Newton
-system by defect correction with it, taking the product with J(w) from the
-stencil by shifted slices, until those solves have cost the flops of one
-factorization (a closed form in the bandwidth: 8 of them at 17^2, 32 at
-65^2) or the defect falls too slowly; then it refactors.  A correction
-stops at relative defect 1e-12 or at the floor
-1e-2 * tolerance * scale of the stopping rule below, whichever is larger:
-to first order the defect is the next residual, which it moves by at most
-1% of the stopping threshold.
+newton_direction picks the linear solver by dimension: in 1D the stencil
+is the symmetric positive definite tridiagonal
+I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved by LAPACK dptsv; in 2D it is a
+nonsymmetric 9-point matrix with half-bandwidth nx - 1 in row-major order,
+written from the stencil into LAPACK's band storage and factored by a
+float64 band LU (band.py).  A 2D member keeps its factor across time steps
+and solves each later Newton system by defect correction with it, taking
+the product with J(w) from the stencil by shifted slices, until those
+solves have cost the flops of one factorization (a closed form in the
+bandwidth: 8 of them at 17^2, 32 at 65^2) or the defect falls too slowly;
+then it refactors.  A correction stops at relative defect 1e-12 or at the
+floor 1e-2 * tolerance * scale of the stopping rule below, whichever is
+larger: to first order the defect is the next residual, which it moves by
+at most 1% of the stopping threshold.
 
 A backtracking line search (Armijo factor 1e-4, halving) on max|R|
 globalizes Newton, with no relaxation factor to tune.  Iteration stops once
@@ -67,19 +56,14 @@ Each member keeps its own start, line-search length, convergence test and
 iteration count, and is frozen once converged, so its iterates are
 bitwise those of a lone solve.  In 1D one dptsv call solves the uncoupled
 block tridiagonal of all members; in 2D each member is solved in turn,
-with its own factor.
-A member that fails (StepFailure or DivergenceError) drops itself and
-every later member while the earlier ones run to completion, which is the
-outcome of solving the members one after another and stopping at the
-first failure.
+with its own factor.  A member that fails (StepFailure or
+DivergenceError) drops itself and every later member while the earlier ones
+run to completion, which is the outcome of solving the members one after
+another and stopping at the first failure.
 
 weak_residual sums the step residual against a test field, so the discrete
 weak form of a computed solution holds to the solver tolerance in 1D and
-2D.  In 1D one step is also the minimizing movement of the convex
-integrand, and the discrete variational inequality holds up to iteration
-tolerance.  The averaged transverse gradient of the 2D flux makes the 2D
-step minimize no discrete energy exactly, so in 2D the inequality holds
-only up to a first-order error.
+2D; scheme.py states how far the discrete variational inequality holds.
 
 energy_reports takes the datum's terms once for all its fields, and
 variational_gap_curves the datum's sample and the integral of f(Du) once
@@ -93,7 +77,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -108,15 +91,14 @@ from .errors import (
 from .grid import (
     Domain,
     SpaceTimeField,
-    _grad_magnitude,
     _level_blocks,
-    _partial,
     _same_grid,
     _trapezoid_weights,
     boundary_frame,
     lp_norm,
 )
-from .model import IntegrandSpec, energy_density, flux_coefficient
+from .model import IntegrandSpec
+from .scheme import _grad_magnitude, _grad_norm, _Iterate, _Scheme
 
 # Line search: accept step length t once max|R| has fallen by the factor
 # 1 - ARMIJO * t; halve t down to MIN_STEP.
@@ -264,193 +246,6 @@ class SolveStats:
         return int(sum(self.iterations))
 
 
-# ---------------------------------------------------------------------------
-# the discretization
-
-
-class _Iterate(NamedTuple):
-    """The residual at a stack of iterates w (one per member, leading
-    axis), with the face quantities its Jacobian needs.
-
-    Per axis k: grads[k] is the normal difference quotient on the k-faces,
-    trans[k] the list of transverse gradients averaged onto them (empty in
-    1D) and coeffs[k] the pair (G, 2G') at s = grads[k]^2 + sum trans[k]^2.
-    """
-
-    w: np.ndarray
-    residual: np.ndarray  # R at the interior nodes
-    norm: np.ndarray  # max|R| per member
-    scale: np.ndarray  # max(1, |w|_inf, dt |div_h F|_inf) per member
-    grads: list
-    trans: list
-    coeffs: list
-
-    def take(self, rows):
-        """The same quantities for a subset of the members."""
-        return _Iterate(
-            self.w[rows], self.residual[rows], self.norm[rows], self.scale[rows],
-            [g[rows] for g in self.grads],
-            [[t[rows] for t in tk] for tk in self.trans],
-            [(big_g[rows], dg[rows]) for big_g, dg in self.coeffs],
-        )
-
-
-class _Scheme:
-    """The spatial discretization of one domain and integrand, which the
-    stepper, the weak residual and the variational gap read.  Fields carry
-    leading axes (members or time levels) before the n spatial ones.  a and b
-    are sampled on the faces and at the cell centres on first use, so a
-    caller pays only for the set it reads."""
-
-    def __init__(self, domain: Domain, spec: IntegrandSpec):
-        n = domain.n
-        self.dom, self.spec, self.dt, self.dx = domain, spec, domain.dt, domain.dx
-        self.spatial = tuple(range(-n, 0))
-        self.interior = (Ellipsis,) + (slice(1, -1),) * n
-        # per axis k, over the last n axes, the (east, west) index pairs of
-        # the nodes beside every k-face and of the k-faces beside every
-        # interior node
-        self.slices = [
-            tuple(tuple((Ellipsis,) + tuple(near if j == k else other for j in range(n))
-                        for near in (slice(1, None), slice(None, -1)))
-                  for other in (slice(None), slice(1, -1)))
-            for k in range(n)
-        ]
-        # Newton stencil geometry: per axis k the unit offsets +-e_k, the
-        # k-faces east and west of the interior nodes and dt/h_k^2; per
-        # transverse pair (k, j), in the order of _Iterate.trans, the cross
-        # factor dt/(4 h_k h_j)
-        self.units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-        self.east, self.west = zip(*(faces for _, faces in self.slices))
-        self.normal = [
-            (e, tuple(-a for a in e), self.dt / h**2, east, west)
-            for e, h, east, west in zip(self.units, self.dx, self.east, self.west)
-        ]
-        self.pairs = [
-            (k, j, self.dt / (4.0 * self.dx[min(j, k)] * self.dx[max(j, k)]))
-            for k in range(n) for j in range(n) if j != k
-        ]
-
-    @functools.cached_property
-    def face_coeffs(self) -> list:
-        """(a, b) per axis k on the k-faces, the midpoints along k."""
-        axes, coeffs = self.dom.axes, self.spec.coeffs
-        faces = (np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) if j == k else ax
-                               for j, ax in enumerate(axes)), indexing="ij")
-                 for k in range(self.dom.n))
-        return [(coeffs.a.at(*c), coeffs.b.at(*c)) for c in faces]
-
-    @functools.cached_property
-    def centre_coeffs(self) -> tuple:
-        """(a, b) at the cell centres."""
-        centres = np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) for ax in self.dom.axes), indexing="ij")
-        return self.spec.coeffs.a.at(*centres), self.spec.coeffs.b.at(*centres)
-
-    def face_gradients(self, w: np.ndarray) -> list:
-        """D_h w: per axis k the difference quotients on the k-faces, of
-        which there are nx - 1 along k and nx along every other axis."""
-        return [(w[east] - w[west]) / h for ((east, west), _), h in zip(self.slices, self.dx)]
-
-    def face_average(self, v: np.ndarray, k: int) -> np.ndarray:
-        """Mean of neighbouring node values along axis k, on the faces between."""
-        east, west = self.slices[k][0]
-        return 0.5 * (v[west] + v[east])
-
-    def face_divergence(self, fluxes: list) -> np.ndarray:
-        """div_h F, the negative adjoint of face_gradients: values at the
-        interior nodes, zero on the boundary frame.  Satisfies
-        sum(div F * phi) dV = -sum(F . D phi) dV exactly for phi vanishing on
-        the boundary."""
-        last = fluxes[-1]  # on the faces along the last axis: nx - 1 of them
-        out = np.zeros(last.shape[:-1] + (last.shape[-1] + 1,))
-        for f, h, (_, (east, west)) in zip(fluxes, self.dx, self.slices):
-            out[self.interior] += (f[east] - f[west]) / h
-        return out
-
-    def evaluate(self, w: np.ndarray, u_prev: np.ndarray, eps: np.ndarray) -> _Iterate:
-        """R(w) = w - u_prev - dt div_h F(D_h w) per member, eps the members'
-        regularization broadcast over the spatial axes, evaluating the face
-        coefficients once for both the residual and the Jacobian."""
-        n = self.dom.n
-        grads = self.face_gradients(w)
-        trans = [
-            [self.face_average(_partial(w, self.dom, j), k) for j in range(n) if j != k]
-            for k in range(n)
-        ]
-        s = [g**2 for g in grads]
-        for sk, tk in zip(s, trans):
-            for t in tk:
-                sk += t**2
-        coeffs = [
-            flux_coefficient(sk, a, b, self.spec, eps=eps, derivative=True)
-            for sk, (a, b) in zip(s, self.face_coeffs)
-        ]
-        div = self.face_divergence([c[0] * g for c, g in zip(coeffs, grads)])
-        residual = (w - u_prev - self.dt * div)[self.interior]
-        scale = np.maximum(
-            np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
-            self.dt * np.abs(div).max(axis=self.spatial),
-        )
-        return _Iterate(w, residual, np.abs(residual).max(axis=self.spatial), scale,
-                        grads, trans, coeffs)
-
-    def stencil(self, it: _Iterate) -> dict:
-        """dR/dw of every member as a stencil on the interior nodes:
-        {offset: coefficient per member and node}, offset 0 the diagonal.
-
-        The flux G(s) g on a k-face has derivative H dg + sum_j C_j dt_j with
-        H = G + 2G' g^2 and C_j = 2G' g t_j, where t_j averages the centred
-        j-difference over the face's two nodes.  H sits on the neighbours
-        +-e_k and the diagonal; C_j reaches +-e_j and +-e_k +- e_j.  The
-        order of accumulation fixes the rounding of every entry: the normal
-        weights of all axes first, then the cross weights in axis order,
-        east face before west.
-        """
-        diag = 1.0
-        entries = {}
-        for (e, neg, c, east, west), g, (big_g, dg) in zip(self.normal, it.grads, it.coeffs):
-            h = big_g + dg * g**2
-            diag = diag + c * (h[east] + h[west])
-            # one weight per face: the east and west entries are views of it,
-            # so nothing below may add into them in place
-            weight = -c * h
-            entries[e], entries[neg] = weight[east], weight[west]
-        entries = {(0,) * self.dom.n: diag, **entries}
-        # a k-face on side s of a node enters R with sign -s, and the
-        # transverse difference pairs +e_j with +1 and -e_j with -1
-        for (k, j, kappa), t in zip(self.pairs, itertools.chain.from_iterable(it.trans)):
-            e_k, e_j = self.units[k], self.units[j]
-            cross = kappa * it.coeffs[k][1] * it.grads[k] * t
-            for side, face in ((1, self.east[k]), (-1, self.west[k])):
-                v = cross[face]
-                for sign in (1, -1):
-                    value = -v if side * sign > 0 else v
-                    for off in (tuple(sign * b for b in e_j),
-                                tuple(side * a + sign * b for a, b in zip(e_k, e_j))):
-                        entries[off] = entries[off] + value if off in entries else value
-        return entries
-
-    def cell_energy(self, values: np.ndarray, eps: float) -> np.ndarray:
-        """integral of f(x, Dw) at every time level of values (time first), by
-        cell-centred staggered gradients, a block of levels at a time (see
-        grid._BLOCK_BYTES).  In 1D this is the step's own energy, so the
-        discrete variational inequality survives with the iteration tolerance;
-        in 2D it does not (the strict xfail of
-        TestVariationalGap::test_first_variation_vanishes)."""
-        n = self.dom.n
-        out = np.empty(len(values))
-        for block in _level_blocks(values):
-            s = 0.0  # |xi|^2, summed over the components in axis order
-            for k, component in enumerate(self.face_gradients(values[block])):
-                for j in range(n):
-                    if j != k:
-                        component = self.face_average(component, j)
-                s = s + component**2
-            f_vals = energy_density(s, *self.centre_coeffs, self.spec, eps=eps)
-            out[block] = f_vals.reshape(len(f_vals), -1).sum(axis=1)
-        return out * self.dom.cell_volume
-
-
 class _Stepper:
     """The Newton driver of the implicit step on one scheme, for a stack of
     members that share everything but eps: the members' eps, the frame's
@@ -485,9 +280,12 @@ class _Stepper:
         Returns (d, failure): failure is None, or (pos, DivergenceError) for
         the first member whose Newton matrix is not positive definite (1D) or
         singular (2D) or whose direction is not finite; d is valid for the
-        members before pos.  The linear solver depends on the dimension.  In
-        1D the matrix is tridiagonal (stencil entries 0 and +e_0) and one
-        dptsv call solves the block tridiagonal of all members.  Its blocks are uncoupled, so
+        members before pos.  The n == 1 branch is a selection by dimension,
+        with a benchmark workload on each side: a band LU per member costs
+        sweep-1d's six members 200-380 us per direction against 8-11 us for
+        one batched dptsv, +0.05-0.1 s on a 0.09 s op.  In 1D the matrix is
+        tridiagonal (stencil entries 0 and +e_0) and one dptsv call solves
+        the block tridiagonal of all members.  Its blocks are uncoupled, so
         each is eliminated exactly as it would be alone; if any block fails,
         or a non-finite value may have spread across blocks, each member is
         solved by itself.
@@ -881,7 +679,7 @@ def _dual_norm(cfg: SolveConfig) -> float:
         phi = np.ones((dom.nx,) * dom.n)
         for (lo, hi), c, k in zip(dom.box, grids, mode):
             phi = phi * np.sin(k * np.pi * (c - lo) / (hi - lo))
-        dphi_mag = np.sqrt(sum(_partial(phi, dom, axis) ** 2 for axis in range(dom.n)))
+        dphi_mag = _grad_norm(phi[None], dom)[0]
         den = float(
             np.sum((np.abs(phi) ** d.p_alpha + dphi_mag**d.p_alpha) * w)
         ) ** (1.0 / d.p_alpha)
@@ -903,6 +701,8 @@ def energy_reports(fields, cfg: SolveConfig, eps_values) -> list:
     datum's terms are the same for every field and are computed once; its
     eps-term is eps times one shared norm."""
     dom = cfg.domain
+    if len(fields) != len(eps_values):
+        raise ParameterError(f"{len(fields)} fields but {len(eps_values)} eps values")
     for u in fields:
         _same_grid(dom, u=u)
     d = cfg.spec.d

@@ -29,7 +29,8 @@ from pqlab import (
     slice_sup_l2,
     truncate_plus,
 )
-from pqlab.grid import _grad_magnitude, _partial, _resolve, _trapezoid_weights, boundary_frame
+from pqlab.grid import _resolve, _trapezoid_weights, boundary_frame
+from pqlab.scheme import _grad_magnitude, _partial
 
 
 def unit_domain(nx=65, nt=32, T=1.0):

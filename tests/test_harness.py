@@ -12,6 +12,8 @@ import pytest
 
 from pqlab import (
     ConfigError,
+    ParameterError,
+    StepFailure,
     SweepReport,
     comparison_maps,
     emit_config,
@@ -322,8 +324,6 @@ class TestConfig:
 
     def test_gap_violation_rejected(self, tmp_path):
         broken = MINIMAL.replace("q = 2.1", "q = 2.5")
-        from pqlab import ParameterError
-
         with pytest.raises(ParameterError, match="gap"):
             load_config(write(tmp_path, broken))
 
@@ -515,6 +515,33 @@ class TestSweep:
         assert SweepReport(config=cfg, varsol=[curve("b", [0.2, 0.3]), curve("c", [0.5, -0.1])]
                            ).min_normalized_gap == -0.1
         assert SweepReport(config=cfg).min_normalized_gap == math.inf
+
+    def test_target_bounds_rejects_eps_values_of_another_length(self, tmp_path):
+        # zip dropped the fields without an eps: two fields gave one row
+        cfg = load_config(write(tmp_path, SWEEP_CFG))
+        u, _ = solve(cfg.solve_config())
+        with pytest.raises(ParameterError, match="2 fields but 1 eps values"):
+            harness.target_bounds(cfg, [u, u], [0.25])
+        with pytest.raises(ParameterError, match="1 fields but 0 eps values"):
+            harness.target_bounds(cfg, [u], [])
+        assert len(harness.target_bounds(cfg, [u, u])) == 2
+
+    def test_failed_level_keeps_the_solved_ones(self, tmp_path, monkeypatch):
+        # a level that fails ends the schedule: the diagnostics take the
+        # levels before it, at their own eps
+        cfg = load_config(write(tmp_path, SWEEP_CFG))
+        solve_levels = harness.solve_levels
+
+        def fail_at_third(scfg, schedule):
+            results, _ = solve_levels(scfg, schedule[:2])
+            return results, StepFailure("stalled", t=0.1)
+
+        monkeypatch.setattr(harness, "solve_levels", fail_at_third)
+        report = run_sweep(cfg)
+        assert report.failure == "stalled"
+        assert [lv.eps for lv in report.levels] == [0.25, 0.125]
+        for lv in report.levels:
+            assert lv.energy == energy_report(lv.field, cfg.solve_config(lv.eps))
 
     def test_i_o_matches_thresholds(self, tmp_path):
         cfg = load_config(write(tmp_path, SWEEP_CFG))

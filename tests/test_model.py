@@ -72,6 +72,20 @@ class TestCoefficients:
         assert np.isfinite(norms).all()
         assert max(norms) / min(norms) < 1.05
 
+    def test_power_law_center_needs_a_number_per_axis(self):
+        # zipped with the coordinates, a 1D centre on a 2D grid dropped y and
+        # made a vanish on the whole line x = 0.3
+        c = Coefficient("power", center=(0.3,), exponent=1.0)
+        with pytest.raises(ParameterError, match=r"center \(0\.3,\) needs 2 numbers"):
+            c.at(np.array([0.3]), np.array([0.9]))
+        dom = Domain(n=2, box=((0.0, 1.0),) * 2, T=1.0, nx=5, nt=2)
+        with pytest.raises(ParameterError, match="needs 2 numbers"):
+            c.sample(dom)
+        with pytest.raises(ParameterError, match="needs 1 numbers"):
+            Coefficient("power", center=(0.3, 0.5)).at(np.array([0.3]))
+        assert Coefficient("power", center=(0.3, 0.5), exponent=1.0).at(
+            np.array([0.3]), np.array([0.9]))[0] == pytest.approx(0.4)
+
     def test_sample_constant_in_time(self):
         dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=9, nt=4)
         f = Coefficient("power", center=(0.3,), exponent=1.0).sample(dom)

@@ -42,7 +42,8 @@ from pqlab import (
 )
 from pqlab import solver
 from pqlab.band import band_storage, stencil_product
-from pqlab.solver import _Scheme, _Stepper
+from pqlab.scheme import _Scheme
+from pqlab.solver import _Stepper
 
 
 def heat_config(nx=65, nt=400, T=0.1, n=1, g=None):
@@ -1374,6 +1375,14 @@ class TestEnergyReport:
         other = constant_field(dataclasses.replace(cfg.domain, nt=8), 0.0)
         with pytest.raises(ParameterError, match="u lives on a different grid"):
             energy_reports([fields[0], other], cfg, schedule[:2])
+
+    def test_batched_rejects_eps_values_of_another_length(self):
+        # zip dropped the fields without an eps: two fields gave one report
+        cfg, schedule, fields = _batch_config(1)
+        with pytest.raises(ParameterError, match="2 fields but 1 eps values"):
+            energy_reports([fields[0], fields[0]], cfg, schedule[:1])
+        with pytest.raises(ParameterError, match="1 fields but 2 eps values"):
+            energy_reports(fields[:1], cfg, schedule[:2])
 
     def test_zero_datum_all_zero(self):
         cfg = heat_config(nx=17, nt=16, g=BoundaryDatum(kind="zero"))

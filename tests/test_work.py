@@ -2,11 +2,12 @@
 diagnostics.
 
 The work ledger counts what the solver does on the problems of the
-benchmark's solve-2d and sweep-1d workloads.  Counts are deterministic where
-timings are not, so they are the first evidence of a performance change.
-Each bound is today's count plus about 3%: NumPy and SciPy versions round
-differently and may move a count by one.  A change that lowers a count
-tightens its bound; one that raises a count says so and why.
+benchmark's three workloads: the solve-2d and sweep-1d solves and the
+diagnostics-2d set-up solve.  Counts are deterministic where timings are
+not, so they are the first evidence of a performance change.  Each bound is
+today's count plus about 3%: NumPy and SciPy versions round differently and
+may move a count by one.  A change that lowers a count tightens its bound;
+one that raises a count says so and why.
 """
 
 import tracemalloc
@@ -25,47 +26,70 @@ from pqlab import (
     solver,
     variational_gap_curves,
 )
-from pqlab.solver import _Scheme, _Stepper
+from pqlab.scheme import _Scheme
+from pqlab.solver import _Stepper
 
 from test_solver import _count_evaluations, _probe_config_2d, degenerate_config
+
+
+def _count_linear_work(monkeypatch):
+    """Count the band factorizations, their solves and the defect-correction
+    solves among them from then on: returns the dict {"factorizations",
+    "solves", "corrections"}."""
+    counts = {"factorizations": 0, "solves": 0, "corrections": 0}
+
+    class Counted(solver.BandLU):
+        def __init__(self, *args):
+            counts["factorizations"] += 1
+            super().__init__(*args)
+
+        def solve(self, b):
+            counts["solves"] += 1
+            return super().solve(b)
+
+    defect_correction = solver._defect_correction
+
+    def counted_correction(*args):
+        x, solves = defect_correction(*args)
+        counts["corrections"] += solves
+        return x, solves
+
+    monkeypatch.setattr(solver, "BandLU", Counted)
+    monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+    return counts
 
 
 class TestWorkLedger:
     def test_solve_2d(self, monkeypatch):
         # p = 2, q = 2.1, alpha = beta = 20 at 65^2 x 64: 104 Newton
-        # iterations, 12 band factorizations with a direct solve each and
-        # 395 correction solves
+        # iterations, 12 band factorizations with a direct solve each,
+        # 395 correction solves and 231 member rows evaluated
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=65, nt=64, alpha=20.0)
-        counts = {"factorizations": 0, "solves": 0, "corrections": 0}
-
-        class Counted(solver.BandLU):
-            def __init__(self, *args):
-                counts["factorizations"] += 1
-                super().__init__(*args)
-
-            def solve(self, b):
-                counts["solves"] += 1
-                return super().solve(b)
-
-        defect_correction = solver._defect_correction
-
-        def counted_correction(*args):
-            x, solves = defect_correction(*args)
-            counts["corrections"] += solves
-            return x, solves
-
-        monkeypatch.setattr(solver, "BandLU", Counted)
-        monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+        counts = _count_linear_work(monkeypatch)
+        evaluations = _count_evaluations(monkeypatch)
         _, stats = solve(cfg)
         assert stats.total_iterations <= 107
         assert counts["factorizations"] <= 13
         assert counts["solves"] - counts["corrections"] == counts["factorizations"]
         assert counts["corrections"] <= 407
+        assert evaluations["rows"] <= 238
+
+    def test_diagnostics_2d_setup(self, monkeypatch):
+        # the diagnostics-2d set-up solve, the same problem at 33^2 x 32: 70
+        # Newton iterations, 14 band factorizations with a direct solve each
+        # and 258 correction solves
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0)
+        counts = _count_linear_work(monkeypatch)
+        _, stats = solve(cfg)
+        assert stats.total_iterations <= 72
+        assert counts["factorizations"] <= 15
+        assert counts["solves"] - counts["corrections"] == counts["factorizations"]
+        assert counts["corrections"] <= 266
 
     def test_sweep_1d(self, monkeypatch):
         # the degenerate 1D preset at 65 x 256 and six eps-levels, solved
         # together: 269 batched Newton iterations, one tridiagonal solve
-        # each, and 281 evaluations of the residual
+        # each, and 281 evaluations of the residual over 4662 member rows
         directions = []
         newton_direction = _Stepper.newton_direction
 
@@ -79,6 +103,7 @@ class TestWorkLedger:
         assert failure is None and len(results) == 6
         assert len(directions) <= 277
         assert evaluations["calls"] <= 290
+        assert evaluations["rows"] <= 4802
 
 
 @pytest.fixture(scope="module")
