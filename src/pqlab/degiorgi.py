@@ -29,8 +29,6 @@ from .grid import (
     _resolve,
     _same_grid,
     cylinder_in_domain,
-    ess_sup,
-    region_measure,
 )
 from .model import IntegrandSpec
 from .scheme import _grad_norm
@@ -85,8 +83,8 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     # (u - k)_+ only at the time levels of the two cylinders, over the whole
     # space so that its gradient is that of the whole field
     dom = u.domain
-    t_in, ball_in = _resolve(dom, inner)
-    t_out, ball_out = _resolve(dom, outer)
+    t_in, ball_in, _ = _resolve(dom, inner)
+    t_out, ball_out, measure = _resolve(dom, outer)
     levels = t_in | t_out
     trunc = np.maximum(u.values[levels] - k, 0.0)
     inner_vals = trunc[t_in[levels]]
@@ -96,7 +94,7 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     q, p = d.q, d.p
 
     sup_term = float((inner_vals[:, ball_in] ** 2).sum(axis=1).max() * dom.cell_volume)
-    if sup_term == 0.0 and _node_integral(outer_vals, 1.0, dom) / region_measure(dom, outer) == 0.0:
+    if sup_term == 0.0 and _node_integral(outer_vals, 1.0, dom) / measure == 0.0:
         return CaccioppoliSides((0.0,) * 3, (0.0,) * 4)
 
     dmag = _grad_norm(inner_vals, dom)[:, ball_in]
@@ -125,12 +123,12 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     return CaccioppoliSides(lhs_terms, (t_mu, t_hoelder, t_eps, t_time))
 
 
-def _truncated_mean(u: SpaceTimeField, k: float, r: float, cyl: Cylinder) -> float:
+def _truncated_mean(u: SpaceTimeField, k: float, r: float, nodes: tuple) -> float:
     """mean_integral(truncate_plus(u, k), r, cyl), truncating only the
-    cylinder's nodes."""
-    t_mask, ball = _resolve(u.domain, cyl)
+    cylinder's nodes, given as _resolve(u.domain, cyl)."""
+    t_mask, ball, measure = nodes
     vals = np.maximum(u.values[t_mask][:, ball] - k, 0.0)
-    return _node_integral(vals, r, u.domain) / region_measure(u.domain, cyl)
+    return _node_integral(vals, r, u.domain) / measure
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
     x_i = np.empty(n_steps + 1)
     for i in range(n_steps + 1):
         cyl = Cylinder(q0.center, float(rho_i[i]), float(sigma_i[i]))
-        x_i[i] = _truncated_mean(u, float(k_i[i]), d.m, cyl)
+        x_i[i] = _truncated_mean(u, float(k_i[i]), d.m, _resolve(dom, cyl))
 
     lam, c_fit, c_i = _fit_recursion(x_i, d.kappa)
     if c_fit > 0:
@@ -345,7 +343,8 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
 def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
                      spec: IntegrandSpec, c_cal: float):
     """The part of verify_sup_bound that reads neither the field nor eps:
-    the cylinder check and the coefficient norms on Q_{2rho,2sigma}(z_o).
+    the cylinder check, the nodes of Q_{2rho,2sigma}(z_o) and of its top
+    half Q_{rho,sigma}(z_o), and the coefficient norms on the former.
     Returns check(u, spec), the part per field, at spec's eps."""
     center = tuple(z_o)
     q0 = Cylinder(center, 2.0 * rho, 2.0 * sigma)
@@ -354,21 +353,22 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
             f"cylinder Q(2rho={2 * rho}, 2sigma={2 * sigma}) at {z_o} leaves the domain"
         )
     # a and b at the cylinder's nodes only: they are constant in time
-    t_mask, ball = _resolve(domain, q0)
+    t_mask, ball, measure = base = _resolve(domain, q0)
     at_ball = [c[ball] for c in domain.meshgrid()]
     shape = (int(t_mask.sum()), len(at_ball[0]))
     norms = _region_norms(*(np.broadcast_to(c.at(*at_ball), shape)
                             for c in (spec.coeffs.a, spec.coeffs.b)),
-                          spec.params.alpha, spec.params.beta, domain, q0)
+                          spec.params.alpha, spec.params.beta, domain, q0, measure)
+    top_t, top_ball, _ = _resolve(domain, Cylinder(center, rho, sigma))
 
     def check(u: SpaceTimeField, spec: IntegrandSpec) -> BoundReport:
         _same_grid(domain, u=u)
         d = spec.d
-        mean_um = _truncated_mean(u, 0.0, d.m, q0)
+        mean_um = _truncated_mean(u, 0.0, d.m, base)
         k_choice = choose_level_k(mean_um, norms.norm_a, norms.norm_b, rho, sigma,
                                   spec.params.mu, d, c_cal)
         k_thm = theorem_bound(mean_um, rho, sigma, d, c_cal)
-        ess = ess_sup(u, Cylinder(center, rho, sigma))
+        ess = float(u.values[top_t][:, top_ball].max())
         threshold = (epsilon_threshold(k_choice, rho, norms.norm_a, norms.norm_b, d)
                      if k_choice > 0 else math.inf)
         return BoundReport(

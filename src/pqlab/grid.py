@@ -10,7 +10,8 @@ trapezoid weights in every axis (exact for constants, second order for
 smooth integrands).  Cylinder integrals use the node-counting rule: the set
 of nodes with |x - x_o| < rho and t_o - sigma < t <= t_o, each weighted by
 one cell volume, so that discrete mean integrals and raw integrals are
-related by the exact region measure.  Suprema over regions are node maxima.
+related by the exact region measure, which comes with the node masks when
+a region is resolved.  Suprema over regions are node maxima.
 
 Binary dump layout (little-endian): magic b"PQF1", uint32 n, uint32 nx,
 uint32 nt, per-axis float64 (lo, hi), float64 T, then the field values as
@@ -183,11 +184,12 @@ def _check_center(domain: Domain, cyl: Cylinder) -> None:
 
 
 def _resolve(domain: Domain, region) -> tuple:
-    """(time_mask, space_mask) node masks for a region (None = everything):
+    """(time_mask, space_mask, region_measure) of a region (None = every node):
     t_o - sigma < t <= t_o to 1e-12 max(1, |t_o|, sigma), and
     sum_k (x_k - c_k)^2 < rho^2 as an outer sum over the 1-D axes."""
     if region is None:
-        return np.ones(domain.nt + 1, bool), np.ones((domain.nx,) * domain.n, bool)
+        return (np.ones(domain.nt + 1, bool), np.ones((domain.nx,) * domain.n, bool),
+                float(np.prod([hi - lo for lo, hi in domain.box])) * domain.T)
     _check_center(domain, region)
     t = domain.times
     tol = 1e-12 * max(1.0, abs(region.t), region.sigma)
@@ -199,16 +201,13 @@ def _resolve(domain: Domain, region) -> tuple:
             f"region around {region.center} (rho={region.rho}, sigma={region.sigma}) "
             "contains no grid nodes"
         )
-    return tm, sm
+    return tm, sm, int(tm.sum()) * int(sm.sum()) * domain.cell_volume * domain.dt
 
 
 def region_measure(domain: Domain, region) -> float:
     """Measure of a region: continuum for the whole box, node count times
     cell volume for cylinders."""
-    if region is None:
-        return float(np.prod([hi - lo for lo, hi in domain.box])) * domain.T
-    tm, sm = _resolve(domain, region)
-    return int(tm.sum()) * int(sm.sum()) * domain.cell_volume * domain.dt
+    return _resolve(domain, region)[2]
 
 
 def _trapezoid_weights(domain: Domain, time: bool = True, levels=slice(None)) -> np.ndarray:
@@ -236,7 +235,7 @@ def _integrate_power(f: SpaceTimeField, r: float, region) -> float:
         for block in _level_blocks(vals):
             vals[block] *= _trapezoid_weights(dom, levels=block)
         return float(np.sum(vals))
-    tm, sm = _resolve(dom, region)
+    tm, sm, _ = _resolve(dom, region)
     return _node_integral(f.values[tm][:, sm], r, dom)
 
 
@@ -260,7 +259,10 @@ def _check_exponent(r: float) -> None:
 
 def mean_integral(f: SpaceTimeField, r: float, region=None) -> float:
     """Mean of |f|**r over the region; callers take roots themselves."""
-    return _integrate_power(f, r, region) / region_measure(f.domain, region)
+    if region is None:
+        return _integrate_power(f, r, None) / region_measure(f.domain, None)
+    tm, sm, measure = _resolve(f.domain, region)
+    return _node_integral(f.values[tm][:, sm], r, f.domain) / measure
 
 
 def truncate_plus(f: SpaceTimeField, k: float) -> SpaceTimeField:
@@ -270,14 +272,14 @@ def truncate_plus(f: SpaceTimeField, k: float) -> SpaceTimeField:
 
 def ess_sup(f: SpaceTimeField, region=None) -> float:
     """Node maximum of f over the region."""
-    tm, sm = _resolve(f.domain, region)
+    tm, sm, _ = _resolve(f.domain, region)
     return float(f.values[tm][:, sm].max())
 
 
 def slice_sup_l2(f: SpaceTimeField, cyl: Cylinder) -> float:
     """sup over cylinder times of the spatial integral of f**2 over the ball."""
     dom = f.domain
-    tm, sm = _resolve(dom, cyl)
+    tm, sm, _ = _resolve(dom, cyl)
     slices = f.values[tm][:, sm] ** 2
     return float(slices.sum(axis=1).max() * dom.cell_volume)
 
@@ -332,14 +334,15 @@ def coefficient_norms(a: SpaceTimeField, b: SpaceTimeField, alpha: float,
     error."""
     dom = a.domain
     _same_grid(dom, b=b)
-    tm, sm = _resolve(dom, region)
-    return _region_norms(a.values[tm][:, sm], b.values[tm][:, sm], alpha, beta, dom, region)
+    tm, sm, measure = _resolve(dom, region)
+    return _region_norms(a.values[tm][:, sm], b.values[tm][:, sm], alpha, beta, dom,
+                         region, measure)
 
 
 def _region_norms(a_vals, b_vals, alpha: float, beta: float, domain: Domain,
-                  region) -> CoefficientNorms:
-    """coefficient_norms from a and b at the region's nodes, ordered as
-    f.values[tm][:, sm] orders them for the masks of _resolve."""
+                  region, measure: float) -> CoefficientNorms:
+    """coefficient_norms from a and b at the nodes of a region of that measure,
+    ordered as f.values[tm][:, sm] orders them for the masks of _resolve."""
     with np.errstate(divide="ignore"):
         inv_a = 1.0 / np.maximum(a_vals, 0)
     if not np.all(np.isfinite(inv_a)):
@@ -347,7 +350,6 @@ def _region_norms(a_vals, b_vals, alpha: float, beta: float, domain: Domain,
             "coefficient a vanishes at a grid node; 1/a is not integrable on "
             "the discrete region (move the degeneracy off-node or floor it)"
         )
-    measure = region_measure(domain, region)
 
     def norms(vals, r):
         """(mean, raw) norm with exponent r of the region's node values vals."""

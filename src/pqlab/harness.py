@@ -369,7 +369,7 @@ def _target_mask(cfg: ExperimentConfig) -> np.ndarray:
     dom = cfg.domain
     mask = np.zeros((dom.nt + 1, dom.nx**dom.n), bool)
     for center, rho, sigma in cfg.target_cylinders():
-        tm, sm = _resolve(dom, Cylinder(center, rho, sigma))
+        tm, sm, _ = _resolve(dom, Cylinder(center, rho, sigma))
         mask |= tm[:, None] & sm.ravel()[None, :]
     return mask if cfg.targets else ~mask
 
@@ -380,9 +380,11 @@ def target_bounds(cfg: ExperimentConfig, fields, eps_values=None) -> list:
     and coefficient norms are taken once, for all the fields."""
     checks = [_sup_bound_check(cfg.domain, center, rho, sigma, cfg.integrand(), cfg.c_cal)
               for center, rho, sigma in cfg.target_cylinders()]
-    if eps_values is not None and len(eps_values) != len(fields):
+    if eps_values is None:
+        eps_values = [None] * len(fields)
+    if len(eps_values) != len(fields):
         raise ParameterError(f"{len(fields)} fields but {len(eps_values)} eps values")
-    specs = map(cfg.integrand, eps_values or [None] * len(fields))
+    specs = map(cfg.integrand, eps_values)
     return [[check(u, spec) for check in checks] for u, spec in zip(fields, specs)]
 
 

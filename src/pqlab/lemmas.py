@@ -24,9 +24,9 @@ from .errors import ParameterError, PreconditionError
 from .grid import (
     Cylinder,
     SpaceTimeField,
+    _node_integral,
     _resolve,
     boundary_frame,
-    mean_integral,
 )
 from .scheme import _grad_magnitude
 
@@ -76,7 +76,7 @@ def interpolation_ratio(v: SpaceTimeField, cyl: Cylinder, p_alpha: float) -> flo
     the zero field is 0.
     """
     dom = v.domain
-    tm, sm = _resolve(dom, cyl)
+    tm, sm, measure = _resolve(dom, cyl)
     n = dom.n
 
     # lateral support check: nodes at or outside the sphere, plus the box
@@ -91,16 +91,14 @@ def interpolation_ratio(v: SpaceTimeField, cyl: Cylinder, p_alpha: float) -> flo
         )
 
     m_exp = p_alpha * (n + 2.0) / n
-    lhs = mean_integral(v, m_exp, cyl)
+    nodes = v.values[tm][:, sm]
+    lhs = _node_integral(nodes, m_exp, dom) / measure
     if lhs == 0.0:
         return 0.0
 
-    ball_count = int(sm.sum())
-    slices = v.values[tm][:, sm] ** 2
-    sup_mean_sq = float(slices.sum(axis=1).max()) / ball_count
-
-    dv_mag = _grad_magnitude(v)
-    rhs = sup_mean_sq ** (p_alpha / n) * cyl.rho**p_alpha * mean_integral(dv_mag, p_alpha, cyl)
+    sup_mean_sq = float((nodes**2).sum(axis=1).max()) / int(sm.sum())
+    mean_dv = _node_integral(_grad_magnitude(v).values[tm][:, sm], p_alpha, dom) / measure
+    rhs = sup_mean_sq ** (p_alpha / n) * cyl.rho**p_alpha * mean_dv
     return lhs / rhs if rhs > 0 else math.inf
 
 

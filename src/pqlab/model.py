@@ -72,8 +72,7 @@ class Coefficient:
     def sample(self, domain: Domain) -> SpaceTimeField:
         """Sample on the grid, constant in time."""
         spatial = self.at(*domain.meshgrid())
-        values = np.broadcast_to(spatial, domain.shape)
-        return SpaceTimeField(domain, np.array(values))
+        return SpaceTimeField(domain, np.broadcast_to(spatial, domain.shape))
 
 
 @dataclass(frozen=True)
@@ -156,23 +155,11 @@ def integrand(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -
 
 
 def energy_density(s, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:
-    """f_i at s = |xi|^2, as flux_coefficient takes its argument.  The terms
-    a/p (mu^2 + s)^(p/2) + b/q (mu^2 + s)^(q/2) + eps s^(q_beta/2) are formed
-    in this order in two arrays of the size of s, in place, so the values are
-    bitwise those of the formula written out."""
+    """f_i at s = |xi|^2, as flux_coefficient takes its argument."""
     if eps is None:
         eps = spec.eps
     s = np.asarray(s, float)
     p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    r = np.empty(np.broadcast_shapes(s.shape, np.shape(a_val), np.shape(b_val)))
-    np.add(spec.params.mu**2, s, out=r)
-    out = r ** (p / 2.0)
-    out *= np.asarray(a_val, float) / p
-    r **= q / 2.0
-    r *= np.asarray(b_val, float) / q
-    out += r
-    r[...] = s
-    r **= qb / 2.0
-    r *= eps
-    out += r
-    return out
+    r = spec.params.mu**2 + s
+    return (r ** (p / 2.0) * (np.asarray(a_val, float) / p)
+            + r ** (q / 2.0) * (np.asarray(b_val, float) / q) + s ** (qb / 2.0) * eps)

@@ -526,6 +526,16 @@ class TestSweep:
             harness.target_bounds(cfg, [u], [])
         assert len(harness.target_bounds(cfg, [u, u])) == 2
 
+    def test_target_bounds_takes_an_array_of_eps(self, tmp_path):
+        # an array of two eps has no truth value, and np.array([0.0]) is
+        # falsy, which left the config's eps in the report
+        cfg = load_config(write(tmp_path, SWEEP_CFG))
+        u, _ = solve(cfg.solve_config())
+        for eps_values in ([0.25, 0.125], [0.0]):
+            by_list = harness.target_bounds(cfg, [u] * len(eps_values), eps_values)
+            assert [b.eps for b in by_list[-1]] == [eps_values[-1]] * len(cfg.targets)
+            assert harness.target_bounds(cfg, [u] * len(eps_values), np.array(eps_values)) == by_list
+
     def test_failed_level_keeps_the_solved_ones(self, tmp_path, monkeypatch):
         # a level that fails ends the schedule: the diagnostics take the
         # levels before it, at their own eps

@@ -1,5 +1,5 @@
-"""The solver's work at the benchmark's sizes, and the working memory of the
-diagnostics.
+"""The solver's work at the benchmark's sizes, the working memory of the
+diagnostics, and how often they resolve a cylinder.
 
 The work ledger counts what the solver does on the problems of the
 benchmark's three workloads: the solve-2d and sweep-1d solves and the
@@ -12,18 +12,28 @@ one that raises a count says so and why.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pqlab import (
     Cylinder,
+    Domain,
+    ExperimentConfig,
     caccioppoli_sides,
     coefficient_norms,
     comparison_maps,
+    degiorgi,
     energy_report,
+    field_from_function,
     grid,
+    harness,
+    interpolation_ratio,
+    lemmas,
+    mean_integral,
     solve,
     solve_levels,
     solver,
+    trace,
     variational_gap_curves,
 )
 from pqlab.scheme import _Scheme
@@ -137,8 +147,9 @@ class TestWorkingMemory:
     """The diagnostics' temporaries are blocks of time levels, not copies of
     the field (287,496 bytes here).  The peaks before blocking were
     2,841,881 bytes for the six gap curves, 1,293,784 for the energy report
-    and 1,266,880 for the Caccioppoli sides; now they are about 910,000,
-    1,098,000 and 432,000."""
+    and 1,266,880 for the Caccioppoli sides; now they are about 979,000,
+    1,098,000 and 432,000.  The gap curves' peak holds the energy density's
+    temporaries over one block, formed as its formula is written."""
 
     def test_gap_curves(self, diagnostics_field):
         cfg, u = diagnostics_field
@@ -183,3 +194,70 @@ class TestWorkingMemory:
         blocked = outputs()
         monkeypatch.setattr(grid, "_BLOCK_BYTES", block_bytes)
         assert outputs() == blocked
+
+
+def _count_resolves(monkeypatch):
+    """The region of every grid._resolve call from then on, through each
+    module that imports it."""
+    regions = []
+    resolve = grid._resolve
+
+    def counted(domain, region):
+        regions.append(region)
+        return resolve(domain, region)
+
+    for module in (grid, degiorgi, lemmas, harness):
+        monkeypatch.setattr(module, "_resolve", counted)
+    return regions
+
+
+class TestEachCylinderResolvedOnce:
+    """A cylinder's node masks and measure come from one _resolve call, so a
+    diagnostic resolves each cylinder it reads once per call.  Before, the
+    measure was a second call: 58 calls per diagnostics-2d op and 66 per
+    sweep-1d op, now 32 and 12."""
+
+    def test_caccioppoli_sides(self, diagnostics_field, monkeypatch):
+        # a level above the field's maximum takes the early return, which
+        # also reads the outer cylinder's measure
+        cfg, u = diagnostics_field
+        spec = cfg.spec
+        inner, outer = _cylinders()
+        norms = coefficient_norms(spec.coeffs.a.sample(u.domain), spec.coeffs.b.sample(u.domain),
+                                  20.0, 20.0, outer)
+        regions = _count_resolves(monkeypatch)
+        for k in (0.0, 0.4, 2.0):
+            regions.clear()
+            caccioppoli_sides(u, k, inner, outer, norms, spec.d, mu=0.0, eps=0.5)
+            assert regions == [inner, outer]
+
+    def test_trace(self, diagnostics_field, monkeypatch):
+        cfg, u = diagnostics_field
+        regions = _count_resolves(monkeypatch)
+        tr = trace(u, _cylinders()[1], 0.3, cfg.spec.d)
+        assert len(tr.x_i) > 2
+        assert len(regions) == len(set(regions)) == len(tr.x_i)
+
+    def test_interpolation_ratio_and_mean(self, monkeypatch):
+        dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=129, nt=32)
+        v = field_from_function(dom, lambda x, t: np.sin(np.pi * x) * (1 + 0.5 * t))
+        cyl = Cylinder((0.5, 1.0), 0.5 + 1e-9, 0.6)
+        regions = _count_resolves(monkeypatch)
+        assert 0.0 < interpolation_ratio(v, cyl, 1.9) < float("inf")
+        assert regions == [cyl]
+        regions.clear()
+        mean_integral(v, 2.0, cyl)
+        assert regions == [cyl]
+
+    @pytest.mark.parametrize("n_fields", [1, 3])
+    def test_target_bounds(self, n_fields, diagnostics_field, monkeypatch):
+        # the base cylinder and its top half, once per target for all fields
+        cfg, u = diagnostics_field
+        targets = (((0.5, 0.5, 0.12), 0.2), ((0.45, 0.55, 0.2), 0.15),
+                   ((0.55, 0.45, 0.28), 0.12))
+        ecfg = ExperimentConfig(params=cfg.spec.params, domain=cfg.domain,
+                                coeffs=cfg.spec.coeffs, g=cfg.g, targets=targets)
+        regions = _count_resolves(monkeypatch)
+        reports = harness.target_bounds(ecfg, [u] * n_fields)
+        assert len(reports) == n_fields and all(len(r) == len(targets) for r in reports)
+        assert len(regions) == len(set(regions)) == 2 * len(targets)
