@@ -31,7 +31,7 @@ from .grid import (
     cylinder_in_domain,
 )
 from .model import IntegrandSpec
-from .scheme import _grad_norm
+from .scheme import gradient_powers
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,9 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
     if sup_term == 0.0 and _node_integral(outer_vals, 1.0, dom) / measure == 0.0:
         return CaccioppoliSides((0.0,) * 3, (0.0,) * 4)
 
-    dmag = _grad_norm(inner_vals, dom)[:, ball_in]
-    grad_int = _node_integral(dmag, d.p_alpha, dom)
+    grad_int, grad_qb = gradient_powers(inner_vals, dom, (d.p_alpha, d.q_beta), ball_in)
     alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
-    lhs_terms = (
-        sup_term,
-        grad_int**alpha_exp / norms.raw_a,
-        eps * _node_integral(dmag, d.q_beta, dom),
-    )
+    lhs_terms = (sup_term, grad_int**alpha_exp / norms.raw_a, eps * grad_qb)
 
     t_mu = (
         mu ** (q - 1.0)
@@ -337,7 +332,7 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
     if spec.params.n != u.domain.n:
         raise ParameterError(
             f"spec has n = {spec.params.n} but the field has n = {u.domain.n}")
-    return _sup_bound_check(u.domain, z_o, rho, sigma, spec, c_cal)(u, spec)
+    return _sup_bound_check(u.domain, z_o, rho, sigma, spec, c_cal)[0](u, spec)
 
 
 def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
@@ -345,7 +340,7 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
     """The part of verify_sup_bound that reads neither the field nor eps:
     the cylinder check, the nodes of Q_{2rho,2sigma}(z_o) and of its top
     half Q_{rho,sigma}(z_o), and the coefficient norms on the former.
-    Returns check(u, spec), the part per field, at spec's eps."""
+    Returns check(u, spec), the part per field, and the top half's (t_mask, ball)."""
     center = tuple(z_o)
     q0 = Cylinder(center, 2.0 * rho, 2.0 * sigma)
     if not cylinder_in_domain(domain, q0):
@@ -387,4 +382,4 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
             mean_um=mean_um,
             passed=ess <= k_choice,
         )
-    return check
+    return check, (top_t, top_ball)

@@ -226,17 +226,13 @@ def _trapezoid_weights(domain: Domain, time: bool = True, levels=slice(None)) ->
     return functools.reduce(np.multiply.outer, weights)
 
 
-def _integrate_power(f: SpaceTimeField, r: float, region) -> float:
-    """integral of |f|**r over the region."""
-    dom = f.domain
-    if region is None:
-        vals = np.abs(f.values)
-        vals **= r
-        for block in _level_blocks(vals):
-            vals[block] *= _trapezoid_weights(dom, levels=block)
-        return float(np.sum(vals))
-    tm, sm, _ = _resolve(dom, region)
-    return _node_integral(f.values[tm][:, sm], r, dom)
+def _integrate_power(values: np.ndarray, r: float, domain: Domain) -> float:
+    """integral of |values|**r over the whole box, values a field's nodes."""
+    vals = np.abs(values)
+    vals **= r
+    for block in _level_blocks(vals):
+        vals[block] *= _trapezoid_weights(domain, levels=block)
+    return float(np.sum(vals))
 
 
 def _node_integral(vals: np.ndarray, r: float, domain: Domain) -> float:
@@ -249,7 +245,10 @@ def _node_integral(vals: np.ndarray, r: float, domain: Domain) -> float:
 def lp_norm(f: SpaceTimeField, r: float, region=None) -> float:
     """Discrete L^r norm of f over the region, r >= 1 finite."""
     _check_exponent(r)
-    return _integrate_power(f, r, region) ** (1.0 / r)
+    if region is None:
+        return _integrate_power(f.values, r, f.domain) ** (1.0 / r)
+    tm, sm, _ = _resolve(f.domain, region)
+    return _node_integral(f.values[tm][:, sm], r, f.domain) ** (1.0 / r)
 
 
 def _check_exponent(r: float) -> None:
@@ -260,7 +259,7 @@ def _check_exponent(r: float) -> None:
 def mean_integral(f: SpaceTimeField, r: float, region=None) -> float:
     """Mean of |f|**r over the region; callers take roots themselves."""
     if region is None:
-        return _integrate_power(f, r, None) / region_measure(f.domain, None)
+        return _integrate_power(f.values, r, f.domain) / region_measure(f.domain, None)
     tm, sm, measure = _resolve(f.domain, region)
     return _node_integral(f.values[tm][:, sm], r, f.domain) / measure
 
@@ -355,11 +354,9 @@ def _region_norms(a_vals, b_vals, alpha: float, beta: float, domain: Domain,
         """(mean, raw) norm with exponent r of the region's node values vals."""
         if np.isinf(r):
             return (float(vals.max()),) * 2
-        if region is None:  # the trapezoid rule over the whole box
-            raw = lp_norm(SpaceTimeField(domain, vals.reshape(domain.shape)), r)
-        else:
-            _check_exponent(r)
-            raw = _node_integral(vals, r, domain) ** (1.0 / r)
+        _check_exponent(r)
+        raw = (_integrate_power(vals.reshape(domain.shape), r, domain) if region is None
+               else _node_integral(vals, r, domain)) ** (1.0 / r)
         return raw / measure ** (1.0 / r), raw
 
     norm_a, raw_a = norms(inv_a, alpha)
@@ -421,5 +418,4 @@ def load_field_dump(path) -> SpaceTimeField:
         raise ParameterError(
             f"field dump body: expected {expected} bytes of values, got {len(blob) - off}"
         )
-    values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(dom.shape)
-    return SpaceTimeField(dom, values.copy())
+    return SpaceTimeField(dom, np.frombuffer(blob, dtype="<f8", offset=off).reshape(dom.shape))

@@ -363,23 +363,24 @@ class SweepReport:
                              for _, _, gaps, scales in self.varsol], initial=math.inf))
 
 
-def _target_mask(cfg: ExperimentConfig) -> np.ndarray:
-    """Node mask (time level, flat space) of the union of the half target
-    cylinders, the compact verification set K; every node without targets."""
+def _target_checks(cfg: ExperimentConfig) -> tuple:
+    """The targets' checks, as degiorgi._sup_bound_check makes them, and the
+    node mask (time level, flat space) of the union of their half cylinders,
+    the compact verification set K; every node without targets."""
     dom = cfg.domain
-    mask = np.zeros((dom.nt + 1, dom.nx**dom.n), bool)
+    checks, mask = [], np.zeros((dom.nt + 1, dom.nx**dom.n), bool)
     for center, rho, sigma in cfg.target_cylinders():
-        tm, sm, _ = _resolve(dom, Cylinder(center, rho, sigma))
+        check, (tm, sm) = _sup_bound_check(dom, center, rho, sigma, cfg.integrand(), cfg.c_cal)
+        checks.append(check)
         mask |= tm[:, None] & sm.ravel()[None, :]
-    return mask if cfg.targets else ~mask
+    return checks, mask if cfg.targets else ~mask
 
 
 def target_bounds(cfg: ExperimentConfig, fields, eps_values=None) -> list:
     """Per field, the BoundReport of verify_sup_bound on every target, at the
     field's eps (default: the config's own).  Each target's cylinder check
     and coefficient norms are taken once, for all the fields."""
-    checks = [_sup_bound_check(cfg.domain, center, rho, sigma, cfg.integrand(), cfg.c_cal)
-              for center, rho, sigma in cfg.target_cylinders()]
+    checks, _ = _target_checks(cfg)
     if eps_values is None:
         eps_values = [None] * len(fields)
     if len(eps_values) != len(fields):
@@ -400,19 +401,20 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     schedule = cfg.eps_schedule()
     results, failure = solve_levels(cfg.solve_config(), schedule)
     fields, schedule = [u for u, _ in results], schedule[:len(results)]  # the levels solved
+    checks, mask = _target_checks(cfg)
     levels = [
         SweepLevel(index=i, eps=eps, field=u, iterations=list(stats.iterations),
-                   max_residual=float(max(stats.residuals)), energy=energy, bounds=bounds)
-        for i, (eps, (u, stats), energy, bounds) in enumerate(zip(
-            schedule, results, energy_reports(fields, cfg.solve_config(), schedule),
-            target_bounds(cfg, fields, schedule)))
+                   max_residual=float(max(stats.residuals)), energy=energy,
+                   bounds=[check(u, spec) for check in checks])
+        for i, (eps, spec, (u, stats), energy) in enumerate(zip(
+            schedule, map(cfg.integrand, schedule), results,
+            energy_reports(fields, cfg.solve_config(), schedule)))
     ]
     report = SweepReport(config=cfg, levels=levels,
                          failure=None if failure is None else str(failure))
     if not levels:
         return report
 
-    mask = _target_mask(cfg)
     for prev, cur in zip(levels, levels[1:]):
         diff = np.abs(cur.field.values - prev.field.values).reshape(mask.shape)
         report.cauchy.append(float(diff[mask].max()))

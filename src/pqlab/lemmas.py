@@ -28,7 +28,7 @@ from .grid import (
     _resolve,
     boundary_frame,
 )
-from .scheme import _grad_magnitude
+from .scheme import gradient_powers
 
 
 def mollify_time(v: SpaceTimeField, h: float) -> SpaceTimeField:
@@ -82,8 +82,9 @@ def interpolation_ratio(v: SpaceTimeField, cyl: Cylinder, p_alpha: float) -> flo
     # lateral support check: nodes at or outside the sphere, plus the box
     # frame (the lateral boundary when the ball covers the whole box)
     lateral = ~sm | boundary_frame(dom)
-    vmax = float(np.abs(v.values[tm]).max())
-    boundary_max = float(np.abs(v.values[tm][:, lateral]).max())
+    levels = v.values[tm]
+    vmax = float(np.abs(levels).max())
+    boundary_max = float(np.abs(levels[:, lateral]).max())
     if boundary_max > 1e-12 * max(vmax, 1e-300):
         raise PreconditionError(
             f"field does not vanish on the lateral boundary (max {boundary_max:g} "
@@ -91,13 +92,13 @@ def interpolation_ratio(v: SpaceTimeField, cyl: Cylinder, p_alpha: float) -> flo
         )
 
     m_exp = p_alpha * (n + 2.0) / n
-    nodes = v.values[tm][:, sm]
+    nodes = levels[:, sm]
     lhs = _node_integral(nodes, m_exp, dom) / measure
     if lhs == 0.0:
         return 0.0
 
     sup_mean_sq = float((nodes**2).sum(axis=1).max()) / int(sm.sum())
-    mean_dv = _node_integral(_grad_magnitude(v).values[tm][:, sm], p_alpha, dom) / measure
+    mean_dv = gradient_powers(levels, dom, (p_alpha,), sm)[0] / measure
     rhs = sup_mean_sq ** (p_alpha / n) * cyl.rho**p_alpha * mean_dv
     return lhs / rhs if rhs > 0 else math.inf
 

@@ -20,11 +20,12 @@ tolerance; the averaged transverse gradient makes the 2D step minimize no
 discrete energy exactly, so in 2D it holds only up to a first-order error.
 
 The nodal rule.  _partial differentiates per node by np.gradient, central
-inside and second-order one-sided at the boundary; _grad_norm and
-_grad_magnitude give |Du| per node.  The energy report
-(solver.energy_reports), the Caccioppoli check (degiorgi.caccioppoli_sides),
-the interpolation lemma (lemmas.interpolation_ratio), the datum's dual norm
-(solver._dual_norm) and the 2D face rule's transverse gradients use it.
+inside and second-order one-sided at the boundary; _grad_norm gives |Du| per
+node.  gradient_powers is the one way a diagnostic integrates |Du|^r: the
+energy report, the Caccioppoli check and the interpolation lemma read it.
+The rule's one other reader is the datum's dual norm (solver._dual_norm, a
+spatial norm of sine test modes); the 2D face rule also takes its transverse
+gradients from _partial.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Domain, SpaceTimeField, _level_blocks
+from .grid import Domain, _integrate_power, _level_blocks, _node_integral
 from .model import IntegrandSpec, energy_density, flux_coefficient
 
 # ---------------------------------------------------------------------------
@@ -235,11 +236,6 @@ def _partial(values: np.ndarray, domain: Domain, axis: int) -> np.ndarray:
     return np.gradient(values, domain.dx[axis], axis=axis - domain.n, edge_order=2)
 
 
-def _grad_magnitude(f: SpaceTimeField) -> SpaceTimeField:
-    """|Df| per node."""
-    return SpaceTimeField(f.domain, _grad_norm(f.values, f.domain))
-
-
 def _grad_norm(values: np.ndarray, domain: Domain) -> np.ndarray:
     """|D values| per node over the last n axes, a block of the leading
     levels at a time.  The squared components are added one axis at a time,
@@ -249,3 +245,15 @@ def _grad_norm(values: np.ndarray, domain: Domain) -> np.ndarray:
         out[block] = np.sqrt(sum(_partial(values[block], domain, axis) ** 2
                                  for axis in range(domain.n)))
     return out
+
+
+def gradient_powers(values: np.ndarray, domain: Domain, exponents, ball=None) -> list:
+    """The integral of |D values|^r for every r in exponents, |D values|
+    formed once: over the whole field by the space-time trapezoid rule, or,
+    given a spatial mask ball, over its nodes at the levels of values by the
+    node rule of cylinders."""
+    mag = _grad_norm(values, domain)
+    if ball is None:
+        return [_integrate_power(mag, r, domain) for r in exponents]
+    mag = mag[:, ball]
+    return [_node_integral(mag, r, domain) for r in exponents]

@@ -91,14 +91,14 @@ from .errors import (
 from .grid import (
     Domain,
     SpaceTimeField,
+    _integrate_power,
     _level_blocks,
     _same_grid,
     _trapezoid_weights,
     boundary_frame,
-    lp_norm,
 )
 from .model import IntegrandSpec
-from .scheme import _grad_magnitude, _grad_norm, _Iterate, _Scheme
+from .scheme import _grad_norm, _Iterate, _Scheme, gradient_powers
 
 # Line search: accept step length t once max|R| has fallen by the factor
 # 1 - ARMIJO * t; halve t down to MIN_STEP.
@@ -707,31 +707,28 @@ def energy_reports(fields, cfg: SolveConfig, eps_values) -> list:
         _same_grid(dom, u=u)
     d = cfg.spec.d
     g_field = cfg.g.sample(dom)
-    dg_mag = _grad_magnitude(g_field)
-    wnorm = (
-        lp_norm(g_field, d.p_alpha) ** d.p_alpha + lp_norm(dg_mag, d.p_alpha) ** d.p_alpha
-    ) ** (1.0 / d.p_alpha)
+    dg_pa, dg_gamma, dg_bc, dg_qb = gradient_powers(
+        g_field.values, dom, (d.p_alpha, d.gamma, d.beta_conj, d.q_beta))
+    wnorm = (_integrate_power(g_field.values, d.p_alpha, dom) + dg_pa) ** (1.0 / d.p_alpha)
     datum = dict(
         dual_term=_dual_norm(cfg) ** d.p_conj,
         wnorm_term=wnorm**d.p,
-        dg_gamma_term=lp_norm(dg_mag, d.gamma) ** d.time_exponent,
-        dg_mu_term=cfg.spec.params.mu ** (d.q - 1.0) * lp_norm(dg_mag, d.beta_conj),
+        dg_gamma_term=(dg_gamma ** (1.0 / d.gamma)) ** d.time_exponent,
+        dg_mu_term=cfg.spec.params.mu ** (d.q - 1.0) * dg_bc ** (1.0 / d.beta_conj),
         g_sup_l2=float(_slicewise_l2sq(g_field.values, dom).max()),
     )
-    dg_qb = lp_norm(dg_mag, d.q_beta) ** d.q_beta
-    del g_field, dg_mag  # freed before a field's gradient is formed: a lower peak
+    del g_field  # freed before a field's gradient is formed: a lower peak
     alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
     reports = []
     for u, eps in zip(fields, eps_values):
-        du_mag = _grad_magnitude(u)
+        du_pa, du_qb = gradient_powers(u.values, dom, (d.p_alpha, d.q_beta))
         reports.append(EnergyData(
             sup_l2=float(_slicewise_l2sq(u.values, dom).max()),
-            grad_term=(lp_norm(du_mag, d.p_alpha) ** d.p_alpha) ** alpha_exp,
-            eps_term=eps * lp_norm(du_mag, d.q_beta) ** d.q_beta,
+            grad_term=du_pa**alpha_exp,
+            eps_term=eps * du_qb,
             eps_dg_term=eps * dg_qb,
             **datum,
         ))
-        del du_mag
     return reports
 
 

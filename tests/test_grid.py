@@ -29,8 +29,14 @@ from pqlab import (
     slice_sup_l2,
     truncate_plus,
 )
-from pqlab.grid import _resolve, _trapezoid_weights, boundary_frame
-from pqlab.scheme import _grad_magnitude, _partial
+from pqlab.grid import (
+    _integrate_power,
+    _node_integral,
+    _resolve,
+    _trapezoid_weights,
+    boundary_frame,
+)
+from pqlab.scheme import _grad_norm, _partial, gradient_powers
 
 
 def unit_domain(nx=65, nt=32, T=1.0):
@@ -483,7 +489,26 @@ def test_grad_magnitude_matches_stacked_gradient(n, rng):
     f = SpaceTimeField(dom, rng.normal(size=dom.shape) * 10.0 ** rng.uniform(-5, 5, dom.shape))
     stacked = np.sqrt(np.sum(np.stack([_partial(f.values, dom, k) for k in range(n)]) ** 2,
                              axis=0))
-    assert np.array_equal(_grad_magnitude(f).values, stacked)
+    assert np.array_equal(_grad_norm(f.values, dom), stacked)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradient_powers_match_the_composition(n, rng):
+    # one |D values| serves every exponent: the whole-field trapezoid rule
+    # and the node rule over a ball at the levels passed read bitwise as each
+    # rule applied to _grad_norm alone
+    dom = Domain(n=n, box=((0.0, 1.0), (0.0, 2.0))[:n], T=1.0, nx=9, nt=5)
+    values = rng.normal(size=dom.shape)
+    exponents = (1.0, 2.3, 4.7)
+    mag = _grad_norm(values, dom)
+    assert gradient_powers(values, dom, exponents) == [
+        _integrate_power(mag, r, dom) for r in exponents]
+    tm, sm, _ = _resolve(dom, Cylinder((0.5, 0.9)[:n] + (0.8,), 0.4, 0.5))
+    ball_mag = _grad_norm(values[tm], dom)[:, sm]
+    assert gradient_powers(values[tm], dom, exponents, sm) == [
+        _node_integral(ball_mag, r, dom) for r in exponents]
+    # at the levels passed: the field's own gradient at those levels
+    assert np.array_equal(ball_mag, mag[tm][:, sm])
 
 
 def _reference_weights(dom: Domain):

@@ -34,6 +34,7 @@ from pqlab import (
     energy_reports,
     field_from_function,
     flux,
+    lp_norm,
     solve,
     solve_levels,
     variational_gap_curve,
@@ -42,7 +43,7 @@ from pqlab import (
 )
 from pqlab import solver
 from pqlab.band import band_storage, stencil_product
-from pqlab.scheme import _Scheme
+from pqlab.scheme import _grad_norm, _Scheme
 from pqlab.solver import _Stepper
 
 
@@ -1209,6 +1210,66 @@ class TestSolve:
             assert all(0.0 < t <= 1.0 for t in hist.step_lengths)
 
 
+# The Barenblatt solution of u_t = div(|Du|^(p-2) Du) (Barenblatt 1952;
+# DiBenedetto, Degenerate Parabolic Equations, 1993), taken from s = t0 to
+# t0 + T: with these constants its support stays inside the box (-1, 1)^n
+_BARENBLATT_C, _BARENBLATT_T0, _BARENBLATT_T = 0.1, 0.01, 0.02
+
+
+def _barenblatt_exponents(p, n):
+    """(k, gamma, support radius at s = 1) of the Barenblatt solution."""
+    k = 1.0 / (p - 2.0 + p / n)
+    gamma = (p - 2.0) / p * (k / n) ** (1.0 / (p - 1.0))
+    return k, gamma, (_BARENBLATT_C / gamma) ** ((p - 1.0) / p)
+
+
+def _barenblatt(p, coords, s):
+    """B(x, s) = s^-k [C - gamma (|x| s^(-k/n))^(p/(p-1))]_+^((p-1)/(p-2))."""
+    n = len(coords)
+    k, gamma, _ = _barenblatt_exponents(p, n)
+    r = np.sqrt(sum(c**2 for c in coords))
+    core = _BARENBLATT_C - gamma * (r * s ** (-k / n)) ** (p / (p - 1.0))
+    return s**-k * np.maximum(core, 0.0) ** ((p - 1.0) / (p - 2.0))
+
+
+@dataclasses.dataclass(frozen=True)
+class _BarenblattDatum(BoundaryDatum):
+    """B(x, t0) at every time: the initial value, and on the frame the zero
+    that the Barenblatt solution takes there while its support is inside."""
+
+    p: float = 3.0
+
+    def _g0(self, box, coords):
+        return _barenblatt(self.p, coords, _BARENBLATT_T0)
+
+
+class TestBarenblattOracle:
+    """p = q, mu = eps = 0 and a = b = 1/2 make the equation the degenerate
+    u_t = Delta_p u.  Its Barenblatt solution B(x, t + t0) is the oracle: the
+    error at T falls at every refinement (h halved, dt quartered), and the
+    march keeps the mass of the field up to its step residuals, since the
+    flux through the frame vanishes while the support stays off it."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("n, sizes", [(1, [(33, 16), (65, 64), (129, 256)]),
+                                          (2, [(17, 16), (33, 64)])], ids=["1d", "2d"])
+    def test_error_falls_and_mass_is_kept(self, p, n, sizes):
+        k, _, radius = _barenblatt_exponents(p, n)
+        assert radius * (_BARENBLATT_T0 + _BARENBLATT_T) ** (k / n) < 0.5
+        half = Coefficient("constant", value=0.5)
+        spec = IntegrandSpec(StructureParams(n=n, p=p, q=p), CoefficientSpec(a=half, b=half),
+                             eps=0.0)
+        errors = []
+        for nx, nt in sizes:
+            dom = Domain(n=n, box=((-1.0, 1.0),) * n, T=_BARENBLATT_T, nx=nx, nt=nt)
+            u, stats = solve(SolveConfig(dom, spec, _BarenblattDatum(kind="profile", p=p)))
+            exact = _barenblatt(p, dom.meshgrid(), _BARENBLATT_T0 + _BARENBLATT_T)
+            errors.append(np.abs(u.values[-1] - exact).max())
+            drift = abs(u.values[-1].sum() - u.values[0].sum()) * dom.cell_volume
+            assert drift <= sum(stats.residuals) * (nx - 2) ** n * dom.cell_volume
+        assert all(fine < coarse for coarse, fine in zip(errors, errors[1:])), errors
+
+
 class TestDiscreteCalculus:
     @pytest.mark.parametrize("n", [1, 2])
     def test_integration_by_parts_exact(self, n, rng):
@@ -1369,6 +1430,31 @@ class TestEnergyReport:
         assert reports[0].dual_term > 0.0 and reports[0].eps_dg_term > 0.0
         for u, eps, report in zip(fields, schedule, reports):
             assert _bits(report) == _bits(energy_report(u, _at_eps(cfg, eps)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_terms_match_the_norm_formulas(self, n):
+        # the gradient terms are formed from the integrals of |D.|^r; formed
+        # from lp_norm of the gradient fields they agree to 1e-15 relative
+        cfg, schedule, fields = _batch_config(n)
+        d, dom, mu = cfg.spec.d, cfg.domain, cfg.spec.params.mu
+        g = cfg.g.sample(dom)
+        dg = SpaceTimeField(dom, _grad_norm(g.values, dom))
+        alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
+        wnorm = (lp_norm(g, d.p_alpha) ** d.p_alpha
+                 + lp_norm(dg, d.p_alpha) ** d.p_alpha) ** (1.0 / d.p_alpha)
+        for u, eps, report in zip(fields, schedule, energy_reports(fields, cfg, schedule)):
+            du = SpaceTimeField(dom, _grad_norm(u.values, dom))
+            expected = dict(
+                dataclasses.asdict(report),
+                grad_term=(lp_norm(du, d.p_alpha) ** d.p_alpha) ** alpha_exp,
+                eps_term=eps * lp_norm(du, d.q_beta) ** d.q_beta,
+                eps_dg_term=eps * lp_norm(dg, d.q_beta) ** d.q_beta,
+                wnorm_term=wnorm**d.p,
+                dg_gamma_term=lp_norm(dg, d.gamma) ** d.time_exponent,
+                dg_mu_term=mu ** (d.q - 1.0) * lp_norm(dg, d.beta_conj),
+            )
+            assert report.grad_term > 0.0 and report.dg_gamma_term > 0.0
+            assert dataclasses.asdict(report) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_batched_rejects_a_field_on_another_grid(self):
         cfg, schedule, fields = _batch_config(1)

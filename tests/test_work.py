@@ -39,6 +39,7 @@ from pqlab import (
 from pqlab.scheme import _Scheme
 from pqlab.solver import _Stepper
 
+from test_harness import SWEEP_CFG
 from test_solver import _count_evaluations, _probe_config_2d, degenerate_config
 
 
@@ -215,7 +216,7 @@ class TestEachCylinderResolvedOnce:
     """A cylinder's node masks and measure come from one _resolve call, so a
     diagnostic resolves each cylinder it reads once per call.  Before, the
     measure was a second call: 58 calls per diagnostics-2d op and 66 per
-    sweep-1d op, now 32 and 12."""
+    sweep-1d op, now 32 and 9."""
 
     def test_caccioppoli_sides(self, diagnostics_field, monkeypatch):
         # a level above the field's maximum takes the early return, which
@@ -261,3 +262,20 @@ class TestEachCylinderResolvedOnce:
         reports = harness.target_bounds(ecfg, [u] * n_fields)
         assert len(reports) == n_fields and all(len(r) == len(targets) for r in reports)
         assert len(regions) == len(set(regions)) == 2 * len(targets)
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        # a sweep-1d op on its three targets: each half cylinder is resolved
+        # at load, where an empty one names its config line, and in
+        # run_sweep with its base cylinder for the sup-bound check, whose
+        # nodes also make the Cauchy set K; building K resolved them again,
+        # 12 calls in all
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_CFG.replace("nt = 32", "nt = 64").replace(
+            "cylinder1 = 0.5 0.12 0.2",
+            "cylinder1 = 0.5 0.12 0.2\ncylinder2 = 0.45 0.2 0.15\ncylinder3 = 0.55 0.28 0.12"))
+        regions = _count_resolves(monkeypatch)
+        cfg = harness.load_config(path)
+        assert len(regions) == len(cfg.targets) == 3
+        report = harness.run_sweep(cfg)
+        assert report.failure is None and len(report.cauchy) == 2
+        assert len(regions) == 9
