@@ -1,5 +1,7 @@
 """Smoke run of the benchmark: every workload for five seconds, untraced and
-traced, from the root of the checkout.
+traced, from the root of the checkout, with every RuntimeWarning an error
+(the filter of the benchmark tests), so that a float32 cast overflow or a
+NaN warning at the benchmark's full sizes fails an op.
 
 perfbench/run.py always exits 0, so the check reads the JSON result on its
 last line: it must report correct output and no failed op.  op_s and
@@ -21,8 +23,8 @@ def main() -> int:
     for workload in WORKLOADS:
         for trace in ("0", "1"):
             out = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seconds", "5", "--trace", trace],
+                [sys.executable, "-W", "error::RuntimeWarning", "perfbench/run.py",
+                 "--workload", workload, "--seconds", "5", "--trace", trace],
                 check=True, stdout=subprocess.PIPE, text=True).stdout
             r = json.loads(out.splitlines()[-1])
             m = r.get("metrics", {})

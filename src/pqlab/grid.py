@@ -183,13 +183,18 @@ def _check_center(domain: Domain, cyl: Cylinder) -> None:
                              f"coordinates on a grid with n = {domain.n}")
 
 
+def _box_measure(domain: Domain) -> float:
+    """Continuum measure of the whole space-time box."""
+    return float(np.prod([hi - lo for lo, hi in domain.box])) * domain.T
+
+
 def _resolve(domain: Domain, region) -> tuple:
     """(time_mask, space_mask, region_measure) of a region (None = every node):
     t_o - sigma < t <= t_o to 1e-12 max(1, |t_o|, sigma), and
     sum_k (x_k - c_k)^2 < rho^2 as an outer sum over the 1-D axes."""
     if region is None:
         return (np.ones(domain.nt + 1, bool), np.ones((domain.nx,) * domain.n, bool),
-                float(np.prod([hi - lo for lo, hi in domain.box])) * domain.T)
+                _box_measure(domain))
     _check_center(domain, region)
     t = domain.times
     tol = 1e-12 * max(1.0, abs(region.t), region.sigma)
@@ -259,7 +264,7 @@ def _check_exponent(r: float) -> None:
 def mean_integral(f: SpaceTimeField, r: float, region=None) -> float:
     """Mean of |f|**r over the region; callers take roots themselves."""
     if region is None:
-        return _integrate_power(f.values, r, f.domain) / region_measure(f.domain, None)
+        return _integrate_power(f.values, r, f.domain) / _box_measure(f.domain)
     tm, sm, measure = _resolve(f.domain, region)
     return _node_integral(f.values[tm][:, sm], r, f.domain) / measure
 

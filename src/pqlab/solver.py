@@ -17,16 +17,15 @@ newton_direction picks the linear solver by dimension: in 1D the stencil
 is the symmetric positive definite tridiagonal
 I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved by LAPACK dptsv; in 2D it is a
 nonsymmetric 9-point matrix with half-bandwidth nx - 1 in row-major order,
-written from the stencil into LAPACK's band storage and factored by a
-float64 band LU (band.py).  A 2D member keeps its factor across time steps
-and solves each later Newton system by defect correction with it, taking
-the product with J(w) from the stencil by shifted slices, until those
-solves have cost the flops of one factorization (a closed form in the
-bandwidth: 8 of them at 17^2, 32 at 65^2) or the defect falls too slowly;
-then it refactors.  A correction stops at relative defect 1e-12 or at the
-floor 1e-2 * tolerance * scale of the stopping rule below, whichever is
-larger: to first order the defect is the next residual, which it moves by
-at most 1% of the stopping threshold.
+written from the stencil into row-scaled LAPACK band storage and factored
+by a float32 band LU (band.py).  Every 2D Newton system is solved in
+float64 by defect correction with the member's factor and the product with
+J(w) from the stencil, down to a defect that moves the next residual by at
+most 1% of the stopping threshold (_CORRECTION_FLOOR).  A factor serves
+across time steps until its solves have cost the flops of one factorization
+(a closed form in the bandwidth: 8 of them at 17^2, 32 at 65^2) or the
+defect falls too slowly, and a fresh float32 factor that cannot correct is
+replaced by a float64 one, as in LAPACK dsgesv.
 
 A backtracking line search (Armijo factor 1e-4, halving) on max|R|
 globalizes Newton, with no relaxation factor to tune.  Iteration stops once
@@ -79,9 +78,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .band import BandLU, band_storage, half_bandwidth, solve_budget, stencil_product
+from .band import BandLU, half_bandwidth, solve_budget, stencil_product
 from .errors import (
     DivergenceError,
     ParameterError,
@@ -105,7 +105,7 @@ from .scheme import _grad_norm, _Iterate, _Scheme, gradient_powers
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
-# 2D linear solves with a member's kept factor: defect correction on the
+# 2D linear solves with a member's factor: defect correction on the
 # exact Newton matrix, to relative residual _CORRECTION_RTOL within
 # _CORRECTIONS corrections, or to the floor _CORRECTION_FLOOR * tolerance *
 # scale if that is larger.  A defect r left in the direction d is, to first
@@ -262,8 +262,8 @@ class _Stepper:
         self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
         self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
         # 2D Newton factors, kept across time steps: per member None or
-        # (band factor, correction solves it has served), and the budget of
-        # such solves per factor, whose flops are those of one factorization
+        # (band factor, solves it has served), and the budget of such solves
+        # per factor, whose flops are those of one factorization
         self.kl = half_bandwidth((dom.nx - 2,) * dom.n)
         self.slots = [None] * len(self.eps)
         self.budget = solve_budget(self.kl)
@@ -293,20 +293,18 @@ class _Stepper:
         In 2D each member is solved in turn.  members holds the member
         index of each row of it, which picks its slot: None, or the band LU
         factor of one of that member's earlier Newton matrices, from this
-        or an earlier time step, with the correction solves it has served.  A
-        member without one is factored and solved directly, and the factor
-        fills its slot; a member with one solves its exact system
-        J(w) d = -R by defect correction with that factor and the stencil's
-        product, down to the floor
+        or an earlier time step, with the solves it has served.  Each member
+        solves its exact system J(w) d = -R in float64 by defect correction
+        from the factor's first solve, down to the floor
         _CORRECTION_FLOOR * tolerance * scale of the member's stopping rule
         (or relative defect _CORRECTION_RTOL, if that is larger): to first
-        order the defect is the next residual.  Once the factor
-        has served more correction solves than the budget, or if correction
-        gives up, it is released and the member is refactored at J(w) and
-        solved directly.  The budget is one factorization's flops over one
-        solve's, in closed form from the bandwidth (band.solve_budget), so a
-        factor is replaced once its corrections have cost as much as a new
-        one.  A singular matrix fails its member with DivergenceError.
+        order the defect is the next residual.  It corrects with its slot's
+        factor while that has served no more solves than the budget, one
+        factorization's flops over one solve's (band.solve_budget); else, or
+        if that correction gives up, with a fresh float32 factor; if that
+        gives up, with a float64 one; and if even that gives up, it takes the
+        float64 factor's direct solve, as dsgesv would.  The last factor
+        fills the slot; a singular matrix fails its member with DivergenceError.
         """
         rhs = -it.residual
         stencil = self.scheme.stencil(it)
@@ -328,18 +326,22 @@ class _Stepper:
         else:
             def solve_member(row):
                 b, m = rhs[row].ravel(), members[row]
+                floor = _CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row]
                 slot, self.slots[m] = self.slots[m], None
-                if slot is not None and slot[1] <= self.budget:
-                    floor = _CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row]
+                for dtype in (None, np.float32, np.float64):  # None: the slot's factor
+                    if dtype is not None:
+                        slot = None  # release a spent or failed factor before refactoring
+                        slot = (BandLU(stencil, row, dtype), 0)
+                    elif slot is None or slot[1] > self.budget:
+                        continue
                     d_row, solves = _defect_correction(
                         functools.partial(stencil_product, stencil, row), b, slot[0], floor)
                     if d_row is not None:
-                        self.slots[m] = (slot[0], slot[1] + solves)
-                        return d_row.reshape(rhs[row].shape)
-                slot = None  # release the stale factor before refactoring
-                lu = BandLU(band_storage(stencil, row), self.kl)
-                self.slots[m] = (lu, 0)
-                return lu.solve(b).reshape(rhs[row].shape)
+                        break
+                else:  # even float64 cannot correct: its direct solve, as dgesv's
+                    d_row, solves = slot[0].solve(b), 1
+                self.slots[m] = (slot[0], slot[1] + solves)
+                return d_row.reshape(rhs[row].shape)
         d = np.empty_like(rhs)
         for row in range(len(rhs)):
             try:
@@ -494,9 +496,9 @@ class _Stepper:
 
 def _defect_correction(apply, b, lu, floor):
     """Solve A x = b by x += lu.solve(b - A x) from x = lu.solve(b), apply
-    the product x -> A x and lu the factor of a nearby matrix, until the
-    defect |b - A x| (2-norm) is at most the target
-    max(_CORRECTION_RTOL |b|, floor).
+    the product x -> A x and lu a factor of A in lower precision or of a
+    nearby matrix, until the defect |b - A x| (2-norm, by BLAS dnrm2, which
+    no float64 b overflows) is at most the target max(_CORRECTION_RTOL |b|, floor).
 
     Returns (x, solves), solves the number of lu.solve calls made; x is None
     unless the defect falls at every correction (at a non-finite x it is NaN
@@ -505,10 +507,10 @@ def _defect_correction(apply, b, lu, floor):
     target, so it stops no later and gives up nowhere that floor 0 would
     have converged."""
     x, last = lu.solve(b), math.inf
-    target = max(_CORRECTION_RTOL * np.linalg.norm(b), floor)
+    target = max(_CORRECTION_RTOL * scipy.linalg.blas.dnrm2(b), floor)
     for solves in itertools.count(1):
         defect = b - apply(x)
-        norm = np.linalg.norm(defect)
+        norm = scipy.linalg.blas.dnrm2(defect)
         if norm <= target:
             return x, solves
         if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:

@@ -1,6 +1,7 @@
 """Implicit stepping, weak residuals, energy data, variational gaps."""
 
 import dataclasses
+import functools
 import math
 import warnings
 import weakref
@@ -288,13 +289,15 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
         assert np.array_equal(stencil[(0,)], diag)
         assert np.array_equal(stencil[(1,)][:, :-1], off)
         assert np.array_equal(stencil[(-1,)][:, 1:], off)
-        for row in (0, 1):
-            ref = scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1]).toarray()
-            assert np.array_equal(_unpack_band(band_storage(stencil, row), stepper.kl), ref)
+        refs = [scipy.sparse.diags([off[row], diag[row], off[row]], [-1, 0, 1]).toarray()
+                for row in (0, 1)]
     else:
-        for row in (0, 1):
-            ref = _reference_nine_point(stepper.scheme, it, row).toarray()
-            assert np.array_equal(_unpack_band(band_storage(stencil, row), stepper.kl), ref)
+        refs = [_reference_nine_point(stepper.scheme, it, row).toarray() for row in (0, 1)]
+    # band storage holds each row divided by its diagonal entry
+    for row, ref in enumerate(refs):
+        for dtype in (np.float32, np.float64):
+            assert np.array_equal(_unpack_band(band_storage(stencil, row, dtype), stepper.kl),
+                                  _row_scaled(ref, dtype))
 
 
 def _dense_operator(stencil, row):
@@ -312,6 +315,12 @@ def _dense_operator(stencil, row):
     return dense
 
 
+def _row_scaled(dense, dtype=np.float32):
+    """A matrix with each row divided by its diagonal entry, cast to dtype:
+    what band_storage writes."""
+    return (dense / np.diag(dense)[:, None]).astype(dtype)
+
+
 def _unpack_band(ab, kl):
     """Dense matrix of LAPACK general band storage with kl sub- and
     superdiagonals below kl rows of fill."""
@@ -325,12 +334,15 @@ def _unpack_band(ab, kl):
 
 class TestBandLU:
     """The 2D Newton matrix in band storage, its product by stencil and its
-    band LU."""
+    band LU: float32 by default, refined in float64 by defect correction."""
 
     @staticmethod
-    def stencil(nx, rng, members=2):
+    def stencil(nx, rng, members=2, smooth=False):
         # the finite-difference problem of TestNewton: every face weight and
-        # cross term is nonzero
+        # cross term is nonzero.  At random states the cross terms are large
+        # enough that the rows divided by their diagonal need interchanges;
+        # smooth takes the Newton matrix at the datum and 1.3 times it, which
+        # like every Newton matrix of the solver's problems needs none
         params = StructureParams(n=2, p=3.0, q=3.2, alpha=1e4, beta=1e4, mu=0.0, eps=0.3)
         coeffs = CoefficientSpec(
             a=Coefficient("power", center=(0.43, 0.43), exponent=0.5),
@@ -342,7 +354,11 @@ class TestBandLU:
         stepper = _Stepper(cfg, [0.3, 0.1][:members])
         shape = (members, nx, nx)
         u_prev = rng.normal(size=shape)
-        it = stepper.scheme.evaluate(u_prev + rng.normal(size=shape), u_prev, stepper.eps)
+        w = u_prev + rng.normal(size=shape)
+        if smooth:
+            u_prev = np.broadcast_to(cfg.g.sample(dom).values[0], shape)
+            w = 1.3 * u_prev
+        it = stepper.scheme.evaluate(w, u_prev, stepper.eps)
         return stepper, stepper.scheme.stencil(it)
 
     @pytest.mark.parametrize("nx", [9, 17])
@@ -354,8 +370,10 @@ class TestBandLU:
             dense = _dense_operator(stencil, row)
             ab = band_storage(stencil, row)
             assert ab.shape == (3 * kl + 1, m * m) and ab.flags.f_contiguous
+            assert ab.dtype == np.float32
             assert not ab[:kl].any()  # the rows kept for the fill
-            assert np.array_equal(_unpack_band(ab, kl), dense)
+            assert np.array_equal(_unpack_band(ab, kl), _row_scaled(dense))
+            assert np.all(ab[2 * kl] == 1.0)
             # an offset that leaves the grid across the last or first column
             # would couple across a wrap of the numbering: the stencil holds
             # an entry there, the band holds 0
@@ -380,22 +398,52 @@ class TestBandLU:
     @pytest.mark.parametrize("pivoting", [False, True])
     def test_factor_solves(self, pivoting, rng):
         # the Newton matrix needs no row interchanges and is solved by the
-        # two triangles; a matrix with a small diagonal needs them, and is
-        # solved by dgbtrs
-        stepper, stencil = self.stencil(9, rng, members=1)
-        ab = band_storage(stencil, 0)
+        # two triangles; one with a small diagonal needs them, and is solved
+        # by gbtrs.  A float64 factor solves to float64 rounding, a float32
+        # one to float32 rounding, and defect correction takes that to
+        # _CORRECTION_RTOL
+        _, stencil = self.stencil(9, rng, members=1, smooth=True)
         if pivoting:
-            ab[2 * stepper.kl] *= 1e-3
-        dense = _unpack_band(ab, stepper.kl)
-        lu = solver.BandLU(ab, stepper.kl)
-        assert (lu.lu is not None) == pivoting
+            stencil = {**stencil, (0, 0): 1e-3 * stencil[(0, 0)]}
+        dense = _dense_operator(stencil, 0)
         b = rng.normal(size=len(dense))
-        x = lu.solve(b)
-        assert np.abs(dense @ x - b).max() <= 1e-12 * np.abs(b).max()
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-4)):
+            lu = solver.BandLU(stencil, 0, dtype)
+            assert (lu.lu is not None) == pivoting
+            x = lu.solve(b)
+            assert x.dtype == np.float64
+            assert np.abs(dense @ x - b).max() <= rtol * np.abs(b).max()
+        x, solves = solver._defect_correction(dense.__matmul__, b, lu, 0.0)
+        assert 1 < solves <= 4
+        assert np.linalg.norm(dense @ x - b) <= solver._CORRECTION_RTOL * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("b_scale,j_scale", [
+        (1e300, 1.0), (1e300, 1e30), (1e-300, 1.0), (1e-300, 1e-30), (1.0, 1e30), (1.0, 1e-30),
+    ])
+    def test_no_scale_of_the_data_overflows(self, b_scale, j_scale, rng):
+        # rows divided by the diagonal and b by its largest entry: what is
+        # cast to float32 lies in [-1, 1] at any scale whose solution float64
+        # can hold, and defect correction reaches the float64 answer
+        _, stencil = self.stencil(9, rng, members=1)
+        stencil = {off: j_scale * entries for off, entries in stencil.items()}
+        dense = _dense_operator(stencil, 0)
+        b = b_scale * rng.normal(size=len(dense))
+        ref = np.linalg.solve(dense, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lu = solver.BandLU(stencil, 0)
+            assert np.all(np.isfinite(lu.solve(b)))
+            x, solves = solver._defect_correction(
+                functools.partial(stencil_product, stencil, 0), b, lu, 0.0)
+        assert x is not None and solves <= 4
+        assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_singular_matrix_is_a_divergence(self):
-        with pytest.raises(DivergenceError, match="singular"):
-            solver.BandLU(np.zeros((4, 5), order="F"), 1)
+        # two equal rows: [[1, 1], [1, 1]]
+        stencil = {(0,): np.ones((1, 2)), (1,): np.ones((1, 2)), (-1,): np.ones((1, 2))}
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(DivergenceError, match="singular"):
+                solver.BandLU(stencil, 0, dtype)
 
 
 def _at_eps(cfg, eps):
@@ -555,11 +603,11 @@ def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
 
 
 def _factor_every_iteration(stepper, it, t, members=None):
-    """Reference 2D Newton directions: every member factored afresh and
-    solved directly, whatever factors its slots hold."""
+    """Reference 2D Newton directions: every member factored afresh in
+    float64 and solved directly, whatever factors its slots hold."""
     d, stencil = np.empty_like(it.residual), stepper.scheme.stencil(it)
     for row in range(len(d)):
-        lu = solver.BandLU(band_storage(stencil, row), stepper.kl)
+        lu = solver.BandLU(stencil, row, np.float64)
         d[row] = lu.solve(-it.residual[row].ravel()).reshape(d[row].shape)
     return d, None
 
@@ -679,23 +727,33 @@ class TestFactorReuse:
         assert floored["solves"] < counts["solves"]
         assert floored["factorizations"] <= counts["factorizations"]
 
-    @pytest.mark.parametrize("stale,scale,factor_solves", [
-        ("growth", 0.25, 2), ("slow", 10.0, 2), ("non-finite", 0.25, 1),
-    ], ids=["growth", "slow", "non-finite"])
-    def test_failed_correction_falls_back_to_direct_solve(self, stale, scale, factor_solves, rng):
+    @staticmethod
+    def probe(rng):
+        """A stepper of two members at 9^2 and the iterate of member 1 at a
+        random state."""
         cfg = _probe_config_2d(3.0, 3.2, 5.0, nx=9, nt=4)
         stepper = _Stepper(cfg, [0.5, 0.25])
         shape = (1,) + (cfg.domain.nx,) * 2
         u_prev = rng.normal(size=shape)
         members = np.array([1])
         it = stepper.scheme.evaluate(u_prev + rng.normal(size=shape), u_prev, stepper.eps[members])
+        return stepper, it, members
+
+    @pytest.mark.parametrize("stale,scale,factor_solves", [
+        ("growth", 0.25, 2), ("slow", 10.0, 2), ("non-finite", 0.25, 1),
+    ], ids=["growth", "slow", "non-finite"])
+    def test_failed_correction_falls_back_to_direct_solve(self, stale, scale, factor_solves, rng):
+        # a carried factor that gives up is released, and the member takes
+        # the correction of a fresh float32 factor, within 1e-12 of the
+        # float64 direct solve
+        stepper, it, members = self.probe(rng)
         stepper.newton_direction(it, 0.1, members)  # fills member 1's slot
 
         # a factor of 0.25 J makes the first correction triple the defect; one
         # of 10 J shrinks it by 0.9 per correction, which cannot reach the
         # tolerance within the budget
-        lu = solver.BandLU(np.asfortranarray(scale * band_storage(stepper.scheme.stencil(it), 0)),
-                           stepper.kl)
+        stencil = stepper.scheme.stencil(it)
+        lu = solver.BandLU({off: scale * entries for off, entries in stencil.items()}, 0)
         solves = []
 
         class StaleFactor:
@@ -708,13 +766,86 @@ class TestFactorReuse:
             warnings.simplefilter("error", RuntimeWarning)
             d, bad = stepper.newton_direction(it, 0.1, members)
         assert bad is None
+        fresh, fresh_solves = solver._defect_correction(
+            functools.partial(stencil_product, stencil, 0), -it.residual[0].ravel(),
+            solver.BandLU(stencil, 0),
+            solver._CORRECTION_FLOOR * stepper.cfg.tolerance * it.scale[0])
+        assert np.array_equal(d[0].ravel(), fresh)
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
-        assert np.array_equal(d, direct)
+        assert np.abs(d - direct).max() <= 1e-12 * np.abs(direct).max()
         assert stepper.slots[0] is None
-        assert stepper.slots[1][0] is not old and stepper.slots[1][1] == 0
+        assert stepper.slots[1][0] is not old and stepper.slots[1][1] == fresh_solves
+        assert stepper.slots[1][0].dtype == np.float32
         # given up at the first growth or the first observed contraction, or
         # at once for a non-finite x
         assert len(solves) == factor_solves
+
+    def test_fresh_float32_factor_falls_back_to_float64(self, rng, monkeypatch):
+        # a float32 factor that solves 4 J triples the defect at its first
+        # correction: the member is refactored in float64 and corrected
+        # again, to within 1e-12 of the float64 direct solve
+        stepper, it, members = self.probe(rng)
+        made = []
+
+        class Float32Fails(solver.BandLU):
+            def __init__(self, stencil, row, dtype=np.float32):
+                made.append(dtype)
+                super().__init__(stencil, row, dtype)
+
+            def solve(self, b):
+                return (4.0 if self.dtype == np.float32 else 1.0) * super().solve(b)
+
+        monkeypatch.setattr(solver, "BandLU", Float32Fails)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d, bad = stepper.newton_direction(it, 0.1, members)
+        monkeypatch.undo()
+        assert bad is None and made == [np.float32, np.float64]
+        direct, _ = _factor_every_iteration(stepper, it, 0.1)
+        assert np.abs(d - direct).max() <= 1e-12 * np.abs(direct).max()
+        lu, served = stepper.slots[1]
+        assert lu.dtype == np.float64 and served >= 1
+
+    def test_no_factor_corrects_a_high_contrast_matrix(self, monkeypatch):
+        # face weights 1e8 on an island of 3^2 nodes and 1 elsewhere, at
+        # 7^2 interior nodes: the rows divided by their diagonal have
+        # condition 3e8, so float32 corrections fail and float64 ones stall
+        # above _CORRECTION_RTOL; the member takes the float64 factor's
+        # direct solve, as dgesv would; scale 0 makes the floor 0
+        m, weight = 7, 1e8
+        kx, ky = np.ones((m + 1, m)), np.ones((m, m + 1))  # faces across axis 0, 1
+        kx[3:5, 2:5] = weight
+        ky[2:5, 3:5] = weight
+        zero = np.zeros((1, m, m))
+        stencil = {(0, 0): (1.0 + kx[1:] + kx[:-1] + ky[:, 1:] + ky[:, :-1])[None],
+                   (1, 0): -kx[1:][None], (-1, 0): -kx[:-1][None],
+                   (0, 1): -ky[:, 1:][None], (0, -1): -ky[:, :-1][None],
+                   (1, 1): zero, (1, -1): zero, (-1, 1): zero, (-1, -1): zero}
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=m + 2, nt=4)
+        stepper = _Stepper(cfg, [0.5])
+        b = np.random.default_rng(7).normal(size=(1, m, m))
+        g = cfg.g.sample(cfg.domain).values[:1]
+        it = stepper.scheme.evaluate(g, g, stepper.eps)._replace(residual=-b, scale=np.zeros(1))
+        monkeypatch.setattr(stepper.scheme, "stencil", lambda it: stencil)
+        work = _count_factor_work(monkeypatch)
+        dtypes = []
+        defect_correction = solver._defect_correction
+
+        def counted_correction(apply, b, lu, floor):
+            dtypes.append(lu.dtype)
+            x, solves = defect_correction(apply, b, lu, floor)
+            assert x is None
+            return x, solves
+
+        monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d, bad = stepper.newton_direction(it, 0.1, np.array([0]))
+        assert bad is None and dtypes == [np.float32, np.float64]
+        assert work["factorizations"] == 2
+        direct = solver.BandLU(stencil, 0, np.float64).solve(b[0].ravel())
+        assert np.array_equal(d[0].ravel(), direct)
+        assert stepper.slots[0][0].dtype == np.float64
 
     def test_factor_serves_across_time_steps(self, monkeypatch):
         # at 17^2 the budget of about 8 solves is spent within each step and
@@ -738,8 +869,10 @@ class TestFactorReuse:
         results, failure = solve_levels(cfg, [0.5, 0.125])
         assert failure is None
         iterations = sum(stats.total_iterations for _, stats in results)
+        # every direction is one correction, with a fresh factor or with a
+        # factor carried from an earlier iteration or step
         assert len(factorizations) < cfg.domain.nt * 2
-        assert len(corrected) == iterations - len(factorizations) > 0
+        assert len(corrected) == iterations > len(factorizations)
         assert all(corrected)
 
     def test_budget_grows_with_the_band(self):
