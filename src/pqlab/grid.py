@@ -56,12 +56,14 @@ class Domain:
         if len(self.box) != self.n:
             raise ParameterError("box must carry one (lo, hi) pair per axis")
         for lo, hi in self.box:
+            if not math.isfinite(hi - lo):
+                raise ParameterError(f"axis extent ({lo}, {hi}) must be finite")
             if not hi > lo:
                 raise ParameterError(f"empty axis extent ({lo}, {hi})")
         # float pairs in a tuple, so that grids given as lists compare equal
         object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
-        if not self.T > 0:
-            raise ParameterError(f"final time must be positive, got T = {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ParameterError(f"final time must be positive and finite, got T = {self.T}")
         if self.nx < 3:
             raise ParameterError(f"need nx >= 3 nodes per axis, got {self.nx}")
         if self.nt < 2:

@@ -9,8 +9,8 @@ Each implicit Euler step solves, at the interior nodes,
 by Newton's method on the exact Jacobian of R.  R, its Jacobian stencil and
 the discrete energy come from the discretization, scheme._Scheme (see
 scheme.py).  _Stepper is the Newton driver on one scheme: the members' eps,
-the datum on the frame, the start, the line search, the stopping rule and
-the linear solves.  solve_levels builds one stepper per run, and
+the datum on the frame, the start, the stopping rule and the linear solves;
+_line_search picks step lengths.  solve_levels builds one stepper per run, and
 weak_residual and variational_gap_curves each build one scheme per call.
 
 newton_direction picks the linear solver by dimension: in 1D the stencil
@@ -27,8 +27,10 @@ across time steps until its solves have cost the flops of one factorization
 defect falls too slowly, and a fresh float32 factor that cannot correct is
 replaced by a float64 one, as in LAPACK dsgesv.
 
-A backtracking line search (Armijo factor 1e-4, halving) on max|R|
-globalizes Newton, with no relaxation factor to tune.  Iteration stops once
+Newton is globalized, with no relaxation factor to tune, by _line_search:
+a backtracking line search (Armijo factor 1e-4, halving) on max|R| that
+returns each member's accepted trial and step length, and the first member
+whose length fell to 2^-20 without a decrease.  Iteration stops once
 max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf): relative to the
 data above |w|_inf = 1, absolute below it (at amplitude 1e-8 a field stops
 1e-4 relative from a tight solve; ROADMAP item 10).  A linear problem
@@ -100,8 +102,7 @@ from .grid import (
 from .model import IntegrandSpec
 from .scheme import _grad_norm, _Iterate, _Scheme, gradient_powers
 
-# Line search: accept step length t once max|R| has fallen by the factor
-# 1 - ARMIJO * t; halve t down to MIN_STEP.
+# _line_search's Armijo factor and shortest step length
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
@@ -384,23 +385,18 @@ class _Stepper:
     def step(self, u_prev: np.ndarray, t_next: float, t_after: float | None = None):
         """One implicit step of every member from u_prev (members first).
 
-        Returns (w, histories, failure).  Each member iterates, line-searches
-        and stops on its own and is frozen once converged, so its iterates
-        are those of a lone solve.  A member that fails drops itself and
-        every later member; w and histories hold the members before the
-        first failure and failure is that member's exception (None if every
-        member converged).
+        Returns (w, histories, failure).  A member that fails drops itself
+        and every later member: w and histories hold the members before the
+        first failure, and failure is that member's exception (None if all
+        converged).  self.past then takes u_prev, narrowed to those members.
 
         Each member starts Newton from the better of its starts (see starts
-        and pick), evaluated in one batch, as in a lone solve: its start
-        depends only on its own rows.  The step then stores u_prev and the
-        newest level of self.past, narrowed to the members that did not fail.
-
+        and pick), evaluated in one batch; a start reads only its own rows.
         t_after is the next step's time, None at the last step.  After a step
-        that ended at its first trial for every member, the first trial batch
-        also evaluates the next step's starts from that trial; if it ends this
-        step too, they are carried (self.carry) to the call whose t_next and
-        u_prev are bitwise t_after and that trial.  They are the rows that
+        that ended at its first trial for every member, the first trial's
+        batch also evaluates the next step's starts from that trial; if it
+        ends this step too, they are carried (self.carry) to the call whose
+        t_next and u_prev are bitwise t_after and that trial: the rows that
         call would evaluate, so every result is the same.
         """
         cfg, scheme = self.cfg, self.scheme
@@ -411,67 +407,40 @@ class _Stepper:
             blocks = self.starts(u_prev, t_next, self.past)
             it = self.pick(scheme.evaluate(*map(np.concatenate, blocks)), len(u_prev))
         out = np.empty_like(u_prev)  # every member kept writes its row
-        # the members still iterating, ascending, and per row their previous
-        # time level and current iterate
+        # the members still iterating, ascending, and their previous levels
         rows, base = np.arange(len(u_prev)), u_prev
         # whether the first trial also evaluates the next step's starts: ahead
         look, ahead = t_after is not None and self.swift, None
-        residuals = [[] for _ in rows]
-        lengths = [[] for _ in rows]
+        residuals, lengths = [[] for _ in rows], [[] for _ in rows]
         live, failure = len(rows), None
 
-        def keep(sel):
-            """Narrow the iterating members to the rows sel."""
-            nonlocal rows, base, it
-            rows, base, it = rows[sel], base[sel], it.take(sel)
-
-        def fail(pos, exc):
-            """Drop the member at row pos and every later one, releasing
-            their factors."""
-            nonlocal live, failure
-            live, failure = int(rows[pos]), exc
-            self.slots[live:] = [None] * (len(self.slots) - live)
-            sel = np.arange(pos)
-            keep(sel)
-            return sel
-
-        def step_failure(pos, why):
-            m = rows[pos]
-            return StepFailure(
-                f"{why} at t = {t_next} (residual {it.norm[pos]:.3e})",
-                t=t_next,
+        def fail(pos, why):
+            """Drop row pos and every later member for why: an exception or a reason."""
+            nonlocal rows, base, it, live, failure
+            m = live = int(rows[pos])
+            failure = why if isinstance(why, Exception) else StepFailure(
+                f"{why} at t = {t_next} (residual {it.norm[pos]:.3e})", t=t_next,
                 residual=float(it.norm[pos]),
-                history=StepHistory(tuple(residuals[m]), tuple(lengths[m])),
-            )
+                history=StepHistory(tuple(residuals[m]), tuple(lengths[m])))
+            self.slots[live:] = [None] * (len(self.slots) - live)
+            rows, base, it = rows[:pos], base[:pos], it.take(slice(pos))
 
         for _ in range(cfg.max_iter):
             d, bad = self.newton_direction(it, t_next, rows)
             if bad is not None:
-                d = d[fail(*bad)]
-            # each round moves every member by its own length; a member's
-            # evaluation does not depend on the others in the batch, so an
-            # accepted member gets the same bits in every later round
-            length = np.ones(len(rows))
-            while len(rows):
+                fail(*bad)
+                d, look = d[:len(rows)], False
+            trial = None
+            if look:
                 w = it.w.copy()
-                w[scheme.interior] += length.reshape((-1,) + (1,) * cfg.domain.n) * d
-                if look and len(rows) == len(u_prev):
-                    ahead = scheme.evaluate(*(np.concatenate([x, *xs]) for x, xs in zip(
-                        (w, base, self.eps[rows]), self.starts(w, t_after, [base, *self.past[:1]]))))
-                    trial = ahead.take(slice(len(w)))
-                else:
-                    trial = scheme.evaluate(w, base, self.eps[rows])
-                look = False
-                pending = ~((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
-                            | (trial.norm < cfg.tolerance * trial.scale))
-                stuck = pending & (length <= _MIN_STEP)
-                if stuck.any():
-                    pos = int(np.argmax(stuck))
-                    sel = fail(pos, step_failure(pos, "line search found no decrease"))
-                    d, length, pending, trial = d[sel], length[sel], pending[sel], trial.take(sel)
-                if not pending.any():
-                    break
-                length[pending] *= 0.5
+                w[scheme.interior] += d
+                ahead = scheme.evaluate(*(np.concatenate([x, *xs]) for x, xs in zip(
+                    (w, base, self.eps[rows]), self.starts(w, t_after, [base, *self.past[:1]]))))
+                trial, look = ahead.take(slice(len(w))), False
+            trial, length, stuck = _line_search(
+                scheme, it, d, base, self.eps[rows], cfg.tolerance, trial)
+            if stuck is not None:
+                fail(stuck, "line search found no decrease")
             if not len(rows):
                 break
             it = trial
@@ -483,15 +452,46 @@ class _Stepper:
                 out[rows[done]] = it.w[done]
                 if done.all():
                     break
-                keep(~done)
+                rows, base, it = rows[~done], base[~done], it.take(~done)
         else:
-            fail(0, step_failure(0, f"no convergence within {cfg.max_iter} iterations"))
+            fail(0, f"no convergence within {cfg.max_iter} iterations")
         self.swift = failure is None and all(t == [1.0] for t in lengths)
         if self.swift and ahead is not None:
             self.carry = ((t_after, out.tobytes()), self.pick(ahead, live, live))
         self.past = [v[:live] for v in (u_prev, *self.past[:1])]
         histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
         return out[:live], histories, failure
+
+
+def _line_search(scheme: _Scheme, it: _Iterate, d, base, eps, tolerance: float, trial=None):
+    """Backtracking line search from the members' iterates it along their
+    Newton directions d, base and eps the members' previous levels and
+    regularizations, and trial their evaluation at length 1 if the caller
+    made it.  Each member's length t starts at 1 and halves until max|R|
+    falls by the factor 1 - _ARMIJO t or meets the stopping rule.  Each
+    round evaluates all members in one batch; no member's evaluation depends
+    on the others, so an accepted member keeps its bits.  A member pending
+    at _MIN_STEP is stuck: it and every later member are dropped.  Returns
+    (trial, length, stuck): the accepted evaluation and length of each
+    member before the first stuck one, and its position or None."""
+    length, stuck = np.ones(len(d)), None
+    while len(length):
+        if trial is None:
+            w = it.w.copy()
+            w[scheme.interior] += length.reshape((-1,) + (1,) * scheme.dom.n) * d
+            trial = scheme.evaluate(w, base, eps)
+        pending = ~((trial.norm <= (1.0 - _ARMIJO * length) * it.norm)
+                    | (trial.norm < tolerance * trial.scale))
+        hit = pending & (length <= _MIN_STEP)
+        if hit.any():
+            stuck = int(np.argmax(hit))
+            it, trial = it.take(slice(stuck)), trial.take(slice(stuck))
+            d, base, eps, length, pending = (x[:stuck] for x in (d, base, eps, length, pending))
+        if not pending.any():
+            break
+        length[pending] *= 0.5
+        trial = None
+    return trial, length, stuck
 
 
 def _defect_correction(apply, b, lu, floor):

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pqlab import StructureParams, check_gap
+from pqlab import StructureParams, check_gap, solve
+
+# the 2D targets of the benchmark's configs: (center, rho)
+TARGETS_2D = (((0.5, 0.5, 0.12), 0.2), ((0.45, 0.55, 0.2), 0.15), ((0.55, 0.45, 0.28), 0.12))
 
 
 def sample_gap_params(rng: np.random.Generator) -> StructureParams:
@@ -30,3 +33,13 @@ def sample_gap_params(rng: np.random.Generator) -> StructureParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def diagnostics_field():
+    """The diagnostics-2d field: the 2D degenerate preset at 33^2 x 32."""
+    from test_solver import _probe_config_2d
+
+    cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0)
+    u, _ = solve(cfg)
+    return cfg, u

@@ -13,6 +13,7 @@ from pqlab import (
     CoefficientSpec,
     Cylinder,
     Domain,
+    ExperimentConfig,
     IntegrandSpec,
     ParameterError,
     RegionError,
@@ -29,6 +30,9 @@ from pqlab import (
     trace,
     verify_sup_bound,
 )
+from pqlab.grid import _resolve
+
+from conftest import TARGETS_2D
 
 D_REF = derive(StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 D_1D = derive(StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0))
@@ -357,3 +361,59 @@ class TestVerifySupBound:
         rep = verify_sup_bound(u, (0.0, 2.0), 0.8, 0.5, spec)
         assert rep.mean_um == 0.0
         assert rep.passed  # ess_sup = -1 <= any positive bound
+
+
+def _raise_node(u: SpaceTimeField, cyl: Cylinder, value: float) -> SpaceTimeField:
+    """u with one node of cyl set to value: at its last time level, the
+    node of its ball nearest its centre."""
+    dom = u.domain
+    t_mask, ball, _ = _resolve(dom, cyl)
+    coords = np.stack([c.ravel() for c in dom.meshgrid()], axis=1)
+    dist = np.linalg.norm(coords - np.asarray(cyl.x), axis=1)
+    node = np.unravel_index(np.argmin(np.where(ball.ravel(), dist, np.inf)), ball.shape)
+    vals = u.values.copy()
+    vals[(np.flatnonzero(t_mask)[-1],) + node] = value
+    return SpaceTimeField(dom, vals)
+
+
+class TestMutants:
+    """Fields that an estimate check must reject, made from the
+    diagnostics-2d field at the benchmark's second 2D target, where the
+    field passes with a sup-bound margin of about 930."""
+
+    @staticmethod
+    def target(cfg):
+        ecfg = ExperimentConfig(params=cfg.spec.params, domain=cfg.domain,
+                                coeffs=cfg.spec.coeffs, g=cfg.g, targets=TARGETS_2D)
+        center, rho, sigma = ecfg.target_cylinders()[1]
+        return Cylinder(center, rho, sigma)
+
+    def test_spike_above_the_level_fails_the_sup_bound(self, diagnostics_field):
+        # one node of Q_rho at twice k_choice: ess_sup 1.34 against 0.668
+        cfg, u = diagnostics_field
+        cyl = self.target(cfg)
+        rep = verify_sup_bound(u, cyl.center, cyl.rho, cyl.sigma, cfg.spec)
+        assert rep.passed
+        mutant = _raise_node(u, cyl, 2.0 * rep.k_choice)
+        bad = verify_sup_bound(mutant, cyl.center, cyl.rho, cyl.sigma, cfg.spec)
+        assert bad.ess_sup == 2.0 * rep.k_choice
+        assert not bad.passed and bad.margin < 0.51
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="on a grid |D_h (u - k)_+| is at most about (u - k)_+ / h, so "
+                              "c_min is of order sigma/h^2 + sigma/dt (15 + 1.6 here) at any "
+                              "amplitude: the spike reads 11.8 against the cap of 1000")
+    def test_steep_small_truncation_fails_caccioppoli(self, diagnostics_field):
+        # k is the field's maximum over Q_{2rho,2sigma}, so (u - k)_+ is one
+        # node of height 1e-8 and its gradient is 1e-8 / (2h)
+        cfg, u = diagnostics_field
+        inner = self.target(cfg)
+        outer = Cylinder(inner.center, 2.0 * inner.rho, 2.0 * inner.sigma)
+        t_out, ball_out, _ = _resolve(u.domain, outer)
+        k = float(u.values[t_out][:, ball_out].max())
+        spec = cfg.spec
+        norms = coefficient_norms(spec.coeffs.a.sample(u.domain), spec.coeffs.b.sample(u.domain),
+                                  spec.params.alpha, spec.params.beta, outer)
+        sides = caccioppoli_sides(_raise_node(u, inner, k + 1e-8), k, inner, outer, norms,
+                                  spec.d, mu=spec.params.mu, eps=spec.eps)
+        assert sides.c_min > 1e3  # the cap of pqlab check-caccioppoli

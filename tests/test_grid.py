@@ -58,6 +58,10 @@ class TestDomainAndField:
             dict(n=1, box=((0.0, 1.0),), T=1.0, nx=2, nt=4),
             dict(n=1, box=((0.0, 1.0),), T=1.0, nx=5, nt=1),
             dict(n=1, box=((1.0, 0.0),), T=1.0, nx=5, nt=4),
+            dict(n=1, box=((0.0, 1.0),), T=math.inf, nx=5, nt=4),
+            dict(n=1, box=((0.0, 1.0),), T=math.nan, nx=5, nt=4),
+            dict(n=2, box=((0.0, 1.0), (-math.inf, 1.0)), T=1.0, nx=5, nt=4),
+            dict(n=1, box=((-1e308, 1e308),), T=1.0, nx=5, nt=4),
         ],
     )
     def test_domain_validation(self, kwargs):
@@ -439,6 +443,15 @@ class TestFieldIO:
         path.write_bytes(b"PQF1" + struct.pack("<III", 2, 2**31, 3)
                          + struct.pack("<ddddd", 0.0, 1.0, 0.0, 1.0, 1.0))
         with pytest.raises(ParameterError, match="expected 147573952589676412928 bytes"):
+            load_field_dump(path)
+
+    @pytest.mark.parametrize("header", [(0.0, math.inf, 1.0), (0.0, 1.0, math.inf),
+                                        (math.nan, 1.0, 1.0)])
+    def test_dump_non_finite_header_rejected(self, header, tmp_path):
+        # box (lo, hi) and T as written by save_field_dump, before the values
+        path, blob = self._dump_bytes(tmp_path)
+        path.write_bytes(blob[:16] + struct.pack("<ddd", *header) + blob[40:])
+        with pytest.raises(ParameterError, match="finite"):
             load_field_dump(path)
 
     def test_dump_long_body_rejected(self, tmp_path):

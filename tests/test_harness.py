@@ -611,6 +611,16 @@ class TestCLI:
         assert cli_main([command, "--config", str(path), "--out", out]) == 3
         assert "cylinder1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [("T = 0.3", "T = inf"), ("box = 0.0 1.0", "box = 0.0 inf"),
+                                      ("box = 0.0 1.0", "box = -inf 1.0")])
+    def test_non_finite_grid_exit_code(self, edit, tmp_path, capsys):
+        # inf passed hi > lo and T > 0: T = inf made the solve exit 2, and an
+        # infinite box made it exit 0 with NaN in its reports
+        path = write(tmp_path, MINIMAL.replace(*edit))
+        assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "[domain]" in err and "finite" in err
+
     def test_nonpositive_target_radius_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL_2D + "\n[targets]\ncylinder1 = 0.5 0.5 0.12 -0.2\n")
         assert cli_main(["verify-bound", "--config", str(path), "--out", str(tmp_path / "x")]) == 3

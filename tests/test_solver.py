@@ -590,6 +590,67 @@ class TestSolveLevels:
             solve_levels(nonlinear_config(nx=9, nt=2), [0.5, 1.5])
 
 
+class TestLineSearch:
+    """solver._line_search alone, on the first Newton iteration of a 17-node
+    1D step with three members."""
+
+    @staticmethod
+    def first_iteration():
+        """(scheme, it, d, base, eps, tolerance) of the step's first iteration."""
+        cfg = nonlinear_config(nx=17, nt=4)
+        stepper = _Stepper(cfg, [0.5, 0.25, 0.0])
+        rows = np.arange(3)
+        base = np.tile(0.8 * np.sin(np.pi * cfg.domain.axes[0]), (3, 1))
+        it = stepper.scheme.evaluate(base, base, stepper.eps)
+        d, bad = stepper.newton_direction(it, cfg.domain.dt, rows)
+        assert bad is None
+        return stepper.scheme, it, d, base, stepper.eps, cfg.tolerance
+
+    def test_newton_direction_accepted_at_length_one(self):
+        scheme, it, d, base, eps, tol = self.first_iteration()
+        trial, length, stuck = solver._line_search(scheme, it, d, base, eps, tol)
+        assert stuck is None and length.tolist() == [1.0, 1.0, 1.0]
+        assert np.all(trial.norm < 0.1 * it.norm)  # a full Newton step, 16-38x here
+
+    def test_negated_direction_is_stuck_at_the_minimum_step(self, monkeypatch):
+        # members 1 and 2 climb along -d at every length: the search
+        # evaluates lengths 1, 1/2, ..., _MIN_STEP, the earlier stuck member
+        # is reported, and member 0 keeps its trial
+        scheme, it, d, base, eps, tol = self.first_iteration()
+        ref, _, _ = solver._line_search(scheme, it, d, base, eps, tol)
+        d[1:] *= -1.0
+        counts = _count_evaluations(monkeypatch)
+        trial, length, stuck = solver._line_search(scheme, it, d, base, eps, tol)
+        assert stuck == 1
+        assert counts["calls"] == 1 - math.log2(solver._MIN_STEP)
+        assert length.tolist() == [1.0] and len(trial.w) == 1
+        assert np.array_equal(trial.w[0], ref.w[0]) and trial.norm[0] == ref.norm[0]
+
+    def test_member_alone_matches_the_batch(self):
+        # member 2 along 8d backtracks while the others accept at length 1,
+        # so the batch re-evaluates them in later rounds
+        scheme, it, d, base, eps, tol = self.first_iteration()
+        d[2] *= 8.0
+        trial, length, stuck = solver._line_search(scheme, it, d, base, eps, tol)
+        assert stuck is None and length[0] == length[1] == 1.0 and length[2] < 1.0
+        for m in range(3):
+            one = [m]
+            alone, one_length, _ = solver._line_search(scheme, it.take(one), d[one], base[one],
+                                                       eps[one], tol)
+            assert one_length.tolist() == [length[m]]
+            for got, ref in ((alone.w, trial.w), (alone.residual, trial.residual),
+                             (alone.norm, trial.norm), (alone.scale, trial.scale)):
+                assert np.array_equal(got[0], ref[m])
+
+    def test_carried_first_trial_is_used(self, monkeypatch):
+        # a first trial passed in replaces the search's first evaluation
+        scheme, it, d, base, eps, tol = self.first_iteration()
+        ref, _, _ = solver._line_search(scheme, it, d, base, eps, tol)
+        counts = _count_evaluations(monkeypatch)
+        trial, length, stuck = solver._line_search(scheme, it, d, base, eps, tol, ref)
+        assert counts["calls"] == 0 and trial is ref and stuck is None
+
+
 def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
     """The 2D degenerate preset: a = |x - (0.505, 0.505)|^0.04, b = 1, sine datum."""
     params = StructureParams(n=2, p=p, q=q, alpha=alpha, beta=alpha, mu=0.0, eps=0.5)

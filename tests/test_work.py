@@ -39,6 +39,7 @@ from pqlab import (
 from pqlab.scheme import _Scheme
 from pqlab.solver import _Stepper
 
+from conftest import TARGETS_2D
 from test_harness import SWEEP_CFG
 from test_solver import _count_evaluations, _probe_config_2d, degenerate_config
 
@@ -123,14 +124,6 @@ class TestWorkLedger:
         assert len(directions) <= 277
         assert evaluations["calls"] <= 290
         assert evaluations["rows"] <= 4802
-
-
-@pytest.fixture(scope="module")
-def diagnostics_field():
-    """The diagnostics-2d field: the 2D degenerate preset at 33^2 x 32."""
-    cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0)
-    u, _ = solve(cfg)
-    return cfg, u
 
 
 def _cylinders():
@@ -271,14 +264,12 @@ class TestEachCylinderResolvedOnce:
     def test_target_bounds(self, n_fields, diagnostics_field, monkeypatch):
         # the base cylinder and its top half, once per target for all fields
         cfg, u = diagnostics_field
-        targets = (((0.5, 0.5, 0.12), 0.2), ((0.45, 0.55, 0.2), 0.15),
-                   ((0.55, 0.45, 0.28), 0.12))
         ecfg = ExperimentConfig(params=cfg.spec.params, domain=cfg.domain,
-                                coeffs=cfg.spec.coeffs, g=cfg.g, targets=targets)
+                                coeffs=cfg.spec.coeffs, g=cfg.g, targets=TARGETS_2D)
         regions = _count_resolves(monkeypatch)
         reports = harness.target_bounds(ecfg, [u] * n_fields)
-        assert len(reports) == n_fields and all(len(r) == len(targets) for r in reports)
-        assert len(regions) == len(set(regions)) == 2 * len(targets)
+        assert len(reports) == n_fields and all(len(r) == len(TARGETS_2D) for r in reports)
+        assert len(regions) == len(set(regions)) == 2 * len(TARGETS_2D)
 
     def test_sweep(self, tmp_path, monkeypatch):
         # a sweep-1d op on its three targets: each half cylinder is resolved
