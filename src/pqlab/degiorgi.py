@@ -247,11 +247,12 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
         cyl = Cylinder(q0.center, float(rho_i[i]), float(sigma_i[i]))
         x_i[i] = _truncated_mean(u, float(k_i[i]), d.m, _resolve(dom, cyl))
 
-    lam, c_fit, c_i = _fit_recursion(x_i, d.kappa)
-    if c_fit > 0:
-        threshold = c_fit ** (-1.0 / d.kappa) * lam ** (-1.0 / d.kappa**2)
-    else:
-        threshold = math.inf
+    lam, log_c, log_c_i = _fit_recursion(x_i, d.kappa)
+    # threshold = C^(-1/kappa) lambda^(-1/kappa^2): +inf where C = 0
+    log_threshold = -(log_c / d.kappa + math.log(lam) / d.kappa**2)
+    with np.errstate(over="ignore"):  # a constant beyond float64 reads inf
+        c_fit, threshold = np.exp([log_c, log_threshold]).tolist()
+        c_i = np.exp(log_c_i)
     return DeGiorgiTrace(
         rho_i=rho_i,
         sigma_i=sigma_i,
@@ -261,38 +262,32 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
         lambda_fit=lam,
         c_fit=c_fit,
         threshold=threshold,
-        threshold_ok=bool(x_i[0] <= threshold),
+        threshold_ok=bool(x_i[0] == 0.0 or math.log(x_i[0]) <= log_threshold),
         truncated=truncated,
     )
 
 
 def _fit_recursion(x_i: np.ndarray, kappa: float):
     """Fit (lambda, C) with X_{i+1} <= C lambda**i X_i**(1+kappa) over the
-    measured steps, choosing lambda >= 1 to make the convergence threshold
-    least demanding.  Steps after the sequence hits zero are skipped."""
-    steps = [(i, a, b) for i, (a, b) in enumerate(zip(x_i[:-1], x_i[1:])) if a > 0 and b > 0]
-    if not steps:
-        return 1.0, 0.0, np.zeros(max(len(x_i) - 1, 0))
+    measured steps, choosing lambda >= 1 on a grid to make the convergence
+    threshold least demanding, in logarithms so that no scale of X_i
+    overflows: log C(lambda) = max_i (log X_{i+1} - i log lambda - (1 +
+    kappa) log X_i).  Steps where X_i or X_{i+1} is zero are skipped.
 
+    Returns (lambda, log C, log C_i), C_i the steps' constants at lambda;
+    a skipped step's log C_i is -inf, and so is log C if every step is."""
+    steps = np.flatnonzero((x_i[:-1] > 0) & (x_i[1:] > 0))
+    log_c_i = np.full(len(x_i) - 1, -math.inf)
+    if not len(steps):
+        return 1.0, -math.inf, log_c_i
     lams = np.logspace(0.0, math.log10(64.0), 241)
-
-    def min_c(lam):
-        return max(b / (lam**i * a ** (1.0 + kappa)) for i, a, b in steps)
-
-    demands = [
-        (1.0 / kappa) * math.log(min_c(lam)) + (1.0 / kappa**2) * math.log(lam)
-        for lam in lams
-    ]
-    best = int(np.argmin(demands))
-    lam = float(lams[best])
-    c_fit = float(min_c(lam))
-    c_i = np.array(
-        [
-            x_i[i + 1] / (lam**i * x_i[i] ** (1.0 + kappa)) if x_i[i] > 0 else 0.0
-            for i in range(len(x_i) - 1)
-        ]
-    )
-    return lam, c_fit, c_i
+    log_lams = np.log(lams)
+    # log X_{i+1} - (1 + kappa) log X_i, and log C at every lambda of the grid
+    log_ratio = np.log(x_i[steps + 1]) - (1.0 + kappa) * np.log(x_i[steps])
+    log_c = np.max(log_ratio - np.multiply.outer(log_lams, steps), axis=1)
+    best = int(np.argmin(log_c / kappa + log_lams / kappa**2))
+    log_c_i[steps] = log_ratio - steps * log_lams[best]
+    return float(lams[best]), float(log_c[best]), log_c_i
 
 
 # ---------------------------------------------------------------------------

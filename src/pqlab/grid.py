@@ -69,7 +69,7 @@ class Domain:
         if self.nt < 2:
             raise ParameterError(f"need nt >= 2 time steps, got {self.nt}")
 
-    @property
+    @functools.cached_property
     def dx(self) -> tuple:
         return tuple((hi - lo) / (self.nx - 1) for lo, hi in self.box)
 
@@ -85,7 +85,7 @@ class Domain:
     def times(self) -> np.ndarray:
         return _read_only(np.linspace(0.0, self.T, self.nt + 1))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 

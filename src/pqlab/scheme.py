@@ -21,11 +21,13 @@ discrete energy exactly, so in 2D it holds only up to a first-order error.
 
 The nodal rule.  _partial differentiates per node by np.gradient, central
 inside and second-order one-sided at the boundary; _grad_norm gives |Du| per
-node.  gradient_powers is the one way a diagnostic integrates |Du|^r: the
-energy report, the Caccioppoli check and the interpolation lemma read it.
-The rule's one other reader is the datum's dual norm (solver._dual_norm, a
-spatial norm of sine test modes); the 2D face rule also takes its transverse
-gradients from _partial.
+node.  gradient_powers is the one way a diagnostic integrates |Du|^r of a
+field: the energy report, the Caccioppoli check and the interpolation lemma
+read it.  The rule's other readers are the energy report's datum terms
+(solver.energy_reports, gradient_powers' two steps written out so that the
+datum is freed before the powers are formed) and the datum's dual norm
+(solver._dual_norm, a spatial norm of sine test modes); the 2D face rule
+also takes its transverse gradients from _partial.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ J(w) from the stencil, down to a defect that moves the next residual by at
 most 1% of the stopping threshold (_CORRECTION_FLOOR).  A factor serves
 across time steps until its solves have cost the flops of one factorization
 (a closed form in the bandwidth: 8 of them at 17^2, 32 at 65^2) or the
-defect falls too slowly, and a fresh float32 factor that cannot correct is
-replaced by a float64 one, as in LAPACK dsgesv.
+defect falls too slowly; where a fresh float32 factor cannot correct, a
+float64 factor's direct solve is the direction, as in LAPACK dsgesv.
 
 Newton is globalized, with no relaxation factor to tune, by _line_search:
 a backtracking line search (Armijo factor 1e-4, halving) on max|R| that
@@ -106,19 +106,18 @@ from .scheme import _grad_norm, _Iterate, _Scheme, gradient_powers
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
-# 2D linear solves with a member's factor: defect correction on the
-# exact Newton matrix, to relative residual _CORRECTION_RTOL within
-# _CORRECTIONS corrections, or to the floor _CORRECTION_FLOOR * tolerance *
-# scale if that is larger.  A defect r left in the direction d is, to first
-# order, the next residual: R(w + d) = -r + O(|d|^2).  The stopping rule
-# needs max|R| < tolerance * scale, so a defect at 1e-2 of that threshold
-# (in the 2-norm, which bounds the max-norm) moves the next max|R| by at
-# most 1% of it: it changes when Newton stops only where an exact direction
-# would land that close to the threshold.  A floor of 1e-1 moves the 65^2 x
-# 64 preset's field 6e-13 relative from corrections run to _CORRECTION_RTOL,
-# too near the 1e-12 that the tests allow, and one of 1 adds an iteration on
-# their p = 4 probe.
-_CORRECTION_RTOL = 1e-12
+# 2D Newton directions: defect correction on the exact Newton matrix down to
+# the floor _CORRECTION_FLOOR * tolerance * scale within _CORRECTIONS
+# corrections, and where a fresh float32 factor cannot reach it, a float64
+# factor's direct solve (newton_direction).  A defect r left in the
+# direction d is, to first order, the next residual: R(w + d) = -r +
+# O(|d|^2).  The stopping rule needs max|R| < tolerance * scale, so a defect
+# at 1e-2 of that threshold (in the 2-norm, which bounds the max-norm) moves
+# the next max|R| by at most 1% of it: it changes when Newton stops only
+# where an exact direction would land that close to the threshold.  A floor
+# of 1e-1 moves the 65^2 x 64 preset's field 9e-13 relative from one 1e-4
+# times lower, too near the 1e-12 that the tests allow, and one of 1 adds an
+# iteration on their p = 4 probe.
 _CORRECTION_FLOOR = 1e-2
 _CORRECTIONS = 30
 
@@ -251,8 +250,7 @@ class _Stepper:
     """The Newton driver of the implicit step on one scheme, for a stack of
     members that share everything but eps: the members' eps, the frame's
     datum profile, the 2D factor slots and their budget, the levels the
-    extrapolated start reads and the starts carried to the next step.  It
-    also holds the half-bandwidth of the 2D Newton matrix."""
+    extrapolated start reads and the starts carried to the next step."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
         self.cfg = cfg
@@ -265,9 +263,8 @@ class _Stepper:
         # 2D Newton factors, kept across time steps: per member None or
         # (band factor, solves it has served), and the budget of such solves
         # per factor, whose flops are those of one factorization
-        self.kl = half_bandwidth((dom.nx - 2,) * dom.n)
         self.slots = [None] * len(self.eps)
-        self.budget = solve_budget(self.kl)
+        self.budget = solve_budget(half_bandwidth((dom.nx - 2,) * dom.n))
         # each member's accepted time levels before the one step starts from,
         # newest first and at most two: u_{j-1} and u_{j-2} (see step)
         self.past = []
@@ -297,15 +294,14 @@ class _Stepper:
         or an earlier time step, with the solves it has served.  Each member
         solves its exact system J(w) d = -R in float64 by defect correction
         from the factor's first solve, down to the floor
-        _CORRECTION_FLOOR * tolerance * scale of the member's stopping rule
-        (or relative defect _CORRECTION_RTOL, if that is larger): to first
-        order the defect is the next residual.  It corrects with its slot's
-        factor while that has served no more solves than the budget, one
-        factorization's flops over one solve's (band.solve_budget); else, or
-        if that correction gives up, with a fresh float32 factor; if that
-        gives up, with a float64 one; and if even that gives up, it takes the
-        float64 factor's direct solve, as dsgesv would.  The last factor
-        fills the slot; a singular matrix fails its member with DivergenceError.
+        _CORRECTION_FLOOR * tolerance * scale of the member's stopping rule:
+        to first order the defect is the next residual.  It corrects with its
+        slot's factor while that has served no more solves than the budget,
+        one factorization's flops over one solve's (band.solve_budget); else,
+        or if that correction gives up, with a fresh float32 factor; and if
+        that gives up, it factors in float64 and takes that factor's direct
+        solve, as dsgesv does.  The last factor fills the slot; a singular
+        matrix fails its member with DivergenceError.
         """
         rhs = -it.residual
         stencil = self.scheme.stencil(it)
@@ -327,21 +323,21 @@ class _Stepper:
         else:
             def solve_member(row):
                 b, m = rhs[row].ravel(), members[row]
+                apply = functools.partial(stencil_product, stencil, row)
                 floor = _CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row]
-                slot, self.slots[m] = self.slots[m], None
-                for dtype in (None, np.float32, np.float64):  # None: the slot's factor
-                    if dtype is not None:
-                        slot = None  # release a spent or failed factor before refactoring
-                        slot = (BandLU(stencil, row, dtype), 0)
-                    elif slot is None or slot[1] > self.budget:
-                        continue
-                    d_row, solves = _defect_correction(
-                        functools.partial(stencil_product, stencil, row), b, slot[0], floor)
-                    if d_row is not None:
-                        break
-                else:  # even float64 cannot correct: its direct solve, as dgesv's
-                    d_row, solves = slot[0].solve(b), 1
-                self.slots[m] = (slot[0], slot[1] + solves)
+                lu, served = self.slots[m] or (None, math.inf)
+                self.slots[m] = d_row = None
+                if served <= self.budget:
+                    d_row, solves = _defect_correction(apply, b, lu, floor)
+                if d_row is None:
+                    lu = None  # release a spent or failed factor before refactoring
+                    lu, served = BandLU(stencil, row), 0
+                    d_row, solves = _defect_correction(apply, b, lu, floor)
+                if d_row is None:  # float32 cannot correct: float64's direct solve
+                    lu = None
+                    lu = BandLU(stencil, row, np.float64)
+                    d_row, solves = lu.solve(b), 1
+                self.slots[m] = (lu, served + solves)
                 return d_row.reshape(rhs[row].shape)
         d = np.empty_like(rhs)
         for row in range(len(rhs)):
@@ -498,22 +494,20 @@ def _defect_correction(apply, b, lu, floor):
     """Solve A x = b by x += lu.solve(b - A x) from x = lu.solve(b), apply
     the product x -> A x and lu a factor of A in lower precision or of a
     nearby matrix, until the defect |b - A x| (2-norm, by BLAS dnrm2, which
-    no float64 b overflows) is at most the target max(_CORRECTION_RTOL |b|, floor).
+    no float64 b overflows) is at most floor.
 
     Returns (x, solves), solves the number of lu.solve calls made; x is None
     unless the defect falls at every correction (at a non-finite x it is NaN
     or infinite and never does) and, at the last correction's rate, can
-    still reach the target within _CORRECTIONS.  A floor only raises the
-    target, so it stops no later and gives up nowhere that floor 0 would
-    have converged."""
+    still reach the floor within _CORRECTIONS.  A higher floor stops no
+    later and gives up nowhere that a lower one would have converged."""
     x, last = lu.solve(b), math.inf
-    target = max(_CORRECTION_RTOL * scipy.linalg.blas.dnrm2(b), floor)
     for solves in itertools.count(1):
         defect = b - apply(x)
         norm = scipy.linalg.blas.dnrm2(defect)
-        if norm <= target:
+        if norm <= floor:
             return x, solves
-        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:
+        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > floor:
             return None, solves
         x, last = x + lu.solve(defect), norm
 
@@ -708,18 +702,23 @@ def energy_reports(fields, cfg: SolveConfig, eps_values) -> list:
     for u in fields:
         _same_grid(dom, u=u)
     d = cfg.spec.d
-    g_field = cfg.g.sample(dom)
-    dg_pa, dg_gamma, dg_bc, dg_qb = gradient_powers(
-        g_field.values, dom, (d.p_alpha, d.gamma, d.beta_conj, d.q_beta))
-    wnorm = (_integrate_power(g_field.values, d.p_alpha, dom) + dg_pa) ** (1.0 / d.p_alpha)
+    # gradient_powers' two steps, with g freed before the powers of |Dg| are
+    # formed: one field-sized array fewer at the peak
+    g = cfg.g.at(dom.box, dom.meshgrid(), dom.times.reshape((-1,) + (1,) * dom.n))
+    g_power, g_sup_l2 = _integrate_power(g, d.p_alpha, dom), float(_slicewise_l2sq(g, dom).max())
+    dg = _grad_norm(g, dom)
+    del g
+    dg_pa, dg_gamma, dg_bc, dg_qb = [
+        _integrate_power(dg, r, dom) for r in (d.p_alpha, d.gamma, d.beta_conj, d.q_beta)]
+    del dg
+    wnorm = (g_power + dg_pa) ** (1.0 / d.p_alpha)
     datum = dict(
         dual_term=_dual_norm(cfg) ** d.p_conj,
         wnorm_term=wnorm**d.p,
         dg_gamma_term=(dg_gamma ** (1.0 / d.gamma)) ** d.time_exponent,
         dg_mu_term=cfg.spec.params.mu ** (d.q - 1.0) * dg_bc ** (1.0 / d.beta_conj),
-        g_sup_l2=float(_slicewise_l2sq(g_field.values, dom).max()),
+        g_sup_l2=g_sup_l2,
     )
-    del g_field  # freed before a field's gradient is formed: a lower peak
     alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
     reports = []
     for u, eps in zip(fields, eps_values):

@@ -3,6 +3,7 @@ sup-bound verification."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pqlab import (
     BoundaryDatum,
     Coefficient,
     CoefficientSpec,
+    ComparisonMap,
     Cylinder,
     Domain,
     ExperimentConfig,
@@ -25,14 +27,19 @@ from pqlab import (
     coefficient_norms,
     constant_field,
     derive,
+    field_from_function,
+    load_config,
     solve,
     theorem_bound,
     trace,
+    variational_gap_curve,
     verify_sup_bound,
 )
+from pqlab import cli
 from pqlab.grid import _resolve
 
 from conftest import TARGETS_2D
+from test_harness import SWEEP_CFG
 
 D_REF = derive(StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 D_1D = derive(StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0))
@@ -262,6 +269,39 @@ class TestTrace:
         tr = trace(u, Cylinder((0.5, 0.12), 2 * rho, 2 * sigma), rep.k_choice, d, i_max=4)
         assert tr.x_i[0] <= tr.threshold
 
+    def test_fit_is_independent_of_the_scale_of_the_field(self):
+        # s u at level s k has X_i scaled by s^m, so the fit takes the same
+        # lambda and verdict and C scales by s^(-m kappa).  The fit is made
+        # in logarithms: at s = 1e+-60 and beyond, X_i^(1 + kappa) over- or
+        # underflows float64
+        dom = Domain(n=2, box=((0.0, 1.0),) * 2, T=0.3, nx=33, nt=32)
+        u = field_from_function(dom, lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y)
+                                * np.exp(-t))
+        q0 = Cylinder((0.5, 0.5, 0.24), 0.4, 0.2)
+        ref = trace(u, q0, 0.5, D_REF)
+        assert 2.1 < ref.lambda_fit < 2.2 and 0.0 < ref.c_fit < math.inf
+        # at s = 1, the fit's formulas written out without logarithms
+        x, kappa = ref.x_i, D_REF.kappa
+
+        def c_at(lam):
+            return [x[i + 1] / (lam**i * x[i] ** (1.0 + kappa)) for i in range(len(x) - 1)]
+
+        lams = np.logspace(0.0, math.log10(64.0), 241)
+        demand = [math.log(max(c_at(lam))) / kappa + math.log(lam) / kappa**2 for lam in lams]
+        assert ref.lambda_fit == lams[int(np.argmin(demand))]
+        assert ref.c_fit == pytest.approx(max(c_at(ref.lambda_fit)), rel=1e-13)
+        assert ref.c_i == pytest.approx(c_at(ref.lambda_fit), rel=1e-13)
+        assert ref.threshold == pytest.approx(
+            ref.c_fit ** (-1.0 / kappa) * ref.lambda_fit ** (-1.0 / kappa**2), rel=1e-13)
+        for s in (1e-70, 1e-30, 1.0, 1e30, 1e70):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tr = trace(SpaceTimeField(dom, s * u.values), q0, 0.5 * s, D_REF)
+            assert tr.lambda_fit == ref.lambda_fit and tr.threshold_ok == ref.threshold_ok
+            if 0.0 < tr.c_fit < math.inf:
+                scaled = tr.c_fit * s ** (D_REF.m * D_REF.kappa)
+                assert scaled == pytest.approx(ref.c_fit, rel=1e-12)
+
 
 class TestVerifySupBound:
     def make_spec(self, mu=0.0, eps=0.0):
@@ -377,9 +417,9 @@ def _raise_node(u: SpaceTimeField, cyl: Cylinder, value: float) -> SpaceTimeFiel
 
 
 class TestMutants:
-    """Fields that an estimate check must reject, made from the
-    diagnostics-2d field at the benchmark's second 2D target, where the
-    field passes with a sup-bound margin of about 930."""
+    """Fields that an estimate check must reject.  All but the gap's are
+    made from the diagnostics-2d field at the benchmark's second 2D target,
+    where the field passes with a sup-bound margin of about 930."""
 
     @staticmethod
     def target(cfg):
@@ -417,3 +457,56 @@ class TestMutants:
         sides = caccioppoli_sides(_raise_node(u, inner, k + 1e-8), k, inner, outer, norms,
                                   spec.d, mu=spec.params.mu, eps=spec.eps)
         assert sides.c_min > 1e3  # the cap of pqlab check-caccioppoli
+
+    def test_rising_truncation_energies_fail_the_trace(self, diagnostics_field, tmp_path,
+                                                       monkeypatch):
+        # one node at 10 max|u|, nearest the centre of the innermost
+        # cylinder of the target's trace, lies in every cylinder of it, so
+        # X_i rises as the cylinders shrink (3.19, 3.32, 5.17, 5.81)
+        cfg, u = diagnostics_field
+        text = (SWEEP_CFG.replace("n = 1", "n = 2").replace("eps = 0.25", "eps = 0.5")
+                .replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
+                .replace("a_center = 0.505", "a_center = 0.505 0.505")
+                .replace("cylinder1 = 0.5 0.12 0.2", "\n".join(
+                    f"cylinder{i} = {' '.join(map(str, c))} {r}"
+                    for i, (c, r) in enumerate(TARGETS_2D, 1))))
+        path = tmp_path / "diagnostics.cfg"
+        path.write_text(text)
+        assert load_config(path).solve_config() == cfg
+        target = self.target(cfg)
+        rep = verify_sup_bound(u, target.center, target.rho, target.sigma, cfg.spec)
+        tr = trace(u, Cylinder(target.center, 2 * target.rho, 2 * target.sigma), rep.k_choice,
+                   cfg.spec.d)
+        innermost = Cylinder(target.center, float(tr.rho_i[-1]), float(tr.sigma_i[-1]))
+        mutant = _raise_node(u, innermost, 10.0 * float(np.abs(u.values).max()))
+        for field, code in ((u, 0), (mutant, 1)):
+            monkeypatch.setattr(cli, "solve", lambda scfg, field=field: (field, None))
+            args = ["trace-degiorgi", "--config", str(path), "--out", str(tmp_path / "trace.csv")]
+            assert cli.main(args) == code
+
+    def test_field_off_the_solution_fails_the_gap(self):
+        # u minimizes each step's discrete energy, so the gap against
+        # u + delta psi is of order delta^2 (TestVariationalGap); a field
+        # moved off u by 1e-2 max|u| psi has a first variation, and its gap
+        # against itself + delta psi follows delta's sign: -5.6e-7 at
+        # delta = -1e-4, 2.5e-6 of the scale
+        params = StructureParams(n=1, p=2.0, q=2.1)
+        coeffs = CoefficientSpec(
+            a=Coefficient("constant", value=1.0), b=Coefficient("constant", value=1.0)
+        )
+        dom = Domain(n=1, box=((0.0, 1.0),), T=0.1, nx=65, nt=16)
+        cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.0),
+                          BoundaryDatum(kind="profile", profile="sin"), tolerance=1e-12)
+        u, _ = solve(cfg)
+        # a sin^2 bump, zero on the lateral boundary and at t = 0
+        psi = (dom.times / dom.T)[:, None] * np.sin(np.pi * dom.axes[0])[None] ** 2
+        moved = SpaceTimeField(dom, u.values + 1e-2 * np.abs(u.values).max() * psi)
+        worst = {}
+        for name, base in (("u", u), ("moved", moved)):
+            worst[name] = min(
+                gap.min() / scale.max() for gap, scale in (
+                    variational_gap_curve(base, ComparisonMap(
+                        "psi", SpaceTimeField(dom, base.values + delta * psi)), cfg)
+                    for delta in (1e-4, -1e-4)))
+        assert worst["u"] >= -1e-10
+        assert worst["moved"] < -1e-10

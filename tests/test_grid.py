@@ -151,6 +151,27 @@ class TestQuadrature:
         expect = count_x * count_t * dom.dx[0] * dom.dt
         assert region_measure(dom, cyl) == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lp_norm_on_a_cylinder(self, n):
+        # the node-counting rule written out node by node: every node with
+        # |x - x_o| < rho and t_o - sigma < t <= t_o (no boundary on a node),
+        # weighted by one cell volume times dt
+        dom = Domain(n=n, box=((0.0, 1.0), (0.0, 0.8))[:n], T=1.0, nx=17, nt=16)
+        f = field_from_function(dom, lambda *xt: np.cos(3.0 * sum(xt)) - 0.4 * xt[-1])
+        cyl = Cylinder((0.46, 0.37)[:n] + (0.81,), 0.27, 0.35)
+        r = 2.5
+        total = 0.0
+        for j, t in enumerate(dom.times):
+            for node in itertools.product(range(dom.nx), repeat=n):
+                x = [dom.axes[k][i] for k, i in enumerate(node)]
+                if (sum((c - o) ** 2 for c, o in zip(x, cyl.x)) < cyl.rho**2
+                        and cyl.t - cyl.sigma < t <= cyl.t):
+                    total += abs(f.values[(j,) + node]) ** r * math.prod(dom.dx) * dom.dt
+        norm = lp_norm(f, r, cyl)
+        assert norm == pytest.approx(total ** (1.0 / r), rel=1e-14)
+        through_mean = (mean_integral(f, r, cyl) * region_measure(dom, cyl)) ** (1.0 / r)
+        assert norm == pytest.approx(through_mean, rel=1e-14)
+
     def test_empty_region_raises(self):
         dom = unit_domain(nx=5, nt=4)
         with pytest.raises(RegionError):

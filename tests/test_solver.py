@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,7 @@ from pqlab import (
     weak_residual,
 )
 from pqlab import solver
-from pqlab.band import band_storage, stencil_product
+from pqlab.band import band_storage, half_bandwidth, stencil_product
 from pqlab.scheme import _grad_norm, _Scheme
 from pqlab.solver import _Stepper
 
@@ -296,8 +297,9 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
     # band storage holds each row divided by its diagonal entry
     for row, ref in enumerate(refs):
         for dtype in (np.float32, np.float64):
-            assert np.array_equal(_unpack_band(band_storage(stencil, row, dtype), stepper.kl),
-                                  _row_scaled(ref, dtype))
+            assert np.array_equal(
+                _unpack_band(band_storage(stencil, row, dtype), half_bandwidth((dom.nx - 2,) * n)),
+                _row_scaled(ref, dtype))
 
 
 def _dense_operator(stencil, row):
@@ -364,7 +366,7 @@ class TestBandLU:
     @pytest.mark.parametrize("nx", [9, 17])
     def test_band_is_the_node_by_node_operator(self, nx, rng):
         stepper, stencil = self.stencil(nx, rng)
-        m, kl = nx - 2, stepper.kl
+        m, kl = nx - 2, half_bandwidth((nx - 2,) * 2)
         assert kl == nx - 1
         for row in (0, 1):
             dense = _dense_operator(stencil, row)
@@ -400,8 +402,8 @@ class TestBandLU:
         # the Newton matrix needs no row interchanges and is solved by the
         # two triangles; one with a small diagonal needs them, and is solved
         # by gbtrs.  A float64 factor solves to float64 rounding, a float32
-        # one to float32 rounding, and defect correction takes that to
-        # _CORRECTION_RTOL
+        # one to float32 rounding, and defect correction takes that to a
+        # floor of relative defect 1e-12
         _, stencil = self.stencil(9, rng, members=1, smooth=True)
         if pivoting:
             stencil = {**stencil, (0, 0): 1e-3 * stencil[(0, 0)]}
@@ -413,9 +415,10 @@ class TestBandLU:
             x = lu.solve(b)
             assert x.dtype == np.float64
             assert np.abs(dense @ x - b).max() <= rtol * np.abs(b).max()
-        x, solves = solver._defect_correction(dense.__matmul__, b, lu, 0.0)
+        floor = 1e-12 * np.linalg.norm(b)
+        x, solves = solver._defect_correction(dense.__matmul__, b, lu, floor)
         assert 1 < solves <= 4
-        assert np.linalg.norm(dense @ x - b) <= solver._CORRECTION_RTOL * np.linalg.norm(b)
+        assert np.linalg.norm(dense @ x - b) <= floor
 
     @pytest.mark.parametrize("b_scale,j_scale", [
         (1e300, 1.0), (1e300, 1e30), (1e-300, 1.0), (1e-300, 1e-30), (1.0, 1e30), (1.0, 1e-30),
@@ -423,7 +426,9 @@ class TestBandLU:
     def test_no_scale_of_the_data_overflows(self, b_scale, j_scale, rng):
         # rows divided by the diagonal and b by its largest entry: what is
         # cast to float32 lies in [-1, 1] at any scale whose solution float64
-        # can hold, and defect correction reaches the float64 answer
+        # can hold, and defect correction reaches the float64 answer; the
+        # floor's norm is dnrm2's, which |b| = 1e+-300 neither overflows nor
+        # underflows as np.linalg.norm's sum of squares would
         _, stencil = self.stencil(9, rng, members=1)
         stencil = {off: j_scale * entries for off, entries in stencil.items()}
         dense = _dense_operator(stencil, 0)
@@ -434,7 +439,8 @@ class TestBandLU:
             lu = solver.BandLU(stencil, 0)
             assert np.all(np.isfinite(lu.solve(b)))
             x, solves = solver._defect_correction(
-                functools.partial(stencil_product, stencil, 0), b, lu, 0.0)
+                functools.partial(stencil_product, stencil, 0), b, lu,
+                1e-12 * scipy.linalg.blas.dnrm2(b))
         assert x is not None and solves <= 4
         assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -716,18 +722,12 @@ def _count_factor_work(monkeypatch):
 
 
 class TestDefectCorrection:
-    """_defect_correction stops at max(_CORRECTION_RTOL |b|, floor)."""
+    """_defect_correction stops at the first defect under the floor."""
 
     @staticmethod
     def system(rng, rate):
         d = rng.uniform(1.0, 4.0, size=40)
         return np.diag(d), rng.normal(size=40), _ContractingFactor(d, rate)
-
-    def test_reaches_the_relative_tolerance_without_a_floor(self, rng):
-        matrix, b, lu = self.system(rng, 0.2)
-        x, solves = solver._defect_correction(matrix.__matmul__, b, lu, 0.0)
-        assert solves == lu.solves == _first_power_below(0.2, solver._CORRECTION_RTOL)
-        assert np.linalg.norm(b - matrix @ x) <= solver._CORRECTION_RTOL * np.linalg.norm(b)
 
     def test_stops_at_the_first_defect_under_the_floor(self, rng):
         matrix, b, lu = self.system(rng, 0.2)
@@ -736,23 +736,29 @@ class TestDefectCorrection:
         # the defect after k solves is 0.2^k |b|: 0.2^7 = 1.3e-5, 0.2^8 = 2.6e-6
         assert solves == lu.solves == _first_power_below(0.2, 1e-5) == 8
         assert np.linalg.norm(b - matrix @ x) <= floor
-        _, unfloored = solver._defect_correction(
-            matrix.__matmul__, b, _ContractingFactor(lu.d, 0.2), 0.0)
-        assert solves < unfloored
+        # a floor 1e-4 times lower costs the solves down to it: 0.2^13 = 1.2e-9
+        lower = _ContractingFactor(lu.d, 0.2)
+        x, more = solver._defect_correction(matrix.__matmul__, b, lower, 1e-4 * floor)
+        assert more == lower.solves == _first_power_below(0.2, 1e-9) == 13
+        assert np.linalg.norm(b - matrix @ x) <= 1e-4 * floor
 
     @pytest.mark.parametrize("rate", [0.05, 0.3, 0.35, 0.45, 0.6, 0.9, 1.5])
     def test_never_gives_up_where_floor_zero_converges(self, rate, rng):
+        # nor where any lower floor converges.  Floor 0 itself gives up at
+        # the second defect: no defect of an inexact factor reaches 0, and
+        # at the second one's rate none of the 29 corrections left would
         matrix, b, lu = self.system(rng, rate)
-        x0, solves0 = solver._defect_correction(matrix.__matmul__, b, lu, 0.0)
+        lower = solver._defect_correction(matrix.__matmul__, b, lu, 0.0)
+        assert lower == (None, 2)
         for relative in (1e-11, 1e-8, 1e-5, 1e-2, 0.1):
             x, solves = solver._defect_correction(
                 matrix.__matmul__, b, _ContractingFactor(lu.d, rate), relative * np.linalg.norm(b))
-            if x0 is not None:
-                assert x is not None and solves <= solves0
+            if lower[0] is not None:
+                assert x is not None and solves <= lower[1]
             # the stall rule predicts rate^31 |b| after the 30 corrections
-            # and gives up only if that misses the floored target
+            # and gives up only if that misses the floor
             assert (x is not None) == (rate**31 <= relative)
-        assert (x0 is not None) == (rate**31 <= solver._CORRECTION_RTOL)
+            lower = x, solves
 
 
 class TestFactorReuse:
@@ -773,14 +779,14 @@ class TestFactorReuse:
     @pytest.mark.parametrize("p,q,amplitude", _REUSE_PROBES)
     def test_floor_saves_solves(self, p, q, amplitude, monkeypatch):
         # stopping each correction at the floor leaves the Newton iterations
-        # as they are and the field within rounding of corrections run to
-        # the relative tolerance, for fewer solves
+        # as they are and the field within rounding of corrections run to a
+        # floor 1e-4 times lower, for fewer solves
         cfg = _probe_config_2d(p, q, amplitude)
         counts = _count_factor_work(monkeypatch)
         u, stats = solve(cfg)
         floored = dict(counts)
         counts.update(factorizations=0, solves=0)
-        monkeypatch.setattr(solver, "_CORRECTION_FLOOR", 0.0)
+        monkeypatch.setattr(solver, "_CORRECTION_FLOOR", 1e-4 * solver._CORRECTION_FLOOR)
         ref_u, ref_stats = solve(cfg)
         assert stats.iterations == ref_stats.iterations
         scale = np.abs(ref_u.values).max()
@@ -843,8 +849,8 @@ class TestFactorReuse:
 
     def test_fresh_float32_factor_falls_back_to_float64(self, rng, monkeypatch):
         # a float32 factor that solves 4 J triples the defect at its first
-        # correction: the member is refactored in float64 and corrected
-        # again, to within 1e-12 of the float64 direct solve
+        # correction: the member is refactored in float64, whose direct
+        # solve is the direction and the factor's one solve so far
         stepper, it, members = self.probe(rng)
         made = []
 
@@ -863,16 +869,16 @@ class TestFactorReuse:
         monkeypatch.undo()
         assert bad is None and made == [np.float32, np.float64]
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
-        assert np.abs(d - direct).max() <= 1e-12 * np.abs(direct).max()
+        assert np.array_equal(d, direct)
         lu, served = stepper.slots[1]
-        assert lu.dtype == np.float64 and served >= 1
+        assert lu.dtype == np.float64 and served == 1
 
     def test_no_factor_corrects_a_high_contrast_matrix(self, monkeypatch):
         # face weights 1e8 on an island of 3^2 nodes and 1 elsewhere, at
         # 7^2 interior nodes: the rows divided by their diagonal have
-        # condition 3e8, so float32 corrections fail and float64 ones stall
-        # above _CORRECTION_RTOL; the member takes the float64 factor's
-        # direct solve, as dgesv would; scale 0 makes the floor 0
+        # condition 3e8, and scale 0 makes the floor 0, so the float32
+        # correction gives up; the member factors in float64 and takes that
+        # factor's one direct solve, as dsgesv does
         m, weight = 7, 1e8
         kx, ky = np.ones((m + 1, m)), np.ones((m, m + 1))  # faces across axis 0, 1
         kx[3:5, 2:5] = weight
@@ -889,8 +895,8 @@ class TestFactorReuse:
         it = stepper.scheme.evaluate(g, g, stepper.eps)._replace(residual=-b, scale=np.zeros(1))
         monkeypatch.setattr(stepper.scheme, "stencil", lambda it: stencil)
         work = _count_factor_work(monkeypatch)
-        dtypes = []
-        defect_correction = solver._defect_correction
+        dtypes, solved = [], []
+        defect_correction, band_solve = solver._defect_correction, solver.BandLU.solve
 
         def counted_correction(apply, b, lu, floor):
             dtypes.append(lu.dtype)
@@ -898,12 +904,18 @@ class TestFactorReuse:
             assert x is None
             return x, solves
 
+        def typed_solve(self, b):
+            solved.append(self.dtype)
+            return band_solve(self, b)
+
         monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+        monkeypatch.setattr(solver.BandLU, "solve", typed_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             d, bad = stepper.newton_direction(it, 0.1, np.array([0]))
-        assert bad is None and dtypes == [np.float32, np.float64]
-        assert work["factorizations"] == 2
+        assert bad is None and dtypes == [np.float32]
+        assert work["factorizations"] == 2 and solved.count(np.float64) == 1
+        monkeypatch.undo()
         direct = solver.BandLU(stencil, 0, np.float64).solve(b[0].ravel())
         assert np.array_equal(d[0].ravel(), direct)
         assert stepper.slots[0][0].dtype == np.float64

@@ -74,16 +74,17 @@ def _count_linear_work(monkeypatch):
 
 class TestWorkLedger:
     """Every 2D Newton direction is a defect correction with a float32
-    factor, fresh or carried, so every factor solve is a correction solve;
-    a fresh factor takes one solve or more.  A float64 factor is made only
-    where a fresh float32 one cannot correct, which happens on none of these
-    problems.  Before float32 factors each fresh factor took exactly one
-    direct solve: 407 solves on solve-2d and 272 on the diagnostics-2d
+    factor, fresh or carried, down to the Newton floor, so every factor
+    solve is a correction solve; a fresh factor takes one solve or more.  A
+    float64 factor is made only where a fresh float32 one cannot correct,
+    and its one direct solve is then the direction; that happens on none of
+    these problems.  Before float32 factors each fresh factor took exactly
+    one direct solve: 407 solves on solve-2d and 272 on the diagnostics-2d
     set-up, with 12 and 14 factorizations."""
 
     def test_solve_2d(self, monkeypatch):
         # p = 2, q = 2.1, alpha = beta = 20 at 65^2 x 64: 104 Newton
-        # iterations, 12 band factorizations, 413 factor solves and 231
+        # iterations, 12 band factorizations, 414 factor solves and 231
         # member rows evaluated
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=65, nt=64, alpha=20.0)
         counts = _count_linear_work(monkeypatch)
@@ -150,7 +151,7 @@ class TestWorkingMemory:
     the field (287,496 bytes here).  The peaks before blocking were
     2,841,881 bytes for the six gap curves, 1,293,784 for the energy report
     and 1,266,880 for the Caccioppoli sides; now they are about 979,000,
-    1,098,000 and 432,000.  The gap curves' peak holds the energy density's
+    992,000 and 432,000.  The gap curves' peak holds the energy density's
     temporaries over one block, formed as its formula is written."""
 
     def test_gap_curves(self, diagnostics_field):
@@ -160,10 +161,12 @@ class TestWorkingMemory:
         assert _peak_bytes(lambda: variational_gap_curves(u, maps, cfg, eps=0.5)) < 1024 * 1024
 
     def test_energy_report(self, diagnostics_field):
-        # the datum, its gradient norm and one weighted power of a field are
-        # held at once; the bound is four fields
+        # the datum is freed once its gradient norm is formed, so at most two
+        # fields (the datum and its gradient norm, or that and one weighted
+        # power of it) and one block's temporaries are held at once: about
+        # 3.45 fields here, against 3.82 while the datum was held throughout
         cfg, u = diagnostics_field
-        assert _peak_bytes(lambda: energy_report(u, cfg)) < 4 * u.values.nbytes
+        assert _peak_bytes(lambda: energy_report(u, cfg)) < 3.6 * u.values.nbytes
 
     def test_caccioppoli_sides(self, diagnostics_field):
         cfg, u = diagnostics_field
