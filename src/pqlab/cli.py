@@ -219,7 +219,7 @@ def cmd_trace(args) -> int:
                 ti, i, tr.rho_i[i], tr.sigma_i[i], tr.k_i[i], tr.x_i[i],
                 tr.c_i[i] if i < len(tr.c_i) else math.nan,
             ])
-        monotone &= bool(np.all(np.diff(tr.x_i) <= 1e-12 * max(tr.x_i[0], 1.0)))
+        monotone &= tr.monotone
         summaries.append({
             "target": ti,
             "level": k,

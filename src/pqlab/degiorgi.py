@@ -217,6 +217,12 @@ class DeGiorgiTrace:
     threshold_ok: bool
     truncated: bool
 
+    @property
+    def monotone(self) -> bool:
+        """Whether X_i never rises by more than 1e-12 X_0 as the cylinders
+        shrink, the verdict of pqlab trace-degiorgi; a rise from X_0 = 0 fails."""
+        return bool(np.all(np.diff(self.x_i) <= 1e-12 * self.x_i[0]))
+
 
 def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
           i_max: int = 10) -> DeGiorgiTrace:

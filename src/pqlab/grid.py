@@ -401,7 +401,8 @@ def save_field_dump(f: SpaceTimeField, path) -> None:
     header += struct.pack("<d", dom.T)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        # the array's own buffer: tobytes() would copy the whole field
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def load_field_dump(path) -> SpaceTimeField:

@@ -19,15 +19,14 @@ integrand, so the discrete variational inequality holds up to iteration
 tolerance; the averaged transverse gradient makes the 2D step minimize no
 discrete energy exactly, so in 2D it holds only up to a first-order error.
 
-The nodal rule.  _partial differentiates per node by np.gradient, central
-inside and second-order one-sided at the boundary; _grad_norm gives |Du| per
-node.  gradient_powers is the one way a diagnostic integrates |Du|^r of a
-field: the energy report, the Caccioppoli check and the interpolation lemma
-read it.  The rule's other readers are the energy report's datum terms
-(solver.energy_reports, gradient_powers' two steps written out so that the
-datum is freed before the powers are formed) and the datum's dual norm
-(solver._dual_norm, a spatial norm of sine test modes); the 2D face rule
-also takes its transverse gradients from _partial.
+The nodal rule, which only the diagnostics read.  _partial differentiates
+per node by np.gradient, central inside and second-order one-sided at the
+boundary; _grad_norm gives |Du| per node.  gradient_powers is the one way a
+diagnostic integrates |Du|^r of a field: the energy report, the Caccioppoli
+check and the interpolation lemma read it.  The rule's other readers are the
+energy report's datum terms (solver.energy_reports, gradient_powers' two
+steps written out so that the datum is freed before the powers are formed)
+and the datum's dual norm (solver._dual_norm, a spatial norm of sine test modes).
 """
 
 from __future__ import annotations
@@ -49,9 +48,11 @@ class _Iterate(NamedTuple):
     """The residual at a stack of iterates w (one per member, leading
     axis), with the face quantities its Jacobian needs.
 
-    Per axis k: grads[k] is the normal difference quotient on the k-faces,
-    trans[k] the list of transverse gradients averaged onto them (empty in
-    1D) and coeffs[k] the pair (G, 2G') at s = grads[k]^2 + sum trans[k]^2.
+    Over the spatial axes the residual holds the interior nodes, and per axis
+    k the face quantities the k-faces beside them (nx - 1 along k, nx - 2
+    along every other axis): grads[k] is the normal difference quotient,
+    trans[k] the list of transverse gradients averaged onto the faces (empty
+    in 1D) and coeffs[k] the pair (G, 2G') at s = grads[k]^2 + sum trans[k]^2.
     """
 
     w: np.ndarray
@@ -83,36 +84,34 @@ class _Scheme:
         n = domain.n
         self.dom, self.spec, self.dt, self.dx = domain, spec, domain.dt, domain.dx
         self.spatial = tuple(range(-n, 0))
-        self.interior = (Ellipsis,) + (slice(1, -1),) * n
-        # per axis k, over the last n axes, the (east, west) index pairs of
-        # the nodes beside every k-face and of the k-faces beside every
-        # interior node
-        self.slices = [
-            tuple(tuple((Ellipsis,) + tuple(near if j == k else other for j in range(n))
-                        for near in (slice(1, None), slice(None, -1)))
-                  for other in (slice(None), slice(1, -1)))
-            for k in range(n)
-        ]
-        # Newton stencil geometry: per axis k the unit offsets +-e_k, the
-        # k-faces east and west of the interior nodes and dt/h_k^2; per
+        inner, full = slice(1, -1), slice(None)
+
+        def at(slots: dict, other=full) -> tuple:
+            """The index over the last n axes: slots[j] on axis j, other elsewhere."""
+            return (Ellipsis,) + tuple(slots.get(j, other) for j in range(n))
+
+        self.interior = at({}, inner)
+        # per axis k: the (east, west) neighbours along k, nodes of a k-face
+        # or k-faces of a node; and the rows of the k-faces the residual
+        # reads, inside along every other axis, of nodes or of k-faces
+        self.near = [(at({k: slice(1, None)}), at({k: slice(None, -1)})) for k in range(n)]
+        self.rows = [at({k: full}, inner) for k in range(n)]
+        # Newton stencil geometry: per axis k the unit offset e_k; per
         # transverse pair (k, j), in the order of _Iterate.trans, the cross
-        # factor dt/(4 h_k h_j)
+        # factor dt/(4 h_k h_j) and the nodes j + 1 and j - 1 of the centred
+        # j-difference on the rows of the k-faces
         self.units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-        self.east, self.west = zip(*(faces for _, faces in self.slices))
-        self.normal = [
-            (e, tuple(-a for a in e), self.dt / h**2, east, west)
-            for e, h, east, west in zip(self.units, self.dx, self.east, self.west)
-        ]
         self.pairs = [
-            (k, j, self.dt / (4.0 * self.dx[min(j, k)] * self.dx[max(j, k)]))
+            (k, j, self.dt / (4.0 * self.dx[min(j, k)] * self.dx[max(j, k)]),
+             tuple(at({k: full, j: s}, inner) for s in (slice(2, None), slice(None, -2))))
             for k in range(n) for j in range(n) if j != k
         ]
 
     @functools.cached_property
     def face_coeffs(self) -> list:
-        """(a, b) per axis k on the k-faces, the midpoints along k."""
+        """(a, b) per axis k on the k-faces the residual reads (see _Iterate)."""
         axes, coeffs = self.dom.axes, self.spec.coeffs
-        faces = (np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) if j == k else ax
+        faces = (np.meshgrid(*(0.5 * (ax[:-1] + ax[1:]) if j == k else ax[1:-1]
                                for j, ax in enumerate(axes)), indexing="ij")
                  for k in range(self.dom.n))
         return [(coeffs.a.at(*c), coeffs.b.at(*c)) for c in faces]
@@ -126,34 +125,32 @@ class _Scheme:
     def face_gradients(self, w: np.ndarray) -> list:
         """D_h w: per axis k the difference quotients on the k-faces, of
         which there are nx - 1 along k and nx along every other axis."""
-        return [(w[east] - w[west]) / h for ((east, west), _), h in zip(self.slices, self.dx)]
+        return [(w[east] - w[west]) / h for (east, west), h in zip(self.near, self.dx)]
 
     def face_average(self, v: np.ndarray, k: int) -> np.ndarray:
         """Mean of neighbouring node values along axis k, on the faces between."""
-        east, west = self.slices[k][0]
+        east, west = self.near[k]
         return 0.5 * (v[west] + v[east])
 
     def face_divergence(self, fluxes: list) -> np.ndarray:
-        """div_h F, the negative adjoint of face_gradients: values at the
-        interior nodes, zero on the boundary frame.  Satisfies
-        sum(div F * phi) dV = -sum(F . D phi) dV exactly for phi vanishing on
-        the boundary."""
-        last = fluxes[-1]  # on the faces along the last axis: nx - 1 of them
-        out = np.zeros(last.shape[:-1] + (last.shape[-1] + 1,))
-        for f, h, (_, (east, west)) in zip(fluxes, self.dx, self.slices):
-            out[self.interior] += (f[east] - f[west]) / h
-        return out
+        """div_h F, the negative adjoint of face_gradients, at the interior
+        nodes, from fluxes on the k-faces beside them (shapes in _Iterate).
+        Satisfies sum(div F * phi) dV = -sum(F . D phi) dV exactly for phi
+        vanishing on the boundary."""
+        return sum((f[east] - f[west]) / h
+                   for f, (east, west), h in zip(fluxes, self.near, self.dx))
 
     def evaluate(self, w: np.ndarray, u_prev: np.ndarray, eps: np.ndarray) -> _Iterate:
         """R(w) = w - u_prev - dt div_h F(D_h w) per member, eps the members'
         regularization broadcast over the spatial axes, evaluating the face
-        coefficients once for both the residual and the Jacobian."""
-        n = self.dom.n
-        grads = self.face_gradients(w)
-        trans = [
-            [self.face_average(_partial(w, self.dom, j), k) for j in range(n) if j != k]
-            for k in range(n)
-        ]
+        coefficients once for both the residual and the Jacobian (shapes in
+        _Iterate).  t_j is the mean over a k-face's two nodes of the centred
+        difference (w[j + 1] - w[j - 1]) / 2h_j, np.gradient's inside."""
+        grads = [(v[east] - v[west]) / h
+                 for v, (east, west), h in zip((w[r] for r in self.rows), self.near, self.dx)]
+        trans = [[] for _ in grads]
+        for k, j, _, (ahead, behind) in self.pairs:
+            trans[k].append(self.face_average((w[ahead] - w[behind]) / (2.0 * self.dx[j]), k))
         s = [g**2 for g in grads]
         for sk, tk in zip(s, trans):
             for t in tk:
@@ -163,7 +160,7 @@ class _Scheme:
             for sk, (a, b) in zip(s, self.face_coeffs)
         ]
         div = self.face_divergence([c[0] * g for c, g in zip(coeffs, grads)])
-        residual = (w - u_prev - self.dt * div)[self.interior]
+        residual = w[self.interior] - u_prev[self.interior] - self.dt * div
         scale = np.maximum(
             np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
             self.dt * np.abs(div).max(axis=self.spatial),
@@ -185,20 +182,22 @@ class _Scheme:
         """
         diag = 1.0
         entries = {}
-        for (e, neg, c, east, west), g, (big_g, dg) in zip(self.normal, it.grads, it.coeffs):
+        for e, dx, (east, west), g, (big_g, dg) in zip(
+                self.units, self.dx, self.near, it.grads, it.coeffs):
+            c = self.dt / dx**2
             h = big_g + dg * g**2
             diag = diag + c * (h[east] + h[west])
             # one weight per face: the east and west entries are views of it,
             # so nothing below may add into them in place
             weight = -c * h
-            entries[e], entries[neg] = weight[east], weight[west]
+            entries[e], entries[tuple(-a for a in e)] = weight[east], weight[west]
         entries = {(0,) * self.dom.n: diag, **entries}
         # a k-face on side s of a node enters R with sign -s, and the
         # transverse difference pairs +e_j with +1 and -e_j with -1
-        for (k, j, kappa), t in zip(self.pairs, itertools.chain.from_iterable(it.trans)):
+        for (k, j, kappa, _), t in zip(self.pairs, itertools.chain.from_iterable(it.trans)):
             e_k, e_j = self.units[k], self.units[j]
             cross = kappa * it.coeffs[k][1] * it.grads[k] * t
-            for side, face in ((1, self.east[k]), (-1, self.west[k])):
+            for side, face in zip((1, -1), self.near[k]):
                 v = cross[face]
                 for sign in (1, -1):
                     value = -v if side * sign > 0 else v

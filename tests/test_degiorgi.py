@@ -14,6 +14,7 @@ from pqlab import (
     CoefficientSpec,
     ComparisonMap,
     Cylinder,
+    DeGiorgiTrace,
     Domain,
     ExperimentConfig,
     IntegrandSpec,
@@ -483,6 +484,28 @@ class TestMutants:
             monkeypatch.setattr(cli, "solve", lambda scfg, field=field: (field, None))
             args = ["trace-degiorgi", "--config", str(path), "--out", str(tmp_path / "trace.csv")]
             assert cli.main(args) == code
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_rising_truncation_energies_fail_at_every_scale(self, diagnostics_field, scale):
+        # the trace mutant above with the field and the level scaled: the
+        # verdict is relative to X_0, so the rise fails at 1e-4 too, where
+        # X_i is of order 1e-15
+        cfg, u = diagnostics_field
+        target = self.target(cfg)
+        q0 = Cylinder(target.center, 2 * target.rho, 2 * target.sigma)
+        k = verify_sup_bound(u, target.center, target.rho, target.sigma, cfg.spec).k_choice
+        tr = trace(u, q0, k, cfg.spec.d)
+        innermost = Cylinder(target.center, float(tr.rho_i[-1]), float(tr.sigma_i[-1]))
+        mutant = _raise_node(u, innermost, 10.0 * float(np.abs(u.values).max()))
+        for field, monotone in ((u, True), (mutant, False)):
+            scaled = SpaceTimeField(u.domain, scale * field.values)
+            assert trace(scaled, q0, scale * k, cfg.spec.d).monotone is monotone
+
+    def test_trace_from_zero_energy_admits_no_rise(self):
+        rest = dict(rho_i=np.ones(3), sigma_i=np.ones(3), k_i=np.ones(3), c_i=np.ones(2),
+                    lambda_fit=2.0, c_fit=1.0, threshold=1.0, threshold_ok=True, truncated=False)
+        assert DeGiorgiTrace(x_i=np.zeros(3), **rest).monotone
+        assert not DeGiorgiTrace(x_i=np.array([0.0, 1e-300, 1e-300]), **rest).monotone
 
     def test_field_off_the_solution_fails_the_gap(self):
         # u minimizes each step's discrete energy, so the gap against

@@ -45,6 +45,7 @@ from pqlab import (
 )
 from pqlab import solver
 from pqlab.band import band_storage, half_bandwidth, stencil_product
+from pqlab.model import flux_coefficient
 from pqlab.scheme import _grad_norm, _Scheme
 from pqlab.solver import _Stepper
 
@@ -237,10 +238,11 @@ def _reference_nine_point(scheme, it, row):
         (big_g[row] + dg[row] * g[row] ** 2, kappa * dg[row] * g[row] * t[row])
         for g, (t,), (big_g, dg) in zip(it.grads, it.trans, it.coeffs)
     )
-    he, hw = hx[1:, 1:-1], hx[:-1, 1:-1]
-    hn, hs = hy[1:-1, 1:], hy[1:-1, :-1]
-    ce, cw = cross_x[1:, 1:-1], cross_x[:-1, 1:-1]
-    cn, cs = cross_y[1:-1, 1:], cross_y[1:-1, :-1]
+    # the face quantities cover the faces beside the interior nodes only
+    he, hw = hx[1:], hx[:-1]
+    hn, hs = hy[:, 1:], hy[:, :-1]
+    ce, cw = cross_x[1:], cross_x[:-1]
+    cn, cs = cross_y[:, 1:], cross_y[:, :-1]
     stencil = {
         (0, 0): 1.0 + cx * (he + hw) + cy * (hn + hs),
         (1, 0): -cx * he - cn + cs,
@@ -265,6 +267,63 @@ def _reference_nine_point(scheme, it, row):
         diagonals.append(flat[: m * m - k] if k >= 0 else flat[-k:])
         offsets.append(k)
     return scipy.sparse.diags(diagonals, offsets, format="csc")
+
+
+def _full_row_evaluation(scheme, w, u_prev, eps):
+    """A 2D step's residual, max|R| and scale formed on every face row, as
+    _Scheme.evaluate once did: np.gradient's transverse terms averaged onto
+    all the faces, a zero-padded divergence, then its interior.  Also the
+    face quantities (normal differences, transverse gradients, (G, 2G'))."""
+    spec, dt = scheme.spec, scheme.dt
+    (hx, hy), (x, y) = scheme.dx, scheme.dom.axes
+    faces = (np.meshgrid(0.5 * (x[:-1] + x[1:]), y, indexing="ij"),
+             np.meshgrid(x, 0.5 * (y[:-1] + y[1:]), indexing="ij"))
+    grads = [(w[:, 1:, :] - w[:, :-1, :]) / hx, (w[:, :, 1:] - w[:, :, :-1]) / hy]
+    dx_w = np.gradient(w, hx, axis=-2, edge_order=2)
+    dy_w = np.gradient(w, hy, axis=-1, edge_order=2)
+    trans = [0.5 * (dy_w[:, :-1, :] + dy_w[:, 1:, :]), 0.5 * (dx_w[:, :, :-1] + dx_w[:, :, 1:])]
+    coeffs = []
+    for g, t, c in zip(grads, trans, faces):
+        s = g**2
+        s += t**2
+        coeffs.append(flux_coefficient(s, spec.coeffs.a.at(*c), spec.coeffs.b.at(*c), spec,
+                                       eps=eps, derivative=True))
+    fx, fy = (big_g * g for (big_g, _), g in zip(coeffs, grads))
+    div = np.zeros(w.shape)
+    div[:, 1:-1, 1:-1] += (fx[:, 1:, 1:-1] - fx[:, :-1, 1:-1]) / hx
+    div[:, 1:-1, 1:-1] += (fy[:, 1:-1, 1:] - fy[:, 1:-1, :-1]) / hy
+    residual = (w - u_prev - dt * div)[:, 1:-1, 1:-1]
+    scale = np.maximum(np.maximum(1.0, np.abs(w).max(axis=(1, 2))),
+                       dt * np.abs(div).max(axis=(1, 2)))
+    return (residual, np.abs(residual).max(axis=(1, 2)), scale), (grads, trans, coeffs)
+
+
+@pytest.mark.parametrize("nx", [9, 17])
+def test_evaluate_matches_the_full_row_evaluation(nx, rng):
+    # the residual reads only the k-faces beside the interior nodes, and
+    # there the centred transverse difference is np.gradient's: forming the
+    # face quantities on those rows alone changes no bit
+    params = StructureParams(n=2, p=3.0, q=3.2, alpha=1e4, beta=1e4, mu=0.0, eps=0.3)
+    coeffs = CoefficientSpec(a=Coefficient("power", center=(0.43, 0.43), exponent=0.5),
+                             b=Coefficient("constant", value=0.7))
+    dom = Domain(n=2, box=((0.0, 1.0), (0.0, 0.7)), T=0.1, nx=nx, nt=8)
+    cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.3),
+                      BoundaryDatum(kind="profile", profile="sin"))
+    stepper = _Stepper(cfg, [0.3, 0.1])
+    u_prev = rng.normal(size=(2, nx, nx))
+    w = u_prev + rng.normal(size=(2, nx, nx))
+    it = stepper.scheme.evaluate(w, u_prev, stepper.eps)
+    steps, (grads, trans, coeffs) = _full_row_evaluation(stepper.scheme, w, u_prev, stepper.eps)
+    for got, ref in zip((it.residual, it.norm, it.scale), steps):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    # the face quantities: on the x-faces the rows inside along y, and so on
+    rows = ((Ellipsis, slice(1, -1)), (Ellipsis, slice(1, -1), slice(None)))
+    for k, row in enumerate(rows):
+        assert it.grads[k].shape == (2,) + tuple(nx - 1 if j == k else nx - 2 for j in range(2))
+        pairs = [(it.grads[k], grads[k]), (it.trans[k][0], trans[k]),
+                 *zip(it.coeffs[k], coeffs[k])]
+        for got, ref in pairs:
+            assert got.shape == ref[row].shape and got.tobytes() == ref[row].tobytes()
 
 
 @pytest.mark.parametrize("box", [((0.0, 1.0),), ((0.0, 1.0),) * 2, ((0.0, 1.0), (0.0, 0.7))])
@@ -1482,16 +1541,19 @@ class TestDiscreteCalculus:
         dom = Domain(n=n, box=((0.0, 1.0),) * n, T=1.0, nx=17, nt=4)
         shape = (dom.nx,) * n
         phi = rng.normal(size=shape)
+        # the fluxes on the k-faces beside the interior nodes, where the
+        # divergence reads them
         if n == 1:
             phi[0] = phi[-1] = 0.0
             fluxes = [rng.normal(size=(dom.nx - 1,))]
         else:
             phi[0, :] = phi[-1, :] = phi[:, 0] = phi[:, -1] = 0.0
-            fluxes = [rng.normal(size=(dom.nx - 1, dom.nx)), rng.normal(size=(dom.nx, dom.nx - 1))]
+            fluxes = [rng.normal(size=(dom.nx - 1, dom.nx - 2)),
+                      rng.normal(size=(dom.nx - 2, dom.nx - 1))]
         scheme = _Scheme(dom, heat_config(n=n).spec)
         div = scheme.face_divergence(fluxes)
-        grads = scheme.face_gradients(phi)
-        lhs = float(np.sum(div * phi)) * dom.cell_volume
+        grads = [g[rows] for g, rows in zip(scheme.face_gradients(phi), scheme.rows)]
+        lhs = float(np.sum(div * phi[scheme.interior])) * dom.cell_volume
         rhs = -sum(float(np.sum(f * g)) for f, g in zip(fluxes, grads)) * dom.cell_volume
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
@@ -1523,8 +1585,10 @@ class TestCoefficientSampling:
 
     @staticmethod
     def faces(dom):
-        """The shapes of the a and b samples on every face set."""
-        return sorted(2 * [tuple(dom.nx - (j == k) for j in range(dom.n)) for k in range(dom.n)])
+        """The shapes of the a and b samples on every face set the residual
+        reads: the k-faces beside the interior nodes."""
+        return sorted(2 * [tuple(dom.nx - 1 if j == k else dom.nx - 2 for j in range(dom.n))
+                           for k in range(dom.n)])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_solve_levels_samples_each_face_set_once(self, n, monkeypatch):

@@ -30,6 +30,7 @@ from pqlab import (
     interpolation_ratio,
     lemmas,
     mean_integral,
+    save_field_dump,
     solve,
     solve_levels,
     solver,
@@ -176,6 +177,13 @@ class TestWorkingMemory:
                                   20.0, 20.0, outer)
         assert _peak_bytes(lambda: caccioppoli_sides(
             u, 0.0, inner, outer, norms, spec.d, mu=0.0, eps=0.5)) < 512 * 1024
+
+    def test_field_dump(self, diagnostics_field, tmp_path):
+        # the dump writes the field's own buffer: no copy of the values
+        _, u = diagnostics_field
+        path = tmp_path / "u.pqf"
+        assert _peak_bytes(lambda: save_field_dump(u, path)) < 0.05 * u.values.nbytes
+        assert path.read_bytes()[-u.values.nbytes:] == u.values.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("block_bytes", [1, 2**40], ids=["one-level", "one-block"])
     def test_blocks_change_no_result(self, block_bytes, diagnostics_field, monkeypatch):
