@@ -105,7 +105,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Scalar samples over a Domain; values[j] is the slice at time j*dt."""
+    """Scalar samples over a Domain; values[j] is the slice at time j*dt.
+    values is read-only: a read-only array is kept, a writeable one copied."""
 
     domain: Domain
     values: np.ndarray
@@ -118,7 +119,7 @@ class SpaceTimeField:
             )
         if not np.all(np.isfinite(v)):
             raise ParameterError("field contains non-finite values")
-        object.__setattr__(self, "values", _read_only(v.copy()))
+        object.__setattr__(self, "values", _read_only(v.copy()) if v.flags.writeable else v)
 
 
 @dataclass(frozen=True)

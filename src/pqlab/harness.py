@@ -78,8 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.levels >= 1:
             raise ParameterError(f"levels must be at least 1, got {self.levels}")
-        if not self.c_cal > 0:
-            raise ParameterError(f"c_cal must be positive, got {self.c_cal}")
+        if not 0 < self.c_cal < math.inf:
+            raise ParameterError(f"c_cal must be positive and finite, got {self.c_cal}")
         self.solve_config(self.eps0)  # the eps, tolerance and max_iter ranges
 
     def integrand(self, eps: float | None = None) -> IntegrandSpec:

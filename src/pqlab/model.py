@@ -18,7 +18,7 @@ and time-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class Coefficient:
     def __post_init__(self):
         if self.kind not in ("constant", "power", "checkerboard"):
             raise ParameterError(f"unknown coefficient kind {self.kind!r}")
+        for f in fields(self):
+            if f.name != "kind" and not np.all(np.isfinite(getattr(self, f.name))):
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.kind == "constant" and self.value < 0:
             raise ParameterError("constant coefficient must be nonnegative")
         if self.kind == "power" and self.floor < 0:

@@ -24,9 +24,8 @@ per node by np.gradient, central inside and second-order one-sided at the
 boundary; _grad_norm gives |Du| per node.  gradient_powers is the one way a
 diagnostic integrates |Du|^r of a field: the energy report, the Caccioppoli
 check and the interpolation lemma read it.  The rule's other readers are the
-energy report's datum terms (solver.energy_reports, gradient_powers' two
-steps written out so that the datum is freed before the powers are formed)
-and the datum's dual norm (solver._dual_norm, a spatial norm of sine test modes).
+energy report's datum terms (solver.energy_reports, |Dg0| on one level) and
+the datum's dual norm (solver._dual_norm, a spatial norm of sine test modes).
 """
 
 from __future__ import annotations

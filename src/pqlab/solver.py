@@ -66,10 +66,10 @@ weak_residual sums the step residual against a test field, so the discrete
 weak form of a computed solution holds to the solver tolerance in 1D and
 2D; scheme.py states how far the discrete variational inequality holds.
 
-energy_reports takes the datum's terms once for all its fields, and
-variational_gap_curves the datum's sample and the integral of f(Du) once
-for all its maps; energy_report and variational_gap_curve are the one-field
-cases.
+energy_reports takes the datum's terms, products of an integral on one level
+and one in time as g = g0(x) psi(t), once for all its fields, and
+variational_gap_curves the datum's sample and f(Du)'s integral once for all
+its maps; energy_report and variational_gap_curve are the one-field cases.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ from .errors import (
 from .grid import (
     Domain,
     SpaceTimeField,
-    _integrate_power,
     _level_blocks,
+    _read_only,
     _same_grid,
     _trapezoid_weights,
     boundary_frame,
@@ -158,6 +158,9 @@ class BoundaryDatum:
             raise ParameterError(f"unknown boundary profile {self.profile!r}")
         if self.kind == "separable" and len(self.psi) == 0:
             raise ParameterError("separable datum needs polynomial coefficients")
+        for name in ("amplitude", "value", "psi"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def time_dependent(self) -> bool:
@@ -193,7 +196,7 @@ class BoundaryDatum:
     def sample(self, domain: Domain) -> SpaceTimeField:
         """at over the grid's nodes and times."""
         t = domain.times.reshape((-1,) + (1,) * domain.n)
-        return SpaceTimeField(domain, self.at(domain.box, domain.meshgrid(), t))
+        return SpaceTimeField(domain, _read_only(self.at(domain.box, domain.meshgrid(), t)))
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,8 @@ class SolveConfig:
         if self.spec.params.n != self.domain.n:
             raise ParameterError(
                 f"spec has n = {self.spec.params.n} but the grid has n = {self.domain.n}")
-        if not self.tolerance > 0:
-            raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ParameterError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
 
@@ -543,7 +546,7 @@ def solve_levels(cfg: SolveConfig, eps_values):
         values[:, j] = u
         for member, history in zip(stats, histories):
             member.histories.append(history)
-    return [(SpaceTimeField(dom, v), st) for v, st in zip(values, stats)], failure
+    return [(SpaceTimeField(dom, v), st) for v, st in zip(_read_only(values), stats)], failure
 
 
 def solve(cfg: SolveConfig):
@@ -658,33 +661,23 @@ def _slicewise_l2sq(values: np.ndarray, dom: Domain) -> np.ndarray:
     return out
 
 
-def _dual_norm(cfg: SolveConfig) -> float:
-    """L^{p_alpha'}-in-time norm of the negative-order spatial norm of d_t g,
-    approximated over the products of the first _DUAL_MODES**(1/n) sine
-    modes per axis."""
+def _dual_norm(cfg: SolveConfig, g0, w, wt) -> float:
+    """L^{p_alpha'} norm in time of the negative-order norm of d_t g = g0 psi':
+    that of psi' (time weights wt) times the best |sum g0 phi w| / |phi| over
+    the products phi of the first _DUAL_MODES**(1/n) sine modes per axis."""
     if not cfg.g.time_dependent:
         return 0.0
-    dom = cfg.domain
-    d = cfg.spec.d
-    grids = dom.meshgrid()
-    dtg = cfg.g._g0(dom.box, grids) * cfg.g._dpsi(dom.times).reshape((-1,) + (1,) * dom.n)
-    w = _trapezoid_weights(dom, time=False)
-    side = round(_DUAL_MODES ** (1.0 / dom.n))
-    best = np.zeros(dom.nt + 1)
+    dom, d = cfg.domain, cfg.spec.d
+    grids, side, best = dom.meshgrid(), round(_DUAL_MODES ** (1.0 / dom.n)), 0.0
     for mode in itertools.product(range(1, side + 1), repeat=dom.n):
         phi = np.ones((dom.nx,) * dom.n)
         for (lo, hi), c, k in zip(dom.box, grids, mode):
             phi = phi * np.sin(k * np.pi * (c - lo) / (hi - lo))
-        dphi_mag = _grad_norm(phi[None], dom)[0]
-        den = float(
-            np.sum((np.abs(phi) ** d.p_alpha + dphi_mag**d.p_alpha) * w)
-        ) ** (1.0 / d.p_alpha)
-        num = np.abs(np.sum(dtg * (phi * w)[None], axis=tuple(range(1, dtg.ndim))))
-        best = np.maximum(best, num / den)
-    wt = np.ones(dom.nt + 1)
-    wt[0] = wt[-1] = 0.5
-    integral = float(np.sum(best**d.p_alpha_conj * wt) * dom.dt)
-    return integral ** (1.0 / d.p_alpha_conj)
+        dphi = _grad_norm(phi[None], dom)[0]
+        norm = float(np.sum((np.abs(phi) ** d.p_alpha + dphi**d.p_alpha) * w)) ** (1.0 / d.p_alpha)
+        best = max(best, abs(float(np.sum(g0 * (phi * w)))) / norm)
+    dpsi = np.abs(cfg.g._dpsi(dom.times))
+    return float(np.sum(dpsi**d.p_alpha_conj * wt)) ** (1.0 / d.p_alpha_conj) * best
 
 
 def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
@@ -695,29 +688,32 @@ def energy_report(u: SpaceTimeField, cfg: SolveConfig) -> EnergyData:
 def energy_reports(fields, cfg: SolveConfig, eps_values) -> list:
     """EnergyData of each field at its eps (cfg.spec.eps is not used).  The
     datum's terms are the same for every field and are computed once; its
-    eps-term is eps times one shared norm."""
+    eps-term is eps times one shared norm.  g = g0(x) psi(t) makes each of
+    them a product: an integral on one level times one of psi or psi'."""
     dom = cfg.domain
     if len(fields) != len(eps_values):
         raise ParameterError(f"{len(fields)} fields but {len(eps_values)} eps values")
     for u in fields:
         _same_grid(dom, u=u)
     d = cfg.spec.d
-    # gradient_powers' two steps, with g freed before the powers of |Dg| are
-    # formed: one field-sized array fewer at the peak
-    g = cfg.g.at(dom.box, dom.meshgrid(), dom.times.reshape((-1,) + (1,) * dom.n))
-    g_power, g_sup_l2 = _integrate_power(g, d.p_alpha, dom), float(_slicewise_l2sq(g, dom).max())
-    dg = _grad_norm(g, dom)
-    del g
+    w, wt = _trapezoid_weights(dom, time=False), np.full(dom.nt + 1, dom.dt)
+    wt[0] = wt[-1] = 0.5 * dom.dt
+    g0, psi = cfg.g._g0(dom.box, dom.meshgrid()), np.abs(cfg.g._psi(dom.times))
+    dg0 = _grad_norm(g0[None], dom)[0]
+
+    def integral(level, r):
+        """The space-time integral of (|level| |psi|)^r."""
+        return float(np.sum(psi**r * wt)) * float(np.sum(np.abs(level) ** r * w))
+
     dg_pa, dg_gamma, dg_bc, dg_qb = [
-        _integrate_power(dg, r, dom) for r in (d.p_alpha, d.gamma, d.beta_conj, d.q_beta)]
-    del dg
-    wnorm = (g_power + dg_pa) ** (1.0 / d.p_alpha)
+        integral(dg0, r) for r in (d.p_alpha, d.gamma, d.beta_conj, d.q_beta)]
+    wnorm = (integral(g0, d.p_alpha) + dg_pa) ** (1.0 / d.p_alpha)
     datum = dict(
-        dual_term=_dual_norm(cfg) ** d.p_conj,
+        dual_term=_dual_norm(cfg, g0, w, wt) ** d.p_conj,
         wnorm_term=wnorm**d.p,
         dg_gamma_term=(dg_gamma ** (1.0 / d.gamma)) ** d.time_exponent,
         dg_mu_term=cfg.spec.params.mu ** (d.q - 1.0) * dg_bc ** (1.0 / d.beta_conj),
-        g_sup_l2=g_sup_l2,
+        g_sup_l2=float(np.max(psi**2)) * float(np.sum(g0**2 * w)),
     )
     alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
     reports = []

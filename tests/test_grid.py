@@ -93,6 +93,17 @@ class TestDomainAndField:
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
 
+    def test_writeable_values_copied_and_read_only_kept(self):
+        # a caller that keeps writing its array gets an independent field;
+        # a read-only array is handed over as it is
+        dom = unit_domain(nx=5, nt=4)
+        source = np.zeros(dom.shape)
+        f = SpaceTimeField(dom, source)
+        source[1, 2] = 3.0
+        assert not f.values.any() and not f.values.flags.writeable
+        source.setflags(write=False)
+        assert SpaceTimeField(dom, source).values is source
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_axes_and_times_built_once_and_read_only(self, n):
         dom = Domain(n=n, box=((0.0, 1.0),) * n, T=2.0, nx=5, nt=4)

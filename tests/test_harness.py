@@ -378,7 +378,18 @@ class TestConfig:
         ("a_kind = power", "a_kind =",
          r"line 17: \[coefficients\] a_\*: unknown coefficient kind ''"),
         ("nx = 33", "nx = 2", r"line 11: \[domain\]: need nx >= 3 nodes per axis, got 2"),
-    ], ids=["b_value", "a_kind", "nx"])
+        ("b_value = 1.0", "b_value = nan",
+         r"line 20: \[coefficients\] b_\*: value must be finite, got nan"),
+        ("a_exponent = 0.04", "a_exponent = nan",
+         r"line 17: \[coefficients\] a_\*: exponent must be finite, got nan"),
+        ("a_center = 0.505", "a_center = nan",
+         r"line 17: \[coefficients\] a_\*: center must be finite, got \(nan,\)"),
+        ("amplitude = 0.8", "amplitude = inf",
+         r"line 24: \[boundary\]: amplitude must be finite, got inf"),
+        ("kind = profile", "kind = separable\npsi = 1.0 inf",
+         r"line 24: \[boundary\]: psi must be finite, got \(1.0, inf\)"),
+    ], ids=["b_value", "a_kind", "nx", "b_value-nan", "a_exponent-nan", "a_center-nan",
+            "amplitude-inf", "psi-inf"])
     def test_range_error_names_section_and_line(self, old, new, message, tmp_path):
         # the line is that of the group's first key: b_kind, a_kind, box
         with pytest.raises(ConfigError, match=message):
@@ -389,12 +400,19 @@ class TestConfig:
         ("levels = 3", "levels = -3", r"line 29: \[sweep\]: levels must be at least 1, got -3"),
         ("eps0 = 0.25", "eps0 = 2", r"line 29: \[sweep\]: eps must lie in \[0, 1\], got 2.0"),
         ("seed = 11\n", "seed = 11\n\n[calibration]\nc_cal = -5\n",
-         r"line 40: \[calibration\]: c_cal must be positive, got -5.0"),
+         r"line 40: \[calibration\]: c_cal must be positive and finite, got -5.0"),
         ("seed = 11\n", "seed = 11\n\n[solver]\ntolerance = -1\n",
-         r"line 40: \[solver\]: tolerance must be positive, got -1.0"),
+         r"line 40: \[solver\]: tolerance must be positive and finite, got -1.0"),
         ("seed = 11\n", "seed = 11\n\n[solver]\nmax_iter = 0\n",
          r"line 40: \[solver\]: max_iter must be at least 1"),
-    ], ids=["levels-0", "levels-negative", "eps0", "c_cal", "tolerance", "max_iter"])
+        ("seed = 11\n", "seed = 11\n\n[calibration]\nc_cal = inf\n",
+         r"line 40: \[calibration\]: c_cal must be positive and finite, got inf"),
+        ("seed = 11\n", "seed = 11\n\n[solver]\ntolerance = inf\n",
+         r"line 40: \[solver\]: tolerance must be positive and finite, got inf"),
+        ("seed = 11\n", "seed = 11\n\n[solver]\ntolerance = nan\n",
+         r"line 40: \[solver\]: tolerance must be positive and finite, got nan"),
+    ], ids=["levels-0", "levels-negative", "eps0", "c_cal", "tolerance", "max_iter", "c_cal-inf",
+            "tolerance-inf", "tolerance-nan"])
     def test_run_range_error_names_section_and_line(self, old, new, message, tmp_path):
         with pytest.raises(ConfigError, match=message):
             load_config(write(tmp_path, SWEEP_CFG.replace(old, new)))
@@ -611,15 +629,30 @@ class TestCLI:
         assert cli_main([command, "--config", str(path), "--out", out]) == 3
         assert "cylinder1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [("T = 0.3", "T = inf"), ("box = 0.0 1.0", "box = 0.0 inf"),
-                                      ("box = 0.0 1.0", "box = -inf 1.0")])
+    @pytest.mark.parametrize("edit", [
+        ("T = 0.3", "T = inf", "domain"), ("box = 0.0 1.0", "box = 0.0 inf", "domain"),
+        ("box = 0.0 1.0", "box = -inf 1.0", "domain"),
+        ("amplitude = 0.8", "amplitude = nan", "boundary"),
+        ("amplitude = 0.8", "amplitude = inf", "boundary"),
+        ("kind = profile", "kind = separable\npsi = 1.0 inf", "boundary"),
+        ("b_value = 1.0", "b_value = nan", "coefficients"),
+        ("b_value = 1.0", "b_value = inf", "coefficients"),
+        ("a_exponent = 0.04", "a_exponent = nan", "coefficients"),
+        ("a_center = 0.505", "a_center = nan", "coefficients"),
+        ("seed = 11\n", "seed = 11\n[solver]\ntolerance = inf\n", "solver"),
+        ("seed = 11\n", "seed = 11\n[calibration]\nc_cal = inf\n", "calibration"),
+    ])
     def test_non_finite_grid_exit_code(self, edit, tmp_path, capsys):
         # inf passed hi > lo and T > 0: T = inf made the solve exit 2, and an
-        # infinite box made it exit 0 with NaN in its reports
-        path = write(tmp_path, MINIMAL.replace(*edit))
+        # infinite box made it exit 0 with NaN in its reports.  A non-finite
+        # datum or coefficient made a run stop on a non-finite Newton step or
+        # a numpy warning, tolerance = inf passed every target with no step
+        # converged, and c_cal = inf passed every target at k = inf
+        old, new, section = edit
+        path = write(tmp_path, SWEEP_CFG.replace(old, new))
         assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
-        assert "[domain]" in err and "finite" in err
+        assert f"[{section}]" in err and "finite" in err and "line " in err
 
     def test_nonpositive_target_radius_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL_2D + "\n[targets]\ncylinder1 = 0.5 0.5 0.12 -0.2\n")

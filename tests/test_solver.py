@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 import weakref
@@ -45,6 +46,7 @@ from pqlab import (
 )
 from pqlab import solver
 from pqlab.band import band_storage, half_bandwidth, stencil_product
+from pqlab.grid import _trapezoid_weights
 from pqlab.model import flux_coefficient
 from pqlab.scheme import _grad_norm, _Scheme
 from pqlab.solver import _Stepper
@@ -1703,8 +1705,11 @@ class TestEnergyReport:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_terms_match_the_norm_formulas(self, n):
-        # the gradient terms are formed from the integrals of |D.|^r; formed
-        # from lp_norm of the gradient fields they agree to 1e-15 relative
+        # the report forms the gradient terms from the integrals of |D.|^r
+        # and the datum's terms from its factors g0(x) psi(t); formed over
+        # the space-time grid, from lp_norm of the gradient fields, slice
+        # sums of the datum's sample and the pairing of d_t g with each sine
+        # mode at every level, they agree to 1e-15 relative
         cfg, schedule, fields = _batch_config(n)
         d, dom, mu = cfg.spec.d, cfg.domain, cfg.spec.params.mu
         g = cfg.g.sample(dom)
@@ -1712,6 +1717,20 @@ class TestEnergyReport:
         alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
         wnorm = (lp_norm(g, d.p_alpha) ** d.p_alpha
                  + lp_norm(dg, d.p_alpha) ** d.p_alpha) ** (1.0 / d.p_alpha)
+        w, spatial = _trapezoid_weights(dom, time=False), tuple(range(1, dom.n + 1))
+        grids, side = dom.meshgrid(), round(solver._DUAL_MODES ** (1.0 / n))
+        dtg = cfg.g._g0(dom.box, grids) * cfg.g._dpsi(dom.times).reshape((-1,) + (1,) * dom.n)
+        best = np.zeros(dom.nt + 1)
+        for mode in itertools.product(range(1, side + 1), repeat=n):
+            phi = functools.reduce(np.multiply, [np.sin(k * np.pi * (c - lo) / (hi - lo))
+                                                 for (lo, hi), c, k in zip(dom.box, grids, mode)])
+            dphi = _grad_norm(phi[None], dom)[0]
+            den = float(np.sum((np.abs(phi) ** d.p_alpha + dphi**d.p_alpha) * w))
+            best = np.maximum(best, np.abs(np.sum(dtg * (phi * w)[None], axis=spatial))
+                              / den ** (1.0 / d.p_alpha))
+        wt = np.full(dom.nt + 1, dom.dt)
+        wt[0] = wt[-1] = 0.5 * dom.dt
+        dual = float(np.sum(best**d.p_alpha_conj * wt)) ** (1.0 / d.p_alpha_conj)
         for u, eps, report in zip(fields, schedule, energy_reports(fields, cfg, schedule)):
             du = SpaceTimeField(dom, _grad_norm(u.values, dom))
             expected = dict(
@@ -1722,9 +1741,27 @@ class TestEnergyReport:
                 wnorm_term=wnorm**d.p,
                 dg_gamma_term=lp_norm(dg, d.gamma) ** d.time_exponent,
                 dg_mu_term=mu ** (d.q - 1.0) * lp_norm(dg, d.beta_conj),
+                g_sup_l2=float(np.sum(g.values**2 * w[None], axis=spatial).max()),
+                dual_term=dual**d.p_conj,
             )
             assert report.grad_term > 0.0 and report.dg_gamma_term > 0.0
+            assert report.g_sup_l2 > 0.0 and report.dual_term > 0.0
             assert dataclasses.asdict(report) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_datum_read_through_its_factors(self, n):
+        # the report reads the datum's factors g0 and psi alone: a datum that
+        # cannot be sampled gives bitwise the same reports
+        class FactorsOnly(BoundaryDatum):
+            def at(self, *args):
+                raise AssertionError("the datum was sampled")
+
+            sample = at
+
+        cfg, schedule, fields = _batch_config(n)
+        factors = dataclasses.replace(cfg, g=FactorsOnly(**dataclasses.asdict(cfg.g)))
+        assert ([_bits(r) for r in energy_reports(fields, factors, schedule)]
+                == [_bits(r) for r in energy_reports(fields, cfg, schedule)])
 
     def test_batched_rejects_a_field_on_another_grid(self):
         cfg, schedule, fields = _batch_config(1)
