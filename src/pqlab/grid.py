@@ -98,6 +98,12 @@ class Domain:
         return np.meshgrid(*self.axes, indexing="ij")
 
 
+def _stored_levels(values: np.ndarray) -> np.ndarray:
+    """The time levels that values holds: the first alone when it is one
+    level broadcast over time (time stride 0), all of them otherwise."""
+    return values[:1] if values.strides[0] == 0 else values
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -106,7 +112,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
     """Scalar samples over a Domain; values[j] is the slice at time j*dt.
-    values is read-only: a read-only array is kept, a writeable one copied."""
+    values is read-only: a read-only array is kept, a writeable one copied.
+    A field constant in time may be one read-only level broadcast over time
+    (values.strides[0] == 0), which is kept as it is."""
 
     domain: Domain
     values: np.ndarray
@@ -117,7 +125,7 @@ class SpaceTimeField:
             raise ParameterError(
                 f"field shape {v.shape} does not match domain shape {self.domain.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(_stored_levels(v))):
             raise ParameterError("field contains non-finite values")
         object.__setattr__(self, "values", _read_only(v.copy()) if v.flags.writeable else v)
 
@@ -273,8 +281,10 @@ def mean_integral(f: SpaceTimeField, r: float, region=None) -> float:
 
 
 def truncate_plus(f: SpaceTimeField, k: float) -> SpaceTimeField:
-    """Pointwise positive part (f - k)_+."""
-    return SpaceTimeField(f.domain, np.maximum(f.values - k, 0.0))
+    """Pointwise positive part (f - k)_+, formed in one array that the field
+    keeps."""
+    out = f.values - k
+    return SpaceTimeField(f.domain, _read_only(np.maximum(out, 0.0, out=out)))
 
 
 def ess_sup(f: SpaceTimeField, region=None) -> float:

@@ -25,6 +25,7 @@ from .grid import (
     Cylinder,
     SpaceTimeField,
     _node_integral,
+    _read_only,
     _resolve,
     boundary_frame,
 )
@@ -49,7 +50,7 @@ def mollify_time(v: SpaceTimeField, h: float) -> SpaceTimeField:
     for j in range(dom.nt - 1, -1, -1):
         cell = vals[j] * (1.0 - decay) + (vals[j + 1] - vals[j]) * ramp
         out[j] = cell + decay * out[j + 1]
-    return SpaceTimeField(dom, out)
+    return SpaceTimeField(dom, _read_only(out))
 
 
 def mollifier_derivative_residual(v: SpaceTimeField, h: float) -> float:

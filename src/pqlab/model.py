@@ -158,11 +158,32 @@ def integrand(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -
 
 
 def energy_density(s, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:
-    """f_i at s = |xi|^2, as flux_coefficient takes its argument."""
+    """f_i at s = |xi|^2, as flux_coefficient takes its argument:
+
+        r^(p/2) (a/p) + r^(q/2) (b/q) + s^(q_beta/2) eps,  r = mu^2 + s,
+
+    summed left to right.  The terms are formed in the result and in one
+    scratch array, by the operations of the formula written out in the same
+    order, so the value is bitwise the written formula's.  For a 0-d s, r
+    stays a numpy scalar, whose powers numpy rounds by its scalar arithmetic
+    as the written formula does, and a 0-d result is a numpy scalar."""
     if eps is None:
         eps = spec.eps
     s = np.asarray(s, float)
-    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    r = spec.params.mu**2 + s
-    return (r ** (p / 2.0) * (np.asarray(a_val, float) / p)
-            + r ** (q / 2.0) * (np.asarray(b_val, float) / q) + s ** (qb / 2.0) * eps)
+    a, b = np.asarray(a_val, float), np.asarray(b_val, float)
+    p, q, qb, mu2 = spec.params.p, spec.params.q, spec.d.q_beta, spec.params.mu**2
+    shape = np.broadcast_shapes(s.shape, a.shape, b.shape)
+    out, scratch = np.empty(shape), np.empty(shape)
+    # the augmented operators act in place on an array and rebind a scalar
+    term = np.add(mu2, s, out=out if s.ndim else None)
+    term **= p / 2.0
+    np.multiply(term, a / p, out=out)
+    term = np.add(mu2, s, out=scratch if s.ndim else None)
+    term **= q / 2.0
+    term *= b / q
+    out += term
+    np.copyto(scratch, s)
+    scratch **= qb / 2.0
+    scratch *= eps
+    out += scratch
+    return out[()]

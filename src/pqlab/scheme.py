@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Domain, _integrate_power, _level_blocks, _node_integral
+from .grid import Domain, _integrate_power, _level_blocks, _node_integral, _stored_levels
 from .model import IntegrandSpec, energy_density, flux_coefficient
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,17 @@ class _Scheme:
     def face_gradients(self, w: np.ndarray) -> list:
         """D_h w: per axis k the difference quotients on the k-faces, of
         which there are nx - 1 along k and nx along every other axis."""
-        return [(w[east] - w[west]) / h for (east, west), h in zip(self.near, self.dx)]
+        grads = [w[east] - w[west] for east, west in self.near]
+        for g, h in zip(grads, self.dx):
+            g /= h
+        return grads
 
     def face_average(self, v: np.ndarray, k: int) -> np.ndarray:
         """Mean of neighbouring node values along axis k, on the faces between."""
         east, west = self.near[k]
-        return 0.5 * (v[west] + v[east])
+        mean = v[west] + v[east]
+        mean *= 0.5
+        return mean
 
     def face_divergence(self, fluxes: list) -> np.ndarray:
         """div_h F, the negative adjoint of face_gradients, at the interior
@@ -208,22 +213,31 @@ class _Scheme:
     def cell_energy(self, values: np.ndarray, eps: float) -> np.ndarray:
         """integral of f(x, Dw) at every time level of values (time first), by
         cell-centred staggered gradients, a block of levels at a time (see
-        grid._BLOCK_BYTES).  In 1D this is the step's own energy, so the
-        discrete variational inequality survives with the iteration tolerance;
-        in 2D it does not (the strict xfail of
-        TestVariationalGap::test_first_variation_vanishes)."""
+        grid._BLOCK_BYTES).  A field constant in time may be stored as one
+        read-only level broadcast over time (time stride 0, as comparison_maps
+        stores a map without a time factor): its energy is taken on that level
+        once and repeated.  The gradient components, their squares and their
+        sum |xi|^2 are formed in place, and energy_density gives f.  In 1D
+        this is the step's own energy, so the discrete variational inequality
+        survives with the iteration tolerance; in 2D it does not (the strict
+        xfail of TestVariationalGap::test_first_variation_vanishes)."""
         n = self.dom.n
-        out = np.empty(len(values))
-        for block in _level_blocks(values):
-            s = 0.0  # |xi|^2, summed over the components in axis order
-            for k, component in enumerate(self.face_gradients(values[block])):
+        levels = _stored_levels(values)
+        out = np.empty(len(levels))
+        for block in _level_blocks(levels):
+            for k, component in enumerate(self.face_gradients(levels[block])):
                 for j in range(n):
                     if j != k:
                         component = self.face_average(component, j)
-                s = s + component**2
+                component **= 2
+                # |xi|^2, summed over the components in axis order
+                if k:
+                    s += component
+                else:
+                    s = component
             f_vals = energy_density(s, *self.centre_coeffs, self.spec, eps=eps)
             out[block] = f_vals.reshape(len(f_vals), -1).sum(axis=1)
-        return out * self.dom.cell_volume
+        return np.broadcast_to(out, len(values)) * self.dom.cell_volume
 
 
 # ---------------------------------------------------------------------------

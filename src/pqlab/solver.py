@@ -743,26 +743,42 @@ class ComparisonMap:
 
 def comparison_maps(cfg: SolveConfig) -> list:
     """Preset competitor family around the datum (lateral values match g),
-    with perturbations of amplitude 0.3 (1 + max|g|)."""
+    with perturbations of amplitude 0.3 (1 + max|g|).
+
+    A field constant in time may be stored as one read-only level broadcast
+    over time.  When the datum is constant in time, a map whose extra term
+    has no time factor (datum, bump, bump-negative) is stored so: its one
+    level g + extra, with time stride 0.  Every other map holds all its
+    levels.  Each map is formed in the one array its field keeps, handed
+    over read-only, so no field copies it."""
     dom = cfg.domain
     T = dom.T
-    g = cfg.g.sample(dom).values
-    grids = dom.meshgrid()
-    bump = BoundaryDatum(kind="profile", profile="bump")._g0(dom.box, grids)
-    sin2 = BoundaryDatum(kind="profile", mode=2)._g0(dom.box, grids)
-    amplitude = 0.3 * (1.0 + float(np.abs(g).max()))
     t = dom.times.reshape((-1,) + (1,) * dom.n)
+    # the times of the datum and of a term without a time factor: one level
+    # stands for all when the datum is constant in time
+    times = t[:1] if not cfg.g.time_dependent else t
+    ones = np.ones_like(times)
+    g = cfg.g.at(dom.box, dom.meshgrid(), times)
+    bump = BoundaryDatum(kind="profile", profile="bump")._g0(dom.box, dom.meshgrid())
+    sin2 = BoundaryDatum(kind="profile", mode=2)._g0(dom.box, dom.meshgrid())
+    amplitude = 0.3 * (1.0 + float(np.abs(g).max()))
 
-    def mk(name, extra):
-        return ComparisonMap(name, SpaceTimeField(dom, g + extra))
+    def mk(name, profile, factor):
+        # g + profile * factor on the levels of factor, formed in the one
+        # array that the field keeps
+        values = np.empty((len(factor),) + profile.shape)
+        values[...] = factor
+        values *= profile
+        values += g
+        return ComparisonMap(name, SpaceTimeField(dom, np.broadcast_to(values, dom.shape)))
 
     return [
-        mk("datum", np.zeros(dom.shape)),
-        mk("bump", amplitude * bump[None] * np.ones_like(t)),
-        mk("bump-ramp", amplitude * bump[None] * (t / T)),
-        mk("bump-decay", amplitude * bump[None] * (1.0 - t / T) ** 2),
-        mk("mode2-ramp", amplitude * sin2[None] * (t / T)),
-        mk("bump-negative", -amplitude * bump[None] * np.ones_like(t)),
+        mk("datum", np.zeros_like(bump), ones),
+        mk("bump", amplitude * bump, ones),
+        mk("bump-ramp", amplitude * bump, t / T),
+        mk("bump-decay", amplitude * bump, (1.0 - t / T) ** 2),
+        mk("mode2-ramp", amplitude * sin2, t / T),
+        mk("bump-negative", -amplitude * bump, ones),
     ]
 
 

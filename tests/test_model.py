@@ -15,6 +15,7 @@ from pqlab import (
     integrand,
     lp_norm,
 )
+from pqlab.model import energy_density
 
 
 def const_spec(a=1.0, b=1.0, p=2.0, q=2.1, alpha=20.0, beta=20.0, mu=0.0, eps=0.0, n=1):
@@ -166,3 +167,44 @@ class TestFluxAndIntegrand:
                      + qb * spec.eps * s ** ((qb - 1) / 2))
             assert float(np.linalg.norm(fl)) <= upper * (1.0 + 1e-14)
 
+
+
+def _written_density(s, a_val, b_val, spec, eps):
+    """f_i at s = |xi|^2 as the formula is written out, one new array per
+    operation."""
+    s = np.asarray(s, float)
+    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
+    r = spec.params.mu**2 + s
+    return (r ** (p / 2.0) * (np.asarray(a_val, float) / p)
+            + r ** (q / 2.0) * (np.asarray(b_val, float) / q) + s ** (qb / 2.0) * eps)
+
+
+class TestEnergyDensity:
+    """energy_density forms its terms in one output and one scratch array;
+    its value, type and shape are bitwise the formula's written out.  A 0-d
+    s keeps numpy's scalar arithmetic for mu^2 + s, whose powers round apart
+    from the array loops'."""
+
+    @pytest.mark.parametrize("p, q, mu", [(2.0, 2.1, 0.0), (3.0, 3.1, 0.1), (2.0, 2.0, 0.3)])
+    def test_equals_the_written_formula(self, p, q, mu, rng):
+        spec = const_spec(p=p, q=q, alpha=8.0, beta=12.0, mu=mu, eps=0.2)
+        # a scalar power rounds apart from the array loops' at about one
+        # value in twenty, so a hundred values of s tell the two apart
+        s = rng.uniform(0.0, 5.0, (10, 10)) * 10.0 ** rng.uniform(-3, 3, (10, 10))
+        s[0, 0] = 0.0
+        a, b = rng.uniform(0.0, 3.0, 10), rng.uniform(0.0, 3.0, (10, 1))
+        cases = [(s, a, b), (s, 1.5, 2.0), (s[:, :1], a, 2.0), (s[0], np.float64(1.5), b),
+                 (s.T, 1.5, 2.0)]
+        for x in s.ravel():  # scalar and 0-d s
+            cases += [(float(x), 1.5, 2.0), (np.float64(x), a, b),
+                      (np.array(x), np.array(1.5), np.array(2.0))]
+        for args in cases:
+            before = [np.array(v, copy=True) for v in args]
+            for eps in (None, 0.0, 0.35):
+                got = energy_density(*args, spec, eps)
+                want = _written_density(*args, spec, spec.eps if eps is None else eps)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            # the inputs are read, never written
+            assert all(np.array_equal(v, w) for v, w in zip(args, before))

@@ -1910,6 +1910,59 @@ class TestVariationalGap:
             variational_gap_curve(u, bad, cfg)
 
 
+class TestSteadyMaps:
+    """A datum constant in time makes each comparison map without a time
+    factor one read-only level broadcast over time; the cell energy and the
+    gaps read such a map bitwise as they read its levels written out."""
+
+    STEADY = {"datum", "bump", "bump-negative"}
+
+    @staticmethod
+    def _config(n, g):
+        cfg = degenerate_config() if n == 1 else _probe_config_2d(2.0, 2.1, 0.8, nx=9, nt=8)
+        dom = dataclasses.replace(cfg.domain, nx=33, nt=16) if n == 1 else cfg.domain
+        return dataclasses.replace(cfg, domain=dom, g=g)
+
+    @pytest.mark.parametrize("g", [
+        BoundaryDatum(kind="profile", profile="sin", amplitude=0.8),
+        BoundaryDatum(kind="separable", profile="bump", amplitude=-0.8, psi=(0.75, 0.0)),
+        BoundaryDatum(kind="constant", value=2.0),
+    ], ids=["profile", "separable", "constant"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_maps_without_a_time_factor_are_one_level(self, n, g):
+        maps = comparison_maps(self._config(n, g))
+        assert {v.name for v in maps} >= self.STEADY
+        for v in maps:
+            values = v.field.values
+            assert not values.flags.writeable
+            assert (values.strides[0] == 0) == (v.name in self.STEADY), v.name
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_time_dependent_datum_stores_every_level(self, n):
+        g = BoundaryDatum(kind="separable", amplitude=0.8, psi=(1.0, -0.5, 0.25))
+        for v in comparison_maps(self._config(n, g)):
+            assert not v.field.values.flags.writeable
+            assert v.field.values.strides[0] != 0, v.name
+
+    @pytest.mark.parametrize("psi", [(1.0,), (1.0, -0.5, 0.25)], ids=["steady", "time-dependent"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_maps_read_as_their_levels_written_out(self, n, psi):
+        cfg = self._config(n, BoundaryDatum(kind="separable", amplitude=0.8, psi=psi))
+        u, _ = solve(cfg)
+        maps = comparison_maps(cfg)
+        written = [ComparisonMap(v.name, SpaceTimeField(cfg.domain, np.array(v.field.values)))
+                   for v in maps]
+        scheme = _Scheme(cfg.domain, cfg.spec)
+        for eps in (0.0, 0.5):
+            for v, w in zip(maps, written):
+                assert w.field.values.strides[0] != 0
+                assert (scheme.cell_energy(v.field.values, eps).tobytes()
+                        == scheme.cell_energy(w.field.values, eps).tobytes()), v.name
+            for v, curve, curve_written in zip(maps, variational_gap_curves(u, maps, cfg, eps),
+                                               variational_gap_curves(u, written, cfg, eps)):
+                assert [a.tobytes() for a in curve] == [a.tobytes() for a in curve_written], v.name
+
+
 class TestGridMismatch:
     """A diagnostic given a field on another grid than its config's raises.
     Without the check, a config on the box (0, 2) instead of (0, 1), at the

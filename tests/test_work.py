@@ -36,6 +36,7 @@ from pqlab import (
     solve_levels,
     solver,
     trace,
+    truncate_plus,
     variational_gap_curves,
 )
 from pqlab.scheme import _Scheme
@@ -152,15 +153,30 @@ class TestWorkingMemory:
     """The diagnostics' temporaries are blocks of time levels, not copies of
     the field (287,496 bytes here).  The peaks before blocking were
     2,841,881 bytes for the six gap curves, 1,293,784 for the energy report
-    and 1,266,880 for the Caccioppoli sides; now they are about 979,000,
-    837,000 and 432,000.  The gap curves' peak holds the energy density's
-    temporaries over one block, formed as its formula is written."""
+    and 1,266,880 for the Caccioppoli sides; now they are about 860,000,
+    837,000 and 432,000.  The gap curves' peak holds one block's energy
+    density, formed in one output and one scratch array; it was about
+    979,000 while each term of the formula took a new array and every map
+    held all its levels."""
 
     def test_gap_curves(self, diagnostics_field):
         cfg, u = diagnostics_field
         maps = comparison_maps(cfg)
         assert len(maps) == 6
-        assert _peak_bytes(lambda: variational_gap_curves(u, maps, cfg, eps=0.5)) < 1024 * 1024
+        assert _peak_bytes(lambda: variational_gap_curves(u, maps, cfg, eps=0.5)) < 880 * 1024
+
+    def test_fields_made_for_a_result(self, diagnostics_field):
+        # each result is formed in the array its field keeps: the maps
+        # returned hold three fields here (three maps are one level each),
+        # and the peak adds the one being formed, numpy's broadcast buffers
+        # and the validity mask; it was 9.14 fields while each map was copied
+        # from g + extra.  A truncation or a mollification adds its validity
+        # mask to its field; each was about 2 fields with the copy
+        cfg, u = diagnostics_field
+        size = u.values.nbytes
+        assert _peak_bytes(lambda: comparison_maps(cfg)) < 3.5 * size
+        assert _peak_bytes(lambda: truncate_plus(u, 0.1)) < 1.25 * size
+        assert _peak_bytes(lambda: lemmas.mollify_time(u, 0.05)) < 1.25 * size
 
     def test_energy_report(self, diagnostics_field):
         # the datum's terms are taken on one level, so the peak is the
