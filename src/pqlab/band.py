@@ -10,9 +10,10 @@ after it, so the matrix has kl = ku = stride_0 + stride_1 sub- and
 superdiagonals: nx - 1 in 2D.
 
 As in LAPACK dsgesv, the solver refines float32 solves in float64 from the
-first one (solver._defect_correction) and, only where a fresh float32
-factor cannot correct, factors in float64 and takes that factor's direct
-solve; at 65^2 float32 factors and solves take 0.7-0.8 of float64's time.
+first one (solver._defect_correction), down to the Newton step's target,
+and, only where a fresh float32 factor cannot reach it, factors in float64
+and takes that factor's direct solve; at 65^2 float32 factors and solves
+take 0.7-0.8 of float64's time.
 Rows divided by their diagonal and right-hand sides by their largest entry
 keep any scale of the data within float32.
 """

@@ -20,8 +20,11 @@ nonsymmetric 9-point matrix with half-bandwidth nx - 1 in row-major order,
 written from the stencil into row-scaled LAPACK band storage and factored
 by a float32 band LU (band.py).  Every 2D Newton system is solved in
 float64 by defect correction with the member's factor and the product with
-J(w) from the stencil, down to a defect that moves the next residual by at
-most 1% of the stopping threshold (_CORRECTION_FLOOR).  A factor serves
+J(w) from the stencil, down to a target: the larger of the defect that
+moves the next residual by at most 1% of the stopping threshold
+(_CORRECTION_FLOOR) and the inexact Newton forcing term 1e-4 |R| (_FORCING),
+which far from the solution spares corrections that the next iteration
+would discard.  A factor serves
 across time steps until its solves have cost the flops of one factorization
 (a closed form in the bandwidth: 8 of them at 17^2, 32 at 65^2) or the
 defect falls too slowly; where a fresh float32 factor cannot correct, a
@@ -96,6 +99,7 @@ from .grid import (
     _level_blocks,
     _read_only,
     _same_grid,
+    _stored_levels,
     _trapezoid_weights,
     boundary_frame,
 )
@@ -107,19 +111,35 @@ _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
 # 2D Newton directions: defect correction on the exact Newton matrix down to
-# the floor _CORRECTION_FLOOR * tolerance * scale within _CORRECTIONS
-# corrections, and where a fresh float32 factor cannot reach it, a float64
-# factor's direct solve (newton_direction).  A defect r left in the
-# direction d is, to first order, the next residual: R(w + d) = -r +
-# O(|d|^2).  The stopping rule needs max|R| < tolerance * scale, so a defect
-# at 1e-2 of that threshold (in the 2-norm, which bounds the max-norm) moves
-# the next max|R| by at most 1% of it: it changes when Newton stops only
-# where an exact direction would land that close to the threshold.  A floor
-# of 1e-1 moves the 65^2 x 64 preset's field 9e-13 relative from one 1e-4
-# times lower, too near the 1e-12 that the tests allow, and one of 1 adds an
-# iteration on their p = 4 probe.
+# the target max(_CORRECTION_FLOOR * tolerance * scale, _FORCING * |R|)
+# within _CORRECTIONS corrections, and where a fresh float32 factor cannot
+# reach it, a float64 factor's direct solve (newton_direction).  A defect r
+# left in the direction d is, to first order, the next residual: R(w + d) =
+# -r + O(|d|^2).  The stopping rule needs max|R| < tolerance * scale, so a
+# defect at the floor, 1e-2 of that threshold (in the 2-norm, which bounds
+# the max-norm), moves the next max|R| by at most 1% of it: it changes when
+# Newton stops only where an exact direction would land that close to the
+# threshold.  With the forcing term off, a floor of 1e-1 moves the 65^2 x 64
+# preset's field 9e-13 relative from one 1e-4 times lower, too near the
+# 1e-12 that the tests allow, and one of 1 adds an iteration on their p = 4
+# probe.
 _CORRECTION_FLOOR = 1e-2
 _CORRECTIONS = 30
+
+# The forcing term of inexact Newton (Dembo, Eisenstat and Steihaug,
+# "Inexact Newton methods", SIAM J. Numer. Anal. 19, 1982): far from the
+# solution a direction with defect at most _FORCING * |R| (2-norms) keeps
+# Newton's convergence, and the floor's further corrections would be
+# discarded by the next iteration.  On the 65^2 x 64 preset (p = 2, q = 2.1,
+# alpha = 20) the constant 1e-4 takes 107 Newton iterations, 8
+# factorizations and 260 factor solves, against 104, 12 and 414 at the floor
+# alone, and its field lies within 1.64e-10 of max|u| of the floor's.
+# Eisenstat and Walker's choice 2 ("Choosing the forcing terms in an inexact
+# Newton method", SIAM J. Sci. Comput. 17, 1996: eta_k = gamma (|R_k| /
+# |R_{k-1}|)^alpha, gamma = 0.9, alpha = 2, first eta 1e-2 to 1e-4) took
+# 107-131 iterations, 9 factorizations and 280-297 solves there, so the
+# constant is the one rule.
+_FORCING = 1e-4
 
 # Size of the sine-mode test family of the energy report's dual norm: 16
 # modes in 1D, 4 x 4 in 2D.
@@ -296,9 +316,11 @@ class _Stepper:
         factor of one of that member's earlier Newton matrices, from this
         or an earlier time step, with the solves it has served.  Each member
         solves its exact system J(w) d = -R in float64 by defect correction
-        from the factor's first solve, down to the floor
-        _CORRECTION_FLOOR * tolerance * scale of the member's stopping rule:
-        to first order the defect is the next residual.  It corrects with its
+        from the factor's first solve, down to the target
+        max(_CORRECTION_FLOOR * tolerance * scale, _FORCING * |R|), |R| the
+        2-norm of its residual: the floor of the member's stopping rule, as to
+        first order the defect is the next residual, or where |R| is far
+        above that the forcing term of inexact Newton.  It corrects with its
         slot's factor while that has served no more solves than the budget,
         one factorization's flops over one solve's (band.solve_budget); else,
         or if that correction gives up, with a fresh float32 factor; and if
@@ -327,15 +349,16 @@ class _Stepper:
             def solve_member(row):
                 b, m = rhs[row].ravel(), members[row]
                 apply = functools.partial(stencil_product, stencil, row)
-                floor = _CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row]
+                target = max(_CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row],
+                             _FORCING * scipy.linalg.blas.dnrm2(b))
                 lu, served = self.slots[m] or (None, math.inf)
                 self.slots[m] = d_row = None
                 if served <= self.budget:
-                    d_row, solves = _defect_correction(apply, b, lu, floor)
+                    d_row, solves = _defect_correction(apply, b, lu, target)
                 if d_row is None:
                     lu = None  # release a spent or failed factor before refactoring
                     lu, served = BandLU(stencil, row), 0
-                    d_row, solves = _defect_correction(apply, b, lu, floor)
+                    d_row, solves = _defect_correction(apply, b, lu, target)
                 if d_row is None:  # float32 cannot correct: float64's direct solve
                     lu = None
                     lu = BandLU(stencil, row, np.float64)
@@ -493,24 +516,24 @@ def _line_search(scheme: _Scheme, it: _Iterate, d, base, eps, tolerance: float, 
     return trial, length, stuck
 
 
-def _defect_correction(apply, b, lu, floor):
+def _defect_correction(apply, b, lu, target):
     """Solve A x = b by x += lu.solve(b - A x) from x = lu.solve(b), apply
     the product x -> A x and lu a factor of A in lower precision or of a
     nearby matrix, until the defect |b - A x| (2-norm, by BLAS dnrm2, which
-    no float64 b overflows) is at most floor.
+    no float64 b overflows) is at most target.
 
     Returns (x, solves), solves the number of lu.solve calls made; x is None
     unless the defect falls at every correction (at a non-finite x it is NaN
     or infinite and never does) and, at the last correction's rate, can
-    still reach the floor within _CORRECTIONS.  A higher floor stops no
+    still reach the target within _CORRECTIONS.  A higher target stops no
     later and gives up nowhere that a lower one would have converged."""
     x, last = lu.solve(b), math.inf
     for solves in itertools.count(1):
         defect = b - apply(x)
         norm = scipy.linalg.blas.dnrm2(defect)
-        if norm <= floor:
+        if norm <= target:
             return x, solves
-        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > floor:
+        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:
             return None, solves
         x, last = x + lu.solve(defect), norm
 
@@ -826,14 +849,17 @@ def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float
                 f"comparison map does not match the datum on the lateral boundary "
                 f"(mismatch {mismatch:g})")
         cum_fv = np.cumsum(scheme.cell_energy(vals, eps)[1:]) * dom.dt
-        # per level j: sum (v_j - v_{j-1})(v_j - u_j) from j = 1 and
-        # sum (v_j - u_j)^2, a block of levels at a time
+        # per level j: sum (v_j - v_{j-1})(v_j - u_j) from j = 1, which is 0
+        # for a map stored as one level, and sum (v_j - u_j)^2, a block of
+        # levels at a time
+        steady = len(_stored_levels(vals)) == 1
         dual_steps, slice_sq = np.zeros(len(vals)), np.empty(len(vals))
         for block in _level_blocks(vals):
             diff = vals[block] - u.values[block]
-            lo, hi = max(block.start, 1), block.stop
-            steps = (vals[lo:hi] - vals[lo - 1:hi - 1]) * diff[lo - block.start:]
-            dual_steps[lo:hi] = np.sum(steps, axis=spatial)
+            if not steady:
+                lo, hi = max(block.start, 1), block.stop
+                steps = (vals[lo:hi] - vals[lo - 1:hi - 1]) * diff[lo - block.start:]
+                dual_steps[lo:hi] = np.sum(steps, axis=spatial)
             slice_sq[block] = np.sum(diff**2, axis=spatial)
         dual_steps = dual_steps[1:] * cell
         slice_sq = 0.5 * slice_sq * cell

@@ -154,10 +154,15 @@ class TestNewton:
         fd = (scheme.evaluate(w + h * v, u_prev, eps).residual
               - scheme.evaluate(w - h * v, u_prev, eps).residual) / (2 * h)
         assert np.abs(jv - fd.ravel()).max() <= 1e-6 * np.abs(jv).max()
-        # the Newton direction solves J d = -R
+        # the Newton direction solves J d = -R: directly by dptsv in 1D, and
+        # in 2D by defect correction down to newton_direction's target
         d, bad = stepper.newton_direction(it, dom.dt, [0])
         assert bad is None
-        assert np.allclose(jac @ d.ravel(), -it.residual.ravel(), rtol=0, atol=1e-10)
+        defect = jac @ d.ravel() + it.residual.ravel()
+        if n == 1:
+            assert np.abs(defect).max() <= 1e-10
+        else:
+            assert np.linalg.norm(defect) <= _correction_target(cfg, it, 0)
 
     @pytest.mark.parametrize("p,q", [(3.0, 3.2), (4.0, 4.3)])
     def test_strongly_degenerate_phases_converge(self, p, q):
@@ -730,6 +735,13 @@ def _probe_config_2d(p, q, amplitude, nx=33, nt=32, alpha=1e4):
                        BoundaryDatum(kind="profile", profile="sin", amplitude=amplitude))
 
 
+def _correction_target(cfg, it, row):
+    """newton_direction's 2D defect target for row of it: the floor of the
+    stopping rule or the forcing term times |R|, whichever is larger."""
+    return max(solver._CORRECTION_FLOOR * cfg.tolerance * it.scale[row],
+               solver._FORCING * scipy.linalg.blas.dnrm2(it.residual[row].ravel()))
+
+
 def _factor_every_iteration(stepper, it, t, members=None):
     """Reference 2D Newton directions: every member factored afresh in
     float64 and solved directly, whatever factors its slots hold."""
@@ -829,31 +841,44 @@ class TestFactorReuse:
 
     @pytest.mark.parametrize("p,q,amplitude", _REUSE_PROBES)
     def test_matches_factoring_every_iteration(self, p, q, amplitude, monkeypatch):
+        # inexact directions may take other iterations than exact ones, and
+        # stop each step within the tolerance of the same solution
         cfg = _probe_config_2d(p, q, amplitude)
-        u, stats = solve(cfg)
+        u, _ = solve(cfg)
         monkeypatch.setattr(_Stepper, "newton_direction", _factor_every_iteration)
-        ref_u, ref_stats = solve(cfg)
-        assert stats.iterations == ref_stats.iterations
-        scale = np.abs(ref_u.values).max()
-        assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
+        ref_u, _ = solve(cfg)
+        scale = max(1.0, np.abs(ref_u.values).max())
+        assert np.abs(u.values - ref_u.values).max() <= 10 * cfg.tolerance * scale
 
     @pytest.mark.parametrize("p,q,amplitude", _REUSE_PROBES)
     def test_floor_saves_solves(self, p, q, amplitude, monkeypatch):
-        # stopping each correction at the floor leaves the Newton iterations
-        # as they are and the field within rounding of corrections run to a
-        # floor 1e-4 times lower, for fewer solves
+        # stopping each correction at the forcing term, where it lies above
+        # the floor, takes fewer solves and factorizations than the floor
+        # alone, for a field within the tolerance of the floor's.  With the
+        # forcing term off, stopping at the floor leaves the Newton
+        # iterations as they are and the field within rounding of
+        # corrections run to a floor 1e-4 times lower, for fewer solves
         cfg = _probe_config_2d(p, q, amplitude)
         counts = _count_factor_work(monkeypatch)
-        u, stats = solve(cfg)
-        floored = dict(counts)
-        counts.update(factorizations=0, solves=0)
+
+        def run():
+            counts.update(factorizations=0, solves=0)
+            u, stats = solve(cfg)
+            return u.values, stats.iterations, dict(counts)
+
+        u, _, forced = run()
+        monkeypatch.setattr(solver, "_FORCING", 0.0)
+        floor_u, iterations, floored = run()
         monkeypatch.setattr(solver, "_CORRECTION_FLOOR", 1e-4 * solver._CORRECTION_FLOOR)
-        ref_u, ref_stats = solve(cfg)
-        assert stats.iterations == ref_stats.iterations
-        scale = np.abs(ref_u.values).max()
-        assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
-        assert floored["solves"] < counts["solves"]
-        assert floored["factorizations"] <= counts["factorizations"]
+        ref_u, ref_iterations, ref = run()
+        scale = max(1.0, np.abs(floor_u).max())
+        assert np.abs(u - floor_u).max() <= 10 * cfg.tolerance * scale
+        assert forced["solves"] < floored["solves"]
+        assert forced["factorizations"] < floored["factorizations"]
+        assert iterations == ref_iterations
+        assert np.abs(floor_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+        assert floored["solves"] < ref["solves"]
+        assert floored["factorizations"] <= ref["factorizations"]
 
     @staticmethod
     def probe(rng):
@@ -872,8 +897,7 @@ class TestFactorReuse:
     ], ids=["growth", "slow", "non-finite"])
     def test_failed_correction_falls_back_to_direct_solve(self, stale, scale, factor_solves, rng):
         # a carried factor that gives up is released, and the member takes
-        # the correction of a fresh float32 factor, within 1e-12 of the
-        # float64 direct solve
+        # the correction of a fresh float32 factor down to the target
         stepper, it, members = self.probe(rng)
         stepper.newton_direction(it, 0.1, members)  # fills member 1's slot
 
@@ -894,13 +918,12 @@ class TestFactorReuse:
             warnings.simplefilter("error", RuntimeWarning)
             d, bad = stepper.newton_direction(it, 0.1, members)
         assert bad is None
+        target = _correction_target(stepper.cfg, it, 0)
         fresh, fresh_solves = solver._defect_correction(
             functools.partial(stencil_product, stencil, 0), -it.residual[0].ravel(),
-            solver.BandLU(stencil, 0),
-            solver._CORRECTION_FLOOR * stepper.cfg.tolerance * it.scale[0])
+            solver.BandLU(stencil, 0), target)
         assert np.array_equal(d[0].ravel(), fresh)
-        direct, _ = _factor_every_iteration(stepper, it, 0.1)
-        assert np.abs(d - direct).max() <= 1e-12 * np.abs(direct).max()
+        assert np.linalg.norm(_dense_operator(stencil, 0) @ fresh + it.residual[0].ravel()) <= target
         assert stepper.slots[0] is None
         assert stepper.slots[1][0] is not old and stepper.slots[1][1] == fresh_solves
         assert stepper.slots[1][0].dtype == np.float32
