@@ -99,7 +99,6 @@ from .grid import (
     _level_blocks,
     _read_only,
     _same_grid,
-    _stored_levels,
     _trapezoid_weights,
     boundary_frame,
 )
@@ -850,9 +849,9 @@ def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float
                 f"(mismatch {mismatch:g})")
         cum_fv = np.cumsum(scheme.cell_energy(vals, eps)[1:]) * dom.dt
         # per level j: sum (v_j - v_{j-1})(v_j - u_j) from j = 1, which is 0
-        # for a map stored as one level, and sum (v_j - u_j)^2, a block of
-        # levels at a time
-        steady = len(_stored_levels(vals)) == 1
+        # for a map stored as one level (time stride 0), and sum
+        # (v_j - u_j)^2, a block of levels at a time
+        steady = vals.strides[0] == 0
         dual_steps, slice_sq = np.zeros(len(vals)), np.empty(len(vals))
         for block in _level_blocks(vals):
             diff = vals[block] - u.values[block]

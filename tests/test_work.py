@@ -97,11 +97,11 @@ class TestWorkLedger:
         counts = _count_linear_work(monkeypatch)
         evaluations = _count_evaluations(monkeypatch)
         _, stats = solve(cfg)
-        assert stats.total_iterations <= 110
+        assert stats.total_iterations <= 107
         assert counts["factorizations"] <= 9
         assert counts["float64"] == 0
         assert counts["solves"] == counts["corrections"] <= 268
-        assert evaluations["rows"] <= 243
+        assert evaluations["rows"] <= 238
 
     def test_diagnostics_2d_setup(self, monkeypatch):
         # the diagnostics-2d set-up solve, the same problem at 33^2 x 32: 73
