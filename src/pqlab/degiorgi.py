@@ -98,8 +98,7 @@ def caccioppoli_sides(u: SpaceTimeField, k: float, inner: Cylinder, outer: Cylin
         return CaccioppoliSides((0.0,) * 3, (0.0,) * 4)
 
     grad_int, grad_qb = gradient_powers(inner_vals, dom, (d.p_alpha, d.q_beta), ball_in)
-    alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
-    lhs_terms = (sup_term, grad_int**alpha_exp / norms.raw_a, eps * grad_qb)
+    lhs_terms = (sup_term, grad_int**d.grad_exponent / norms.raw_a, eps * grad_qb)
 
     t_mu = (
         mu ** (q - 1.0)

@@ -153,6 +153,12 @@ class DerivedExponents:
         """p/(p+1-q): the intrinsic cylinder depth is rho**time_exponent."""
         return self.p / (self.p + 1.0 - self.q)
 
+    @property
+    def grad_exponent(self) -> float:
+        """(alpha+1)/alpha, read as 1 for infinite alpha: the energy bound and
+        the Caccioppoli inequality raise the integral of |Du|**p_alpha to it."""
+        return 1.0 if math.isinf(self.alpha) else (self.alpha + 1.0) / self.alpha
+
 
 def derive(params: StructureParams) -> DerivedExponents:
     """Compute all derived exponents by the closed formulas.

@@ -737,13 +737,12 @@ def energy_reports(fields, cfg: SolveConfig, eps_values) -> list:
         dg_mu_term=cfg.spec.params.mu ** (d.q - 1.0) * dg_bc ** (1.0 / d.beta_conj),
         g_sup_l2=float(np.max(psi**2)) * float(np.sum(g0**2 * w)),
     )
-    alpha_exp = 1.0 if math.isinf(d.alpha) else (d.alpha + 1.0) / d.alpha
     reports = []
     for u, eps in zip(fields, eps_values):
         du_pa, du_qb = gradient_powers(u.values, dom, (d.p_alpha, d.q_beta))
         reports.append(EnergyData(
             sup_l2=float(_slicewise_l2sq(u.values, dom).max()),
-            grad_term=du_pa**alpha_exp,
+            grad_term=du_pa**d.grad_exponent,
             eps_term=eps * du_qb,
             eps_dg_term=eps * dg_qb,
             **datum,
@@ -848,17 +847,14 @@ def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float
                 f"comparison map does not match the datum on the lateral boundary "
                 f"(mismatch {mismatch:g})")
         cum_fv = np.cumsum(scheme.cell_energy(vals, eps)[1:]) * dom.dt
-        # per level j: sum (v_j - v_{j-1})(v_j - u_j) from j = 1, which is 0
-        # for a map stored as one level (time stride 0), and sum
-        # (v_j - u_j)^2, a block of levels at a time
-        steady = vals.strides[0] == 0
+        # per level j: sum (v_j - v_{j-1})(v_j - u_j) from j = 1 and
+        # sum (v_j - u_j)^2, a block of levels at a time
         dual_steps, slice_sq = np.zeros(len(vals)), np.empty(len(vals))
         for block in _level_blocks(vals):
             diff = vals[block] - u.values[block]
-            if not steady:
-                lo, hi = max(block.start, 1), block.stop
-                steps = (vals[lo:hi] - vals[lo - 1:hi - 1]) * diff[lo - block.start:]
-                dual_steps[lo:hi] = np.sum(steps, axis=spatial)
+            lo, hi = max(block.start, 1), block.stop
+            steps = (vals[lo:hi] - vals[lo - 1:hi - 1]) * diff[lo - block.start:]
+            dual_steps[lo:hi] = np.sum(steps, axis=spatial)
             slice_sq[block] = np.sum(diff**2, axis=spatial)
         dual_steps = dual_steps[1:] * cell
         slice_sq = 0.5 * slice_sq * cell

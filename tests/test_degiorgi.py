@@ -41,6 +41,7 @@ from pqlab.grid import _resolve
 
 from conftest import TARGETS_2D
 from test_harness import SWEEP_CFG
+from test_solver import _probe_config_2d, degenerate_config
 
 D_REF = derive(StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 D_1D = derive(StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0))
@@ -402,6 +403,25 @@ class TestVerifySupBound:
         rep = verify_sup_bound(u, (0.0, 2.0), 0.8, 0.5, spec)
         assert rep.mean_um == 0.0
         assert rep.passed  # ess_sup = -1 <= any positive bound
+
+    @pytest.mark.parametrize("cfg, target", [
+        (degenerate_config(amplitude=800.0), ((0.5, 0.12), 0.2)),
+        (_probe_config_2d(2.0, 2.1, 80.0, nx=33, nt=32, alpha=20.0), TARGETS_2D[0]),
+    ], ids=["1d", "2d"])
+    def test_passes_where_the_fields_terms_bind(self, cfg, target):
+        # at the benchmark's amplitudes the level is the field-free one (u's
+        # mean of u_+^m set to zero), so passing there checks the geometry
+        # alone; here u's own terms raise the level above it, and the solved
+        # field still passes at c_cal = 1: ess_sup/k_choice = 0.407 with
+        # k_choice = 12.51 against 0.584 field-free in 1D, and 0.445 with
+        # 0.766 against 0.709 in 2D
+        (center, rho), d = target, cfg.spec.d
+        sigma = rho**d.time_exponent
+        u, _ = solve(cfg)
+        rep = verify_sup_bound(u, center, rho, sigma, cfg.spec, c_cal=1.0)
+        field_free = choose_level_k(0.0, rep.norm_a, rep.norm_b, rho, sigma,
+                                    cfg.spec.params.mu, d)
+        assert rep.passed and rep.k_choice > field_free
 
 
 def _raise_node(u: SpaceTimeField, cyl: Cylinder, value: float) -> SpaceTimeField:
