@@ -1,6 +1,7 @@
 """The linear algebra of the 2D Newton matrix: a stencil on the interior
 nodes of a box, numbered row-major, applied by shifted slices, written into
-LAPACK's general band storage and factored by a float32 band LU.
+LAPACK's general band storage and factored by a float32 band LU, and the one
+owner of each member's Newton direction, FactorSlot.
 
 A stencil is {offset: entries}, each entries array holding a leading member
 axis and one axis per dimension over the interior nodes; the offsets have at
@@ -9,13 +10,18 @@ In row-major order offset o couples a node to the one sum_k o_k stride_k
 after it, so the matrix has kl = ku = stride_0 + stride_1 sub- and
 superdiagonals: nx - 1 in 2D.
 
-As in LAPACK dsgesv, the solver refines float32 solves in float64 from the
-first one (solver._defect_correction), down to the Newton step's target,
-and, only where a fresh float32 factor cannot reach it, factors in float64
-and takes that factor's direct solve; at 65^2 float32 factors and solves
-take 0.7-0.8 of float64's time.
-Rows divided by their diagonal and right-hand sides by their largest entry
-keep any scale of the data within float32.
+A member's FactorSlot finds its direction, J x = b, down the ladder of LAPACK
+dsgesv (Buttari, Dongarra, Langou et al., IJHPCA 2007): float32 solves
+refined in float64 by defect correction from the first one, with the
+product with J from the stencil, down to the caller's target.  It corrects
+with its carried factor, from an earlier Newton iteration or time step,
+while that factor's solves are within solve_budget (one factorization's
+flops over one solve's: 8 at 17^2, 32 at 65^2); past it, or where that
+correction gives up, with a fresh float32 factor; where that gives up too,
+it takes a float64 factor's direct solve.  It releases a spent factor before
+it makes the next.  At 65^2 float32 factors and solves take 0.7-0.8 of
+float64's time; rows divided by their diagonal and right-hand sides by
+their largest entry keep any scale of the data within float32.
 """
 
 from __future__ import annotations
@@ -28,15 +34,13 @@ import scipy.linalg.lapack
 
 from .errors import DivergenceError
 
+# the corrections after its first solve that a defect correction may take
+_CORRECTIONS = 30
+
 
 def _strides(shape: tuple) -> list:
     """Distance in the numbering between neighbours along each axis."""
     return [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
-
-
-def half_bandwidth(shape: tuple) -> int:
-    """kl = ku of a stencil on interior nodes of this shape."""
-    return sum(_strides(shape)[:2])
 
 
 def solve_budget(kl: int) -> float:
@@ -83,7 +87,8 @@ def band_storage(stencil: dict, row: int, dtype=np.float32) -> np.ndarray:
     leaves the interior is 0: along the later axes it would otherwise couple
     across a wrap of the numbering."""
     shape = next(iter(stencil.values())).shape[1:]
-    strides, kl, size = _strides(shape), half_bandwidth(shape), int(np.prod(shape))
+    strides, size = _strides(shape), int(np.prod(shape))
+    kl = sum(strides[:2])
     diagonal = stencil[(0,) * len(shape)][row]
     ab = np.zeros((3 * kl + 1, size), dtype, order="F")
     for off, entries in stencil.items():
@@ -99,14 +104,14 @@ def band_storage(stencil: dict, row: int, dtype=np.float32) -> np.ndarray:
 
 class BandLU:
     """gbtrf's LU with partial pivoting of member row of a stencil in the
-    band storage of dtype; a singular matrix raises DivergenceError.  solve,
-    the one method defect correction reads, divides b by the rows' diagonal
-    and by the largest entry of that, solves in dtype and scales back in
-    float64.  Without row interchanges, the case for every Newton matrix
-    seen, U keeps kl superdiagonals, and the factor keeps compact copies of
-    the two triangles for one triangular band solve (tbsv) each: 2.4 times
-    as fast as gbtrs at 65^2, which also reads the kl superdiagonals kept
-    for the fill.  Otherwise it keeps gbtrf's storage for gbtrs."""
+    band storage of dtype; a singular matrix raises DivergenceError.  solve
+    counts its calls (solves), divides b by the rows' diagonal and by the
+    largest entry of that, solves in dtype and scales back in float64.
+    Without row interchanges, the case for every Newton matrix seen, U keeps
+    kl superdiagonals, and the factor keeps compact copies of the two
+    triangles for one triangular band solve (tbsv) each: 2.4 times as fast
+    as gbtrs at 65^2, which also reads the kl superdiagonals kept for the
+    fill.  Otherwise it keeps gbtrf's storage for gbtrs."""
 
     def __init__(self, stencil: dict, row: int, dtype=np.float32):
         ab = band_storage(stencil, row, dtype)
@@ -114,6 +119,7 @@ class BandLU:
         self.dtype, self.diagonal = ab.dtype, stencil[(0,) * len(next(iter(stencil)))][row].ravel()
         gbtrf, self.gbtrs = scipy.linalg.lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=dtype)
         self.tbsv = scipy.linalg.blas.get_blas_funcs("tbsv", dtype=dtype)
+        self.solves = 0
         lu, pivots, info = gbtrf(ab, kl, kl, overwrite_ab=1)
         if info != 0:
             raise DivergenceError(f"Newton matrix is singular ({gbtrf.__name__} info {info})")
@@ -123,6 +129,7 @@ class BandLU:
             self.lu = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        self.solves += 1
         c = b / self.diagonal
         scale = np.abs(c).max() or 1.0
         c = (c / scale).astype(self.dtype, copy=False)
@@ -132,3 +139,48 @@ class BandLU:
         else:
             c = self.gbtrs(self.lu, self.kl, self.kl, c, self.pivots, overwrite_b=1)[0]
         return np.multiply(c, scale, dtype=np.float64)
+
+
+def defect_correction(apply, b, lu, target):
+    """Solve A x = b by x += lu.solve(b - A x) from x = lu.solve(b), apply
+    the product x -> A x and lu a factor of A in lower precision or of a
+    nearby matrix, until the defect |b - A x| (2-norm, by BLAS dnrm2, which
+    no float64 b overflows) is at most target.
+
+    Returns x, or None unless the defect falls at every correction (at a
+    non-finite x it is NaN or infinite and never does) and, at the last
+    correction's rate, can still reach the target within _CORRECTIONS.  A
+    higher target stops no later and gives up nowhere that a lower one would
+    have converged."""
+    x, last = lu.solve(b), np.inf
+    for solves in range(1, _CORRECTIONS + 2):
+        defect = b - apply(x)
+        norm = scipy.linalg.blas.dnrm2(defect)
+        if norm <= target:
+            return x
+        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:
+            return None
+        x, last = x + lu.solve(defect), norm
+
+
+class FactorSlot:
+    """One member's band factor, lu: None until its first direction, then
+    the last factor made, kept across Newton iterations and time steps."""
+
+    lu = None
+
+    def direction(self, stencil: dict, row: int, b: np.ndarray, target: float) -> np.ndarray:
+        """x with J x = b, J member row of stencil, by the ladder of the module
+        docstring; a singular J raises DivergenceError and empties the slot."""
+        apply, x = functools.partial(stencil_product, stencil, row), None
+        if self.lu is not None and self.lu.solves <= solve_budget(self.lu.kl):
+            x = defect_correction(apply, b, self.lu, target)
+        if x is None:
+            self.lu = None  # release a spent or failed factor before refactoring
+            self.lu = BandLU(stencil, row)
+            x = defect_correction(apply, b, self.lu, target)
+        if x is None:  # float32 cannot correct: float64's direct solve
+            self.lu = None
+            self.lu = BandLU(stencil, row, np.float64)
+            x = self.lu.solve(b)
+        return x

@@ -132,7 +132,13 @@ def _truncated_mean(u: SpaceTimeField, k: float, r: float, nodes: tuple) -> floa
 def choose_level_k(mean_um: float, norm_a: float, norm_b: float, rho: float,
                    sigma: float, mu: float, d: DerivedExponents,
                    c_cal: float = 1.0) -> float:
-    """Five-term level formula driving the iteration.
+    """Five-term level formula driving the iteration: _level_terms' largest."""
+    return max(_level_terms(mean_um, norm_a, norm_b, rho, sigma, mu, d, c_cal))
+
+
+def _level_terms(mean_um, norm_a, norm_b, rho, sigma, mu, d, c_cal) -> tuple:
+    """The terms (term1, ..., term5) of the level formula; term1 (with c_cal)
+    and term2 read u, through mean_um, and the others do not.
 
     mean_um is the mean integral of u_+**m over the base cylinder; norm_a,
     norm_b are the mean-integral coefficient norms there.  For q = p the
@@ -157,9 +163,8 @@ def choose_level_k(mean_um: float, norm_a: float, norm_b: float, rho: float,
     term3 = _inverse_scaling_term(norm_a / sigma * (rho / ab) ** s, p, q)
     term4 = rho * mu ** (p + 1.0 - q) / ab
     if d.q_equals_p:
-        return max(term1, term2, term3, term4)
-    term5 = rho / ab ** (1.0 / (q - p))
-    return max(term1, term2, term3, term4, term5)
+        return term1, term2, term3, term4
+    return term1, term2, term3, term4, rho / ab ** (1.0 / (q - p))
 
 
 def _inverse_scaling_term(base: float, p: float, q: float) -> float:
@@ -301,13 +306,15 @@ def _fit_recursion(x_i: np.ndarray, kappa: float):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Measured supremum against the predicted levels on one cylinder pair."""
+    """Measured supremum against the predicted levels on one cylinder pair;
+    binding names the level term that attains k_choice ("term1"..."term5")."""
 
     center: tuple
     rho: float
     sigma: float
     ess_sup: float
     k_choice: float
+    binding: str
     k_theorem: float
     margin: float
     eps: float
@@ -360,8 +367,9 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
         _same_grid(domain, u=u)
         d = spec.d
         mean_um = _truncated_mean(u, 0.0, d.m, base)
-        k_choice = choose_level_k(mean_um, norms.norm_a, norms.norm_b, rho, sigma,
-                                  spec.params.mu, d, c_cal)
+        terms = _level_terms(mean_um, norms.norm_a, norms.norm_b, rho, sigma,
+                             spec.params.mu, d, c_cal)
+        k_choice = max(terms)
         k_thm = theorem_bound(mean_um, rho, sigma, d, c_cal)
         ess = float(u.values[top_t][:, top_ball].max())
         threshold = (epsilon_threshold(k_choice, rho, norms.norm_a, norms.norm_b, d)
@@ -372,6 +380,7 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
             sigma=sigma,
             ess_sup=ess,
             k_choice=k_choice,
+            binding=f"term{terms.index(k_choice) + 1}",
             k_theorem=k_thm,
             margin=k_choice / ess if ess > 0 else math.inf,
             eps=spec.eps,

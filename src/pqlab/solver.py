@@ -17,18 +17,9 @@ newton_direction picks the linear solver by dimension: in 1D the stencil
 is the symmetric positive definite tridiagonal
 I + dt/dx^2 D^T diag(G + 2G'(s)s) D, solved by LAPACK dptsv; in 2D it is a
 nonsymmetric 9-point matrix with half-bandwidth nx - 1 in row-major order,
-written from the stencil into row-scaled LAPACK band storage and factored
-by a float32 band LU (band.py).  Every 2D Newton system is solved in
-float64 by defect correction with the member's factor and the product with
-J(w) from the stencil, down to a target: the larger of the defect that
-moves the next residual by at most 1% of the stopping threshold
-(_CORRECTION_FLOOR) and the inexact Newton forcing term 1e-4 |R| (_FORCING),
-which far from the solution spares corrections that the next iteration
-would discard.  A factor serves
-across time steps until its solves have cost the flops of one factorization
-(a closed form in the bandwidth: 8 of them at 17^2, 32 at 65^2) or the
-defect falls too slowly; where a fresh float32 factor cannot correct, a
-float64 factor's direct solve is the direction, as in LAPACK dsgesv.
+which each member's band.FactorSlot solves (band.py says how) down to the
+target the solver sets: max(_CORRECTION_FLOOR * tolerance * scale,
+_FORCING * |R|), the stopping floor or the forcing term of inexact Newton.
 
 Newton is globalized, with no relaxation factor to tune, by _line_search:
 a backtracking line search (Armijo factor 1e-4, halving) on max|R| that
@@ -77,7 +68,6 @@ its maps; energy_report and variational_gap_curve are the one-field cases.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -86,7 +76,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .band import BandLU, half_bandwidth, solve_budget, stencil_product
+from .band import FactorSlot
 from .errors import (
     DivergenceError,
     ParameterError,
@@ -109,12 +99,9 @@ from .scheme import _grad_norm, _Iterate, _Scheme, gradient_powers
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-20
 
-# 2D Newton directions: defect correction on the exact Newton matrix down to
-# the target max(_CORRECTION_FLOOR * tolerance * scale, _FORCING * |R|)
-# within _CORRECTIONS corrections, and where a fresh float32 factor cannot
-# reach it, a float64 factor's direct solve (newton_direction).  A defect r
-# left in the direction d is, to first order, the next residual: R(w + d) =
-# -r + O(|d|^2).  The stopping rule needs max|R| < tolerance * scale, so a
+# The floor of the 2D Newton target (newton_direction).  A defect r left in
+# the direction d is, to first order, the next residual: R(w + d) = -r +
+# O(|d|^2).  The stopping rule needs max|R| < tolerance * scale, so a
 # defect at the floor, 1e-2 of that threshold (in the 2-norm, which bounds
 # the max-norm), moves the next max|R| by at most 1% of it: it changes when
 # Newton stops only where an exact direction would land that close to the
@@ -123,7 +110,6 @@ _MIN_STEP = 2.0**-20
 # 1e-12 that the tests allow, and one of 1 adds an iteration on their p = 4
 # probe.
 _CORRECTION_FLOOR = 1e-2
-_CORRECTIONS = 30
 
 # The forcing term of inexact Newton (Dembo, Eisenstat and Steihaug,
 # "Inexact Newton methods", SIAM J. Numer. Anal. 19, 1982): far from the
@@ -271,8 +257,8 @@ class SolveStats:
 class _Stepper:
     """The Newton driver of the implicit step on one scheme, for a stack of
     members that share everything but eps: the members' eps, the frame's
-    datum profile, the 2D factor slots and their budget, the levels the
-    extrapolated start reads and the starts carried to the next step."""
+    datum profile, the 2D factor slots, the levels the extrapolated start
+    reads and the starts carried to the next step."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
         self.cfg = cfg
@@ -282,11 +268,8 @@ class _Stepper:
         # g = g0(x) psi(t): the frame's profile g0, which each step scales
         self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
         self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
-        # 2D Newton factors, kept across time steps: per member None or
-        # (band factor, solves it has served), and the budget of such solves
-        # per factor, whose flops are those of one factorization
-        self.slots = [None] * len(self.eps)
-        self.budget = solve_budget(half_bandwidth((dom.nx - 2,) * dom.n))
+        # each member's 2D Newton factor, kept across time steps
+        self.slots = [FactorSlot() for _ in self.eps]
         # each member's accepted time levels before the one step starts from,
         # newest first and at most two: u_{j-1} and u_{j-2} (see step)
         self.past = []
@@ -310,22 +293,10 @@ class _Stepper:
         or a non-finite value may have spread across blocks, each member is
         solved by itself.
 
-        In 2D each member is solved in turn.  members holds the member
-        index of each row of it, which picks its slot: None, or the band LU
-        factor of one of that member's earlier Newton matrices, from this
-        or an earlier time step, with the solves it has served.  Each member
-        solves its exact system J(w) d = -R in float64 by defect correction
-        from the factor's first solve, down to the target
-        max(_CORRECTION_FLOOR * tolerance * scale, _FORCING * |R|), |R| the
-        2-norm of its residual: the floor of the member's stopping rule, as to
-        first order the defect is the next residual, or where |R| is far
-        above that the forcing term of inexact Newton.  It corrects with its
-        slot's factor while that has served no more solves than the budget,
-        one factorization's flops over one solve's (band.solve_budget); else,
-        or if that correction gives up, with a fresh float32 factor; and if
-        that gives up, it factors in float64 and takes that factor's direct
-        solve, as dsgesv does.  The last factor fills the slot; a singular
-        matrix fails its member with DivergenceError.
+        In 2D each member's slot (members holds the member of each row of
+        it) solves in turn down to max(_CORRECTION_FLOOR * tolerance * scale,
+        _FORCING * |R|), |R| the 2-norm of its residual (band.py says how); a
+        singular matrix fails its member with DivergenceError.
         """
         rhs = -it.residual
         stencil = self.scheme.stencil(it)
@@ -346,24 +317,11 @@ class _Stepper:
                 return d_row
         else:
             def solve_member(row):
-                b, m = rhs[row].ravel(), members[row]
-                apply = functools.partial(stencil_product, stencil, row)
+                b = rhs[row].ravel()
                 target = max(_CORRECTION_FLOOR * self.cfg.tolerance * it.scale[row],
                              _FORCING * scipy.linalg.blas.dnrm2(b))
-                lu, served = self.slots[m] or (None, math.inf)
-                self.slots[m] = d_row = None
-                if served <= self.budget:
-                    d_row, solves = _defect_correction(apply, b, lu, target)
-                if d_row is None:
-                    lu = None  # release a spent or failed factor before refactoring
-                    lu, served = BandLU(stencil, row), 0
-                    d_row, solves = _defect_correction(apply, b, lu, target)
-                if d_row is None:  # float32 cannot correct: float64's direct solve
-                    lu = None
-                    lu = BandLU(stencil, row, np.float64)
-                    d_row, solves = lu.solve(b), 1
-                self.slots[m] = (lu, served + solves)
-                return d_row.reshape(rhs[row].shape)
+                slot = self.slots[members[row]]
+                return slot.direction(stencil, row, b, target).reshape(rhs[row].shape)
         d = np.empty_like(rhs)
         for row in range(len(rhs)):
             try:
@@ -443,7 +401,7 @@ class _Stepper:
                 f"{why} at t = {t_next} (residual {it.norm[pos]:.3e})", t=t_next,
                 residual=float(it.norm[pos]),
                 history=StepHistory(tuple(residuals[m]), tuple(lengths[m])))
-            self.slots[live:] = [None] * (len(self.slots) - live)
+            del self.slots[live:]
             rows, base, it = rows[:pos], base[:pos], it.take(slice(pos))
 
         for _ in range(cfg.max_iter):
@@ -513,28 +471,6 @@ def _line_search(scheme: _Scheme, it: _Iterate, d, base, eps, tolerance: float, 
         length[pending] *= 0.5
         trial = None
     return trial, length, stuck
-
-
-def _defect_correction(apply, b, lu, target):
-    """Solve A x = b by x += lu.solve(b - A x) from x = lu.solve(b), apply
-    the product x -> A x and lu a factor of A in lower precision or of a
-    nearby matrix, until the defect |b - A x| (2-norm, by BLAS dnrm2, which
-    no float64 b overflows) is at most target.
-
-    Returns (x, solves), solves the number of lu.solve calls made; x is None
-    unless the defect falls at every correction (at a non-finite x it is NaN
-    or infinite and never does) and, at the last correction's rate, can
-    still reach the target within _CORRECTIONS.  A higher target stops no
-    later and gives up nowhere that a lower one would have converged."""
-    x, last = lu.solve(b), math.inf
-    for solves in itertools.count(1):
-        defect = b - apply(x)
-        norm = scipy.linalg.blas.dnrm2(defect)
-        if norm <= target:
-            return x, solves
-        if not norm < last or norm * (norm / last) ** (_CORRECTIONS - solves + 1) > target:
-            return None, solves
-        x, last = x + lu.solve(defect), norm
 
 
 def solve_levels(cfg: SolveConfig, eps_values):

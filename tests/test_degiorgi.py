@@ -414,7 +414,9 @@ class TestVerifySupBound:
         # alone; here u's own terms raise the level above it, and the solved
         # field still passes at c_cal = 1: ess_sup/k_choice = 0.407 with
         # k_choice = 12.51 against 0.584 field-free in 1D, and 0.445 with
-        # 0.766 against 0.709 in 2D
+        # 0.766 against 0.709 in 2D.  The calibrated term t1 binds: 12.51
+        # against t2 = 9.22 and t3 = 0.584 in 1D, 0.766 against t3 = 0.709
+        # and t2 = 0.629 in 2D
         (center, rho), d = target, cfg.spec.d
         sigma = rho**d.time_exponent
         u, _ = solve(cfg)
@@ -422,6 +424,18 @@ class TestVerifySupBound:
         field_free = choose_level_k(0.0, rep.norm_a, rep.norm_b, rho, sigma,
                                     cfg.spec.params.mu, d)
         assert rep.passed and rep.k_choice > field_free
+        assert rep.binding == "term1"
+
+    def test_field_free_term_binds_at_the_2d_preset_targets(self, diagnostics_field):
+        # on the diagnostics-2d field (amplitude 0.8) the intrinsic scaling
+        # term t3, which reads no field, is the level at all three targets:
+        # 0.709, 0.668 and 0.637 against ess_sup 0.0157, 7.2e-4 and 6.6e-5
+        cfg, u = diagnostics_field
+        ecfg = ExperimentConfig(params=cfg.spec.params, domain=cfg.domain,
+                                coeffs=cfg.spec.coeffs, g=cfg.g, targets=TARGETS_2D)
+        reports = [verify_sup_bound(u, center, rho, sigma, cfg.spec)
+                   for center, rho, sigma in ecfg.target_cylinders()]
+        assert [rep.binding for rep in reports] == ["term3"] * 3
 
 
 def _raise_node(u: SpaceTimeField, cyl: Cylinder, value: float) -> SpaceTimeField:

@@ -80,6 +80,11 @@ PATTERNS = {
                        r"|\b_grad_magnitude\b|\b_partial\b", ("scheme.py",)),
     # solver._dual_norm is the one reader of |Du| per node outside scheme.py
     "grad-norm": (r"\b_grad_norm\b", ("scheme.py", "solver.py")),
+    # the 2D Newton linear solve has one owner, band.FactorSlot: the factor,
+    # its budget, the float32/float64 ladder and defect correction stay in
+    # band.py, and solver.py sets only the target
+    "band-solve": (r"BandLU|solve_budget|defect_correction|gbtrf|gbtrs|tbsv"
+                   r"|stencil_product|half_bandwidth", ("band.py",)),
 }
 
 # (names, the module and scope that are their one reader)
@@ -147,6 +152,8 @@ def test_finders_flag_planted_violations():
     # a finder that matched nothing would let every rule of its kind pass
     tree = ast.parse(PLANTED)
     assert _lines(PLANTED, PATTERNS["no-superlu"][0]) == [5]
+    assert _lines("from .band import FactorSlot\nd, _ = _defect_correction(a, b, lu, t)",
+                  PATTERNS["band-solve"][0]) == [2]
     assert sorted(n.lineno for n in _reads(tree, {"_MIN_STEP"})) == [1, 3, 5]
     assert sorted(n.lineno for n in _calls(tree, {"at"})) == [3, 5]
     assert sorted(n.lineno for n in _powers(tree)) == [4, 5]

@@ -44,8 +44,8 @@ from pqlab import (
     variational_gap_curves,
     weak_residual,
 )
-from pqlab import solver
-from pqlab.band import band_storage, half_bandwidth, stencil_product
+from pqlab import band, solver
+from pqlab.band import band_storage, stencil_product
 from pqlab.grid import _trapezoid_weights
 from pqlab.model import flux_coefficient
 from pqlab.scheme import _grad_norm, _Scheme
@@ -360,12 +360,14 @@ def test_stencil_matches_per_dimension_matrices(box, rng):
                 for row in (0, 1)]
     else:
         refs = [_reference_nine_point(stepper.scheme, it, row).toarray() for row in (0, 1)]
-    # band storage holds each row divided by its diagonal entry
+    # band storage holds each row divided by its diagonal entry, with
+    # kl = 1 sub- and superdiagonals in 1D and nx - 1 in 2D
+    kl = 1 if n == 1 else dom.nx - 1
     for row, ref in enumerate(refs):
         for dtype in (np.float32, np.float64):
-            assert np.array_equal(
-                _unpack_band(band_storage(stencil, row, dtype), half_bandwidth((dom.nx - 2,) * n)),
-                _row_scaled(ref, dtype))
+            ab = band_storage(stencil, row, dtype)
+            assert len(ab) == 3 * kl + 1
+            assert np.array_equal(_unpack_band(ab, kl), _row_scaled(ref, dtype))
 
 
 def _dense_operator(stencil, row):
@@ -432,8 +434,7 @@ class TestBandLU:
     @pytest.mark.parametrize("nx", [9, 17])
     def test_band_is_the_node_by_node_operator(self, nx, rng):
         stepper, stencil = self.stencil(nx, rng)
-        m, kl = nx - 2, half_bandwidth((nx - 2,) * 2)
-        assert kl == nx - 1
+        m, kl = nx - 2, nx - 1
         for row in (0, 1):
             dense = _dense_operator(stencil, row)
             ab = band_storage(stencil, row)
@@ -476,14 +477,15 @@ class TestBandLU:
         dense = _dense_operator(stencil, 0)
         b = rng.normal(size=len(dense))
         for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-4)):
-            lu = solver.BandLU(stencil, 0, dtype)
+            lu = band.BandLU(stencil, 0, dtype)
             assert (lu.lu is not None) == pivoting
             x = lu.solve(b)
             assert x.dtype == np.float64
             assert np.abs(dense @ x - b).max() <= rtol * np.abs(b).max()
         floor = 1e-12 * np.linalg.norm(b)
-        x, solves = solver._defect_correction(dense.__matmul__, b, lu, floor)
-        assert 1 < solves <= 4
+        first = lu.solves
+        x = band.defect_correction(dense.__matmul__, b, lu, floor)
+        assert 1 < lu.solves - first <= 4
         assert np.linalg.norm(dense @ x - b) <= floor
 
     @pytest.mark.parametrize("b_scale,j_scale", [
@@ -502,12 +504,12 @@ class TestBandLU:
         ref = np.linalg.solve(dense, b)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lu = solver.BandLU(stencil, 0)
+            lu = band.BandLU(stencil, 0)
             assert np.all(np.isfinite(lu.solve(b)))
-            x, solves = solver._defect_correction(
+            x = band.defect_correction(
                 functools.partial(stencil_product, stencil, 0), b, lu,
                 1e-12 * scipy.linalg.blas.dnrm2(b))
-        assert x is not None and solves <= 4
+        assert x is not None and lu.solves - 1 <= 4
         assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_singular_matrix_is_a_divergence(self):
@@ -515,7 +517,7 @@ class TestBandLU:
         stencil = {(0,): np.ones((1, 2)), (1,): np.ones((1, 2)), (-1,): np.ones((1, 2))}
         for dtype in (np.float32, np.float64):
             with pytest.raises(DivergenceError, match="singular"):
-                solver.BandLU(stencil, 0, dtype)
+                band.BandLU(stencil, 0, dtype)
 
 
 def _at_eps(cfg, eps):
@@ -747,7 +749,7 @@ def _factor_every_iteration(stepper, it, t, members=None):
     float64 and solved directly, whatever factors its slots hold."""
     d, stencil = np.empty_like(it.residual), stepper.scheme.stencil(it)
     for row in range(len(d)):
-        lu = solver.BandLU(stencil, row, np.float64)
+        lu = band.BandLU(stencil, row, np.float64)
         d[row] = lu.solve(-it.residual[row].ravel()).reshape(d[row].shape)
     return d, None
 
@@ -781,7 +783,7 @@ def _count_factor_work(monkeypatch):
     from then on: returns the dict {"factorizations", "solves"}."""
     counts = {"factorizations": 0, "solves": 0}
 
-    class Counted(solver.BandLU):
+    class Counted(band.BandLU):
         def __init__(self, *args):
             counts["factorizations"] += 1
             super().__init__(*args)
@@ -790,12 +792,43 @@ def _count_factor_work(monkeypatch):
             counts["solves"] += 1
             return super().solve(b)
 
-    monkeypatch.setattr(solver, "BandLU", Counted)
+    monkeypatch.setattr(band, "BandLU", Counted)
     return counts
 
 
+def _one_factor_per_slot(monkeypatch):
+    """Check at every band factorization that the slot making it holds no
+    other living factor: its previous one, carried or given up, is dead
+    before the next is made.  Returns (last, made): the weak reference to
+    each slot's last factor, which a caller sets for a factor of its own,
+    and per factorization (whether the slot had a factor before, whether
+    that one had spent its budget when the direction began)."""
+    last, making, made = weakref.WeakKeyDictionary(), [], []
+    direction = band.FactorSlot.direction
+
+    def tracked_direction(self, *args):
+        making.append((self, self.lu is not None and self.lu.solves > band.solve_budget(self.lu.kl)))
+        try:
+            return direction(self, *args)
+        finally:
+            making.pop()
+
+    class Tracked(band.BandLU):
+        def __init__(self, *args):
+            slot, spent = making[-1]
+            previous = last.get(slot)
+            assert previous is None or previous() is None, "a slot holds two factors"
+            made.append((previous is not None, spent))
+            super().__init__(*args)
+            last[slot] = weakref.ref(self)
+
+    monkeypatch.setattr(band.FactorSlot, "direction", tracked_direction)
+    monkeypatch.setattr(band, "BandLU", Tracked)
+    return last, made
+
+
 class TestDefectCorrection:
-    """_defect_correction stops at the first defect under the floor."""
+    """defect_correction stops at the first defect under the floor."""
 
     @staticmethod
     def system(rng, rate):
@@ -805,14 +838,14 @@ class TestDefectCorrection:
     def test_stops_at_the_first_defect_under_the_floor(self, rng):
         matrix, b, lu = self.system(rng, 0.2)
         floor = 1e-5 * np.linalg.norm(b)
-        x, solves = solver._defect_correction(matrix.__matmul__, b, lu, floor)
+        x = band.defect_correction(matrix.__matmul__, b, lu, floor)
         # the defect after k solves is 0.2^k |b|: 0.2^7 = 1.3e-5, 0.2^8 = 2.6e-6
-        assert solves == lu.solves == _first_power_below(0.2, 1e-5) == 8
+        assert lu.solves == _first_power_below(0.2, 1e-5) == 8
         assert np.linalg.norm(b - matrix @ x) <= floor
         # a floor 1e-4 times lower costs the solves down to it: 0.2^13 = 1.2e-9
         lower = _ContractingFactor(lu.d, 0.2)
-        x, more = solver._defect_correction(matrix.__matmul__, b, lower, 1e-4 * floor)
-        assert more == lower.solves == _first_power_below(0.2, 1e-9) == 13
+        x = band.defect_correction(matrix.__matmul__, b, lower, 1e-4 * floor)
+        assert lower.solves == _first_power_below(0.2, 1e-9) == 13
         assert np.linalg.norm(b - matrix @ x) <= 1e-4 * floor
 
     @pytest.mark.parametrize("rate", [0.05, 0.3, 0.35, 0.45, 0.6, 0.9, 1.5])
@@ -821,17 +854,17 @@ class TestDefectCorrection:
         # the second defect: no defect of an inexact factor reaches 0, and
         # at the second one's rate none of the 29 corrections left would
         matrix, b, lu = self.system(rng, rate)
-        lower = solver._defect_correction(matrix.__matmul__, b, lu, 0.0)
+        lower = band.defect_correction(matrix.__matmul__, b, lu, 0.0), lu.solves
         assert lower == (None, 2)
         for relative in (1e-11, 1e-8, 1e-5, 1e-2, 0.1):
-            x, solves = solver._defect_correction(
-                matrix.__matmul__, b, _ContractingFactor(lu.d, rate), relative * np.linalg.norm(b))
+            factor = _ContractingFactor(lu.d, rate)
+            x = band.defect_correction(matrix.__matmul__, b, factor, relative * np.linalg.norm(b))
             if lower[0] is not None:
-                assert x is not None and solves <= lower[1]
+                assert x is not None and factor.solves <= lower[1]
             # the stall rule predicts rate^31 |b| after the 30 corrections
             # and gives up only if that misses the floor
             assert (x is not None) == (rate**31 <= relative)
-            lower = x, solves
+            lower = x, factor.solves
 
 
 class TestFactorReuse:
@@ -905,28 +938,30 @@ class TestFactorReuse:
         # of 10 J shrinks it by 0.9 per correction, which cannot reach the
         # tolerance within the budget
         stencil = stepper.scheme.stencil(it)
-        lu = solver.BandLU({off: scale * entries for off, entries in stencil.items()}, 0)
+        lu = band.BandLU({off: scale * entries for off, entries in stencil.items()}, 0)
         solves = []
 
         class StaleFactor:
+            kl, solves = lu.kl, 0
+
             def solve(self, b):
                 solves.append(b)
                 return np.full_like(b, np.nan) if stale == "non-finite" else lu.solve(b)
 
-        stepper.slots[1] = (old := StaleFactor(), 0)
+        stepper.slots[1].lu = old = StaleFactor()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             d, bad = stepper.newton_direction(it, 0.1, members)
         assert bad is None
         target = _correction_target(stepper.cfg, it, 0)
-        fresh, fresh_solves = solver._defect_correction(
+        fresh = band.defect_correction(
             functools.partial(stencil_product, stencil, 0), -it.residual[0].ravel(),
-            solver.BandLU(stencil, 0), target)
+            fresh_lu := band.BandLU(stencil, 0), target)
         assert np.array_equal(d[0].ravel(), fresh)
         assert np.linalg.norm(_dense_operator(stencil, 0) @ fresh + it.residual[0].ravel()) <= target
-        assert stepper.slots[0] is None
-        assert stepper.slots[1][0] is not old and stepper.slots[1][1] == fresh_solves
-        assert stepper.slots[1][0].dtype == np.float32
+        assert stepper.slots[0].lu is None
+        assert stepper.slots[1].lu is not old and stepper.slots[1].lu.solves == fresh_lu.solves
+        assert stepper.slots[1].lu.dtype == np.float32
         # given up at the first growth or the first observed contraction, or
         # at once for a non-finite x
         assert len(solves) == factor_solves
@@ -938,7 +973,7 @@ class TestFactorReuse:
         stepper, it, members = self.probe(rng)
         made = []
 
-        class Float32Fails(solver.BandLU):
+        class Float32Fails(band.BandLU):
             def __init__(self, stencil, row, dtype=np.float32):
                 made.append(dtype)
                 super().__init__(stencil, row, dtype)
@@ -946,7 +981,7 @@ class TestFactorReuse:
             def solve(self, b):
                 return (4.0 if self.dtype == np.float32 else 1.0) * super().solve(b)
 
-        monkeypatch.setattr(solver, "BandLU", Float32Fails)
+        monkeypatch.setattr(band, "BandLU", Float32Fails)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             d, bad = stepper.newton_direction(it, 0.1, members)
@@ -954,8 +989,8 @@ class TestFactorReuse:
         assert bad is None and made == [np.float32, np.float64]
         direct, _ = _factor_every_iteration(stepper, it, 0.1)
         assert np.array_equal(d, direct)
-        lu, served = stepper.slots[1]
-        assert lu.dtype == np.float64 and served == 1
+        lu = stepper.slots[1].lu
+        assert lu.dtype == np.float64 and lu.solves == 1
 
     def test_no_factor_corrects_a_high_contrast_matrix(self, monkeypatch):
         # face weights 1e8 on an island of 3^2 nodes and 1 elsewhere, at
@@ -980,49 +1015,49 @@ class TestFactorReuse:
         monkeypatch.setattr(stepper.scheme, "stencil", lambda it: stencil)
         work = _count_factor_work(monkeypatch)
         dtypes, solved = [], []
-        defect_correction, band_solve = solver._defect_correction, solver.BandLU.solve
+        defect_correction, band_solve = band.defect_correction, band.BandLU.solve
 
         def counted_correction(apply, b, lu, floor):
             dtypes.append(lu.dtype)
-            x, solves = defect_correction(apply, b, lu, floor)
+            x = defect_correction(apply, b, lu, floor)
             assert x is None
-            return x, solves
+            return x
 
         def typed_solve(self, b):
             solved.append(self.dtype)
             return band_solve(self, b)
 
-        monkeypatch.setattr(solver, "_defect_correction", counted_correction)
-        monkeypatch.setattr(solver.BandLU, "solve", typed_solve)
+        monkeypatch.setattr(band, "defect_correction", counted_correction)
+        monkeypatch.setattr(band.BandLU, "solve", typed_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             d, bad = stepper.newton_direction(it, 0.1, np.array([0]))
         assert bad is None and dtypes == [np.float32]
         assert work["factorizations"] == 2 and solved.count(np.float64) == 1
         monkeypatch.undo()
-        direct = solver.BandLU(stencil, 0, np.float64).solve(b[0].ravel())
+        direct = band.BandLU(stencil, 0, np.float64).solve(b[0].ravel())
         assert np.array_equal(d[0].ravel(), direct)
-        assert stepper.slots[0][0].dtype == np.float64
+        assert stepper.slots[0].lu.dtype == np.float64
 
     def test_factor_serves_across_time_steps(self, monkeypatch):
         # at 17^2 the budget of about 8 solves is spent within each step and
         # a factor serves little more than one step; at 33^2 it is about 16
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nt=32, alpha=20.0)
         factorizations, corrected = [], []
-        defect_correction = solver._defect_correction
+        defect_correction = band.defect_correction
 
-        class Counted(solver.BandLU):
+        class Counted(band.BandLU):
             def __init__(self, *args):
                 factorizations.append(1)
                 super().__init__(*args)
 
         def counted_correction(*args):
-            x, solves = defect_correction(*args)
+            x = defect_correction(*args)
             corrected.append(x is not None)
-            return x, solves
+            return x
 
-        monkeypatch.setattr(solver, "BandLU", Counted)
-        monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+        monkeypatch.setattr(band, "BandLU", Counted)
+        monkeypatch.setattr(band, "defect_correction", counted_correction)
         results, failure = solve_levels(cfg, [0.5, 0.125])
         assert failure is None
         iterations = sum(stats.total_iterations for _, stats in results)
@@ -1035,15 +1070,14 @@ class TestFactorReuse:
     def test_budget_grows_with_the_band(self):
         # a wider band costs a factorization more flops per node than a
         # solve, so a factor may serve more solves before it is replaced;
-        # the budget is known before any factor is made, and the first
-        # step's factor serves the next step
+        # the first step's factor stays in its slot for the next step
         budgets = []
         for nx in (17, 33):
             cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=nx, nt=4, alpha=20.0)
             stepper = _Stepper(cfg, [0.5])
-            budgets.append(stepper.budget)
             stepper.step(cfg.g.sample(cfg.domain).values[:1], cfg.domain.dt)
-            assert stepper.slots[0] is not None
+            assert stepper.slots[0].lu is not None
+            budgets.append(band.solve_budget(stepper.slots[0].lu.kl))
         assert 1.0 < budgets[0] < budgets[1]
 
     def test_factors_held_only_in_live_slots(self, monkeypatch):
@@ -1057,7 +1091,7 @@ class TestFactorReuse:
         calls = []  # per call: t, its members, living factors, members with a factor
         now = [0.0]
 
-        class Tracked(solver.BandLU):
+        class Tracked(band.BandLU):
             def __init__(self, *args):
                 super().__init__(*args)
                 factors_made.append(weakref.ref(self))
@@ -1065,7 +1099,7 @@ class TestFactorReuse:
         def recorded(self, it, t, members):
             now[0] = t
             calls.append((t, list(members), sum(ref() is not None for ref in factors_made),
-                          [m for m, slot in enumerate(self.slots) if slot is not None]))
+                          [m for m, slot in enumerate(self.slots) if slot.lu is not None]))
             return newton_direction(self, it, t, members)
 
         def stuck(self, w, u_prev, eps):
@@ -1076,7 +1110,7 @@ class TestFactorReuse:
             return it._replace(norm=np.where(hit, 1.0, it.norm),
                                scale=np.where(hit, 1e-300, it.scale))
 
-        monkeypatch.setattr(solver, "BandLU", Tracked)
+        monkeypatch.setattr(band, "BandLU", Tracked)
         monkeypatch.setattr(_Stepper, "newton_direction", recorded)
         monkeypatch.setattr(_Scheme, "evaluate", stuck)
         results, failure = solve_levels(cfg, [0.5, 0.125, 0.0])
@@ -1091,6 +1125,54 @@ class TestFactorReuse:
             if t > failure.t or (t == failure.t and max(members) == 0):
                 assert held in ([], [0])
         assert all(ref() is None for ref in factors_made)
+
+    # A factor still referenced after its slot let it go, in the slot or in
+    # a caller's frame, would be alive while the member's next factor is
+    # made: these check the release at every factorization, on each path
+    # that replaces a factor.
+
+    def test_spent_factor_is_released_before_refactoring(self, monkeypatch):
+        # 9 of the 10 factorizations of the 33^2 x 32 problem replace a
+        # factor whose budget is spent
+        cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0)
+        _, made = _one_factor_per_slot(monkeypatch)
+        solve(cfg)
+        assert made == [(False, False)] + [(True, True)] * 9
+
+    def test_given_up_factor_is_released_before_refactoring(self, rng, monkeypatch):
+        # the growth probe of test_failed_correction_falls_back_to_direct_solve:
+        # a carried factor of 0.25 J triples the defect and is given up
+        stepper, it, members = self.probe(rng)
+        stepper.newton_direction(it, 0.1, members)
+        stencil = stepper.scheme.stencil(it)
+        stale = band.BandLU({off: 0.25 * entries for off, entries in stencil.items()}, 0)
+
+        class Growth:
+            kl, solves = stale.kl, 0
+
+            def solve(self, b):
+                return stale.solve(b)
+
+        last, made = _one_factor_per_slot(monkeypatch)
+        stepper.slots[1].lu = Growth()
+        last[stepper.slots[1]] = weakref.ref(stepper.slots[1].lu)
+        d, bad = stepper.newton_direction(it, 0.1, members)
+        assert bad is None and made == [(True, False)]
+        assert stepper.slots[1].lu.dtype == np.float32
+
+    def test_float32_factor_is_released_before_float64(self, rng, monkeypatch):
+        # the probe of test_fresh_float32_factor_falls_back_to_float64
+        stepper, it, members = self.probe(rng)
+        _, made = _one_factor_per_slot(monkeypatch)
+
+        class Float32Fails(band.BandLU):
+            def solve(self, b):
+                return (4.0 if self.dtype == np.float32 else 1.0) * super().solve(b)
+
+        monkeypatch.setattr(band, "BandLU", Float32Fails)
+        d, bad = stepper.newton_direction(it, 0.1, members)
+        assert bad is None and made == [(False, False), (True, False)]
+        assert stepper.slots[1].lu.dtype == np.float64
 
 
 _step = _Stepper.step

@@ -19,6 +19,7 @@ from pqlab import (
     Cylinder,
     Domain,
     ExperimentConfig,
+    band,
     caccioppoli_sides,
     coefficient_norms,
     comparison_maps,
@@ -34,7 +35,6 @@ from pqlab import (
     save_field_dump,
     solve,
     solve_levels,
-    solver,
     trace,
     truncate_plus,
     variational_gap_curves,
@@ -53,7 +53,7 @@ def _count_linear_work(monkeypatch):
     returns the dict {"factorizations", "float64", "solves", "corrections"}."""
     counts = {"factorizations": 0, "float64": 0, "solves": 0, "corrections": 0}
 
-    class Counted(solver.BandLU):
+    class Counted(band.BandLU):
         def __init__(self, *args):
             super().__init__(*args)
             counts["factorizations"] += 1
@@ -63,15 +63,16 @@ def _count_linear_work(monkeypatch):
             counts["solves"] += 1
             return super().solve(b)
 
-    defect_correction = solver._defect_correction
+    defect_correction = band.defect_correction
 
-    def counted_correction(*args):
-        x, solves = defect_correction(*args)
-        counts["corrections"] += solves
-        return x, solves
+    def counted_correction(apply, b, lu, target):
+        first = lu.solves
+        x = defect_correction(apply, b, lu, target)
+        counts["corrections"] += lu.solves - first
+        return x
 
-    monkeypatch.setattr(solver, "BandLU", Counted)
-    monkeypatch.setattr(solver, "_defect_correction", counted_correction)
+    monkeypatch.setattr(band, "BandLU", Counted)
+    monkeypatch.setattr(band, "defect_correction", counted_correction)
     return counts
 
 
