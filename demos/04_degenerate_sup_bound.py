@@ -19,7 +19,6 @@ from pqlab import (
     SolveConfig,
     StructureParams,
     caccioppoli_sides,
-    coefficient_norms,
     solve,
     trace,
     verify_sup_bound,
@@ -38,14 +37,11 @@ d = spec.d
 print(f"solved {dom.nx}x{dom.nt} grid, mean {np.mean(stats.iterations):.1f} "
       f"iterations per step")
 
-a_field = coeffs.a.sample(dom)
-b_field = coeffs.b.sample(dom)
-
 for center, rho in (((0.5, 0.12), 0.2), ((0.45, 0.2), 0.15), ((0.55, 0.28), 0.12)):
     sigma = rho**d.time_exponent
     rep = verify_sup_bound(u, center, rho, sigma, spec, c_cal=1.0)
     print(f"\nintrinsic cylinder at {center}, rho={rho} (sigma={sigma:.4f}):")
-    print(f"  coefficient norms A={rep.norm_a:.4f} B={rep.norm_b:.4f}, "
+    print(f"  coefficient norms A={rep.norms.norm_a:.4f} B={rep.norms.norm_b:.4f}, "
           f"data mean {rep.mean_um:.3e}")
     print(f"  ess sup on the half cylinder: {rep.ess_sup:.4f}")
     print(f"  level formula k = {rep.k_choice:.4f}, coefficient-free bound "
@@ -55,8 +51,7 @@ for center, rho in (((0.5, 0.12), 0.2), ((0.45, 0.2), 0.15), ((0.55, 0.28), 0.12
 
     inner = Cylinder(center, rho, sigma)
     outer = Cylinder(center, 2 * rho, 2 * sigma)
-    norms = coefficient_norms(a_field, b_field, params.alpha, params.beta, outer)
-    sides = caccioppoli_sides(u, 0.0, inner, outer, norms, d, mu=params.mu, eps=spec.eps)
+    sides = caccioppoli_sides(u, 0.0, inner, outer, rep.norms, d, mu=params.mu, eps=spec.eps)
     print(f"  truncation energy at level 0: lhs {sides.lhs:.3e} vs rhs {sides.rhs:.3e} "
           f"-> empirical constant {sides.c_min:.3f}")
 

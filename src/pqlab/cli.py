@@ -22,7 +22,6 @@ from .exponents import StructureParams, check_gap, derive
 from .grid import (
     Cylinder,
     Domain,
-    coefficient_norms,
     constant_field,
     field_from_function,
     save_field_csv,
@@ -199,7 +198,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify_bound(args) -> int:
     cfg, _, u, _ = _solved(args)
-    reports = harness.target_bounds(cfg, [u])[0]
+    reports = harness.target_bounds(cfg, u)
     rows = [harness._bound_row(0, b) for b in reports]
     out = _write_table(args, cfg, "bounds.csv", harness.bound_csv_header(cfg.domain.n), rows)
     print(f"{sum(b.passed for b in reports)}/{len(reports)} targets pass; report: {out}")
@@ -211,7 +210,7 @@ def cmd_trace(args) -> int:
     rows = []
     summaries = []
     monotone = True
-    for ti, rep in enumerate(harness.target_bounds(cfg, [u])[0]):
+    for ti, rep in enumerate(harness.target_bounds(cfg, u)):
         k = max(rep.k_choice, 1e-12)
         tr = degiorgi.trace(u, Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma), k, scfg.spec.d)
         for i in range(len(tr.x_i)):
@@ -237,17 +236,14 @@ def cmd_trace(args) -> int:
 
 def cmd_check_caccioppoli(args) -> int:
     cfg, scfg, u, _ = _solved(args)
-    a = scfg.spec.coeffs.a.sample(cfg.domain)
-    b = scfg.spec.coeffs.b.sample(cfg.domain)
     rows = []
     worst = 0.0
-    for ti, rep in enumerate(harness.target_bounds(cfg, [u])[0]):
+    for ti, rep in enumerate(harness.target_bounds(cfg, u)):
         inner = Cylinder(rep.center, rep.rho, rep.sigma)
         outer = Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma)
-        norms = coefficient_norms(a, b, cfg.params.alpha, cfg.params.beta, outer)
         for k in (0.0, 0.5 * rep.k_choice):
             sides = degiorgi.caccioppoli_sides(
-                u, k, inner, outer, norms, scfg.spec.d,
+                u, k, inner, outer, rep.norms, scfg.spec.d,
                 mu=cfg.params.mu, eps=scfg.spec.eps,
             )
             worst = max(worst, sides.c_min)

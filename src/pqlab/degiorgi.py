@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegionError
-from .exponents import DerivedExponents, epsilon_threshold
+from .exponents import DerivedExponents, _power_product, epsilon_threshold
 from .grid import (
     CoefficientNorms,
     Cylinder,
@@ -153,12 +153,8 @@ def _level_terms(mean_um, norm_a, norm_b, rho, sigma, mu, d, c_cal) -> tuple:
     s = d.time_exponent
     ab = norm_a * norm_b
 
-    term1 = (
-        c_cal
-        * (sigma / norm_a * (ab / rho) ** s) ** d.theta1
-        * (ab / rho ** (q - p)) ** d.theta2
-        * mean_um**d.theta3
-    )
+    term1 = _power_product(c_cal, (sigma / norm_a * (ab / rho) ** s, d.theta1),
+                           (ab / rho ** (q - p), d.theta2), (mean_um, d.theta3))
     term2 = mean_um ** (1.0 / d.m)
     term3 = _inverse_scaling_term(norm_a / sigma * (rho / ab) ** s, p, q)
     term4 = rho * mu ** (p + 1.0 - q) / ab
@@ -188,12 +184,8 @@ def theorem_bound(mean_um: float, rho: float, sigma: float,
     if not (rho > 0 and sigma > 0):
         raise ParameterError("cylinder extents must be positive")
     s = d.time_exponent
-    term1 = (
-        c_cal
-        * (sigma / rho**s) ** d.theta1
-        * rho ** (-(d.q - d.p) * d.theta2)
-        * mean_um**d.theta3
-    )
+    term1 = _power_product(c_cal, (sigma / rho**s, d.theta1),
+                           (rho, -(d.q - d.p) * d.theta2), (mean_um, d.theta3))
     term2 = mean_um ** (1.0 / d.m)
     term3 = _inverse_scaling_term(rho**s / sigma, d.p, d.q)
     return max(term1, term2, term3, rho)
@@ -307,7 +299,8 @@ def _fit_recursion(x_i: np.ndarray, kappa: float):
 @dataclass(frozen=True)
 class BoundReport:
     """Measured supremum against the predicted levels on one cylinder pair;
-    binding names the level term that attains k_choice ("term1"..."term5")."""
+    binding names the level term that attains k_choice ("term1"..."term5"),
+    norms the coefficient norms on Q_{2rho,2sigma} that Caccioppoli reads."""
 
     center: tuple
     rho: float
@@ -320,8 +313,7 @@ class BoundReport:
     eps: float
     eps_threshold: float
     eps_ok: bool
-    norm_a: float
-    norm_b: float
+    norms: CoefficientNorms
     mean_um: float
     passed: bool
 
@@ -332,9 +324,9 @@ def verify_sup_bound(u: SpaceTimeField, z_o: tuple, rho: float, sigma: float,
     and the coefficient-free bound on Q_{2rho,2sigma}(z_o).
 
     The regularization strength is checked against its admissible threshold
-    and flagged (not rejected) when it exceeds it.  This is the one-field
-    case of _sup_bound_check, which harness.target_bounds, the batched form,
-    calls once per target.
+    and flagged (not rejected) when it exceeds it.  This is the one-target
+    case of _sup_bound_check, which harness.target_bounds calls once per
+    target.
     """
     if spec.params.n != u.domain.n:
         raise ParameterError(
@@ -386,8 +378,7 @@ def _sup_bound_check(domain: Domain, z_o: tuple, rho: float, sigma: float,
             eps=spec.eps,
             eps_threshold=threshold,
             eps_ok=spec.eps <= threshold,
-            norm_a=norms.norm_a,
-            norm_b=norms.norm_b,
+            norms=norms,
             mean_um=mean_um,
             passed=ess <= k_choice,
         )

@@ -20,10 +20,13 @@ one), so no tolerance enters the accept/reject decision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -227,4 +230,19 @@ def epsilon_threshold(k: float, rho: float, norm_a: float, norm_b: float,
     if not (norm_a > 0 and norm_b > 0):
         raise ParameterError("coefficient norms must be positive")
     s = d.time_exponent
-    return (norm_a ** ((d.q - 1.0) / d.p) * norm_b) ** s * (k / rho) ** (s - d.q_beta)
+    return _power_product(1.0, (norm_a ** ((d.q - 1.0) / d.p) * norm_b, s),
+                          (k / rho, s - d.q_beta))
+
+
+def _power_product(c: float, *powers) -> float:
+    """c times base**exponent over the (base, exponent) pairs, left to right.
+    Where a power lies past float range but the product need not (near the
+    gap limit mean**theta3 brings a huge factor back), the product is taken
+    in logarithms: 0 at a zero base, inf past float range."""
+    try:
+        return math.prod((base**e for base, e in powers), start=c)
+    except OverflowError:
+        if not all(base for base, _ in powers):
+            return 0.0
+        log = math.log(c) + math.fsum(e * math.log(base) for base, e in powers)
+        return math.exp(log) if log <= _LOG_MAX else math.inf

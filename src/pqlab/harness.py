@@ -376,17 +376,10 @@ def _target_checks(cfg: ExperimentConfig) -> tuple:
     return checks, mask if cfg.targets else ~mask
 
 
-def target_bounds(cfg: ExperimentConfig, fields, eps_values=None) -> list:
-    """Per field, the BoundReport of verify_sup_bound on every target, at the
-    field's eps (default: the config's own).  Each target's cylinder check
-    and coefficient norms are taken once, for all the fields."""
-    checks, _ = _target_checks(cfg)
-    if eps_values is None:
-        eps_values = [None] * len(fields)
-    if len(eps_values) != len(fields):
-        raise ParameterError(f"{len(fields)} fields but {len(eps_values)} eps values")
-    specs = map(cfg.integrand, eps_values)
-    return [[check(u, spec) for check in checks] for u, spec in zip(fields, specs)]
+def target_bounds(cfg: ExperimentConfig, u: SpaceTimeField) -> list:
+    """The BoundReport of verify_sup_bound on every target, at the config's eps."""
+    spec = cfg.integrand()
+    return [check(u, spec) for check in _target_checks(cfg)[0]]
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:

@@ -7,7 +7,8 @@ import pytest
 
 from pqlab import StructureParams, check_gap, solve
 
-# the 2D targets of the benchmark's configs: (center, rho)
+# the 1D and 2D targets of the benchmark's configs: (center, rho)
+TARGETS_1D = (((0.5, 0.12), 0.2), ((0.45, 0.2), 0.15), ((0.55, 0.28), 0.12))
 TARGETS_2D = (((0.5, 0.5, 0.12), 0.2), ((0.45, 0.55, 0.2), 0.15), ((0.55, 0.45, 0.28), 0.12))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import pqlab as pq
 from pqlab.harness import emit_reports
-from conftest import sample_gap_params
+from conftest import TARGETS_1D, sample_gap_params
 
 
 def _report(k, elapsed, budget, detail):
@@ -32,9 +32,6 @@ def degenerate_config(nx=65, nt=256, eps=0.5):
     dom = pq.Domain(n=1, box=((0.0, 1.0),), T=0.3, nx=nx, nt=nt)
     g = pq.BoundaryDatum(kind="profile", profile="sin", amplitude=0.8)
     return pq.SolveConfig(dom, spec, g)
-
-
-DEGENERATE_TARGETS = (((0.5, 0.12), 0.2), ((0.45, 0.2), 0.15), ((0.55, 0.28), 0.12))
 
 
 def test_criterion_1_exponent_suite():
@@ -195,13 +192,13 @@ def test_criterion_7_caccioppoli_and_sup_bound():
         a_f = cfg.spec.coeffs.a.sample(cfg.domain)
         b_f = cfg.spec.coeffs.b.sample(cfg.domain)
         needed = 0.0
-        for center, rho in DEGENERATE_TARGETS:
+        for center, rho in TARGETS_1D:
             sigma = rho**d.time_exponent
             rep = pq.verify_sup_bound(u, center, rho, sigma, cfg.spec, c_cal=1.0)
 
             # threshold bookkeeping must match the explicit formula exactly
             s = d.time_exponent
-            independent = (rep.norm_a ** ((d.q - 1.0) / d.p)) ** s * rep.norm_b**s * (
+            independent = (rep.norms.norm_a ** ((d.q - 1.0) / d.p)) ** s * rep.norms.norm_b**s * (
                 rep.k_choice / rho
             ) ** (s - d.q_beta)
             assert rep.eps_threshold == pytest.approx(independent, rel=1e-12)
@@ -219,7 +216,7 @@ def test_criterion_7_caccioppoli_and_sup_bound():
                 worst_cmin = max(worst_cmin, sides.c_min)
         recorded.append(needed)
         # ess sup <= c_cal * k holds with the run-recorded calibration
-        for center, rho in DEGENERATE_TARGETS:
+        for center, rho in TARGETS_1D:
             sigma = rho**d.time_exponent
             rep = pq.verify_sup_bound(u, center, rho, sigma, cfg.spec, c_cal=1.0)
             assert rep.ess_sup <= needed * rep.k_choice * (1.0 + 1e-12)
@@ -271,7 +268,7 @@ def test_criterion_9_variational_inequality():
         g=cfg.g,
         eps0=0.5,
         levels=6,
-        targets=DEGENERATE_TARGETS,
+        targets=TARGETS_1D,
     )
     report = pq.run_sweep(sweep_cfg)
     last = report.levels[-1]

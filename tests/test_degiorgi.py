@@ -37,14 +37,17 @@ from pqlab import (
     verify_sup_bound,
 )
 from pqlab import cli
+from pqlab.degiorgi import _level_terms
 from pqlab.grid import _resolve
 
-from conftest import TARGETS_2D
+from conftest import TARGETS_1D, TARGETS_2D
 from test_harness import SWEEP_CFG
 from test_solver import _probe_config_2d, degenerate_config
 
 D_REF = derive(StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 D_1D = derive(StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0))
+# 1.67e-4 inside the gap limit q < p + 2/(n + 2) = 8/3 of alpha = beta = inf
+D_NEAR = derive(StructureParams(n=1, p=2.0, q=2.6665, alpha=math.inf, beta=math.inf))
 
 
 def big_domain(nx=81, nt=80):
@@ -176,6 +179,32 @@ class TestLevelFormulas:
         d = D_REF
         vals = [theorem_bound(m, 0.5, 0.5**d.time_exponent, d) for m in (0.0, 0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_near_the_gap_limit_a_power_past_float_range_is_no_error(self):
+        # 1.67e-4 inside the gap limit theta1 = theta3 = 222 and theta2 = 667:
+        # at rho = 0.2 the factors (AB/rho**(q-p))**theta2 and
+        # rho**(-(q-p) theta2) lie past float range while term1 does not,
+        # because mean**theta3 brings it back, or makes it 0 at mean 0
+        d = D_NEAR
+        rho = 0.2
+        sigma = rho**d.time_exponent
+        with pytest.raises(OverflowError):
+            (1.0 / rho ** (d.q - d.p)) ** d.theta2
+        assert _level_terms(0.0, 1.0, 1.0, rho, sigma, 0.0, d, 1.0)[0] == 0.0
+        assert theorem_bound(0.0, rho, sigma, d) == 1.0  # max{0, 0, 1, rho}
+        mean = 0.1
+        log_term1 = (d.theta1 * math.log(sigma * (1.0 / rho) ** d.time_exponent)
+                     + d.theta2 * math.log(1.0 / rho ** (d.q - d.p))
+                     + d.theta3 * math.log(mean))
+        term1 = _level_terms(mean, 1.0, 1.0, rho, sigma, 0.0, d, 1.0)[0]
+        assert 0.0 < term1 < math.inf
+        assert math.log(term1) == pytest.approx(log_term1, rel=1e-12)
+        assert choose_level_k(mean, 1.0, 1.0, rho, sigma, 0.0, d) == term1
+        # the norms are 1, so the level's term1 is the theorem's
+        assert theorem_bound(mean, rho, sigma, d) == pytest.approx(term1, rel=1e-10)
+        # past float range the level is infinite
+        assert choose_level_k(1e10, 1.0, 1.0, rho, sigma, 0.0, d) == math.inf
+        assert theorem_bound(1e10, rho, sigma, d) == math.inf
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):
@@ -328,8 +357,8 @@ class TestVerifySupBound:
         d = spec.d
         c = 0.6
         rep = verify_sup_bound(constant_field(dom, c), (0.0, 2.4), 1.0, 1.0, spec)
-        assert rep.norm_a == pytest.approx(1.0, rel=1e-12)
-        assert rep.norm_b == pytest.approx(1.0, rel=1e-12)
+        assert rep.norms.norm_a == pytest.approx(1.0, rel=1e-12)
+        assert rep.norms.norm_b == pytest.approx(1.0, rel=1e-12)
         assert rep.mean_um == pytest.approx(c**d.m, rel=1e-12)
         assert rep.k_choice >= c
         assert rep.passed and rep.margin >= 1.0
@@ -362,7 +391,7 @@ class TestVerifySupBound:
         dom = Domain(n=1, box=((0.0, 1.0),), T=1.0, nx=65, nt=32)
         u, _ = solve(SolveConfig(dom, spec, BoundaryDatum(kind="profile", profile="sin")))
         rep = verify_sup_bound(u, (0.75, 0.4), 0.1, 0.15, spec)
-        assert math.isfinite(rep.norm_a) and rep.ess_sup > 0
+        assert math.isfinite(rep.norms.norm_a) and rep.ess_sup > 0
 
     def test_eps_threshold_flag(self):
         dom = big_domain()
@@ -372,7 +401,7 @@ class TestVerifySupBound:
         # small level, and with these exponents the threshold stays above 1
         from pqlab import epsilon_threshold
 
-        expect = epsilon_threshold(rep.k_choice, 0.8, rep.norm_a, rep.norm_b, spec.d)
+        expect = epsilon_threshold(rep.k_choice, 0.8, rep.norms.norm_a, rep.norms.norm_b, spec.d)
         assert rep.eps_threshold == pytest.approx(expect, rel=1e-14)
         assert rep.eps_ok == (rep.eps <= rep.eps_threshold)
 
@@ -421,7 +450,7 @@ class TestVerifySupBound:
         sigma = rho**d.time_exponent
         u, _ = solve(cfg)
         rep = verify_sup_bound(u, center, rho, sigma, cfg.spec, c_cal=1.0)
-        field_free = choose_level_k(0.0, rep.norm_a, rep.norm_b, rho, sigma,
+        field_free = choose_level_k(0.0, rep.norms.norm_a, rep.norms.norm_b, rho, sigma,
                                     cfg.spec.params.mu, d)
         assert rep.passed and rep.k_choice > field_free
         assert rep.binding == "term1"
@@ -436,6 +465,48 @@ class TestVerifySupBound:
         reports = [verify_sup_bound(u, center, rho, sigma, cfg.spec)
                    for center, rho, sigma in ecfg.target_cylinders()]
         assert [rep.binding for rep in reports] == ["term3"] * 3
+
+    @pytest.mark.parametrize("cfg, targets", [
+        (degenerate_config(), TARGETS_1D),
+        (_probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0), TARGETS_2D),
+    ], ids=["1d", "2d"])
+    def test_norms_are_those_of_the_sampled_coefficients(self, cfg, targets):
+        # pqlab check-caccioppoli took the norms on Q_{2rho,2sigma} from a
+        # and b sampled over the whole grid; the report's, taken at that
+        # cylinder's nodes alone, are the same bits at every preset target
+        spec, d = cfg.spec, cfg.spec.d
+        a, b = spec.coeffs.a.sample(cfg.domain), spec.coeffs.b.sample(cfg.domain)
+        u = constant_field(cfg.domain, 0.0)
+        for center, rho in targets:
+            sigma = rho**d.time_exponent
+            rep = verify_sup_bound(u, center, rho, sigma, spec)
+            outer = Cylinder(center, 2 * rho, 2 * sigma)
+            assert rep.norms == coefficient_norms(a, b, spec.params.alpha, spec.params.beta, outer)
+
+    @pytest.mark.parametrize("cfg, positive", [
+        (degenerate_config(), [1, 1, 1]),
+        (degenerate_config(amplitude=800.0), [2, 2, 1]),
+        (_probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0), [1, 1, 1]),
+        (_probe_config_2d(2.0, 2.1, 80.0, nx=33, nt=32, alpha=20.0), [2, 1, 1]),
+    ], ids=["1d", "1d-800", "2d", "2d-80"])
+    def test_trace_fit_runs_where_two_energies_are_positive(self, cfg, positive):
+        # the trace of pqlab trace-degiorgi, at k_choice.  At the preset
+        # targets (amplitude 0.8) X_1 = 0, so no step is fitted (lambda = 1,
+        # C = 0) and the monotone verdict holds by construction: a trace
+        # mutant has to sit at a level where the fit runs.  Where term1
+        # binds, 1D amplitude 800 and 2D amplitude 80 at target 1, and at the
+        # 1D target 2 at amplitude 800 (term3), X_0 and X_1 are positive and
+        # the fit runs on that one step.  X_0 is the report's mean of u_+^m,
+        # bitwise: both are the base cylinder at level 0
+        u, _ = solve(cfg)
+        d = cfg.spec.d
+        for (center, rho), count in zip(TARGETS_1D if cfg.domain.n == 1 else TARGETS_2D, positive):
+            sigma = rho**d.time_exponent
+            rep = verify_sup_bound(u, center, rho, sigma, cfg.spec)
+            tr = trace(u, Cylinder(center, 2 * rho, 2 * sigma), rep.k_choice, d)
+            assert tr.x_i[0] == rep.mean_um
+            assert np.count_nonzero(tr.x_i) == count
+            assert (tr.c_fit > 0) == (count == 2) and tr.lambda_fit == 1.0
 
 
 def _raise_node(u: SpaceTimeField, cyl: Cylinder, value: float) -> SpaceTimeField:

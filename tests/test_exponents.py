@@ -142,6 +142,18 @@ class TestEpsilonThreshold:
         t2 = epsilon_threshold(4.0, 1.0, 2.0, 3.0, d)
         assert t2 / t1 == pytest.approx(4.0**e, rel=1e-12)
 
+    def test_factor_past_float_range(self):
+        # 1.67e-4 inside the gap limit the exponents are s = 6.0 and
+        # s - q_beta = 3.33: (A**((q-1)/p) B)**s overflows at A = 1e70 and
+        # (k/rho)**(s - q_beta) at the level 2.97e243 of a sweep there; a
+        # finite product is taken in logarithms, one past float range is inf
+        d = derive(StructureParams(n=1, p=2.0, q=2.6665, alpha=np.inf, beta=np.inf))
+        s, e = d.time_exponent, d.time_exponent - d.q_beta
+        log_expect = s * (d.q - 1.0) / d.p * np.log(1e70) + e * np.log(1e-30 / 0.2)
+        got = epsilon_threshold(1e-30, 0.2, 1e70, 1.0, d)
+        assert np.log(got) == pytest.approx(log_expect, rel=1e-12)
+        assert epsilon_threshold(2.97e243, 0.2, 1.0, 1.0, d) == np.inf
+
     @pytest.mark.parametrize("bad", [dict(k=0.0), dict(rho=0.0), dict(norm_a=0.0), dict(norm_b=-1.0)])
     def test_preconditions(self, bad):
         d = derive(REF)

@@ -534,26 +534,6 @@ class TestSweep:
                            ).min_normalized_gap == -0.1
         assert SweepReport(config=cfg).min_normalized_gap == math.inf
 
-    def test_target_bounds_rejects_eps_values_of_another_length(self, tmp_path):
-        # zip dropped the fields without an eps: two fields gave one row
-        cfg = load_config(write(tmp_path, SWEEP_CFG))
-        u, _ = solve(cfg.solve_config())
-        with pytest.raises(ParameterError, match="2 fields but 1 eps values"):
-            harness.target_bounds(cfg, [u, u], [0.25])
-        with pytest.raises(ParameterError, match="1 fields but 0 eps values"):
-            harness.target_bounds(cfg, [u], [])
-        assert len(harness.target_bounds(cfg, [u, u])) == 2
-
-    def test_target_bounds_takes_an_array_of_eps(self, tmp_path):
-        # an array of two eps has no truth value, and np.array([0.0]) is
-        # falsy, which left the config's eps in the report
-        cfg = load_config(write(tmp_path, SWEEP_CFG))
-        u, _ = solve(cfg.solve_config())
-        for eps_values in ([0.25, 0.125], [0.0]):
-            by_list = harness.target_bounds(cfg, [u] * len(eps_values), eps_values)
-            assert [b.eps for b in by_list[-1]] == [eps_values[-1]] * len(cfg.targets)
-            assert harness.target_bounds(cfg, [u] * len(eps_values), np.array(eps_values)) == by_list
-
     def test_failed_level_keeps_the_solved_ones(self, tmp_path, monkeypatch):
         # a level that fails ends the schedule: the diagnostics take the
         # levels before it, at their own eps
@@ -757,6 +737,33 @@ class TestCLI:
                          "--out", str(tmp_path / "cacc.csv")]) == 0
         assert cli_main(["trace-degiorgi", "--config", str(path),
                          "--out", str(tmp_path / "trace.csv")]) == 0
+
+    def test_commands_near_the_gap_limit_exit_with_their_verdicts(self, tmp_path, capsys):
+        # q = 2.6665 and alpha = beta = inf lie 1.67e-4 inside the gap limit,
+        # where theta2 = 667: with a = b = 1 a factor of the level formula's
+        # term1 lies past float range at rho = 0.2, and each command died of
+        # OverflowError with exit 1, the code of a failed verification.  The
+        # level reads 1.639e83 at eps = 0, and the sweep's unregularized gap,
+        # -9.1e-4 of its scale at eps = 0.0625, fails criterion 9's tolerance
+        text = (SWEEP_CFG.replace("q = 2.1", "q = 2.6665").replace("eps = 0.25", "eps = 0.0")
+                .replace("alpha = 20.0", "alpha = inf").replace("beta = 20.0", "beta = inf")
+                .replace("T = 0.3", "T = 0.001")
+                .replace("a_kind = power\na_center = 0.505\na_exponent = 0.04",
+                         "a_kind = constant\na_value = 1.0")
+                .replace("cylinder1 = 0.5 0.12 0.2", "cylinder1 = 0.5 0.0008 0.2"))
+        path = str(write(tmp_path, text))
+        out = tmp_path / "bounds.csv"
+        assert cli_main(["verify-bound", "--config", path, "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("k_choice")]) == pytest.approx(
+            1.639e83, rel=1e-3)
+        assert cli_main(["check-caccioppoli", "--config", path,
+                         "--out", str(tmp_path / "cacc.csv")]) == 0
+        assert cli_main(["trace-degiorgi", "--config", path,
+                         "--out", str(tmp_path / "trace.csv")]) == 0
+        assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "sweep")]) == 1
+        manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+        assert manifest["all_bounds_pass"] and manifest["min_normalized_gap"] < -1e-6
 
     def test_check_energy_time_dependent_datum(self, tmp_path, capsys):
         # psi' != 0, so the energy report's dual norm of d_t g is taken

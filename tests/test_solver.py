@@ -779,20 +779,32 @@ def _first_power_below(rate, bound):
 
 
 def _count_factor_work(monkeypatch):
-    """Count every band factorization and every solve with a factor made
-    from then on: returns the dict {"factorizations", "solves"}."""
-    counts = {"factorizations": 0, "solves": 0}
+    """Count the band factorizations from then on (a singular one too), the
+    float64 ones among them, their solves and the defect-correction solves
+    among those: returns the dict {"factorizations", "float64", "solves",
+    "corrections"}."""
+    counts = dict.fromkeys(("factorizations", "float64", "solves", "corrections"), 0)
 
     class Counted(band.BandLU):
         def __init__(self, *args):
             counts["factorizations"] += 1
             super().__init__(*args)
+            counts["float64"] += self.dtype == np.float64
 
         def solve(self, b):
             counts["solves"] += 1
             return super().solve(b)
 
+    defect_correction = band.defect_correction
+
+    def counted_correction(apply, b, lu, target):
+        first = lu.solves
+        x = defect_correction(apply, b, lu, target)
+        counts["corrections"] += lu.solves - first
+        return x
+
     monkeypatch.setattr(band, "BandLU", Counted)
+    monkeypatch.setattr(band, "defect_correction", counted_correction)
     return counts
 
 
@@ -896,7 +908,7 @@ class TestFactorReuse:
         counts = _count_factor_work(monkeypatch)
 
         def run():
-            counts.update(factorizations=0, solves=0)
+            counts.update(dict.fromkeys(counts, 0))
             u, stats = solve(cfg)
             return u.values, stats.iterations, dict(counts)
 

@@ -19,7 +19,6 @@ from pqlab import (
     Cylinder,
     Domain,
     ExperimentConfig,
-    band,
     caccioppoli_sides,
     coefficient_norms,
     comparison_maps,
@@ -44,36 +43,7 @@ from pqlab.solver import _Stepper
 
 from conftest import TARGETS_2D
 from test_harness import SWEEP_CFG
-from test_solver import _count_evaluations, _probe_config_2d, degenerate_config
-
-
-def _count_linear_work(monkeypatch):
-    """Count the band factorizations, the float64 ones among them, their
-    solves and the defect-correction solves among those from then on:
-    returns the dict {"factorizations", "float64", "solves", "corrections"}."""
-    counts = {"factorizations": 0, "float64": 0, "solves": 0, "corrections": 0}
-
-    class Counted(band.BandLU):
-        def __init__(self, *args):
-            super().__init__(*args)
-            counts["factorizations"] += 1
-            counts["float64"] += self.dtype == np.float64
-
-        def solve(self, b):
-            counts["solves"] += 1
-            return super().solve(b)
-
-    defect_correction = band.defect_correction
-
-    def counted_correction(apply, b, lu, target):
-        first = lu.solves
-        x = defect_correction(apply, b, lu, target)
-        counts["corrections"] += lu.solves - first
-        return x
-
-    monkeypatch.setattr(band, "BandLU", Counted)
-    monkeypatch.setattr(band, "defect_correction", counted_correction)
-    return counts
+from test_solver import _count_evaluations, _count_factor_work, _probe_config_2d, degenerate_config
 
 
 class TestWorkLedger:
@@ -95,7 +65,7 @@ class TestWorkLedger:
         # iterations, 8 band factorizations, 260 factor solves and 236
         # member rows evaluated
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=65, nt=64, alpha=20.0)
-        counts = _count_linear_work(monkeypatch)
+        counts = _count_factor_work(monkeypatch)
         evaluations = _count_evaluations(monkeypatch)
         _, stats = solve(cfg)
         assert stats.total_iterations <= 107
@@ -108,7 +78,7 @@ class TestWorkLedger:
         # the diagnostics-2d set-up solve, the same problem at 33^2 x 32: 73
         # Newton iterations, 10 band factorizations and 179 factor solves
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=33, nt=32, alpha=20.0)
-        counts = _count_linear_work(monkeypatch)
+        counts = _count_factor_work(monkeypatch)
         _, stats = solve(cfg)
         assert stats.total_iterations <= 75
         assert counts["factorizations"] <= 11
@@ -121,7 +91,7 @@ class TestWorkLedger:
         # 131 factor solves, against 26 and 25, 18 and 202 at the floor,
         # where a step's second iteration took 8-12 correction solves
         cfg = _probe_config_2d(2.0, 2.1, 0.8, nx=17, nt=8, alpha=20.0)
-        counts = _count_linear_work(monkeypatch)
+        counts = _count_factor_work(monkeypatch)
         results, failure = solve_levels(cfg, [0.5, 0.25])
         assert failure is None and len(results) == 2
         assert sum(stats.total_iterations for _, stats in results) <= 55
@@ -320,15 +290,13 @@ class TestEachCylinderResolvedOnce:
         assert mean_integral(v, 2.0) == through_masks
         assert regions == []
 
-    @pytest.mark.parametrize("n_fields", [1, 3])
-    def test_target_bounds(self, n_fields, diagnostics_field, monkeypatch):
-        # the base cylinder and its top half, once per target for all fields
+    def test_target_bounds(self, diagnostics_field, monkeypatch):
+        # the base cylinder and its top half, once per target
         cfg, u = diagnostics_field
         ecfg = ExperimentConfig(params=cfg.spec.params, domain=cfg.domain,
                                 coeffs=cfg.spec.coeffs, g=cfg.g, targets=TARGETS_2D)
         regions = _count_resolves(monkeypatch)
-        reports = harness.target_bounds(ecfg, [u] * n_fields)
-        assert len(reports) == n_fields and all(len(r) == len(TARGETS_2D) for r in reports)
+        assert len(harness.target_bounds(ecfg, u)) == len(TARGETS_2D)
         assert len(regions) == len(set(regions)) == 2 * len(TARGETS_2D)
 
     def test_sweep(self, tmp_path, monkeypatch):
