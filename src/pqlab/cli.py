@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -207,9 +208,7 @@ def cmd_verify_bound(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg, scfg, u, _ = _solved(args)
-    rows = []
-    summaries = []
-    monotone = True
+    rows, summaries, monotone = [], [], True
     for ti, rep in enumerate(harness.target_bounds(cfg, u)):
         k = max(rep.k_choice, 1e-12)
         tr = degiorgi.trace(u, Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma), k, scfg.spec.d)
@@ -304,6 +303,7 @@ def cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # one parser per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqlab",

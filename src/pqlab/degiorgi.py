@@ -160,16 +160,21 @@ def _level_terms(mean_um, norm_a, norm_b, rho, sigma, mu, d, c_cal) -> tuple:
     term4 = rho * mu ** (p + 1.0 - q) / ab
     if d.q_equals_p:
         return term1, term2, term3, term4
-    return term1, term2, term3, term4, rho / ab ** (1.0 / (q - p))
+    # near q = p, AB**(1/(q-p)) lies past float range (term5 is 0) or, at
+    # AB < 1, below it, where term5 is rho AB**(-1/(q-p)), finite or not
+    power = _power_product(1.0, (ab, 1.0 / (q - p)))
+    return term1, term2, term3, term4, (
+        rho / power if power else _power_product(rho, (ab, -1.0 / (q - p))))
 
 
 def _inverse_scaling_term(base: float, p: float, q: float) -> float:
     """base**((p+1-q)/(p-2+2(q-p))) with the degenerate p = q = 2 exponent
     resolved by continuity: 1 for base 1 (intrinsic cylinders), else the
-    0/infinity limit."""
+    0/infinity limit.  Near q = p = 2 the exponent is large, and a power past
+    float range is inf."""
     denom = p - 2.0 + 2.0 * (q - p)
     if denom > 0:
-        return base ** ((p + 1.0 - q) / denom)
+        return _power_product(1.0, (base, (p + 1.0 - q) / denom))
     if abs(base - 1.0) <= 1e-12:
         return 1.0
     return 0.0 if base < 1.0 else math.inf
@@ -231,6 +236,8 @@ def trace(u: SpaceTimeField, q0: Cylinder, k: float, d: DerivedExponents,
         raise RegionError("base cylinder leaves the space-time domain")
     if not k > 0:
         raise ParameterError(f"level must be positive, got k = {k}")
+    if k == math.inf:  # k_i = k (1 - 2^-i) would read NaN at i = 0
+        raise ParameterError(f"level must be finite, got k = {k}")
     if i_max < 1:
         raise ParameterError(f"need i_max >= 1 iteration steps, got {i_max}")
     rho, sigma = 0.5 * q0.rho, 0.5 * q0.sigma

@@ -21,40 +21,33 @@ which each member's band.FactorSlot solves (band.py says how) down to the
 target the solver sets: max(_CORRECTION_FLOOR * tolerance * scale,
 _FORCING * |R|), the stopping floor or the forcing term of inexact Newton.
 
-Newton is globalized, with no relaxation factor to tune, by _line_search:
-a backtracking line search (Armijo factor 1e-4, halving) on max|R| that
-returns each member's accepted trial and step length, and the first member
-whose length fell to 2^-20 without a decrease.  Iteration stops once
-max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf): relative to the
-data above |w|_inf = 1, absolute below it (at amplitude 1e-8 a field stops
-1e-4 relative from a tight solve; ROADMAP item 10).  A linear problem
-converges in one iteration.  Every step keeps its residual and step-length
-history.
+Newton is globalized, with no relaxation factor to tune, by _line_search, a
+backtracking line search (Armijo factor 1e-4, halving) on max|R|.  Iteration
+stops once max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf): relative
+to the data above |w|_inf = 1, absolute below it (at amplitude 1e-8 a field
+stops 1e-4 relative from a tight solve; ROADMAP item 10).  A linear problem
+converges in one iteration.  Each step records its residuals and step
+lengths in a log with one entry per iteration, whatever the number of
+members (_Stepper.step); solve_levels keeps the logs, and a SolveStats
+builds its member's StepHistory per step from them when it is read.
 
-Newton starts from u^j or from the member's extrapolation in time,
-whichever has the smaller max|R|; a tie or a non-finite residual keeps
-u^j.  The extrapolation uses the accepted levels there are: none at the
-first step, 2u^j - u^{j-1} at the second and 3u^j - 3u^{j-1} + u^{j-2}
-after that, on the interior nodes only, while the frame takes g(t_{j+1})
-in both starts.  While the solution is smooth in time the extrapolation is
-O(dt^3) from u^{j+1}, against O(dt) for u^j, which about halves the
-iterations of a march; the residual test keeps u^j where the solution turns
-faster than dt resolves.  Every member still takes at least one iteration.
-Once steps end at their first trial for every member, each step's first
-trial batch also evaluates the next step's starts, which the next step takes
-if that trial ends its step: one evaluation per one-iteration step.
+Newton starts from u^j or from the member's extrapolation in time, of the
+order the accepted levels allow (_Stepper.starts), whichever has the smaller
+max|R|; a tie or a non-finite residual keeps u^j.  While the solution is
+smooth in time the extrapolation is O(dt^3) from u^{j+1}, against O(dt) for
+u^j, which about halves the iterations of a march.  Once steps end at their
+first trial for every member, that trial's batch also evaluates the next
+step's starts: one evaluation per one-iteration step.
 
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
 differ only in eps, through one Newton loop; solve is its one-member case.
 Each member keeps its own start, line-search length, convergence test and
-iteration count, and is frozen once converged, so its iterates are
-bitwise those of a lone solve.  In 1D one dptsv call solves the uncoupled
-block tridiagonal of all members; in 2D each member is solved in turn,
-with its own factor.  A member that fails (StepFailure or
-DivergenceError) drops itself and every later member while the earlier ones
-run to completion, which is the outcome of solving the members one after
-another and stopping at the first failure.
+iteration count, and is frozen once converged, so its iterates are bitwise
+those of a lone solve.  A member that fails (StepFailure or DivergenceError)
+drops itself and every later member while the earlier ones run to
+completion, the outcome of solving the members one after another and
+stopping at the first failure.
 
 weak_residual sums the step residual against a test field, so the discrete
 weak form of a computed solution holds to the solver tolerance in 1D and
@@ -71,6 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.blas
@@ -224,8 +218,7 @@ class SolveConfig:
             raise ParameterError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class StepHistory:
+class StepHistory(NamedTuple):
     """Newton convergence of one implicit step: max|R| after each iteration
     and the step length the line search accepted in it."""
 
@@ -233,21 +226,26 @@ class StepHistory:
     step_lengths: tuple
 
 
-@dataclass
+def _member_history(log: list, m: int) -> StepHistory:
+    """Member m's StepHistory in a step's log (see _Stepper.step)."""
+    entries = [(norm[pos], length[pos]) for rows, norm, length in log
+               for pos in np.flatnonzero(rows == m)]
+    return StepHistory(tuple(float(r) for r, _ in entries), tuple(float(t) for _, t in entries))
+
+
+@dataclass(frozen=True)
 class SolveStats:
-    """The StepHistory of every time step of one solve."""
+    """Newton iterations and final max|R| per time step of one solve, and its
+    StepHistory per step, built from the march's step logs when it is read."""
 
-    histories: list = field(default_factory=list)
+    iterations: list
+    residuals: list
+    logs: list = field(repr=False, compare=False)
+    member: int = field(repr=False, compare=False)
 
     @property
-    def iterations(self) -> list:
-        """Newton iterations per time step."""
-        return [len(h.residuals) for h in self.histories]
-
-    @property
-    def residuals(self) -> list:
-        """Final max|R| per time step."""
-        return [h.residuals[-1] for h in self.histories]
+    def histories(self) -> list:
+        return [_member_history(log, self.member) for log in self.logs]
 
     @property
     def total_iterations(self) -> int:
@@ -261,13 +259,13 @@ class _Stepper:
     reads and the starts carried to the next step."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
-        self.cfg = cfg
-        dom = cfg.domain
+        self.cfg, dom = cfg, cfg.domain
         self.scheme = _Scheme(dom, cfg.spec)
         self.frame = boundary_frame(dom)
         # g = g0(x) psi(t): the frame's profile g0, which each step scales
         self.frame_g0 = cfg.g._g0(dom.box, [c[self.frame] for c in dom.meshgrid()])
         self.eps = np.asarray(eps_values, float).reshape((-1,) + (1,) * dom.n)
+        self.members = np.arange(len(self.eps))
         # each member's 2D Newton factor, kept across time steps
         self.slots = [FactorSlot() for _ in self.eps]
         # each member's accepted time levels before the one step starts from,
@@ -287,28 +285,27 @@ class _Stepper:
         with a benchmark workload on each side: a band LU per member costs
         sweep-1d's six members 200-380 us per direction against 8-11 us for
         one batched dptsv, +0.05-0.1 s on a 0.09 s op.  In 1D the matrix is
-        tridiagonal (stencil entries 0 and +e_0) and one dptsv call solves
-        the block tridiagonal of all members.  Its blocks are uncoupled, so
-        each is eliminated exactly as it would be alone; if any block fails,
-        or a non-finite value may have spread across blocks, each member is
-        solved by itself.
+        tridiagonal (stencil entries 0 and +e_0), and one dptsv call solves
+        the block tridiagonal of all members in place of their coupling and
+        right-hand side.  Its blocks are uncoupled, so each is eliminated as
+        it would be alone; if any block fails, or a non-finite value may have
+        spread across blocks, each member is solved by itself.
 
         In 2D each member's slot (members holds the member of each row of
         it) solves in turn down to max(_CORRECTION_FLOOR * tolerance * scale,
         _FORCING * |R|), |R| the 2-norm of its residual (band.py says how); a
         singular matrix fails its member with DivergenceError.
         """
-        rhs = -it.residual
-        stencil = self.scheme.stencil(it)
+        rhs, stencil = -it.residual, self.scheme.stencil(it)
         if self.cfg.domain.n == 1:
             diag, east = stencil[(0,)], stencil[(1,)]
             coupling = east.copy()
             coupling[:, -1] = 0.0
             _, _, d, info = scipy.linalg.lapack.dptsv(
-                diag.ravel(), coupling.ravel()[:-1], rhs.ravel())
-            d = d.reshape(rhs.shape)
-            if info == 0 and np.all(np.isfinite(d)):
-                return d, None
+                diag.ravel(), coupling.ravel()[:-1], rhs.ravel(), overwrite_e=1, overwrite_b=1)
+            if info == 0 and np.isfinite(d).all():
+                return d.reshape(rhs.shape), None
+            rhs = -it.residual  # the batched solve overwrote the first
 
             def solve_member(row):
                 _, _, d_row, info = scipy.linalg.lapack.dptsv(diag[row], east[row, :-1], rhs[row])
@@ -333,48 +330,61 @@ class _Stepper:
                     f"Newton step produced non-finite values at t = {t}"))
         return d, None
 
-    def starts(self, u: np.ndarray, t: float, past: list):
-        """Blocks of rows (w, u_prev, eps) of the starts of the step from u
-        (members first) to t: u and, if past (newest first) holds a level, its
-        extrapolation of order len(past) on the interior; both take g(t) on the frame."""
-        out = u.copy()
-        out[:, self.frame] = self.frame_g0 * self.cfg.g._psi(t)
-        eps = self.eps[:len(u)]
-        if not past:
-            return [out], [u], [eps]
+    def starts(self, u: np.ndarray, t: float, past: list, base=None):
+        """The batch (w, u_prev, eps) that evaluates the starts of the step
+        from u (members first) to t, a block of members per start along a new
+        leading axis: u and, if past (newest first) holds a level, its
+        extrapolation of order len(past) on the interior (2u - past[0] or
+        3(u - past[0]) + past[1]); both take g(t) on the frame.  Given base,
+        the level u is a trial from, u leads the batch as that trial.  The
+        blocks follow base (or u) in one buffer and each block's u_prev is the
+        one before it, which the residual reads on the interior, where every
+        start is u."""
+        lead = int(base is not None)
+        x = np.empty((2 + lead + bool(past),) + u.shape)
+        x[lead:] = u
+        if lead:
+            x[0] = base
+        x[lead + 1:, :, self.frame] = self.frame_g0 * self.cfg.g._psi(t)
         inner = self.scheme.interior
-        ext = out.copy()
         if len(past) == 1:
-            ext[inner] = 2.0 * u[inner] - past[0][inner]
-        else:
-            ext[inner] = 3.0 * (u[inner] - past[0][inner]) + past[1][inner]
-        return [out, ext], [u, u], [eps, eps]
+            x[-1][inner] = 2.0 * u[inner] - past[0][inner]
+        elif past:
+            x[-1][inner] = 3.0 * (u[inner] - past[0][inner]) + past[1][inner]
+        return x[1:], x[:-1], self.eps[:len(u)]
 
-    @staticmethod
-    def pick(both: _Iterate, size: int, first: int = 0) -> _Iterate:
-        """The size members' starts, from their rows of both from first on: the
-        extrapolation where its max|R| is strictly smaller (a tie or NaN keeps u)."""
-        if len(both.w) == size:
-            return both
-        ext = both.norm[first + size:] < both.norm[first:first + size]
-        if ext.all() or not ext.any():  # a slice takes views
-            return both.take(slice(first + size * ext[0], first + size * (1 + ext[0])))
-        return both.take(first + np.arange(size) + size * ext)
+    def pick(self, both: _Iterate, first: int = 0) -> _Iterate:
+        """The members' starts from blocks first (u) and first + 1 (the
+        extrapolation, if any) of a batch that starts made: the extrapolation
+        where its max|R| is strictly smaller (a tie or NaN keeps u)."""
+        if len(both.w) == first + 1:
+            return both.take(first)
+        ext = both.norm[first + 1] < both.norm[first]
+        if ext.all() or not ext.any():  # a block takes views
+            return both.take(first + int(ext[0]))
+        return both.take((first + ext, self.members[:len(ext)]))
+
+    def _drop(self, why, t: float, it: _Iterate, rows, pos: int, log: list):
+        """Drop the member at row pos of it and rows and every later one, whose 2D factors go, for
+        why (an exception or a reason): returns the failure and the number of members kept."""
+        del self.slots[rows[pos]:]
+        return why if isinstance(why, Exception) else StepFailure(
+            f"{why} at t = {t} (residual {it.norm[pos]:.3e})", t=t, residual=float(it.norm[pos]),
+            history=_member_history(log, rows[pos])), int(rows[pos])
 
     def step(self, u_prev: np.ndarray, t_next: float, t_after: float | None = None):
         """One implicit step of every member from u_prev (members first).
 
-        Returns (w, histories, failure).  A member that fails drops itself
-        and every later member: w and histories hold the members before the
-        first failure, and failure is that member's exception (None if all
-        converged).  self.past then takes u_prev, narrowed to those members.
-
-        Each member starts Newton from the better of its starts (see starts
-        and pick), evaluated in one batch; a start reads only its own rows.
-        t_after is the next step's time, None at the last step.  After a step
-        that ended at its first trial for every member, the first trial's
-        batch also evaluates the next step's starts from that trial; if it
-        ends this step too, they are carried (self.carry) to the call whose
+        Returns (w, log, failure): w holds the members before the first that
+        failed, failure is that member's exception (None if all converged),
+        and log has an entry per Newton iteration, whatever the number of
+        members: the members still iterating (ascending), their max|R| and
+        the step lengths they accepted.  self.past then takes u_prev, narrowed
+        to the members kept.  Each member starts from the better of its starts
+        (see starts and pick).  t_after is the next step's time, None at the
+        last step.  After a step that ended at its first trial for every
+        member, that trial's batch also evaluates the next step's starts; if
+        it ends this step too, they are carried (self.carry) to the call whose
         t_next and u_prev are bitwise t_after and that trial: the rows that
         call would evaluate, so every result is the same.
         """
@@ -383,63 +393,54 @@ class _Stepper:
         if carry is not None and carry[0] == (t_next, u_prev.tobytes()):
             it = carry[1]
         else:
-            blocks = self.starts(u_prev, t_next, self.past)
-            it = self.pick(scheme.evaluate(*map(np.concatenate, blocks)), len(u_prev))
-        out = np.empty_like(u_prev)  # every member kept writes its row
-        # the members still iterating, ascending, and their previous levels
-        rows, base = np.arange(len(u_prev)), u_prev
+            it = self.pick(scheme.evaluate(*self.starts(u_prev, t_next, self.past)))
+        # the members still iterating, ascending, with their previous levels
+        # and eps; the members kept; and the accepted levels once a member ends
+        rows, base, eps = self.members[:len(u_prev)], u_prev, self.eps[:len(u_prev)]
+        live, out, failure, log = len(u_prev), None, None, []
         # whether the first trial also evaluates the next step's starts: ahead
         look, ahead = t_after is not None and self.swift, None
-        residuals, lengths = [[] for _ in rows], [[] for _ in rows]
-        live, failure = len(rows), None
-
-        def fail(pos, why):
-            """Drop row pos and every later member for why: an exception or a reason."""
-            nonlocal rows, base, it, live, failure
-            m = live = int(rows[pos])
-            failure = why if isinstance(why, Exception) else StepFailure(
-                f"{why} at t = {t_next} (residual {it.norm[pos]:.3e})", t=t_next,
-                residual=float(it.norm[pos]),
-                history=StepHistory(tuple(residuals[m]), tuple(lengths[m])))
-            del self.slots[live:]
-            rows, base, it = rows[:pos], base[:pos], it.take(slice(pos))
-
         for _ in range(cfg.max_iter):
             d, bad = self.newton_direction(it, t_next, rows)
             if bad is not None:
-                fail(*bad)
-                d, look = d[:len(rows)], False
+                pos = bad[0]
+                failure, live = self._drop(bad[1], t_next, it, rows, pos, log)
+                rows, base, eps, d = rows[:pos], base[:pos], eps[:pos], d[:pos]
+                it, look = it.take(slice(pos)), False
             trial = None
             if look:
                 w = it.w.copy()
                 w[scheme.interior] += d
-                ahead = scheme.evaluate(*(np.concatenate([x, *xs]) for x, xs in zip(
-                    (w, base, self.eps[rows]), self.starts(w, t_after, [base, *self.past[:1]]))))
-                trial, look = ahead.take(slice(len(w))), False
-            trial, length, stuck = _line_search(
-                scheme, it, d, base, self.eps[rows], cfg.tolerance, trial)
+                ahead = scheme.evaluate(*self.starts(w, t_after, [base, *self.past[:1]], base))
+                trial, look = ahead.take(0), False
+            trial, length, stuck = _line_search(scheme, it, d, base, eps, cfg.tolerance, trial)
             if stuck is not None:
-                fail(stuck, "line search found no decrease")
+                failure, live = self._drop("line search found no decrease", t_next, it, rows,
+                                           stuck, log)
+                rows, base, eps = rows[:stuck], base[:stuck], eps[:stuck]
             if not len(rows):
                 break
             it = trial
-            for m, r, t in zip(rows.tolist(), it.norm.tolist(), length.tolist()):
-                residuals[m].append(r)
-                lengths[m].append(t)
+            log.append((rows, it.norm, length))
             done = it.norm < cfg.tolerance * it.scale
+            if out is None and done.all():
+                out = it.w  # every member ends at once: rows are u_prev's up to live
+                break
             if done.any():
+                if out is None:
+                    out = np.empty_like(u_prev)
                 out[rows[done]] = it.w[done]
                 if done.all():
                     break
-                rows, base, it = rows[~done], base[~done], it.take(~done)
+                rows, base, eps, it = rows[~done], base[~done], eps[~done], it.take(~done)
         else:
-            fail(0, f"no convergence within {cfg.max_iter} iterations")
-        self.swift = failure is None and all(t == [1.0] for t in lengths)
+            failure, live = self._drop(f"no convergence within {cfg.max_iter} iterations",
+                                       t_next, it, rows, 0, log)
+        self.swift = failure is None and len(log) == 1 and bool((log[0][2] == 1.0).all())
         if self.swift and ahead is not None:
-            self.carry = ((t_after, out.tobytes()), self.pick(ahead, live, live))
+            self.carry = ((t_after, out.tobytes()), self.pick(ahead, 1))
         self.past = [v[:live] for v in (u_prev, *self.past[:1])]
-        histories = [StepHistory(tuple(r), tuple(t)) for r, t in zip(residuals[:live], lengths[:live])]
-        return out[:live], histories, failure
+        return (u_prev[:0] if out is None else out[:live]), log, failure
 
 
 def _line_search(scheme: _Scheme, it: _Iterate, d, base, eps, tolerance: float, trial=None):
@@ -489,22 +490,29 @@ def solve_levels(cfg: SolveConfig, eps_values):
     stepper = _Stepper(cfg, eps_values)
     values = np.empty((len(eps_values),) + dom.shape)
     values[:, 0] = cfg.g.at(dom.box, dom.meshgrid(), 0.0)
-    stats = [SolveStats() for _ in eps_values]
-    u = values[:, 0].copy()
-    failure = None
-    times = dom.times
+    # per member and time step: Newton iterations and final max|R|
+    iterations, residuals = np.zeros((len(values), dom.nt), int), np.empty((len(values), dom.nt))
+    u, logs, failure, times = values[:, 0].copy(), [], None, dom.times
     for j in range(1, dom.nt + 1):
         if not len(u):
             break
-        u, histories, failed = stepper.step(
+        u, log, failed = stepper.step(
             u, float(times[j]), float(times[j + 1]) if j < dom.nt else None)
         if failed is not None:
             failure = failed
-            values, stats = values[: len(u)], stats[: len(u)]
+            values = values[: len(u)]
         values[:, j] = u
-        for member, history in zip(stats, histories):
-            member.histories.append(history)
-    return [(SpaceTimeField(dom, v), st) for v, st in zip(_read_only(values), stats)], failure
+        logs.append(log)
+        # the Newton iterations and final max|R| of the members kept
+        if len(log) == 1:  # each ended at the first iteration
+            iterations[: len(u), j - 1], residuals[: len(u), j - 1] = 1, log[0][1][: len(u)]
+        else:
+            for rows, norm, _ in log:
+                kept = rows[: np.searchsorted(rows, len(u))]
+                iterations[kept, j - 1] += 1
+                residuals[kept, j - 1] = norm[: len(kept)]
+    return [(SpaceTimeField(dom, v), SolveStats(n.tolist(), r.tolist(), logs, m))
+            for m, (v, n, r) in enumerate(zip(_read_only(values), iterations, residuals))], failure
 
 
 def solve(cfg: SolveConfig):
@@ -582,13 +590,8 @@ class EnergyData:
 
     @property
     def m_g(self) -> float:
-        return (
-            self.dual_term
-            + self.wnorm_term
-            + self.dg_gamma_term
-            + self.dg_mu_term
-            + self.g_sup_l2
-        )
+        return (self.dual_term + self.wnorm_term + self.dg_gamma_term + self.dg_mu_term
+                + self.g_sup_l2)
 
     @property
     def empirical_constant(self) -> float:
@@ -741,25 +744,22 @@ def comparison_maps(cfg: SolveConfig) -> list:
 
 def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
                           eps: float = 0.0):
-    """Gap and term scale of the variational inequality at every grid time:
-    the one-map case of variational_gap_curves.
+    """The one-map case of variational_gap_curves: (gaps, scales) of u against v."""
+    return variational_gap_curves(u, [v], cfg, eps)[0]
 
-    Returns (gaps, scales), both arrays over time levels 1..nt.  The gap at
-    tau is RHS - LHS with the unregularized integrand (pass eps to use a
-    regularized one):
+
+def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float = 0.0) -> list:
+    """Gap and term scale of the variational inequality at every grid time, of
+    u against every comparison map: a list of (gaps, scales), both arrays over
+    time levels 1..nt.  The gap at tau is RHS - LHS with the unregularized
+    integrand (pass eps to use a regularized one):
 
         integral f(.,Dv) + integral d_t v (v - u) - 1/2 |(v-u)(tau)|_2^2
         + 1/2 |(v-g)(0)|_2^2 - integral f(.,Du).
 
     The duality factor d_t v is integrated exactly in time (its antiderivative
-    is v itself), paired with (v - u) at the right endpoint.
-    """
-    return variational_gap_curves(u, [v], cfg, eps)[0]
-
-
-def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float = 0.0) -> list:
-    """variational_gap_curve of u against every comparison map, as a list of
-    (gaps, scales).  The datum is sampled and f(Du) integrated once."""
+    is v itself), paired with (v - u) at the right endpoint.  The datum is
+    sampled and f(Du) integrated once for all the maps."""
     dom = cfg.domain
     _same_grid(dom, u=u)
     for v in maps:

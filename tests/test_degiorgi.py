@@ -48,6 +48,8 @@ D_REF = derive(StructureParams(n=2, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 D_1D = derive(StructureParams(n=1, p=2.0, q=2.1, alpha=20.0, beta=20.0))
 # 1.67e-4 inside the gap limit q < p + 2/(n + 2) = 8/3 of alpha = beta = inf
 D_NEAR = derive(StructureParams(n=1, p=2.0, q=2.6665, alpha=math.inf, beta=math.inf))
+# q - p = 1e-4: term5's AB**(1/(q-p)) and term3's power have exponents near 1e4
+D_CLOSE = derive(StructureParams(n=1, p=2.0, q=2.0001, alpha=20.0, beta=20.0, eps=0.5))
 
 
 def big_domain(nx=81, nt=80):
@@ -206,6 +208,38 @@ class TestLevelFormulas:
         assert choose_level_k(1e10, 1.0, 1.0, rho, sigma, 0.0, d) == math.inf
         assert theorem_bound(1e10, rho, sigma, d) == math.inf
 
+    def test_near_q_equals_p_a_power_past_float_range_is_no_error(self):
+        # at rho = 0.2 and sigma = 0.04: with AB = 2, AB**1e4 lies past float
+        # range (term5 = rho / AB**1e4 is 0) and term3's base 0.25 to the
+        # power 5e3 below it (0); with AB = 0.5, AB**1e4 underflows to 0,
+        # where term5 is rho AB**-1e4, and term3's base 4 overflows: both inf
+        d, rho, sigma = D_CLOSE, 0.2, 0.04
+        e = 1.0 / (d.q - d.p)
+        with pytest.raises(OverflowError):
+            2.0**e
+        terms = _level_terms(0.1, 1.0, 2.0, rho, sigma, 0.0, d, 1.0)
+        assert terms[2] == terms[4] == 0.0
+        assert choose_level_k(0.1, 1.0, 2.0, rho, sigma, 0.0, d) == max(terms[:2]) > 0.0
+        terms = _level_terms(0.1, 1.0, 0.5, rho, sigma, 0.0, d, 1.0)
+        assert terms[2] == terms[4] == math.inf
+        assert choose_level_k(0.1, 1.0, 0.5, rho, sigma, 0.0, d) == math.inf
+        # AB = 0.92 at rho = 1e-65: AB**1e4 underflows to 0 but term5 is finite
+        term5 = _level_terms(0.1, 1.0, 0.92, 1e-65, sigma, 0.0, d, 1.0)[4]
+        assert 0.92**e == 0.0 and 1e290 < term5 < math.inf
+        assert math.log(term5) == pytest.approx(math.log(1e-65) - e * math.log(0.92), rel=1e-12)
+
+    @pytest.mark.parametrize("norm_b", [0.5, 0.9, 1.0, 1.3])
+    @pytest.mark.parametrize("d", [D_1D, D_REF, D_NEAR], ids=["1d", "2d", "near"])
+    def test_finite_terms_are_the_written_formulas(self, d, norm_b):
+        # every finite term3 and term5 keeps the bits of its formula
+        rho, sigma, norm_a = 0.3, 0.05, 1.1
+        ab, s = norm_a * norm_b, d.time_exponent
+        terms = _level_terms(0.2, norm_a, norm_b, rho, sigma, 0.1, d, 1.0)
+        base = norm_a / sigma * (rho / ab) ** s
+        exponent = (d.p + 1.0 - d.q) / (d.p - 2.0 + 2.0 * (d.q - d.p))
+        assert repr(terms[2]) == repr(base**exponent)
+        assert repr(terms[4]) == repr(rho / ab ** (1.0 / (d.q - d.p)))
+
     def test_preconditions(self):
         with pytest.raises(ParameterError):
             choose_level_k(-1.0, 1.0, 1.0, 1.0, 1.0, 0.0, D_REF)
@@ -249,6 +283,9 @@ class TestTrace:
             trace(u, Cylinder((0.0, 0.5), 1.6, 1.0), 2.0, D_1D)
         with pytest.raises(ParameterError, match="level must be positive, got k = 0.0"):
             trace(u, Cylinder((0.0, 2.0), 1.6, 1.0), 0.0, D_1D)
+        # an infinite level would make k_0 = inf * (1 - 2^0) NaN
+        with pytest.raises(ParameterError, match="level must be finite, got k = inf"):
+            trace(u, Cylinder((0.0, 2.0), 1.6, 1.0), math.inf, D_1D)
 
     @pytest.mark.parametrize("i_max", [-1, 0])
     def test_needs_one_iteration_step(self, i_max):

@@ -765,6 +765,28 @@ class TestCLI:
         manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
         assert manifest["all_bounds_pass"] and manifest["min_normalized_gap"] < -1e-6
 
+    def test_commands_near_q_equals_p_exit_with_their_verdicts(self, tmp_path, capsys):
+        # q - p = 1e-4: with b = 2, AB**(1/(q-p)) of the level formula's term5
+        # lay past float range, and each command died of OverflowError with
+        # exit 1; the level is finite.  With b = 0.5 term3's power lies past
+        # float range: the level is inf, which verify-bound reports and
+        # trace-degiorgi rejects, as the NaN its first level would read
+        for b, level in (("2.0", 0.2096), ("0.5", math.inf)):
+            text = SWEEP_CFG.replace("q = 2.1", "q = 2.0001").replace(
+                "b_value = 1.0", f"b_value = {b}")
+            path = str(write(tmp_path, text))
+            out = tmp_path / f"bounds{b}.csv"
+            assert cli_main(["verify-bound", "--config", path, "--out", str(out)]) == 0
+            header, row = out.read_text().splitlines()
+            assert float(row.split(",")[header.split(",").index("k_choice")]) == pytest.approx(
+                level, rel=1e-3)
+            assert cli_main(["check-caccioppoli", "--config", path,
+                             "--out", str(tmp_path / "cacc.csv")]) == 0
+            rc = cli_main(["trace-degiorgi", "--config", path, "--out", str(tmp_path / "trace.csv")])
+            assert rc == (3 if level == math.inf else 0)
+            assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / f"sweep{b}")]) == 0
+        assert "parameter error: level must be finite, got k = inf" in capsys.readouterr().err
+
     def test_check_energy_time_dependent_datum(self, tmp_path, capsys):
         # psi' != 0, so the energy report's dual norm of d_t g is taken
         text = SWEEP_CFG.replace("kind = profile", "kind = separable\npsi = 1.0 -0.5")

@@ -15,7 +15,7 @@ from pqlab import (
     integrand,
     lp_norm,
 )
-from pqlab.model import energy_density
+from pqlab.model import energy_density, flux_coefficient
 
 
 def const_spec(a=1.0, b=1.0, p=2.0, q=2.1, alpha=20.0, beta=20.0, mu=0.0, eps=0.0, n=1):
@@ -206,5 +206,53 @@ class TestEnergyDensity:
                 assert type(got) is type(want)
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            # the inputs are read, never written
+            assert all(np.array_equal(v, w) for v, w in zip(args, before))
+
+
+def _written_coefficient(s, a_val, b_val, spec, eps):
+    """(G, 2G'(s)) as the formula is written out, one new array per
+    operation."""
+    p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
+    r = spec.params.mu**2 + s
+    g_a = np.asarray(a_val, float) * r ** ((p - 2.0) / 2.0)
+    g_b = np.asarray(b_val, float) * r ** ((q - 2.0) / 2.0)
+    g_e = eps * qb * s ** ((qb - 2.0) / 2.0)
+
+    def quotient(num, den):
+        return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
+
+    dg = quotient((p - 2.0) * g_a + (q - 2.0) * g_b, r)
+    dg += quotient((qb - 2.0) * g_e, s)
+    return g_a + g_b + g_e, dg
+
+
+class TestFluxCoefficient:
+    """flux_coefficient forms each phase in its own array and takes 2G' in
+    place; (G, 2G') are bitwise the formula's written out, and its inputs
+    are read, never written."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_equals_the_written_formula(self, p, mu, rng):
+        spec = const_spec(p=p, q=p + 0.1, alpha=8.0, beta=12.0, mu=mu, eps=0.2)
+        # three members of 40 faces, as the step evaluates them: s with exact
+        # zeros (0/0 taken as 0 at mu = 0), a and b per face, eps per member
+        s = rng.uniform(0.0, 5.0, (3, 40)) * 10.0 ** rng.uniform(-3, 3, (3, 40))
+        s[:, ::7] = 0.0
+        a, b = rng.uniform(0.0, 3.0, 40), rng.uniform(0.1, 3.0, 40)
+        members = np.array([0.5, 0.0, 1e-3]).reshape(3, 1)
+        cases = [(s, a, b, members), (s, a, b, 0.35), (s, 1.5, 2.0, members),
+                 (s[0], a, b, 0.35), (s[:, :1], 1.5, 2.0, members), (s.T, 1.5, b[:3], 0.35)]
+        cases += [(x, np.float64(1.5), b, 0.35) for x in (float(s[0, 1]), np.float64(0.0))]
+        cases += [(np.float64(s[1, 1]), 1.5, 2.0, 0.35), (0.0, 1.5, 2.0, 0.0)]
+        for args in cases:
+            before = [np.array(v, copy=True) for v in args]
+            got = flux_coefficient(*args[:3], spec, eps=args[3], derivative=True)
+            want = _written_coefficient(*args[:3], spec, args[3])
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert flux_coefficient(*args[:3], spec, eps=args[3]).tobytes() == want[0].tobytes()
             # the inputs are read, never written
             assert all(np.array_equal(v, w) for v, w in zip(args, before))

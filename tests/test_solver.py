@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import warnings
 import weakref
@@ -48,8 +49,8 @@ from pqlab import band, solver
 from pqlab.band import band_storage, stencil_product
 from pqlab.grid import _trapezoid_weights
 from pqlab.model import flux_coefficient
-from pqlab.scheme import _grad_norm, _Scheme
-from pqlab.solver import _Stepper
+from pqlab.scheme import _grad_norm, _Iterate, _Scheme
+from pqlab.solver import _member_history, _Stepper
 
 
 def heat_config(nx=65, nt=400, T=0.1, n=1, g=None):
@@ -78,16 +79,16 @@ class TestStep:
 
     def test_zero_fixed_point_one_iteration(self):
         cfg = heat_config(g=BoundaryDatum(kind="zero"))
-        (u,), (hist,), failure = _Stepper(cfg, [cfg.spec.eps]).step(np.zeros((1, 65)), cfg.domain.dt)
+        (u,), log, failure = _Stepper(cfg, [cfg.spec.eps]).step(np.zeros((1, 65)), cfg.domain.dt)
         assert failure is None
-        assert np.all(u == 0.0) and len(hist.residuals) == 1
+        assert np.all(u == 0.0) and len(_member_history(log, 0).residuals) == 1
 
     def test_constant_preserved(self):
         cfg = heat_config(g=BoundaryDatum(kind="constant", value=3.0))
-        (u,), (hist,), failure = _Stepper(cfg, [cfg.spec.eps]).step(
+        (u,), log, failure = _Stepper(cfg, [cfg.spec.eps]).step(
             np.full((1, 65), 3.0), cfg.domain.dt)
         assert failure is None
-        assert np.abs(u - 3.0).max() < 1e-14 and len(hist.residuals) == 1
+        assert np.abs(u - 3.0).max() < 1e-14 and len(_member_history(log, 0).residuals) == 1
 
     def test_one_step_matches_decaying_mode(self):
         for nx, nt in ((65, 400), (129, 800)):
@@ -103,9 +104,9 @@ class TestStep:
     def test_step_failure_carries_diagnostics(self):
         cfg = nonlinear_config()
         cfg = SolveConfig(cfg.domain, cfg.spec, cfg.g, tolerance=1e-14, max_iter=2)
-        u, histories, failure = _Stepper(cfg, [cfg.spec.eps]).step(
+        u, log, failure = _Stepper(cfg, [cfg.spec.eps]).step(
             0.8 * np.sin(np.pi * cfg.domain.axes[0])[None], cfg.domain.dt)
-        assert len(u) == 0 and histories == []
+        assert len(u) == 0 and failure.history == _member_history(log, 0)
         assert isinstance(failure, StepFailure)
         assert failure.t == cfg.domain.dt
         assert failure.residual is not None
@@ -1238,11 +1239,11 @@ class TestExtrapolatedStart:
         ext_norm = fresh.scheme.evaluate(ext, u_prev, fresh.eps).norm[0]
         u_j_norm = fresh.scheme.evaluate(start, u_prev, fresh.eps).norm[0]
         assert not ext_norm <= u_j_norm  # larger, or NaN
-        u, histories, failure = stepper.step(u_prev, dom.dt)
-        ref_u, ref_histories, ref_failure = fresh.step(u_prev, dom.dt)
+        u, log, failure = stepper.step(u_prev, dom.dt)
+        ref_u, ref_log, ref_failure = fresh.step(u_prev, dom.dt)
         assert failure is None and ref_failure is None
         assert np.array_equal(u, ref_u)
-        assert histories == ref_histories
+        assert _member_history(log, 0) == _member_history(ref_log, 0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_starting_from_u_j(self, n, monkeypatch):
@@ -1257,6 +1258,28 @@ class TestExtrapolatedStart:
             assert np.abs(u.values - ref_u.values).max() <= 1e-9 * scale
             assert stats.total_iterations <= ref_stats.total_iterations
             assert stats.histories != ref_stats.histories
+
+    def test_mixed_starts_match_lone_solves(self, monkeypatch):
+        # at eps 1 and 0 on the 33 x 16 nonlinear problem, five steps start
+        # one member from its extrapolation and the other from u_j: pick takes
+        # their rows by an integer index, where every other take of the march
+        # is a slice, a block or a mask
+        cfg, schedule = nonlinear_config(nx=33, nt=16), [1.0, 0.0]
+        take, mixed = _Iterate.take, []
+
+        def recorded(self, rows):
+            if not isinstance(rows, (slice, int)) and np.asarray(rows).dtype.kind in "iu":
+                mixed.append(rows)
+            return take(self, rows)
+
+        monkeypatch.setattr(_Iterate, "take", recorded)
+        results, failure = solve_levels(cfg, schedule)
+        monkeypatch.undo()
+        assert failure is None and len(mixed) == 5
+        for (u, stats), eps in zip(results, schedule):
+            lone_u, lone_stats = solve(_at_eps(cfg, eps))
+            assert u.values.tobytes() == lone_u.values.tobytes()
+            assert repr(stats.histories) == repr(lone_stats.histories)
 
     def test_frame_takes_the_datum(self):
         # a cubic in time: the extrapolation of the frame would miss
@@ -1332,12 +1355,13 @@ def _without_carry(stepper, u_prev, t_next, t_after=None):
 
 def _count_evaluations(monkeypatch):
     """Count every _Scheme.evaluate call and the member rows it evaluates
-    from then on: returns the dict {"calls", "rows"}."""
+    from then on, over all the leading axes of w (a batch of starts holds a
+    block of members per start): returns the dict {"calls", "rows"}."""
     evaluate, counts = _Scheme.evaluate, {"calls": 0, "rows": 0}
 
     def counted(self, w, u_prev, eps):
         counts["calls"] += 1
-        counts["rows"] += len(w)
+        counts["rows"] += w[(Ellipsis,) + (0,) * self.dom.n].size
         return evaluate(self, w, u_prev, eps)
 
     monkeypatch.setattr(_Scheme, "evaluate", counted)
@@ -1510,7 +1534,8 @@ class TestCarriedStart:
         counts["calls"] = 0
         want = plain.step(u.copy(), t)
         assert got[0].tobytes() == want[0].tobytes()
-        assert repr(got[1:]) == repr(want[1:])
+        assert repr([_member_history(got[1], m) for m in range(2)] + [got[2]]) == repr(
+            [_member_history(want[1], m) for m in range(2)] + [want[2]])
         assert carried == counts["calls"] - (change == "none")
 
     def test_last_step_carries_nothing(self, monkeypatch):
@@ -1593,6 +1618,20 @@ class TestSolve:
             assert len(hist.residuals) == len(hist.step_lengths) == iters
             assert hist.residuals[-1] == res
             assert all(0.0 < t <= 1.0 for t in hist.step_lengths)
+
+    def test_stats_hold_python_numbers(self):
+        # the manifests serialize the iterations and final residuals as JSON;
+        # two members whose steps take one or more iterations
+        results, failure = solve_levels(nonlinear_config(nx=33, nt=16), [0.25, 0.0])
+        assert failure is None
+        for _, stats in results:
+            assert {type(k) for k in stats.iterations} == {int}
+            assert {type(r) for r in stats.residuals} == {float}
+            histories = stats.histories
+            assert {type(x) for h in histories for x in h.residuals + h.step_lengths} == {float}
+            assert max(stats.iterations) > 1
+            assert json.loads(json.dumps(stats.iterations + stats.residuals)) == (
+                stats.iterations + stats.residuals)
 
 
 # The Barenblatt solution of u_t = div(|Du|^(p-2) Du) (Barenblatt 1952;
