@@ -8,17 +8,20 @@ time-dependent datum), and the five demos.  Each run starts from a fresh
 interpreter in a temporary working directory and writes with a relative
 --out, so no report echoes a path of the checkout.  Prints "sha256  name"
 for every stdout (its name carries the exit code) and every file written.
+Every run takes this interpreter's -X dev and -W options.
 
 Exits 1 if a run printed a traceback: a crash, not a verdict.
 
-usage: python3 .github/output_digests.py [CHECKOUT]
+usage: python3 .github/output_digests.py [--no-demos] [CHECKOUT]
     CHECKOUT is the root of the checkout whose src/ and demos/ run
-    (default: the one holding this script).  To compare two checkouts:
+    (default: the one holding this script); --no-demos runs the commands
+    only.  To compare two checkouts:
         python3 .github/output_digests.py A > a.txt
         python3 .github/output_digests.py B > b.txt
         diff a.txt b.txt
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -101,9 +104,14 @@ def run(argv, cwd, env, name, lines) -> bool:
 
 
 def main(argv) -> int:
-    root = os.path.abspath(argv[1] if len(argv) > 1 else os.path.join(os.path.dirname(__file__),
-                                                                        ".."))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout", nargs="?", default=os.path.join(os.path.dirname(__file__), ".."))
+    ap.add_argument("--no-demos", action="store_true", help="run the commands only")
+    args = ap.parse_args(argv[1:])
+    root = os.path.abspath(args.checkout)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    python = [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []),
+              *(f"-W{w}" for w in sys.warnoptions)]
     lines, ok = [], True
     with tempfile.TemporaryDirectory() as work:
         for label, text in CONFIGS.items():
@@ -111,14 +119,15 @@ def main(argv) -> int:
             with open(os.path.join(work, label, "run.cfg"), "w", encoding="ascii") as fh:
                 fh.write(text)
             for command, takes_out in COMMANDS.items():
-                cmd = [sys.executable, "-m", "pqlab.cli", command, "--config", "run.cfg"]
+                cmd = [*python, "-m", "pqlab.cli", command, "--config", "run.cfg"]
                 if takes_out:
                     cmd += ["--out", command + ("" if command in ("solve", "sweep") else ".csv")]
                 ok &= run(cmd, os.path.join(work, label), env, f"{label}/{command}", lines)
-        for demo in sorted(os.listdir(os.path.join(root, "demos"))):
+        demos = [] if args.no_demos else sorted(os.listdir(os.path.join(root, "demos")))
+        for demo in demos:
             cwd = os.path.join(work, "demos", demo[:-3])
             os.makedirs(cwd)
-            ok &= run([sys.executable, os.path.join(root, "demos", demo)], cwd, env,
+            ok &= run([*python, os.path.join(root, "demos", demo)], cwd, env,
                       f"demos/{demo}", lines)
         for top, dirs, files in os.walk(work):
             dirs.sort()

@@ -208,7 +208,9 @@ def cmd_verify_bound(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg, scfg, u, _ = _solved(args)
-    rows, summaries, monotone = [], [], True
+    rows = []
+    summaries = []
+    monotone = True
     for ti, rep in enumerate(harness.target_bounds(cfg, u)):
         k = max(rep.k_choice, 1e-12)
         tr = degiorgi.trace(u, Cylinder(rep.center, 2 * rep.rho, 2 * rep.sigma), k, scfg.spec.d)

@@ -74,7 +74,8 @@ class Coefficient:
 
     def sample(self, domain: Domain) -> SpaceTimeField:
         """Sample on the grid, constant in time."""
-        return SpaceTimeField(domain, np.broadcast_to(self.at(*domain.meshgrid()), domain.shape))
+        spatial = self.at(*domain.meshgrid())
+        return SpaceTimeField(domain, np.broadcast_to(spatial, domain.shape))
 
 
 @dataclass(frozen=True)
@@ -103,34 +104,30 @@ class IntegrandSpec:
 
 def flux_coefficient(s, a_val, b_val, spec: IntegrandSpec, eps: float | None = None,
                      derivative: bool = False):
-    """Scalar G with D_xi f_i(xi) = G(|xi|^2) xi, at s = |xi|^2, which has the
-    shape of the result: a, b and eps broadcast to it.
+    """Scalar G with D_xi f_i(xi) = G(|xi|^2) xi, at s = |xi|^2.
 
     With derivative=True, returns (G, 2 G'(s)).  Each phase c r^((e-2)/2),
     with r = mu^2 + s (or s for the eps-term), contributes (e-2) c r^((e-2)/2)/r
     to 2 G'; that is 0/0 where r = 0 and is taken as 0, the limit of
     2 G'(s) s there.  So the Newton weight G + 2 G'(s) s of each phase is
-    c r^((e-2)/2) (1 + (e-2) s/r).  Each phase is formed in the array of its
-    power and takes its share of 2 G' there, by the operations of the formula
-    written out in the same order, so both values are bitwise its."""
-    eps = spec.eps if eps is None else eps
+    c r^((e-2)/2) (1 + (e-2) s/r).
+    """
+    if eps is None:
+        eps = spec.eps
+    mu2 = spec.params.mu**2
     p, q, qb = spec.params.p, spec.params.q, spec.d.q_beta
-    r = spec.params.mu**2 + s
-    g_a = r ** ((p - 2.0) / 2.0)
-    g_a *= np.asarray(a_val, float)
-    g_b = r ** ((q - 2.0) / 2.0)
-    g_b *= np.asarray(b_val, float)
-    g_e = s ** ((qb - 2.0) / 2.0)
-    g_e *= eps * qb
-    g = g_a + g_b
-    g += g_e
+    r = mu2 + s
+    g_a = np.asarray(a_val, float) * r ** ((p - 2.0) / 2.0)
+    g_b = np.asarray(b_val, float) * r ** ((q - 2.0) / 2.0)
+    g_e = eps * qb * s ** ((qb - 2.0) / 2.0)
+    g = g_a + g_b + g_e
     if not derivative:
         return g
+    # each phase's (e-2) c r^((e-2)/2), formed in the phase's own array
     g_a *= p - 2.0
     g_b *= q - 2.0
-    g_a += g_b
     g_e *= qb - 2.0
-    dg = _quotient(g_a, r)
+    dg = _quotient(g_a + g_b, r)
     dg += _quotient(g_e, s)
     return g, dg
 

@@ -21,33 +21,43 @@ which each member's band.FactorSlot solves (band.py says how) down to the
 target the solver sets: max(_CORRECTION_FLOOR * tolerance * scale,
 _FORCING * |R|), the stopping floor or the forcing term of inexact Newton.
 
-Newton is globalized, with no relaxation factor to tune, by _line_search, a
-backtracking line search (Armijo factor 1e-4, halving) on max|R|.  Iteration
-stops once max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf): relative
-to the data above |w|_inf = 1, absolute below it (at amplitude 1e-8 a field
-stops 1e-4 relative from a tight solve; ROADMAP item 10).  A linear problem
+Newton is globalized, with no relaxation factor to tune, by _line_search:
+a backtracking line search (Armijo factor 1e-4, halving) on max|R| that
+returns each member's accepted trial and step length, and the first member
+whose length fell to 2^-20 without a decrease.  Iteration stops once
+max|R| < tolerance * max(1, |w|_inf, dt |div_h F|_inf): relative to the
+data above |w|_inf = 1, absolute below it (at amplitude 1e-8 a field stops
+1e-4 relative from a tight solve; ROADMAP item 10).  A linear problem
 converges in one iteration.  Each step records its residuals and step
 lengths in a log with one entry per iteration, whatever the number of
 members (_Stepper.step); solve_levels keeps the logs, and a SolveStats
 builds its member's StepHistory per step from them when it is read.
 
-Newton starts from u^j or from the member's extrapolation in time, of the
-order the accepted levels allow (_Stepper.starts), whichever has the smaller
-max|R|; a tie or a non-finite residual keeps u^j.  While the solution is
-smooth in time the extrapolation is O(dt^3) from u^{j+1}, against O(dt) for
-u^j, which about halves the iterations of a march.  Once steps end at their
-first trial for every member, that trial's batch also evaluates the next
-step's starts: one evaluation per one-iteration step.
+Newton starts from u^j or from the member's extrapolation in time,
+whichever has the smaller max|R|; a tie or a non-finite residual keeps
+u^j.  The extrapolation uses the accepted levels there are: none at the
+first step, 2u^j - u^{j-1} at the second and 3u^j - 3u^{j-1} + u^{j-2}
+after that, on the interior nodes only, while the frame takes g(t_{j+1})
+in both starts.  While the solution is smooth in time the extrapolation is
+O(dt^3) from u^{j+1}, against O(dt) for u^j, which about halves the
+iterations of a march; the residual test keeps u^j where the solution turns
+faster than dt resolves.  Every member still takes at least one iteration.
+Once steps end at their first trial for every member, each step's first
+trial batch also evaluates the next step's starts, which the next step takes
+if that trial ends its step: one evaluation per one-iteration step.  The
+starts of a batch are blocks of one buffer (_Stepper.starts).
 
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
 differ only in eps, through one Newton loop; solve is its one-member case.
 Each member keeps its own start, line-search length, convergence test and
-iteration count, and is frozen once converged, so its iterates are bitwise
-those of a lone solve.  A member that fails (StepFailure or DivergenceError)
-drops itself and every later member while the earlier ones run to
-completion, the outcome of solving the members one after another and
-stopping at the first failure.
+iteration count, and is frozen once converged, so its iterates are
+bitwise those of a lone solve.  In 1D one dptsv call solves the uncoupled
+block tridiagonal of all members; in 2D each member is solved in turn,
+with its own factor.  A member that fails (StepFailure or
+DivergenceError) drops itself and every later member while the earlier ones
+run to completion, which is the outcome of solving the members one after
+another and stopping at the first failure.
 
 weak_residual sums the step residual against a test field, so the discrete
 weak form of a computed solution holds to the solver tolerance in 1D and
@@ -259,7 +269,8 @@ class _Stepper:
     reads and the starts carried to the next step."""
 
     def __init__(self, cfg: SolveConfig, eps_values):
-        self.cfg, dom = cfg, cfg.domain
+        self.cfg = cfg
+        dom = cfg.domain
         self.scheme = _Scheme(dom, cfg.spec)
         self.frame = boundary_frame(dom)
         # g = g0(x) psi(t): the frame's profile g0, which each step scales
@@ -296,7 +307,8 @@ class _Stepper:
         _FORCING * |R|), |R| the 2-norm of its residual (band.py says how); a
         singular matrix fails its member with DivergenceError.
         """
-        rhs, stencil = -it.residual, self.scheme.stencil(it)
+        rhs = -it.residual
+        stencil = self.scheme.stencil(it)
         if self.cfg.domain.n == 1:
             diag, east = stencil[(0,)], stencil[(1,)]
             coupling = east.copy()
@@ -380,9 +392,10 @@ class _Stepper:
         and log has an entry per Newton iteration, whatever the number of
         members: the members still iterating (ascending), their max|R| and
         the step lengths they accepted.  self.past then takes u_prev, narrowed
-        to the members kept.  Each member starts from the better of its starts
-        (see starts and pick).  t_after is the next step's time, None at the
-        last step.  After a step that ended at its first trial for every
+        to the members kept.  Each member starts Newton from the better of its
+        starts (see starts and pick), evaluated in one batch; a start reads
+        only its own rows.  t_after is the next step's time, None at the last
+        step.  After a step that ended at its first trial for every
         member, that trial's batch also evaluates the next step's starts; if
         it ends this step too, they are carried (self.carry) to the call whose
         t_next and u_prev are bitwise t_after and that trial: the rows that
@@ -490,9 +503,13 @@ def solve_levels(cfg: SolveConfig, eps_values):
     stepper = _Stepper(cfg, eps_values)
     values = np.empty((len(eps_values),) + dom.shape)
     values[:, 0] = cfg.g.at(dom.box, dom.meshgrid(), 0.0)
-    # per member and time step: Newton iterations and final max|R|
-    iterations, residuals = np.zeros((len(values), dom.nt), int), np.empty((len(values), dom.nt))
-    u, logs, failure, times = values[:, 0].copy(), [], None, dom.times
+    # per time step and member: Newton iterations and final max|R|
+    iterations = np.zeros((dom.nt, len(values)), int)
+    residuals = np.empty((dom.nt, len(values)))
+    logs = []
+    u = values[:, 0].copy()
+    failure = None
+    times = dom.times
     for j in range(1, dom.nt + 1):
         if not len(u):
             break
@@ -503,16 +520,13 @@ def solve_levels(cfg: SolveConfig, eps_values):
             values = values[: len(u)]
         values[:, j] = u
         logs.append(log)
-        # the Newton iterations and final max|R| of the members kept
-        if len(log) == 1:  # each ended at the first iteration
-            iterations[: len(u), j - 1], residuals[: len(u), j - 1] = 1, log[0][1][: len(u)]
-        else:
-            for rows, norm, _ in log:
-                kept = rows[: np.searchsorted(rows, len(u))]
-                iterations[kept, j - 1] += 1
-                residuals[kept, j - 1] = norm[: len(kept)]
+        # a member's last entry holds its final max|R|; the rows of members
+        # dropped in this step are written but never reported
+        for rows, norm, _ in log:
+            iterations[j - 1][rows] += 1
+            residuals[j - 1][rows] = norm
     return [(SpaceTimeField(dom, v), SolveStats(n.tolist(), r.tolist(), logs, m))
-            for m, (v, n, r) in enumerate(zip(_read_only(values), iterations, residuals))], failure
+            for m, (v, n, r) in enumerate(zip(_read_only(values), iterations.T, residuals.T))], failure
 
 
 def solve(cfg: SolveConfig):
@@ -590,8 +604,13 @@ class EnergyData:
 
     @property
     def m_g(self) -> float:
-        return (self.dual_term + self.wnorm_term + self.dg_gamma_term + self.dg_mu_term
-                + self.g_sup_l2)
+        return (
+            self.dual_term
+            + self.wnorm_term
+            + self.dg_gamma_term
+            + self.dg_mu_term
+            + self.g_sup_l2
+        )
 
     @property
     def empirical_constant(self) -> float:
@@ -744,22 +763,25 @@ def comparison_maps(cfg: SolveConfig) -> list:
 
 def variational_gap_curve(u: SpaceTimeField, v: ComparisonMap, cfg: SolveConfig,
                           eps: float = 0.0):
-    """The one-map case of variational_gap_curves: (gaps, scales) of u against v."""
-    return variational_gap_curves(u, [v], cfg, eps)[0]
+    """Gap and term scale of the variational inequality at every grid time:
+    the one-map case of variational_gap_curves.
 
-
-def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float = 0.0) -> list:
-    """Gap and term scale of the variational inequality at every grid time, of
-    u against every comparison map: a list of (gaps, scales), both arrays over
-    time levels 1..nt.  The gap at tau is RHS - LHS with the unregularized
-    integrand (pass eps to use a regularized one):
+    Returns (gaps, scales), both arrays over time levels 1..nt.  The gap at
+    tau is RHS - LHS with the unregularized integrand (pass eps to use a
+    regularized one):
 
         integral f(.,Dv) + integral d_t v (v - u) - 1/2 |(v-u)(tau)|_2^2
         + 1/2 |(v-g)(0)|_2^2 - integral f(.,Du).
 
     The duality factor d_t v is integrated exactly in time (its antiderivative
-    is v itself), paired with (v - u) at the right endpoint.  The datum is
-    sampled and f(Du) integrated once for all the maps."""
+    is v itself), paired with (v - u) at the right endpoint.
+    """
+    return variational_gap_curves(u, [v], cfg, eps)[0]
+
+
+def variational_gap_curves(u: SpaceTimeField, maps, cfg: SolveConfig, eps: float = 0.0) -> list:
+    """variational_gap_curve of u against every comparison map, as a list of
+    (gaps, scales).  The datum is sampled and f(Du) integrated once."""
     dom = cfg.domain
     _same_grid(dom, u=u)
     for v in maps:

@@ -228,9 +228,9 @@ def _written_coefficient(s, a_val, b_val, spec, eps):
 
 
 class TestFluxCoefficient:
-    """flux_coefficient forms each phase in its own array and takes 2G' in
-    place; (G, 2G') are bitwise the formula's written out, and its inputs
-    are read, never written."""
+    """flux_coefficient takes each phase's share of 2G' in the phase's own
+    array; (G, 2G') are bitwise the formula's written out, with a, b and eps
+    broadcast against s as there, and its inputs are read, never written."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -246,6 +246,8 @@ class TestFluxCoefficient:
                  (s[0], a, b, 0.35), (s[:, :1], 1.5, 2.0, members), (s.T, 1.5, b[:3], 0.35)]
         cases += [(x, np.float64(1.5), b, 0.35) for x in (float(s[0, 1]), np.float64(0.0))]
         cases += [(np.float64(s[1, 1]), 1.5, 2.0, 0.35), (0.0, 1.5, 2.0, 0.0)]
+        # coefficients of more shape than s
+        cases += [(s[0], np.tile(a, (3, 1)), b, 0.35), (s[0], a, np.tile(b, (3, 1)), members)]
         for args in cases:
             before = [np.array(v, copy=True) for v in args]
             got = flux_coefficient(*args[:3], spec, eps=args[3], derivative=True)

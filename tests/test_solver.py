@@ -526,12 +526,15 @@ def _at_eps(cfg, eps):
 
 
 class TestSolveLevels:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_lone_solves(self, n):
+    @pytest.mark.parametrize("n, schedule", [
+        pytest.param(n, schedule, id=f"{n}{label}") for label, schedule in
+        (("", [0.5, 0.25, 0.0]), ("-eps-rising", [0.0, 0.25, 0.5])) for n in (1, 2)])
+    def test_matches_lone_solves(self, n, schedule):
         # the first steps of the p = 4 degenerate preset at amplitude 5: the
         # levels need different iteration counts (members freeze at
-        # different iterations) and in 1D they backtrack to different
-        # step lengths
+        # different iterations; eps = 0 first, so in the second schedule
+        # the members still iterating are not the first ones) and in 1D they
+        # backtrack to different step lengths
         params = StructureParams(n=n, p=4.0, q=4.3, alpha=1e4, beta=1e4, mu=0.0, eps=0.5)
         coeffs = CoefficientSpec(
             a=Coefficient("power", center=(0.505,) * n, exponent=0.04),
@@ -540,7 +543,6 @@ class TestSolveLevels:
         dom = Domain(n=n, box=((0.0, 1.0),) * n, T=0.3 / 64, nx=65 if n == 1 else 17, nt=4)
         cfg = SolveConfig(dom, IntegrandSpec(params, coeffs, eps=0.5),
                           BoundaryDatum(kind="profile", profile="sin", amplitude=5.0))
-        schedule = [0.5, 0.25, 0.0]
         results, failure = solve_levels(cfg, schedule)
         assert failure is None and len(results) == len(schedule)
         counts, lengths = set(), set()
@@ -629,6 +631,7 @@ class TestSolveLevels:
         for eps, (u, stats) in zip(schedule, results):
             lone_u, lone_stats = solve(_at_eps(cfg, eps))
             assert np.array_equal(u.values, lone_u.values)
+            assert stats == lone_stats  # iterations and final residuals per step
             assert stats.histories == lone_stats.histories
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -1340,6 +1343,7 @@ class TestExtrapolatedStart:
         (u, stats), = results
         lone_u, lone_stats = solve(_at_eps(cfg, 0.5))
         assert np.array_equal(u.values, lone_u.values)
+        assert stats == lone_stats  # iterations and final residuals per step
         assert stats.histories == lone_stats.histories
         assert [len(level) for level in steppers[-1].past] == [1, 1]
         monkeypatch.setattr(_Stepper, "step", _start_from_u_j)
