@@ -2,11 +2,13 @@
 that a change meant to leave results bitwise alone can be checked by a diff.
 
 Runs solve, sweep, verify-bound, trace-degiorgi, check-caccioppoli,
-check-energy and check-varsol on three configs (the 1D 65x256 six-level
-sweep problem, a 2D 33^2 x 32 problem and a 1D problem with a separable
-time-dependent datum), and the five demos.  Each run starts from a fresh
-interpreter in a temporary working directory and writes with a relative
---out, so no report echoes a path of the checkout.  Prints "sha256  name"
+check-energy and check-varsol on four configs (the 1D 65x256 six-level
+sweep problem, a 2D 33^2 x 32 problem, a 1D problem with a separable
+time-dependent datum and a 1D problem with a datum of amplitude -1234.5,
+whose field CSV holds negative values of up to four integer digits), and
+the five demos.  Each run starts from a fresh interpreter in a temporary
+working directory and writes with a relative --out, so no report echoes a
+path of the checkout.  Prints "sha256  name"
 for every stdout (its name carries the exit code) and every file written.
 Every run takes this interpreter's -X dev and -W options.
 
@@ -82,6 +84,9 @@ CONFIGS = {
     "1d-separable": (SWEEP_1D.replace("nx = 65", "nx = 33").replace("nt = 256", "nt = 64")
                      .replace("levels = 6", "levels = 3")
                      .replace("kind = profile", "kind = separable\npsi = 1.0 -0.5")),
+    "1d-negative": (SWEEP_1D.replace("nx = 65", "nx = 33").replace("nt = 256", "nt = 64")
+                    .replace("levels = 6", "levels = 3")
+                    .replace("amplitude = 0.8", "amplitude = -1234.5")),
 }
 
 # command -> whether it takes --out

@@ -19,6 +19,7 @@ one), so no tolerance enters the accept/reject decision.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -167,8 +168,15 @@ def derive(params: StructureParams) -> DerivedExponents:
     """Compute all derived exponents by the closed formulas.
 
     Requires the gap condition; raises ParameterError otherwise.  Pure:
-    identical inputs give bit-identical outputs.
+    identical inputs give bit-identical outputs, so results are cached, on
+    the types of params' fields as well as their values: 2 == 2.0, but p
+    is derived as 2 and as 2.0 respectively.
     """
+    return _derive(params, *map(type, vars(params).values()))
+
+
+@functools.lru_cache(maxsize=128)
+def _derive(params: StructureParams, *field_types) -> DerivedExponents:
     gap = check_gap(params)
     if not gap.ok:
         raise ParameterError(

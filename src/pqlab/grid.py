@@ -16,7 +16,7 @@ a region is resolved.  Suprema over regions are node maxima.
 Binary dump layout (little-endian): magic b"PQF1", uint32 n, uint32 nx,
 uint32 nt, per-axis float64 (lo, hi), float64 T, then the field values as
 row-major float64.  CSV dumps carry one row per node with columns
-t, x[, y], value.
+t, x[, y], value, each number exactly as Python's "%.17g" writes it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -386,22 +387,102 @@ def _region_norms(a_vals, b_vals, alpha: float, beta: float, domain: Domain,
 # field I/O
 
 
+# _format_g17's tables: the least doubles >= 10**k, k = -6..17; 10**s, exact for s <= 22;
+# "%04d" of 0..9999 as 4-byte words, and its trailing zeros; a row's other characters
+_G17_DECADES = np.array([t if Fraction(t) >= Fraction(10)**k else math.nextafter(t, math.inf)
+                         for k in range(-6, 18) for t in (float(Fraction(10)**k),)])
+_G17_POW10 = np.array([float(10**s) for s in range(23)])
+_G17_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), np.uint32)
+_G17_TRAILING = (np.arange(10**4)[:, None] % [10, 100, 1000, 10**4] == 0).sum(axis=1)
+_G17_CHARS = "\0-.e0123456789"
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_layout(key: int) -> np.ndarray:
+    """The character columns of the 32 bytes of a row of _format_g17 with
+    that key: decade k (-7 for "0"), sign, and tz trailing zeros among the
+    17 digits, laid out as %g does."""
+    k, neg, tz = key // 64 - 7, key // 32 % 2, key % 32
+    digits = [16, *range(16)][: max(17 - tz, k + 1)]
+    if k == -7:
+        body = ["0"]
+    elif -4 <= k < 0:
+        body = [*"0." + "0" * (-k - 1), *digits]
+    else:
+        point = max(k, 0) + 1
+        body = digits[:point] + ["."] * (len(digits) > point) + digits[point:]
+        body += f"e{k:+03d}" if k < -4 else ""
+    body = ["-"] * neg + body + ["\0"] * (32 - neg - len(body))
+    return np.array([c if isinstance(c, int) else 17 + _G17_CHARS.index(c) for c in body])
+
+
+def _format_g17(x: np.ndarray) -> tuple:
+    """(text, exact) for a 1-D float64 array: text[i] is b"%.17g" % x[i],
+    NUL-padded to 32 bytes, wherever exact[i], that is for zeros and for
+    10**-6 <= |x[i]| < 10**17."""
+    a = np.abs(x)
+    k = np.searchsorted(_G17_DECADES, a, side="right") - 7  # floor(log10 a), exactly
+    exact = (k >= -6) & (k <= 16)
+    a = np.where(exact, a, 0.0)
+    y = np.take(_G17_POW10, 16 - k, mode="clip")
+    # Dekker's product a * y = p + e, on Veltkamp's splits into 26-bit halves
+    p = a * y
+    ca, cy = 134217729.0 * a, 134217729.0 * y  # 2**27 + 1
+    ah, yh = ca - (ca - a), cy - (cy - y)
+    al, yl = a - ah, y - yh
+    e = ((ah * yh - p) + ah * yl + al * yh) + al * yl
+    # no double of the range rounds up to 10**17 here: the nearest below each
+    # 10**k, -5 <= k <= 17, lies more than 5e-18 of it away
+    d0, r = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10**16)
+    src = np.empty((len(x), 32), np.uint8)
+    src[:, 16] = d0 + 48
+    src[:, 17:31] = np.frombuffer(_G17_CHARS.encode(), np.uint8)
+    tz, zeros = np.zeros(len(x), np.int64), np.ones(len(x), bool)
+    for j in range(3, -1, -1):
+        r, quad = np.divmod(r, 10**4)
+        src.view(np.uint32)[:, j] = np.take(_G17_QUADS, quad)
+        tz += zeros * np.take(_G17_TRAILING, quad)
+        zeros &= quad == 0
+    key = (np.where(exact, k, -7) + 7) * 64 + np.signbit(x) * 32 + tz
+    order = np.argsort(key.astype(np.int16), kind="stable")
+    key, src = key[order], np.take(src, order, axis=0)
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(x)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        src[lo:hi] = np.take(src[lo:hi], _g17_layout(int(key[lo])), axis=1)
+    text = np.empty(len(x), "S32")
+    text[order] = src.view("S32")[:, 0]
+    return text, exact | (x == 0)
+
+
 def save_field_csv(f: SpaceTimeField, path) -> None:
-    """One row t, x[, y], value per node, every number as %.17g.  The rows
-    of one time level, coordinate columns filled in, form a template that
-    is built once; each level is written with one % against it."""
+    """One row t, x[, y], value per node, every number exactly as b"%.17g"
+    writes it.  The rows of a time level, coordinates filled in, form a
+    template built once; each level is written with one % against it.
+
+    _format_g17 formats zeros and 10**-6 <= |v| < 10**17 exactly, a block of
+    levels at a time: for k = floor(log10|v|), 10**(16 - k) is a double,
+    Dekker's product gives |v| * 10**(16 - k) = p + e exactly, and p is an
+    even integer, being >= 1e16 > 2**53, so the 17 digits, |v| * 10**(16 - k)
+    rounded half to even, are p + rint(e).  Others go through b"%.17g" % v."""
     dom = f.domain
     spatial = np.meshgrid(*dom.axes, indexing="ij")
-    template = "".join(
-        "%s" + "".join(f"{c:.17g}," for c in node) + "%.17g\n"
+    template = b"".join(
+        b"%s" + b"".join(b"%.17g," % c for c in node) + b"%s\n"
         for node in zip(*(g.ravel().tolist() for g in spatial))
     )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(["t", *AXES[: dom.n], "value"]) + "\n")
-        for t, level in zip(dom.times.tolist(), f.values):
-            args = [f"{t:.17g},"] * (2 * level.size)
-            args[1::2] = level.ravel().tolist()
-            fh.write(template % tuple(args))
+    size = spatial[0].size
+    with open(path, "wb") as fh:
+        fh.write(",".join(["t", *AXES[: dom.n], "value"]).encode("ascii") + b"\n")
+        for block in _level_blocks(f.values):
+            values = f.values[block].ravel()
+            text, exact = _format_g17(values)
+            rows = text.tolist()
+            for i in np.flatnonzero(~exact).tolist():
+                rows[i] = b"%.17g" % values[i]
+            for j, t in enumerate(dom.times[block].tolist()):
+                args = [b"%.17g," % t] * (2 * size)
+                args[1::2] = rows[j * size: (j + 1) * size]
+                fh.write(template % tuple(args))
 
 
 def save_field_dump(f: SpaceTimeField, path) -> None:

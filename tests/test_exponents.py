@@ -81,6 +81,13 @@ class TestDerive:
         for name in ("p_alpha", "q_beta", "gamma", "m", "kappa", "theta1", "theta2", "theta3"):
             assert getattr(d1, name) == getattr(d2, name)
 
+    def test_cached_per_field_types(self):
+        # the two params compare and hash equal, yet p is derived as 2 and as 2.0
+        ints, floats = (StructureParams(n=2, p=p, q=2.1, alpha=20.0, beta=20.0) for p in (2, 2.0))
+        assert ints == floats and hash(ints) == hash(floats)
+        for params in (ints, floats, ints):
+            assert repr(derive(params).p) == repr(params.p)
+
     def test_q_equals_p_collapses_chain_tail(self):
         d = derive(StructureParams(n=2, p=2.0, q=2.0, alpha=20.0, beta=20.0))
         assert d.q_equals_p

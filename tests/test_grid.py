@@ -3,10 +3,11 @@
 import itertools
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqlab import (
@@ -30,6 +31,7 @@ from pqlab import (
     truncate_plus,
 )
 from pqlab.grid import (
+    _format_g17,
     _integrate_power,
     _node_integral,
     _resolve,
@@ -505,16 +507,65 @@ def _reference_csv(f: SpaceTimeField, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _tie(s: int, up: bool) -> float:
+    """A double x whose 17th digit is followed by exactly 5: x * 10**s = D + 1/2
+    with 10**16 <= D < 10**17, D odd if up (ties to even round it up)."""
+    m = -(-(2 * 10**16 + 1) // 5**s) | 1  # the least odd m with D in range
+    if ((5**s * m - 1) // 2 % 2 == 1) != up:
+        m += 2
+    x = m / 2 ** (s + 1)
+    assert Fraction(x) * 10**s % 1 == Fraction(1, 2)
+    return x
+
+
+def _format_cases() -> list:
+    """Values at the edges of _format_g17: zeros, both sides of every decade
+    edge and of the limits of its exact range, and decimal ties."""
+    edges = [float(Fraction(10) ** k) for k in range(-8, 19)]
+    edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    ties = [_tie(s, up) for s in range(1, 23) for up in (False, True)]
+    return [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan] + [
+        sign * v for v in edges + ties for sign in (1.0, -1.0)]
+
+
 @pytest.mark.parametrize("n", [1, 2])
-def test_field_csv_matches_row_writer(n, tmp_path, rng):
-    dom = Domain(n=n, box=((-0.3, 1.7), (0.1, 2.0))[:n], T=0.7, nx=6, nt=5)
-    signs = rng.choice([-1.0, 1.0], size=dom.shape)
-    values = signs * 10.0 ** rng.uniform(-300, 300, size=dom.shape)
-    values.flat[:3] = (0.0, -0.0, 1.0)
+def test_field_csv_matches_row_writer(n, tmp_path, rng, monkeypatch):
+    # blocks of 31 resp. 5 levels, the last one short
+    monkeypatch.setattr("pqlab.grid._BLOCK_BYTES", 6000)
+    dom = Domain(n=n, box=((-0.3, 1.7), (0.1, 2.0))[:n], T=0.7, nx=(24, 12)[n - 1], nt=47)
+    size = math.prod(dom.shape)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=size)
+    exponents = np.concatenate([rng.uniform(-7.0, 17.0, size=size // 2),
+                                rng.uniform(-300.0, 300.0, size=size - size // 2)])
+    values = signs * 10.0 ** exponents
+    cases = [v for v in _format_cases() if math.isfinite(v)]
+    values[: len(cases)] = cases
+    values = rng.permutation(values).reshape(dom.shape)
     f = SpaceTimeField(dom, values)
     save_field_csv(f, tmp_path / "fast.csv")
     _reference_csv(f, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _in_exact_range(v: float) -> bool:
+    return v == 0 or (math.isfinite(v) and Fraction(1, 10**6) <= Fraction(abs(v)) < 10**17)
+
+
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+_SIGNED_SPAN = st.tuples(st.floats(1e-7, 1e17), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_FLOAT_BITS, _SIGNED_SPAN), min_size=1, max_size=40))
+@example(_format_cases())
+def test_format_g17_is_percent_17g(values):
+    # rows the kernel marks exact are %.17g's bytes, and it marks exactly the
+    # values of its documented range
+    text, exact = _format_g17(np.array(values, dtype=np.float64))
+    for v, row, ok in zip(values, text.tolist(), exact.tolist()):
+        assert ok == _in_exact_range(v)
+        if ok:
+            assert row == b"%.17g" % v
 
 
 def test_coefficient_norms_reject_b_on_another_grid():
