@@ -2,11 +2,11 @@
 that a change meant to leave results bitwise alone can be checked by a diff.
 
 Runs solve, sweep, verify-bound, trace-degiorgi, check-caccioppoli,
-check-energy and check-varsol on four configs (the 1D 65x256 six-level
-sweep problem, a 2D 33^2 x 32 problem, a 1D problem with a separable
-time-dependent datum and a 1D problem with a datum of amplitude -1234.5,
-whose field CSV holds negative values of up to four integer digits), and
-the five demos.  Each run starts from a fresh interpreter in a temporary
+check-energy and check-varsol on five configs (the 1D 65x256 six-level
+sweep problem, a 2D 33^2 x 32 problem, a 1D and a 2D problem with a
+separable time-dependent datum, whose frame moves with time, and a 1D
+problem with a datum of amplitude -1234.5, whose field CSV holds negative
+values of up to four integer digits), and the five demos.  Each run starts from a fresh interpreter in a temporary
 working directory and writes with a relative --out, so no report echoes a
 path of the checkout.  Prints "sha256  name"
 for every stdout (its name carries the exit code) and every file written.
@@ -72,15 +72,18 @@ directory = out
 seed = 7
 """
 
+SWEEP_2D = (SWEEP_1D.replace("n = 1", "n = 2").replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
+            .replace("nx = 65", "nx = 33").replace("nt = 256", "nt = 32")
+            .replace("a_center = 0.505", "a_center = 0.505 0.505")
+            .replace("levels = 6", "levels = 3")
+            .replace("cylinder1 = 0.5 0.12 0.2", "cylinder1 = 0.5 0.5 0.12 0.2")
+            .replace("cylinder2 = 0.45 0.2 0.15", "cylinder2 = 0.45 0.5 0.2 0.15")
+            .replace("cylinder3 = 0.55 0.28 0.12", "cylinder3 = 0.55 0.45 0.28 0.12"))
+
 CONFIGS = {
     "1d": SWEEP_1D,
-    "2d": (SWEEP_1D.replace("n = 1", "n = 2").replace("box = 0.0 1.0", "box = 0.0 1.0 0.0 1.0")
-           .replace("nx = 65", "nx = 33").replace("nt = 256", "nt = 32")
-           .replace("a_center = 0.505", "a_center = 0.505 0.505")
-           .replace("levels = 6", "levels = 3")
-           .replace("cylinder1 = 0.5 0.12 0.2", "cylinder1 = 0.5 0.5 0.12 0.2")
-           .replace("cylinder2 = 0.45 0.2 0.15", "cylinder2 = 0.45 0.5 0.2 0.15")
-           .replace("cylinder3 = 0.55 0.28 0.12", "cylinder3 = 0.55 0.45 0.28 0.12")),
+    "2d": SWEEP_2D,
+    "2d-separable": SWEEP_2D.replace("kind = profile", "kind = separable\npsi = 1.0 -0.5"),
     "1d-separable": (SWEEP_1D.replace("nx = 65", "nx = 33").replace("nt = 256", "nt = 64")
                      .replace("levels = 6", "levels = 3")
                      .replace("kind = profile", "kind = separable\npsi = 1.0 -0.5")),

@@ -1,7 +1,7 @@
 """The linear algebra of the 2D Newton matrix: a stencil on the interior
-nodes of a box, numbered row-major, applied by shifted slices, written into
-LAPACK's general band storage and factored by a float32 band LU, and the one
-owner of each member's Newton direction, FactorSlot.
+nodes of a box, numbered row-major, laid out in one buffer for its product
+and LAPACK's general band storage, factored by a float32 band LU, and the
+one owner of each member's Newton direction, FactorSlot.
 
 A stencil is {offset: entries}, each entries array holding a leading member
 axis and one axis per dimension over the interior nodes; the offsets have at
@@ -19,9 +19,9 @@ while that factor's solves are within solve_budget (one factorization's
 flops over one solve's: 8 at 17^2, 32 at 65^2); past it, or where that
 correction gives up, with a fresh float32 factor; where that gives up too,
 it takes a float64 factor's direct solve.  It releases a spent factor before
-it makes the next.  At 65^2 float32 factors and solves take 0.7-0.8 of
-float64's time; rows divided by their diagonal and right-hand sides by
-their largest entry keep any scale of the data within float32.
+it makes the next.  At 65^2 float32 factors in half of float64's time
+and solves in 0.6 of it; rows divided by their diagonal and right-hand
+sides by their largest entry keep any scale of the data within float32.
 """
 
 from __future__ import annotations
@@ -56,49 +56,51 @@ def solve_budget(kl: int) -> float:
     return (kl + 2.0 * kl * kl) / (4.0 * kl + 1.0)
 
 
-@functools.cache
-def _shift_slices(offset: tuple) -> tuple:
-    """(nodes, neighbours): over the interior, the nodes whose neighbour at
-    offset is interior too, and those neighbours."""
-    return (tuple(slice(max(-o, 0), -o if o > 0 else None) for o in offset),
-            tuple(slice(max(o, 0), o if o < 0 else None) for o in offset))
+class Stencil(dict):
+    """A stencil that lays its entries out once, on first use: rows."""
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """(shifts, rows) per offset, the centre first: the distance in the
+        numbering to the neighbour there, and every member's entries in one
+        buffer, 0 where it would couple across a wrap of the numbering."""
+        offsets = sorted(self, key=any)  # the centre first
+        rows = np.stack([self[off] for off in offsets])
+        for off, entries in zip(offsets, rows):
+            for axis, o in enumerate(off[1:], 2):
+                if o:
+                    entries[(slice(None),) * axis + (-1 if o > 0 else 0,)] = 0.0
+        return ((np.array(offsets) @ _strides(rows.shape[2:])).tolist(),
+                rows.reshape(rows.shape[:2] + (-1,)))
 
 
 def stencil_product(stencil: dict, row: int, x: np.ndarray) -> np.ndarray:
-    """J x for member row of a stencil, x flat over the interior nodes: per
-    offset its entries times x shifted by it, at the nodes whose neighbour
-    there is interior."""
-    centre = stencil[(0,) * len(next(iter(stencil)))][row]
-    x = x.reshape(centre.shape)
-    out = centre * x
-    for off, entries in stencil.items():
-        if any(off):
-            node, neighbour = _shift_slices(off)
-            out[node] += entries[row][node] * x[neighbour]
-    return out.ravel()
+    """J x for member row of a stencil, x flat over the interior nodes: the
+    centre's entries times x, then per offset one contiguous multiply-add of
+    its Stencil.rows and x shifted by it in a copy padded with zeros, which
+    a neighbour past the first or last row reads."""
+    shifts, rows = (stencil if isinstance(stencil, Stencil) else Stencil(stencil)).rows
+    reach, size = max(map(abs, shifts)), len(x)
+    padded = np.zeros(size + 2 * reach)
+    padded[reach:reach + size] = x
+    out, term = rows[0, row] * x, np.empty(size)
+    for shift, entries in zip(shifts[1:], rows[1:, row]):
+        out += np.multiply(entries, padded[reach + shift:reach + shift + size], out=term)
+    return out
 
 
 def band_storage(stencil: dict, row: int, dtype=np.float32) -> np.ndarray:
     """Member row of a stencil, each row divided by its diagonal entry before
     the cast to dtype, in general band storage in Fortran order for gbtrf to
-    factor in place: the entry of node i at offset o, whose
-    neighbour is j = i + shift, sits at row 2 kl - shift (kl rows on top take
-    the fill of row interchanges) and column j.  An entry whose neighbour
-    leaves the interior is 0: along the later axes it would otherwise couple
-    across a wrap of the numbering."""
-    shape = next(iter(stencil.values())).shape[1:]
-    strides, size = _strides(shape), int(np.prod(shape))
-    kl = sum(strides[:2])
-    diagonal = stencil[(0,) * len(shape)][row]
+    factor in place: the entry of node i at offset o, whose neighbour is
+    j = i + shift, sits at row 2 kl - shift (kl rows on top take the fill of
+    row interchanges) and column j, copied from Stencil.rows."""
+    shifts, rows = (stencil if isinstance(stencil, Stencil) else Stencil(stencil)).rows
+    kl, size, rows = max(map(abs, shifts)), rows.shape[2], rows[:, row]
     ab = np.zeros((3 * kl + 1, size), dtype, order="F")
-    for off, entries in stencil.items():
-        values = entries[row] / diagonal
-        for k, o in enumerate(off):
-            if o:
-                values[(slice(None),) * k + (-1 if o > 0 else 0,)] = 0.0
-        shift = sum(o * stride for o, stride in zip(off, strides))
+    for shift, entries in zip(shifts, rows):
         lo, hi = max(shift, 0), size + min(shift, 0)
-        ab[2 * kl - shift, lo:hi] = values.ravel()[lo - shift:hi - shift]
+        ab[2 * kl - shift, lo:hi] = entries[lo - shift:hi - shift] / rows[0, lo - shift:hi - shift]
     return ab
 
 

@@ -133,8 +133,8 @@ def flux_coefficient(s, a_val, b_val, spec: IntegrandSpec, eps: float | None = N
 
 
 def _quotient(num, den):
-    """num / den, with 0 where den = 0 (num vanishes there and is divided by 1)."""
-    return np.divide(num, np.where(den > 0, den, 1.0), out=np.empty(np.shape(num)))
+    """num / den, with 0 where den = 0 (num vanishes there)."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
 
 
 def flux(xi, a_val, b_val, spec: IntegrandSpec, eps: float | None = None) -> np.ndarray:

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .band import Stencil
 from .grid import Domain, _integrate_power, _level_blocks, _node_integral, _stored_levels
 from .model import IntegrandSpec, energy_density, flux_coefficient
 
@@ -51,7 +52,7 @@ class _Iterate(NamedTuple):
     k the face quantities the k-faces beside them (nx - 1 along k, nx - 2
     along every other axis): grads[k] is the normal difference quotient,
     trans[k] the list of transverse gradients averaged onto the faces (empty
-    in 1D) and coeffs[k] the pair (G, 2G') at s = grads[k]^2 + sum trans[k]^2.
+    in 1D), coeffs[k] the pair (G, 2G') at s = grads[k]^2 + sum trans[k]^2.
     """
 
     w: np.ndarray
@@ -61,6 +62,7 @@ class _Iterate(NamedTuple):
     grads: list
     trans: list
     coeffs: list
+    flux: np.ndarray  # dt div_h F(D_h w) at the interior nodes, for restart
 
     def take(self, rows):
         """The same quantities for a subset of the members."""
@@ -69,7 +71,13 @@ class _Iterate(NamedTuple):
             [g[rows] for g in self.grads],
             [[t[rows] for t in tk] for tk in self.trans],
             [(big_g[rows], dg[rows]) for big_g, dg in self.coeffs],
+            self.flux[rows],
         )
+
+    def restart(self):
+        """evaluate(w, w, eps) bit for bit where w is finite inside."""
+        r = 0.0 - self.flux  # w - w is +0.0 there; -flux would flip a zero's sign
+        return self._replace(residual=r, norm=np.abs(r).reshape(len(r), -1).max(1))
 
 
 class _Scheme:
@@ -163,16 +171,14 @@ class _Scheme:
             flux_coefficient(sk, a, b, self.spec, eps=eps, derivative=True)
             for sk, (a, b) in zip(s, self.face_coeffs)
         ]
-        div = self.face_divergence([c[0] * g for c, g in zip(coeffs, grads)])
-        residual = w[self.interior] - u_prev[self.interior] - self.dt * div
-        scale = np.maximum(
-            np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
-            self.dt * np.abs(div).max(axis=self.spatial),
-        )
+        flux = self.dt * self.face_divergence([c[0] * g for c, g in zip(coeffs, grads)])
+        residual = w[self.interior] - u_prev[self.interior] - flux
+        scale = np.maximum(np.maximum(1.0, np.abs(w).max(axis=self.spatial)),
+                           np.abs(flux).max(axis=self.spatial))
         return _Iterate(w, residual, np.abs(residual).max(axis=self.spatial), scale,
-                        grads, trans, coeffs)
+                        grads, trans, coeffs, flux)
 
-    def stencil(self, it: _Iterate) -> dict:
+    def stencil(self, it: _Iterate) -> Stencil:
         """dR/dw of every member as a stencil on the interior nodes:
         {offset: coefficient per member and node}, offset 0 the diagonal.
 
@@ -182,7 +188,7 @@ class _Scheme:
         +-e_k and the diagonal; C_j reaches +-e_j and +-e_k +- e_j.  The
         order of accumulation fixes the rounding of every entry: the normal
         weights of all axes first, then the cross weights in axis order,
-        east face before west.
+        east face before west.  band.Stencil lays them out for band.py.
         """
         diag = 1.0
         entries = {}
@@ -195,7 +201,7 @@ class _Scheme:
             # so nothing below may add into them in place
             weight = -c * h
             entries[e], entries[tuple(-a for a in e)] = weight[east], weight[west]
-        entries = {(0,) * self.dom.n: diag, **entries}
+        entries = Stencil({(0,) * self.dom.n: diag, **entries})
         # a k-face on side s of a node enters R with sign -s, and the
         # transverse difference pairs +e_j with +1 and -e_j with -1
         for (k, j, kappa, _), t in zip(self.pairs, itertools.chain.from_iterable(it.trans)):

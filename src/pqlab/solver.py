@@ -42,10 +42,11 @@ in both starts.  While the solution is smooth in time the extrapolation is
 O(dt^3) from u^{j+1}, against O(dt) for u^j, which about halves the
 iterations of a march; the residual test keeps u^j where the solution turns
 faster than dt resolves.  Every member still takes at least one iteration.
-Once steps end at their first trial for every member, each step's first
-trial batch also evaluates the next step's starts, which the next step takes
-if that trial ends its step: one evaluation per one-iteration step.  The
-starts of a batch are blocks of one buffer (_Stepper.starts).
+Where the last step ended every member at one iterate and g is bitwise
+the same on the frame, the u^j start is that iterate's restart.  Once
+steps end at their first trial for every member, each step's first trial
+batch also evaluates the next step's starts, which it takes if that trial
+ends its step.  The starts of a batch are blocks of one buffer (_Stepper.starts).
 
 The march carries a leading member axis: solve_levels advances L problems
 that share the grid, coefficients, datum, tolerance and time steps and
@@ -282,9 +283,9 @@ class _Stepper:
         # each member's accepted time levels before the one step starts from,
         # newest first and at most two: u_{j-1} and u_{j-2} (see step)
         self.past = []
-        # whether the last step ended at its first trial for every member, and
-        # the next step's starts evaluated with it, keyed by its time and bits
-        self.swift, self.carry = False, None
+        # whether the last step ended at its first trial for every member; the
+        # iterate it ended them all at, and the next step's start made with it
+        self.swift, self.level, self.carry = False, None, None
 
     def newton_direction(self, it: _Iterate, t: float, members):
         """Solve J d = -R for every member of it, at time level t.
@@ -342,39 +343,47 @@ class _Stepper:
                     f"Newton step produced non-finite values at t = {t}"))
         return d, None
 
-    def starts(self, u: np.ndarray, t: float, past: list, base=None):
-        """The batch (w, u_prev, eps) that evaluates the starts of the step
-        from u (members first) to t, a block of members per start along a new
-        leading axis: u and, if past (newest first) holds a level, its
-        extrapolation of order len(past) on the interior (2u - past[0] or
-        3(u - past[0]) + past[1]); both take g(t) on the frame.  Given base,
-        the level u is a trial from, u leads the batch as that trial.  The
-        blocks follow base (or u) in one buffer and each block's u_prev is the
-        one before it, which the residual reads on the interior, where every
-        start is u."""
-        lead = int(base is not None)
-        x = np.empty((2 + lead + bool(past),) + u.shape)
+    def starts(self, u: np.ndarray, t: float, past: list, base=None, known=False):
+        """(w, u_prev, eps, fresh): the batch that evaluates the starts of the
+        step from u (members first) to t, a block of members per start along a
+        new leading axis: u, unless known (the caller has u's evaluation) and
+        u's frame (every member's) is g(t) already (then fresh is False), and,
+        if past (newest first) holds a level, its extrapolation of order
+        len(past) on the interior (2u - past[0] or 3(u - past[0]) + past[1]);
+        both take g(t) on the frame.  Given base, the level u is a trial from,
+        u leads the batch as that trial.  The blocks follow base (or u) in one
+        buffer, each block's u_prev the one before it (read inside only)."""
+        edge, lead = self.frame_g0 * self.cfg.g._psi(t), int(base is not None)
+        fresh = not known or u[0][self.frame].tobytes() != edge.tobytes()
+        x = np.empty((1 + lead + fresh + bool(past),) + u.shape)
         x[lead:] = u
         if lead:
             x[0] = base
-        x[lead + 1:, :, self.frame] = self.frame_g0 * self.cfg.g._psi(t)
+        x[lead + 1:, :, self.frame] = edge
         inner = self.scheme.interior
         if len(past) == 1:
             x[-1][inner] = 2.0 * u[inner] - past[0][inner]
         elif past:
             x[-1][inner] = 3.0 * (u[inner] - past[0][inner]) + past[1][inner]
-        return x[1:], x[:-1], self.eps[:len(u)]
+        return x[1:], x[:-1], self.eps[:len(u)], fresh
 
-    def pick(self, both: _Iterate, first: int = 0) -> _Iterate:
-        """The members' starts from blocks first (u) and first + 1 (the
-        extrapolation, if any) of a batch that starts made: the extrapolation
-        where its max|R| is strictly smaller (a tie or NaN keeps u)."""
-        if len(both.w) == first + 1:
-            return both.take(first)
-        ext = both.norm[first + 1] < both.norm[first]
-        if ext.all() or not ext.any():  # a block takes views
-            return both.take(first + int(ext[0]))
-        return both.take((first + ext, self.members[:len(ext)]))
+    def pick(self, both: _Iterate, first: int = 0, start: _Iterate | None = None) -> _Iterate:
+        """The members' starts from u (block first of a batch that starts made,
+        or start) and from the extrapolation (the next block, if any): the
+        latter where its max|R| is strictly smaller (a tie or NaN keeps u)."""
+        if start is None:
+            start, first = both.take(first), first + 1
+        ext = both.take(first) if len(both.w) > first else start
+        better = ext.norm < start.norm
+        if better.all() or not better.any():
+            return ext if better[0] else start
+
+        def stacked(*parts):  # np.stack over the matching arrays of nested lists
+            if isinstance(parts[0], np.ndarray):
+                return np.stack(parts)
+            return type(parts[0])(stacked(*p) for p in zip(*parts))
+        return _Iterate(*stacked(tuple(start), tuple(ext))).take(
+            (0 + better, self.members[:len(better)]))
 
     def _drop(self, why, t: float, it: _Iterate, rows, pos: int, log: list):
         """Drop the member at row pos of it and rows and every later one, whose 2D factors go, for
@@ -393,20 +402,23 @@ class _Stepper:
         members: the members still iterating (ascending), their max|R| and
         the step lengths they accepted.  self.past then takes u_prev, narrowed
         to the members kept.  Each member starts Newton from the better of its
-        starts (see starts and pick), evaluated in one batch; a start reads
-        only its own rows.  t_after is the next step's time, None at the last
-        step.  After a step that ended at its first trial for every
-        member, that trial's batch also evaluates the next step's starts; if
-        it ends this step too, they are carried (self.carry) to the call whose
-        t_next and u_prev are bitwise t_after and that trial: the rows that
-        call would evaluate, so every result is the same.
+        starts (see starts and pick), evaluated in one batch but for a u start
+        that is self.level's restart; a start reads only its own rows.
+        t_after is the next step's time, None at the last step.  After a step
+        that ended at its first trial for every member, that trial's batch
+        also evaluates the next step's starts; if it ends this step too, they
+        are carried (self.carry) to the call whose t_next is t_after and whose
+        u_prev is bitwise that trial: the rows it would evaluate, so every
+        result is the same.
         """
         cfg, scheme = self.cfg, self.scheme
-        carry, self.carry = self.carry, None
-        if carry is not None and carry[0] == (t_next, u_prev.tobytes()):
+        level, carry, self.level, self.carry = self.level, self.carry, None, None
+        same = level is not None and level.w.tobytes() == u_prev.tobytes()
+        if same and carry is not None and carry[0] == t_next:
             it = carry[1]
         else:
-            it = self.pick(scheme.evaluate(*self.starts(u_prev, t_next, self.past)))
+            *batch, fresh = self.starts(u_prev, t_next, self.past, known=same and bool(self.past))
+            it = self.pick(scheme.evaluate(*batch), start=None if fresh else level.restart())
         # the members still iterating, ascending, with their previous levels
         # and eps; the members kept; and the accepted levels once a member ends
         rows, base, eps = self.members[:len(u_prev)], u_prev, self.eps[:len(u_prev)]
@@ -424,7 +436,8 @@ class _Stepper:
             if look:
                 w = it.w.copy()
                 w[scheme.interior] += d
-                ahead = scheme.evaluate(*self.starts(w, t_after, [base, *self.past[:1]], base))
+                *batch, moved = self.starts(w, t_after, [base, *self.past[:1]], base, known=True)
+                ahead = scheme.evaluate(*batch)
                 trial, look = ahead.take(0), False
             trial, length, stuck = _line_search(scheme, it, d, base, eps, cfg.tolerance, trial)
             if stuck is not None:
@@ -450,8 +463,9 @@ class _Stepper:
             failure, live = self._drop(f"no convergence within {cfg.max_iter} iterations",
                                        t_next, it, rows, 0, log)
         self.swift = failure is None and len(log) == 1 and bool((log[0][2] == 1.0).all())
+        self.level = it if out is it.w else None  # every member ended at it
         if self.swift and ahead is not None:
-            self.carry = ((t_after, out.tobytes()), self.pick(ahead, 1))
+            self.carry = (t_after, self.pick(ahead, 1, None if moved else it.restart()))
         self.past = [v[:live] for v in (u_prev, *self.past[:1])]
         return (u_prev[:0] if out is None else out[:live]), log, failure
 

@@ -403,6 +403,41 @@ def _unpack_band(ab, kl):
     return dense
 
 
+def _sliced_product(stencil, row, x):
+    """J x by shifted slices of the stencil's own arrays: per offset its
+    entries times x shifted by it, at the nodes whose neighbour there is
+    interior, the centre first."""
+    centre = stencil[(0,) * len(next(iter(stencil)))][row]
+    x = x.reshape(centre.shape)
+    out = centre * x
+    for off, entries in stencil.items():
+        if any(off):
+            node = tuple(slice(max(-o, 0), -o if o > 0 else None) for o in off)
+            neighbour = tuple(slice(max(o, 0), o if o < 0 else None) for o in off)
+            out[node] += entries[row][node] * x[neighbour]
+    return out.ravel()
+
+
+def _sliced_band_storage(stencil, row, dtype):
+    """band_storage from the stencil's own arrays: each offset's entries
+    divided by the diagonal, 0 where the neighbour leaves the interior, at
+    band row 2 kl - shift."""
+    shape = next(iter(stencil.values())).shape[1:]
+    size, strides = math.prod(shape), [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    kl = sum(strides[:2])
+    diagonal = stencil[(0,) * len(shape)][row]
+    ab = np.zeros((3 * kl + 1, size), dtype, order="F")
+    for off, entries in stencil.items():
+        values = entries[row] / diagonal
+        for k, o in enumerate(off):
+            if o:
+                values[(slice(None),) * k + (-1 if o > 0 else 0,)] = 0.0
+        shift = sum(o * stride for o, stride in zip(off, strides))
+        lo, hi = max(shift, 0), size + min(shift, 0)
+        ab[2 * kl - shift, lo:hi] = values.ravel()[lo - shift:hi - shift]
+    return ab
+
+
 class TestBandLU:
     """The 2D Newton matrix in band storage, its product by stencil and its
     band LU: float32 by default, refined in float64 by defect correction."""
@@ -512,6 +547,24 @@ class TestBandLU:
                 1e-12 * scipy.linalg.blas.dnrm2(b))
         assert x is not None and lu.solves - 1 <= 4  # less the finiteness check's solve
         assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx", [9, 17])
+    def test_laid_out_rows_match_shifted_slices(self, nx, rng):
+        # the product and the band storage read the entries laid out once in
+        # one contiguous buffer (band.Stencil.rows); by shifted slices of the
+        # stencil's own arrays each is bitwise the same, and so is the
+        # layout's copy of a plain dict
+        _, stencil = self.stencil(nx, rng)
+        assert isinstance(stencil, band.Stencil)
+        for layout in (stencil, dict(stencil)):
+            for row in (0, 1):
+                x = rng.normal(size=(nx - 2) ** 2)
+                got, ref = stencil_product(layout, row, x), _sliced_product(stencil, row, x)
+                assert got.tobytes() == ref.tobytes()
+                for dtype in (np.float32, np.float64):
+                    got = band_storage(layout, row, dtype)
+                    ref = _sliced_band_storage(stencil, row, dtype)
+                    assert got.flags.f_contiguous and got.tobytes() == ref.tobytes()
 
     def test_singular_matrix_is_a_divergence(self):
         # two equal rows: [[1, 1], [1, 1]]
@@ -1559,6 +1612,74 @@ class TestCarriedStart:
         assert calls[-2] == (float(cfg.domain.times[-1]), True, True)
         monkeypatch.setattr(_Stepper, "step", _without_carry)
         _assert_same_march(got, solve_levels(cfg, schedule))
+
+
+def _arrays(x):
+    """The arrays of an _Iterate, depth first through its lists and pairs."""
+    if isinstance(x, np.ndarray):
+        yield x
+    else:
+        for part in x:
+            yield from _arrays(part)
+
+
+class TestDerivedStart:
+    """A step after one that ended every member at one iterate takes its u_j
+    start from that iterate (_Iterate.restart) where the datum is bitwise
+    the same on the frame at both times, instead of evaluating it; the
+    look-ahead's u_j block is taken from its trial alike."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_restart_is_the_evaluation(self, n, rng):
+        # member 0 is 0 everywhere, so its flux is +0.0, whose negation
+        # would be -0.0: the derived residual is 0.0 - flux
+        cfg = degenerate_config() if n == 1 else _probe_config_2d(3.0, 3.2, 5.0, nx=9, nt=4)
+        stepper = _Stepper(cfg, [0.5, 0.25, 0.0])
+        shape = (3,) + (cfg.domain.nx,) * n
+        w = rng.normal(size=shape)
+        w[0] = 0.0
+        it = stepper.scheme.evaluate(w, rng.normal(size=shape), stepper.eps)
+        got, ref = it.restart(), stepper.scheme.evaluate(w, w, stepper.eps)
+        assert np.all(it.flux[0] == 0.0) and np.signbit(-it.flux[0]).all()
+        assert len(got) == len(ref)
+        for name, a, b in zip(ref._fields, got, ref):
+            for x, y in itertools.zip_longest(_arrays(a), _arrays(b)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("datum", ["profile", "separable"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_evaluating_the_u_j_start(self, n, datum, monkeypatch):
+        # the carry probes, with six members in 1D, against steps that keep
+        # no level and look nothing ahead, so they evaluate every u_j start;
+        # psi(t) = 1 + t moves the frame (the sine profile is about 1e-16 at
+        # x = 1, not 0), so there no start is derived
+        cfg = _carry_probe(n)
+        if datum == "separable":
+            cfg = dataclasses.replace(
+                cfg, g=dataclasses.replace(cfg.g, kind="separable", psi=(1.0, 1.0)))
+        schedule = [0.5 / 2**k for k in range(6)] if n == 1 else [0.5, 0.25]
+        restart, restarts = _Iterate.restart, []
+
+        def counted(self):
+            restarts.append(1)
+            return restart(self)
+
+        monkeypatch.setattr(_Iterate, "restart", counted)
+        got = solve_levels(cfg, schedule)
+        derived = len(restarts)
+
+        def forgetful(self, u_prev, t_next, t_after=None):
+            self.level, self.swift = None, False
+            return _step(self, u_prev, t_next, t_after)
+
+        monkeypatch.setattr(_Stepper, "step", forgetful)
+        ref = solve_levels(cfg, schedule)
+        _assert_same_march(got, ref)
+        for (_, stats), (_, ref_stats) in zip(got[0], ref[0]):
+            assert repr((stats.iterations, stats.residuals)) == repr(
+                (ref_stats.iterations, ref_stats.residuals))
+        assert len(restarts) == derived  # none in the reference
+        assert (derived == 0) == (datum == "separable")
 
 
 class TestSolve:
